@@ -48,7 +48,7 @@ from .errors import (
     ZeroScale,
 )
 from .experiments import (
-    DEFAULT_SEEDS,
+    EXPERIMENT_NAMES,
     REGRESSION_NOISE_LEVELS,
     TrialSettings,
     boxplot_series,
@@ -61,17 +61,17 @@ from .experiments import (
 from .featuremap import (
     STANDARD_CONSTANTS,
     FeatureMapSpec,
-    destandardize,
     enumerate_monomials,
     evaluate_map,
     spec_from_dict,
     spec_to_dict,
 )
 from .metrics import confusion, mae, mse, scores_to_dict
-from .ranking import greedy_select
+from .ranking import curve_to_csv, rank_and_refit
 from .regression import (
     DEFAULT_LAMBDA,
     DEFAULT_LAMBDA_GRID,
+    RidgeModel,
     classify,
     fit_standardized,
     model_from_dict,
@@ -142,14 +142,37 @@ def _read_dataset(path: str) -> Dataset:
         raise _InputFileError(f"malformed dataset {path}: {exc}") from exc
 
 
+# A JSON document of the wrong shape (a missing key, a list where an object
+# belongs, a float exponent) fails inside the parser with one of these.
+_SHAPE_ERRORS = (KeyError, TypeError, AttributeError)
+
+
+def _malformed(kind: str, path: str, exc: Exception) -> _InputFileError:
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return _InputFileError(f"malformed {kind} {path}: {detail}")
+
+
 def _load_spec_file(path: str, allow_inconsistent: bool) -> FeatureMapSpec:
     document = _read_json(path)
     try:
         return spec_from_dict(document, allow_inconsistent=allow_inconsistent)
     except DimensionMismatch:
         raise
-    except PifmapError as exc:
-        raise _InputFileError(f"malformed spec {path}: {exc}") from exc
+    except (PifmapError, *_SHAPE_ERRORS) as exc:
+        raise _malformed("spec", path, exc) from exc
+
+
+def _load_model_file(path: str) -> tuple[RidgeModel, FeatureMapSpec | None]:
+    document = _read_json(path)
+    try:
+        model = model_from_dict(document)
+        design = document.get("design", {"kind": "raw", "spec": None})
+        spec = None
+        if design.get("kind") == "spec":
+            spec = spec_from_dict(design["spec"], allow_inconsistent=True)
+    except (PifmapError, *_SHAPE_ERRORS) as exc:
+        raise _malformed("model", path, exc) from exc
+    return model, spec
 
 
 def _env_budget(default: int) -> int:
@@ -325,7 +348,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         lam = select_lambda(Z_train, y[:k], grid)
     else:
         lam = args.lam
-    model, _ = fit_standardized(X[:k], y[:k], lam, feature_names=names)
+    model, Z_train = fit_standardized(X[:k], y[:k], lam, feature_names=names)
     document = model_to_dict(model)
     document["design"] = {
         "kind": "raw" if spec is None else "spec",
@@ -335,7 +358,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         _write_text(args.out, _dump_json(document))
     except OSError as exc:
         raise _InputFileError(f"cannot write {args.out}: {exc}") from exc
-    Z_train = standardize_apply(X[:k], model.standardization)
     Z_test = standardize_apply(X[k:], model.standardization)
     pred_train = ridge_predict(model, Z_train)
     pred_test = ridge_predict(model, Z_test)
@@ -359,57 +381,23 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     Phi = evaluate_map(spec, dataset)
     k = split_point(dataset.n_rows, args.split)
     y = dataset.y
-    names = list(spec.monomial_names)
-    model, Z_train = fit_standardized(
-        Phi[:k], y[:k], args.lam, feature_names=names
+    result, ranked = rank_and_refit(
+        Phi[:k], y[:k], Phi[k:], y[k:], spec.monomial_names, args.lam,
+        args.epsilon,
     )
-    Z_test = standardize_apply(Phi[k:], model.standardization)
-    result = greedy_select(
-        Z_train, y[:k], Z_test, y[k:], args.lam, epsilon=args.epsilon
-    )
-    kept = model.standardization.kept
-    selected_columns = [kept[j] for j in result.selected]
-    selected_names = [names[c] for c in selected_columns]
-    refit, _ = fit_standardized(
-        Phi[:k, selected_columns], y[:k], args.lam, feature_names=selected_names
-    )
-    coefficients, intercept = destandardize(refit)
-    document = {
-        "spec": spec.name,
-        "epsilon": result.epsilon,
-        "order": [names[kept[j]] for j in result.order],
-        "selected": selected_names,
-        "selected_count": result.selected_count,
-        "curve": [
-            {"k": point.k, "mae": point.mae, "mse": point.mse}
-            for point in result.curve
-        ],
-        "coefficients": {
-            name: float(value)
-            for name, value in zip(refit.feature_names, coefficients)
-        },
-        "intercept": intercept,
-    }
-    text = _dump_json(document)
+    text = _dump_json({"spec": spec.name, **ranked})
     if args.out:
         _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     if args.curve:
-        from .ranking import curve_to_csv
-
         _write_text(args.curve, curve_to_csv(result))
     return EXIT_OK
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    document = _read_json(args.model)
-    model = model_from_dict(document)
+    model, spec = _load_model_file(args.model)
     dataset = _read_dataset(args.data)
-    design = document.get("design", {"kind": "raw", "spec": None})
-    spec = None
-    if design.get("kind") == "spec":
-        spec = spec_from_dict(design["spec"], allow_inconsistent=True)
     X, _ = _design_matrix(dataset, spec)
     Z = standardize_apply(X, model.standardization)
     scores = ridge_predict(model, Z)
@@ -442,11 +430,7 @@ def _write_report(report: dict, out_dir: str, csv_only: bool) -> None:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    names = (
-        ["bernoulli", "pulsar", "binary"]
-        if args.experiment == "all"
-        else [args.experiment]
-    )
+    names = EXPERIMENT_NAMES if args.experiment == "all" else [args.experiment]
     seeds = _parse_seeds(args.seeds)
     levels = _parse_levels(args.noise_levels)
     settings = TrialSettings(n=args.n, split=args.split)
@@ -536,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="run a full experiment report")
     p_rep.add_argument("experiment",
-                       choices=["bernoulli", "pulsar", "binary", "all"])
+                       choices=[*EXPERIMENT_NAMES, "all"])
     p_rep.add_argument("--seeds", default="1:20",
                        help="'a:b' inclusive range or comma list (default 1:20)")
     p_rep.add_argument("--noise-levels",

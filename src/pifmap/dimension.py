@@ -31,8 +31,6 @@ __all__ = [
     "Dimension",
     "DIMENSIONLESS",
     "UNIT_SYMBOLS",
-    "dim_mul",
-    "dim_pow",
     "parse_unit",
     "format_unit",
 ]
@@ -99,16 +97,6 @@ class Dimension:
 
 
 DIMENSIONLESS = Dimension((Fraction(0),) * len(BASE_UNITS))
-
-
-def dim_mul(a: Dimension, b: Dimension) -> Dimension:
-    """Componentwise sum of exponents (the group operation)."""
-    return a * b
-
-
-def dim_pow(d: Dimension, q: Rational) -> Dimension:
-    """Scale every exponent by the rational ``q``."""
-    return d ** q
 
 
 def _base(**units: Rational) -> Dimension:

@@ -642,23 +642,24 @@ def spec_from_dict(document: Mapping, *, allow_inconsistent: bool = False) -> Fe
     )
     target = parse(document["target_unit"])
 
-    dims = tuple(f.dimension for f in features) + tuple(d.dimension for d in derived)
-    cdims = tuple(c.dimension for c in constants)
-    mismatched = []
-    for index, monomial in enumerate(monomials):
-        actual = monomial_dimension(monomial, dims, cdims)
-        if actual != target:
-            mismatched.append((index, actual, target))
-    if mismatched and not allow_inconsistent:
-        raise DimensionMismatch(mismatched)
-
-    return FeatureMapSpec(
+    fields = dict(
         name=document.get("name", "unnamed"),
         features=features,
         constants=constants,
         monomials=monomials,
         target_dimension=target,
         derived=derived,
-        inconsistent_indices=tuple(index for index, _, _ in mismatched),
         metadata=dict(document.get("metadata", {})),
     )
+    try:
+        return FeatureMapSpec(**fields)
+    except DimensionMismatch as exc:
+        if not allow_inconsistent:
+            raise
+        # With nothing declared inconsistent, construction reports every
+        # mismatched monomial; declaring exactly those lets it pass.  A
+        # mismatched derived feature is checked first and raises again.
+        return FeatureMapSpec(
+            **fields,
+            inconsistent_indices=tuple(index for index, _, _ in exc.entries),
+        )

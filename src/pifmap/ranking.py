@@ -8,24 +8,35 @@ relative improvement of BOTH error metrics,
 the selected count is then ``k - 1``.  One extra prefix beyond the stop
 (capped at the column count) is always evaluated so the reported curve
 shows the plateau, and if no stop is ever triggered every column ends up
-selected.
+selected.  :func:`rank_and_refit` runs the whole step on a raw design:
+standardize, rank, refit the selected columns and map the refit back to
+raw-column scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyInput, LengthMismatch
+from .featuremap import destandardize
 from .metrics import mae, mse
-from .regression import RidgeModel, ridge_fit, ridge_predict
+from .regression import (
+    RidgeModel,
+    fit_standardized,
+    ridge_fit,
+    ridge_predict,
+    standardize_apply,
+)
 
 __all__ = [
     "CurvePoint",
     "RankingResult",
     "rank_by_coefficient",
     "greedy_select",
+    "rank_and_refit",
     "ranking_to_dict",
     "curve_to_csv",
 ]
@@ -128,6 +139,54 @@ def greedy_select(
         curve=tuple(curve),
         epsilon=float(epsilon),
     )
+
+
+def rank_and_refit(
+    X_train: np.ndarray,
+    y_train: np.ndarray,
+    X_eval: np.ndarray,
+    y_eval: np.ndarray,
+    names: Sequence[str],
+    lam: float,
+    epsilon: float,
+) -> tuple[RankingResult, dict]:
+    """Greedy-rank the raw columns, refit the selected set, destandardize.
+
+    The columns are standardized on the training rows and ranked with
+    :func:`greedy_select`; the selected columns are then refit on the raw
+    training rows and their weights mapped back to raw scale.  Returns the
+    ranking result, whose indices count the columns kept by
+    standardization, and a JSON-ready document that names every column
+    by ``names``: ``epsilon``, ``order``, ``selected``,
+    ``selected_count``, ``curve``, ``coefficients`` (one per selected
+    column) and ``intercept``.
+    """
+    model, Z_train = fit_standardized(X_train, y_train, lam, feature_names=names)
+    Z_eval = standardize_apply(X_eval, model.standardization)
+    result = greedy_select(Z_train, y_train, Z_eval, y_eval, lam, epsilon=epsilon)
+    kept = model.standardization.kept
+    selected_columns = [kept[j] for j in result.selected]
+    selected_names = [names[c] for c in selected_columns]
+    refit, _ = fit_standardized(
+        X_train[:, selected_columns], y_train, lam, feature_names=selected_names
+    )
+    coefficients, intercept = destandardize(refit)
+    document = {
+        "epsilon": result.epsilon,
+        "order": [names[kept[j]] for j in result.order],
+        "selected": selected_names,
+        "selected_count": result.selected_count,
+        "curve": [
+            {"k": point.k, "mae": point.mae, "mse": point.mse}
+            for point in result.curve
+        ],
+        "coefficients": {
+            name: float(value)
+            for name, value in zip(refit.feature_names, coefficients)
+        },
+        "intercept": intercept,
+    }
+    return result, document
 
 
 def ranking_to_dict(result: RankingResult) -> dict:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pifmap import featuremap
 from pifmap.catalogs import CATALOG_NAMES, load_catalog
 from pifmap.data import Dataset, schema_of
 from pifmap.dimension import format_unit, parse_unit
@@ -50,6 +51,17 @@ class TestLoading:
         assert spec.monomials == full.monomials[1:]
         with pytest.raises(DimensionMismatch):
             load_catalog("pulsar_no_pif1")
+
+    def test_strict_load_checks_each_monomial_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return monomial_dimension(*args, **kwargs)
+
+        monkeypatch.setattr(featuremap, "monomial_dimension", counting)
+        spec = load_catalog("bernoulli")
+        assert calls == list(spec.monomials)
 
     def test_loads_are_independent_copies(self):
         a = load_catalog("bernoulli")
@@ -117,6 +129,15 @@ class TestPulsarCatalog:
         np.testing.assert_allclose(
             data.y, (2.0 * np.pi / 3.0) * Phi[:, 0], rtol=1e-12
         )
+
+    def test_ablated_catalog_is_the_map_without_its_first_column(self):
+        # the experiment's spif_no_pif1 arm slices the full map this way
+        data = gen_pulsar(1000, 3)
+        full = evaluate_map(load_catalog("pulsar", allow_inconsistent=True), data)
+        ablated = evaluate_map(
+            load_catalog("pulsar_no_pif1", allow_inconsistent=True), data
+        )
+        assert np.ascontiguousarray(full[:, 1:]).tobytes() == ablated.tobytes()
 
     def test_angle_enters_through_sin_squared(self):
         spec = load_catalog("pulsar", allow_inconsistent=True)

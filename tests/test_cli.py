@@ -346,6 +346,57 @@ class TestEval:
                    "--data", str(bernoulli_csv)) == EXIT_IO
 
 
+def _drop_monomials(doc):
+    del doc["monomials"]
+
+
+def _drop_feature_unit(doc):
+    del doc["features"][0]["unit"]
+
+
+def _fractional_exponent(doc):
+    doc["monomials"][0]["feature_exponents"][0] = 1.5
+
+
+def _drop_means(doc):
+    del doc["means"]
+
+
+class TestMalformedDocuments:
+    """Wrong-shaped JSON is a malformed file: exit 3, one line, no traceback."""
+
+    @pytest.mark.parametrize("command, corrupt", [
+        ("fit", _drop_monomials),
+        ("rank", _drop_monomials),
+        ("fit", _drop_feature_unit),
+        ("rank", _drop_feature_unit),
+        ("fit", _fractional_exponent),
+        ("rank", _fractional_exponent),
+        ("eval", _drop_means),
+    ])
+    def test_exit_3_with_one_error_line(self, command, corrupt, bernoulli_csv,
+                                        bernoulli_spec, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run("fit", "--data", str(bernoulli_csv),
+                   "--spec", str(bernoulli_spec), "--out", str(model)) == EXIT_OK
+        kind, path = ("model", model) if command == "eval" else ("spec", bernoulli_spec)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(document)
+        path.write_text(json.dumps(document), encoding="utf-8")
+        capsys.readouterr()
+        if command == "eval":
+            argv = ("eval", "--model", str(model), "--data", str(bernoulli_csv))
+        else:
+            argv = (command, "--data", str(bernoulli_csv), "--spec", str(path),
+                    "--out", str(tmp_path / "out.json"))
+        assert run(*argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"pifmap: error: malformed {kind} {path}: ")
+
+
 class TestReproduce:
     def test_csv_only_outputs(self, tmp_path):
         out = tmp_path / "reports"

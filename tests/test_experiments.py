@@ -5,24 +5,29 @@ import json
 import numpy as np
 import pytest
 
+from pifmap import experiments
+from pifmap.catalogs import load_catalog
 from pifmap.errors import InsufficientData
 from pifmap.experiments import (
     DEFAULT_SEEDS,
     EXPERIMENT_NAMES,
     REGRESSION_NOISE_LEVELS,
     TrialSettings,
-    bernoulli_trial,
-    binary_trial,
     boxplot_series,
     derive_noise_seed,
     per_seed_csv,
-    pulsar_trial,
     report_markdown,
     run_experiment,
     split_point,
 )
 
 SMALL = TrialSettings(n=120)
+
+
+def one_trial(name, seed, level, settings=SMALL):
+    return run_experiment(
+        name, seeds=(seed,), noise_levels=(level,), settings=settings
+    )["trials"][0]
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +95,7 @@ class TestNoiseSeeds:
 
 class TestTrials:
     def test_bernoulli_trial_shape(self):
-        trial = bernoulli_trial(3, 0.1, settings=SMALL)
+        trial = one_trial("bernoulli", 3, 0.1)
         assert trial["seed"] == 3
         assert trial["noise"] == 0.1
         assert set(trial["arms"]) == {"sf", "spif"}
@@ -103,16 +108,17 @@ class TestTrials:
         assert "intercept" in trial["coefficients"]
 
     def test_bernoulli_trial_deterministic(self):
-        a = bernoulli_trial(5, 0.3, settings=SMALL)
-        b = bernoulli_trial(5, 0.3, settings=SMALL)
+        a = one_trial("bernoulli", 5, 0.3)
+        b = one_trial("bernoulli", 5, 0.3)
         assert a == b
 
     def test_pulsar_trial_has_ablation_arm(self):
-        trial = pulsar_trial(1, 0.1, settings=TrialSettings(n=80))
+        trial = one_trial("pulsar", 1, 0.1, settings=TrialSettings(n=80))
         assert set(trial["arms"]) == {"sf", "spif", "spif_no_pif1"}
 
     def test_binary_trial_never_noised(self):
-        trial = binary_trial(2, settings=SMALL)
+        # a requested noise level is ignored for exact-sign labels
+        trial = one_trial("binary", 2, 0.3)
         assert trial["noise"] == 0.0
         assert set(trial["arms"]) == {"sf", "spif"}
         for arm in trial["arms"].values():
@@ -120,7 +126,7 @@ class TestTrials:
             assert counts.sum() == SMALL.n - split_point(SMALL.n, SMALL.split)
 
     def test_trial_json_serializable(self):
-        trial = bernoulli_trial(1, 0.5, settings=SMALL)
+        trial = one_trial("bernoulli", 1, 0.5)
         json.dumps(trial)  # must not raise
 
 
@@ -175,6 +181,19 @@ class TestRunExperiment:
             for trial in report["trials"]
         )
         assert np.array_equal(pooled, summed)
+
+    def test_catalog_loaded_once_per_run(self, monkeypatch):
+        loaded = []
+
+        def counting(name, **kwargs):
+            loaded.append(name)
+            return load_catalog(name, **kwargs)
+
+        monkeypatch.setattr(experiments, "load_catalog", counting)
+        report = run_experiment("pulsar", seeds=(1, 2), noise_levels=(0.1, 0.3),
+                                settings=TrialSettings(n=80))
+        assert len(report["trials"]) == 4
+        assert loaded == ["pulsar"]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
