@@ -11,6 +11,12 @@ digit or byte fails here.
   printed on stdout, under ``golden/fit/``.
 - ``rank --spec <bernoulli catalog> --out --curve`` on the same table: the
   ranking JSON and the error-curve CSV, under ``golden/rank/``.
+- ``reproduce bernoulli --seeds 2,1,2 --noise-levels 0.5,0.1 --n 200
+  --csv-only``: unsorted and repeated seeds and levels pin the trial order,
+  under ``golden/reproduce_order/bernoulli/``.
+- ``fit --raw --select`` on the table written by ``synth bernoulli --n 200
+  --seed 1`` with its ``h`` column set to the constant 2.5: the kept-column
+  names after a dropped column, under ``golden/fit_dropped/``.
 """
 
 import json
@@ -20,18 +26,30 @@ import pytest
 
 from pifmap.catalogs import load_catalog
 from pifmap.cli import EXIT_OK, main
+from pifmap.data import read_csv, write_csv
 from pifmap.featuremap import spec_to_dict
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def _files_under(root: Path) -> dict[str, bytes]:
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
 def write_reproduce(out: Path) -> dict[str, bytes]:
     assert main(["reproduce", "all", "--seeds", "1:3", "--n", "200",
                  "--csv-only", "--out", str(out)]) == EXIT_OK
-    return {
-        path.relative_to(out).as_posix(): path.read_bytes()
-        for path in sorted(out.rglob("*")) if path.is_file()
-    }
+    return _files_under(out)
+
+
+def write_reproduce_order(out: Path) -> dict[str, bytes]:
+    assert main(["reproduce", "bernoulli", "--seeds", "2,1,2",
+                 "--noise-levels", "0.5,0.1", "--n", "200", "--csv-only",
+                 "--out", str(out)]) == EXIT_OK
+    return _files_under(out)
 
 
 def write_fit_and_rank(work: Path, capsys) -> dict[str, bytes]:
@@ -59,12 +77,25 @@ def write_fit_and_rank(work: Path, capsys) -> dict[str, bytes]:
     }
 
 
-def _golden(subdir: str) -> dict[str, bytes]:
-    root = GOLDEN / subdir
+def write_fit_dropped(work: Path, capsys) -> dict[str, bytes]:
+    table = work / "bernoulli.csv"
+    assert main(["synth", "bernoulli", "--n", "200", "--seed", "1",
+                 "--out", str(table)]) == EXIT_OK
+    dataset = read_csv(table)
+    dataset.X[:, dataset.schema.index("h")] = 2.5
+    write_csv(dataset, table)
+    capsys.readouterr()
+    model = work / "model.json"
+    assert main(["fit", "--data", str(table), "--raw", "--select",
+                 "--out", str(model)]) == EXIT_OK
     return {
-        path.relative_to(root).as_posix(): path.read_bytes()
-        for path in sorted(root.rglob("*")) if path.is_file()
+        "model.json": model.read_bytes(),
+        "stdout.json": capsys.readouterr().out.encode("utf-8"),
     }
+
+
+def _golden(subdir: str) -> dict[str, bytes]:
+    return _files_under(GOLDEN / subdir)
 
 
 @pytest.fixture(autouse=True)
@@ -89,6 +120,23 @@ def test_fit_and_rank_match_golden_outputs(tmp_path, capsys):
         for sub in ("fit", "rank")
         for name, data in _golden(sub).items()
     }
+    assert sorted(produced) == sorted(expected)
+    for name, data in expected.items():
+        assert produced[name] == data, name
+
+
+def test_reproduce_trial_order_matches_golden_reports(tmp_path):
+    produced = write_reproduce_order(tmp_path / "reports")
+    expected = _golden("reproduce_order")
+    assert len(expected) == 3
+    assert sorted(produced) == sorted(expected)
+    for name, data in expected.items():
+        assert produced[name] == data, name
+
+
+def test_fit_with_dropped_column_matches_golden_outputs(tmp_path, capsys):
+    produced = write_fit_dropped(tmp_path, capsys)
+    expected = _golden("fit_dropped")
     assert sorted(produced) == sorted(expected)
     for name, data in expected.items():
         assert produced[name] == data, name
