@@ -76,9 +76,11 @@ from .regression import (
     fit_standardized,
     model_from_dict,
     model_to_dict,
+    ridge_fit,
     ridge_predict,
     select_lambda,
     standardize_apply,
+    standardize_fit,
 )
 from .synthdata import NoiseConfig, add_noise, gen_bernoulli, gen_binary, gen_pulsar
 
@@ -143,8 +145,9 @@ def _read_dataset(path: str) -> Dataset:
 
 
 # A JSON document of the wrong shape (a missing key, a list where an object
-# belongs, a float exponent) fails inside the parser with one of these.
-_SHAPE_ERRORS = (KeyError, TypeError, AttributeError)
+# belongs, a float exponent) or with a bad value (a sign of 2) fails inside
+# the parser with one of these.
+_DOCUMENT_ERRORS = (KeyError, TypeError, AttributeError, ValueError)
 
 
 def _malformed(kind: str, path: str, exc: Exception) -> _InputFileError:
@@ -158,7 +161,7 @@ def _load_spec_file(path: str, allow_inconsistent: bool) -> FeatureMapSpec:
         return spec_from_dict(document, allow_inconsistent=allow_inconsistent)
     except DimensionMismatch:
         raise
-    except (PifmapError, *_SHAPE_ERRORS) as exc:
+    except (PifmapError, *_DOCUMENT_ERRORS) as exc:
         raise _malformed("spec", path, exc) from exc
 
 
@@ -170,7 +173,7 @@ def _load_model_file(path: str) -> tuple[RidgeModel, FeatureMapSpec | None]:
         spec = None
         if design.get("kind") == "spec":
             spec = spec_from_dict(design["spec"], allow_inconsistent=True)
-    except (PifmapError, *_SHAPE_ERRORS) as exc:
+    except (PifmapError, *_DOCUMENT_ERRORS) as exc:
         raise _malformed("model", path, exc) from exc
     return model, spec
 
@@ -339,16 +342,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     X, names = _design_matrix(dataset, spec)
     k = split_point(dataset.n_rows, args.split)
     y = dataset.y
-    grid = None
-    if args.select:
-        grid = _env_lambda_grid()
-        from .regression import standardize_fit
-
-        Z_train, _ = standardize_fit(X[:k])
-        lam = select_lambda(Z_train, y[:k], grid)
-    else:
-        lam = args.lam
-    model, Z_train = fit_standardized(X[:k], y[:k], lam, feature_names=names)
+    grid = _env_lambda_grid() if args.select else None
+    Z_train, params = standardize_fit(X[:k])
+    lam = select_lambda(Z_train, y[:k], grid) if args.select else args.lam
+    model = ridge_fit(
+        Z_train, y[:k], lam, feature_names=[names[j] for j in params.kept],
+        standardization=params,
+    )
     document = model_to_dict(model)
     document["design"] = {
         "kind": "raw" if spec is None else "spec",
@@ -381,9 +381,12 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     Phi = evaluate_map(spec, dataset)
     k = split_point(dataset.n_rows, args.split)
     y = dataset.y
+    model, Z_train = fit_standardized(
+        Phi[:k], y[:k], args.lam, feature_names=spec.monomial_names
+    )
+    Z_eval = standardize_apply(Phi[k:], model.standardization)
     result, ranked = rank_and_refit(
-        Phi[:k], y[:k], Phi[k:], y[k:], spec.monomial_names, args.lam,
-        args.epsilon,
+        model, Phi[:k], Z_train, y[:k], Z_eval, y[k:], args.epsilon
     )
     text = _dump_json({"spec": spec.name, **ranked})
     if args.out:

@@ -143,6 +143,14 @@ def _parse_header_cell(cell: str, position: int) -> tuple[str, Dimension]:
     return match.group("name"), parse_unit(match.group("unit"))
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_csv(path) -> Dataset:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = [line for line in fh.read().split("\n") if line.strip()]
@@ -165,7 +173,17 @@ def read_csv(path) -> Dataset:
             raise SchemaMismatch(
                 f"{path}:{lineno}: expected {len(cells)} cells, got {len(values)}"
             )
-        rows.append([float(v) for v in values])
+        try:
+            rows.append([float(v) for v in values])
+        except ValueError:
+            column, cell = next(
+                (name, v) for (name, _), v in zip(parsed, values)
+                if not _is_number(v)
+            )
+            raise SchemaMismatch(
+                f"{path}:{lineno}: column {column!r} holds {cell!r}, "
+                f"which is not a number"
+            ) from None
     data = np.asarray(rows, dtype=float)
     return Dataset(
         schema=schema,

@@ -1,9 +1,10 @@
 """End-to-end experiment trials: raw-feature vs mapped-feature arms.
 
-Every experiment runs one pipeline: generate a seeded dataset, optionally
-noise the labels, split chronologically, and fit ridge models on two
-designs: the raw standardized features (arm ``sf``) and the evaluated
-physics-informed monomials (arm ``spif``).  Regression experiments then
+Every experiment runs one pipeline per seed: generate a seeded dataset,
+split chronologically and standardize two designs on the training rows:
+the raw features (arm ``sf``) and the evaluated physics-informed
+monomials (arm ``spif``).  Each noise level then noises the labels and
+fits ridge models on those shared designs.  Regression experiments then
 greedy-rank the monomials and refit the selected set; the classification
 experiment thresholds the predictions and scores the confusion matrix.
 What differs between experiments is one row of ``_EXPERIMENTS``.  The
@@ -31,10 +32,12 @@ from .metrics import ConfusionMatrix, confusion, mae, mse, scores_to_dict
 from .ranking import rank_and_refit
 from .regression import (
     DEFAULT_LAMBDA,
+    StandardizationParams,
     classify,
-    fit_standardized,
+    ridge_fit,
     ridge_predict,
     standardize_apply,
+    standardize_fit,
 )
 from .synthdata import NoiseConfig, add_noise, gen_bernoulli, gen_binary, gen_pulsar
 
@@ -125,25 +128,30 @@ def _noisy_labels(y: np.ndarray, seed: int, level: float) -> np.ndarray:
     return add_noise(y, NoiseConfig(level=level, seed=derive_noise_seed(seed, level)))
 
 
-def _trial(experiment: _Experiment, spec: FeatureMapSpec, seed: int,
-           level: float, settings: TrialSettings) -> dict:
-    """One seeded run of every arm; regression trials also rank and refit."""
-    data = experiment.generator(settings.n, seed)
-    y = _noisy_labels(data.y, seed, level)
-    k = split_point(data.n_rows, settings.split)
-    Phi = evaluate_map(spec, data)
-    names = spec.monomial_names
-    designs = {"sf": (data.X, data.schema.names), "spif": (Phi, names)}
-    for arm, columns in experiment.ablations.items():
-        designs[arm] = (Phi[:, columns], names[columns])
+@dataclass(frozen=True)
+class _Design:
+    """One arm's design, standardized on the training rows of one seed."""
+
+    X_train: np.ndarray
+    Z_train: np.ndarray
+    Z_eval: np.ndarray
+    standardization: StandardizationParams
+    names: tuple[str, ...]
+
+
+def _trial(experiment: _Experiment, designs: Mapping[str, _Design],
+           y_clean: np.ndarray, k: int, seed: int, level: float,
+           settings: TrialSettings) -> dict:
+    """Fit every arm at one noise level; regression trials also rank and refit."""
+    y = _noisy_labels(y_clean, seed, level)
     arms = {}
-    for arm, (X, column_names) in designs.items():
-        model, _ = fit_standardized(
-            X[:k], y[:k], settings.lam, feature_names=column_names
+    models = {}
+    for arm, design in designs.items():
+        model = models[arm] = ridge_fit(
+            design.Z_train, y[:k], settings.lam, feature_names=design.names,
+            standardization=design.standardization,
         )
-        predictions = ridge_predict(
-            model, standardize_apply(X[k:], model.standardization)
-        )
+        predictions = ridge_predict(model, design.Z_eval)
         if experiment.classification:
             labels = classify(predictions, settings.threshold)
             arms[arm] = scores_to_dict(confusion(y[k:], labels))
@@ -152,8 +160,10 @@ def _trial(experiment: _Experiment, spec: FeatureMapSpec, seed: int,
                          "mse": mse(y[k:], predictions)}
     trial = {"seed": seed, "noise": level, "arms": arms}
     if not experiment.classification:
+        spif = designs["spif"]
         _, ranked = rank_and_refit(
-            Phi[:k], y[:k], Phi[k:], y[k:], names, settings.lam, settings.epsilon
+            models["spif"], spif.X_train, spif.Z_train, y[:k], spif.Z_eval,
+            y[k:], settings.epsilon,
         )
         trial["ranking"] = {
             key: ranked[key] for key in ("order", "selected_count", "selected", "curve")
@@ -161,6 +171,37 @@ def _trial(experiment: _Experiment, spec: FeatureMapSpec, seed: int,
         trial["coefficients"] = {**ranked["coefficients"],
                                  "intercept": ranked["intercept"]}
     return trial
+
+
+def _seed_trials(experiment: _Experiment, spec: FeatureMapSpec, seed: int,
+                 noise_levels, settings: TrialSettings) -> list[dict]:
+    """One seed's trials, one per noise level.
+
+    The work that does not depend on the noise level is done once: generate
+    the data, evaluate the map and standardize every arm's design on the
+    training rows.  Each level then only re-noises the labels and refits.
+    """
+    data = experiment.generator(settings.n, seed)
+    k = split_point(data.n_rows, settings.split)
+    Phi = evaluate_map(spec, data)
+    names = spec.monomial_names
+    raw = {"sf": (data.X, data.schema.names), "spif": (Phi, names)}
+    for arm, columns in experiment.ablations.items():
+        raw[arm] = (Phi[:, columns], names[columns])
+    designs = {}
+    for arm, (X, column_names) in raw.items():
+        Z_train, params = standardize_fit(X[:k])
+        designs[arm] = _Design(
+            X_train=X[:k],
+            Z_train=Z_train,
+            Z_eval=standardize_apply(X[k:], params),
+            standardization=params,
+            names=tuple(column_names[j] for j in params.kept),
+        )
+    return [
+        _trial(experiment, designs, data.y, k, seed, level, settings)
+        for level in noise_levels
+    ]
 
 
 def _median(values) -> float:
@@ -234,7 +275,9 @@ def run_experiment(
 ) -> dict:
     """Run one experiment end to end and return its JSON-ready report.
 
-    The catalog is loaded once and shared by every trial.  The
+    The catalog is loaded once and shared by every trial, and each seed's
+    standardized designs are built once and shared by its noise levels.
+    The
     classification experiment ignores ``noise_levels``: its labels are
     exact signs of a conserved quantity, so a multiplicative noise arm
     would reproduce the noiseless one.
@@ -255,11 +298,13 @@ def run_experiment(
         task_setting = {"threshold": settings.threshold}
     else:
         task_setting = {"epsilon": settings.epsilon}
-    trials = [
-        _trial(experiment, spec, seed, level, settings)
-        for level in noise_levels
+    # Computed seed by seed, so only one seed's designs are held at a time,
+    # and reported level-major with the seeds in the order given.
+    by_seed = [
+        _seed_trials(experiment, spec, seed, noise_levels, settings)
         for seed in seeds
     ]
+    trials = [trial for by_level in zip(*by_seed) for trial in by_level]
     report = {
         "experiment": name,
         "settings": {

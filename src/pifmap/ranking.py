@@ -8,19 +8,18 @@ relative improvement of BOTH error metrics,
 the selected count is then ``k - 1``.  One extra prefix beyond the stop
 (capped at the column count) is always evaluated so the reported curve
 shows the plateau, and if no stop is ever triggered every column ends up
-selected.  :func:`rank_and_refit` runs the whole step on a raw design:
-standardize, rank, refit the selected columns and map the refit back to
-raw-column scale.
+selected.  :func:`rank_and_refit` runs the whole step on a design that
+is already standardized and fitted: rank by that fit, refit the selected
+raw columns and map the refit back to raw-column scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch
+from .errors import ColumnMismatch, EmptyInput, LengthMismatch
 from .featuremap import destandardize
 from .metrics import mae, mse
 from .regression import (
@@ -28,7 +27,6 @@ from .regression import (
     fit_standardized,
     ridge_fit,
     ridge_predict,
-    standardize_apply,
 )
 
 __all__ = [
@@ -142,38 +140,52 @@ def greedy_select(
 
 
 def rank_and_refit(
+    model: RidgeModel,
     X_train: np.ndarray,
+    Z_train: np.ndarray,
     y_train: np.ndarray,
-    X_eval: np.ndarray,
+    Z_eval: np.ndarray,
     y_eval: np.ndarray,
-    names: Sequence[str],
-    lam: float,
     epsilon: float,
 ) -> tuple[RankingResult, dict]:
-    """Greedy-rank the raw columns, refit the selected set, destandardize.
+    """Greedy-rank a fitted design, refit the selected set, destandardize.
 
-    The columns are standardized on the training rows and ranked with
-    :func:`greedy_select`; the selected columns are then refit on the raw
-    training rows and their weights mapped back to raw scale.  Returns the
+    ``model`` is the ridge fit of the standardized training design
+    ``Z_train`` (as :func:`~pifmap.regression.fit_standardized` returns
+    it), ``Z_eval`` the evaluation rows under the same standardization and
+    ``X_train`` the raw training rows.  The columns are ranked by the
+    model's own weights and scored with :func:`greedy_select` at the
+    model's ``lam``; the selected raw columns are then standardized and
+    refit, and their weights mapped back to raw scale.  Returns the
     ranking result, whose indices count the columns kept by
-    standardization, and a JSON-ready document that names every column
-    by ``names``: ``epsilon``, ``order``, ``selected``,
+    standardization, and a JSON-ready document that names every column by
+    the model's feature names: ``epsilon``, ``order``, ``selected``,
     ``selected_count``, ``curve``, ``coefficients`` (one per selected
     column) and ``intercept``.
     """
-    model, Z_train = fit_standardized(X_train, y_train, lam, feature_names=names)
-    Z_eval = standardize_apply(X_eval, model.standardization)
-    result = greedy_select(Z_train, y_train, Z_eval, y_eval, lam, epsilon=epsilon)
-    kept = model.standardization.kept
-    selected_columns = [kept[j] for j in result.selected]
-    selected_names = [names[c] for c in selected_columns]
+    X_train = np.asarray(X_train, dtype=float)
+    params = model.standardization
+    if X_train.ndim != 2 or X_train.shape[1] != params.n_input_columns:
+        raise ColumnMismatch(
+            f"raw training design has shape {X_train.shape}, the model "
+            f"expects {params.n_input_columns} columns"
+        )
+    result = greedy_select(
+        Z_train, y_train, Z_eval, y_eval, model.lam,
+        order=rank_by_coefficient(model), epsilon=epsilon,
+    )
+    names = model.feature_names
+    selected_names = [names[j] for j in result.selected]
+    # Standardize the raw selected columns afresh: means of a column subset
+    # are not bitwise a slice of the full design's means.
     refit, _ = fit_standardized(
-        X_train[:, selected_columns], y_train, lam, feature_names=selected_names
+        X_train[:, [params.kept[j] for j in result.selected]], y_train,
+        model.lam, feature_names=selected_names,
     )
     coefficients, intercept = destandardize(refit)
     document = {
         "epsilon": result.epsilon,
-        "order": [names[kept[j]] for j in result.order],
+        "order": [names[j] for j in result.order],
         "selected": selected_names,
         "selected_count": result.selected_count,
         "curve": [

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from pifmap.cli import (
     EXIT_USAGE,
     main,
 )
-from pifmap.data import read_csv, read_manifest
+from pifmap.data import read_csv, read_manifest, write_csv
+from pifmap.errors import DroppedColumnWarning
 from pifmap.featuremap import spec_to_dict
 
 
@@ -234,6 +236,32 @@ class TestFit:
         assert run("fit", "--data", str(bernoulli_csv), "--raw", "--select",
                    "--out", str(tmp_path / "m.json")) == EXIT_USAGE
 
+    def test_select_warns_once_about_a_dropped_column(self, bernoulli_csv, tmp_path,
+                                                      capsys):
+        dataset = read_csv(bernoulli_csv)
+        dataset.X[:, dataset.schema.index("h")] = 2.5
+        write_csv(dataset, bernoulli_csv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("fit", "--data", str(bernoulli_csv), "--raw", "--select",
+                       "--out", str(tmp_path / "m.json")) == EXIT_OK
+        dropped = [w for w in caught if issubclass(w.category, DroppedColumnWarning)]
+        assert len(dropped) == 1
+        assert "[6]" in str(dropped[0].message)
+        document = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+        assert document["dropped_columns"] == [6]
+
+    def test_dimensionally_inconsistent_spec_is_usage_error(
+            self, bernoulli_csv, bernoulli_spec, tmp_path, capsys):
+        document = json.loads(bernoulli_spec.read_text(encoding="utf-8"))
+        document["monomials"][0]["feature_exponents"][0] += 1
+        bernoulli_spec.write_text(json.dumps(document), encoding="utf-8")
+        assert run("fit", "--data", str(bernoulli_csv), "--spec", str(bernoulli_spec),
+                   "--out", str(tmp_path / "m.json")) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("pifmap: error: dimensionally inconsistent monomials")
+
     def test_missing_data_file(self, tmp_path):
         assert run("fit", "--data", str(tmp_path / "nope.csv"), "--raw",
                    "--out", str(tmp_path / "m.json")) == EXIT_IO
@@ -358,6 +386,10 @@ def _fractional_exponent(doc):
     doc["monomials"][0]["feature_exponents"][0] = 1.5
 
 
+def _sign_of_two(doc):
+    doc["monomials"][0]["sign"] = 2
+
+
 def _drop_means(doc):
     del doc["means"]
 
@@ -372,6 +404,7 @@ class TestMalformedDocuments:
         ("rank", _drop_feature_unit),
         ("fit", _fractional_exponent),
         ("rank", _fractional_exponent),
+        ("fit", _sign_of_two),
         ("eval", _drop_means),
     ])
     def test_exit_3_with_one_error_line(self, command, corrupt, bernoulli_csv,
@@ -395,6 +428,23 @@ class TestMalformedDocuments:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"pifmap: error: malformed {kind} {path}: ")
+
+
+    def test_unparseable_csv_cell_exits_3(self, bernoulli_csv, tmp_path, capsys):
+        lines = bernoulli_csv.read_text(encoding="utf-8").split("\n")
+        cells = lines[3].split(",")
+        cells[1] = "abc"
+        lines[3] = ",".join(cells)
+        bernoulli_csv.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run("fit", "--data", str(bernoulli_csv), "--raw",
+                   "--out", str(tmp_path / "m.json")) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"pifmap: error: malformed dataset {bernoulli_csv}: {bernoulli_csv}:4: "
+            "column 'rho' holds 'abc', which is not a number"
+        ]
 
 
 class TestReproduce:

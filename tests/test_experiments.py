@@ -5,9 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from pifmap import experiments
+from pifmap import experiments, ranking
 from pifmap.catalogs import load_catalog
 from pifmap.errors import InsufficientData
+from pifmap.featuremap import evaluate_map
+from pifmap.regression import standardize_fit
+from pifmap.synthdata import gen_bernoulli
 from pifmap.experiments import (
     DEFAULT_SEEDS,
     EXPERIMENT_NAMES,
@@ -194,6 +197,42 @@ class TestRunExperiment:
                                 settings=TrialSettings(n=80))
         assert len(report["trials"]) == 4
         assert loaded == ["pulsar"]
+
+    def test_each_seed_built_once_and_spif_fitted_once_per_trial(self, monkeypatch):
+        settings = TrialSettings()
+        seeds, levels = (1, 2), (0.1, 0.3, 0.5)
+        spec = load_catalog("bernoulli")
+        k = split_point(settings.n, settings.split)
+        # The spif training design of each seed, raw and standardized: a fit
+        # of either one, in this column order, is a fit of the full design.
+        full_designs = []
+        for seed in seeds:
+            Phi_train = evaluate_map(spec, gen_bernoulli(settings.n, seed))[:k]
+            full_designs += [Phi_train, standardize_fit(Phi_train)[0]]
+        calls = {"generator": 0, "evaluate_map": 0, "full spif fits": 0}
+
+        def count(module, name, key, applies=lambda *args: True):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += bool(applies(*args))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        def is_full_spif(X, *rest):
+            return any(np.array_equal(X, full) for full in full_designs)
+
+        count(experiments, "gen_bernoulli", "generator")
+        count(experiments, "evaluate_map", "evaluate_map")
+        for module in (experiments, ranking):
+            for name in ("ridge_fit", "fit_standardized"):
+                if hasattr(module, name):
+                    count(module, name, "full spif fits", is_full_spif)
+        report = run_experiment("bernoulli", seeds=seeds, noise_levels=levels,
+                                settings=settings)
+        assert len(report["trials"]) == 6
+        assert calls == {"generator": 2, "evaluate_map": 2, "full spif fits": 6}
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):

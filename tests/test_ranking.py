@@ -3,14 +3,21 @@
 import numpy as np
 import pytest
 
-from pifmap.errors import EmptyInput, LengthMismatch
+from pifmap.errors import (
+    ColumnMismatch,
+    DroppedColumnWarning,
+    EmptyInput,
+    LengthMismatch,
+)
+from pifmap.featuremap import destandardize
 from pifmap.ranking import (
     curve_to_csv,
     greedy_select,
+    rank_and_refit,
     rank_by_coefficient,
     ranking_to_dict,
 )
-from pifmap.regression import ridge_fit
+from pifmap.regression import fit_standardized, ridge_fit, standardize_apply
 
 
 def _planted_problem(seed=0, n=80, weights=(10.0, 5.0, 1.0, 0.0, 0.0)):
@@ -130,6 +137,47 @@ class TestGreedySelect:
         Z_tr, y_tr, Z_ev, y_ev = _planted_problem()
         result = greedy_select(Z_tr, y_tr, Z_ev, y_ev, lam=1e-6)
         assert result.selected == result.order[: result.selected_count]
+
+
+class TestRankAndRefit:
+    @staticmethod
+    def _fitted(X, y, k, names):
+        with pytest.warns(DroppedColumnWarning):
+            model, Z_train = fit_standardized(X[:k], y[:k], 1e-3,
+                                              feature_names=names)
+        return model, Z_train, standardize_apply(X[k:], model.standardization)
+
+    def _problem(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        X = rng.uniform(1.0, 2.0, size=(60, 4))
+        X[:, 1] = 7.0
+        y = 4.0 * X[:, 2] - 2.0 * X[:, 0] + 0.01 * rng.standard_normal(60)
+        return X, y, 40, ["a", "const", "b", "c"]
+
+    def test_ranks_by_the_given_fit_and_refits_the_raw_columns(self):
+        X, y, k, names = self._problem()
+        model, Z_train, Z_eval = self._fitted(X, y, k, names)
+        result, document = rank_and_refit(
+            model, X[:k], Z_train, y[:k], Z_eval, y[k:], 0.01
+        )
+        assert result.order == rank_by_coefficient(model)
+        assert document["order"] == [model.feature_names[j] for j in result.order]
+        assert "const" not in document["order"]
+        assert document["selected"][:2] == ["b", "a"]
+        columns = [names.index(name) for name in document["selected"]]
+        refit, _ = fit_standardized(X[:k, columns], y[:k], 1e-3,
+                                    feature_names=document["selected"])
+        coefficients, intercept = destandardize(refit)
+        assert document["coefficients"] == dict(
+            zip(document["selected"], (float(c) for c in coefficients))
+        )
+        assert document["intercept"] == intercept
+
+    def test_raw_width_checked(self):
+        X, y, k, names = self._problem()
+        model, Z_train, Z_eval = self._fitted(X, y, k, names)
+        with pytest.raises(ColumnMismatch):
+            rank_and_refit(model, X[:k, :3], Z_train, y[:k], Z_eval, y[k:], 0.01)
 
 
 class TestSerialization:
