@@ -236,8 +236,7 @@ class TestFit:
         assert run("fit", "--data", str(bernoulli_csv), "--raw", "--select",
                    "--out", str(tmp_path / "m.json")) == EXIT_USAGE
 
-    def test_select_warns_once_about_a_dropped_column(self, bernoulli_csv, tmp_path,
-                                                      capsys):
+    def test_select_warns_once_about_a_dropped_column(self, bernoulli_csv, tmp_path):
         dataset = read_csv(bernoulli_csv)
         dataset.X[:, dataset.schema.index("h")] = 2.5
         write_csv(dataset, bernoulli_csv)
@@ -428,7 +427,6 @@ class TestMalformedDocuments:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"pifmap: error: malformed {kind} {path}: ")
-
 
     def test_unparseable_csv_cell_exits_3(self, bernoulli_csv, tmp_path, capsys):
         lines = bernoulli_csv.read_text(encoding="utf-8").split("\n")

@@ -8,9 +8,6 @@ import pytest
 from pifmap import experiments, ranking
 from pifmap.catalogs import load_catalog
 from pifmap.errors import InsufficientData
-from pifmap.featuremap import evaluate_map
-from pifmap.regression import standardize_fit
-from pifmap.synthdata import gen_bernoulli
 from pifmap.experiments import (
     DEFAULT_SEEDS,
     EXPERIMENT_NAMES,
@@ -23,6 +20,9 @@ from pifmap.experiments import (
     run_experiment,
     split_point,
 )
+from pifmap.featuremap import evaluate_map
+from pifmap.regression import standardize_fit
+from pifmap.synthdata import gen_bernoulli
 
 SMALL = TrialSettings(n=120)
 
