@@ -4,7 +4,9 @@
 Loads each catalog permissively, evaluates every monomial's physical
 dimension, and prints it next to the catalog's target so inconsistent
 entries are visible at a glance.  Exits 1 if any catalog carries an
-inconsistency it does not declare.
+inconsistency its ``metadata["known_inconsistent"]`` does not list.  (A
+permissive load declares every mismatch it finds, so the spec's own
+``inconsistent_indices`` cannot tell a known entry from a new one.)
 """
 
 import argparse
@@ -31,6 +33,7 @@ def main(argv=None) -> int:
     for name in names:
         spec = load_catalog(name, allow_inconsistent=True)
         target = format_unit(spec.target_dimension)
+        known = set(spec.metadata.get("known_inconsistent", ()))
         print(f"{name}: {len(spec.monomials)} monomials, target [{target}]")
         for index, monomial in enumerate(spec.monomials):
             dimension = monomial_dimension(
@@ -38,16 +41,14 @@ def main(argv=None) -> int:
                 spec.column_dimensions,
                 tuple(c.dimension for c in spec.constants),
             )
-            consistent = dimension == spec.target_dimension
-            declared = index in spec.inconsistent_indices
-            if consistent:
+            label = spec.monomial_names[index]
+            if dimension == spec.target_dimension:
                 flag = "ok"
-            elif declared:
+            elif label in known:
                 flag = "INCONSISTENT (declared)"
             else:
                 flag = "INCONSISTENT (undeclared!)"
                 undeclared += 1
-            label = spec.monomial_names[index]
             rendered = render_monomial(spec, index)
             print(f"  {label:>10}  {rendered:<34} [{format_unit(dimension)}]  {flag}")
         print()

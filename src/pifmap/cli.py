@@ -2,9 +2,16 @@
 
 All outputs are byte-deterministic for fixed inputs and seeds: JSON with
 sorted keys and a trailing newline, CSV with repr() floats and LF line
-endings, SVG from the fixed-geometry emitter.  Exit codes: 0 success,
-2 usage or invalid values, 3 unreadable/unparseable files or write
-failures, 4 enumeration budget exhausted, 5 numerical failure.
+endings, SVG from the fixed-geometry emitter.
+
+Exit codes: 0 success; 2 usage or invalid values, including a bad
+``--target`` unit, a spec whose monomials miss its target and a dataset
+whose width does not match the model; 3 any input file that cannot be read
+or parsed (a bad unit, a repeated or invalid column name, the wrong shape)
+and any output path that cannot be written; 4 enumeration budget exhausted;
+5 numerical failure.  Each error class carries its code
+(``PifmapError.exit_code``), and every failure prints one
+``pifmap: error:`` line.
 
 Environment overrides: ``PIFMAP_LAMBDA_GRID`` (comma-separated floats)
 replaces the default grid used by ``fit --select``; ``PIFMAP_BUDGET``
@@ -17,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -25,28 +33,12 @@ from .data import (
     Dataset,
     manifest_path_for,
     read_csv,
+    schema_of,
     write_csv,
     write_manifest,
 )
 from .dimension import parse_unit
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    DivisionByZero,
-    EmptyInput,
-    InsufficientData,
-    InvalidNoiseLevel,
-    InvalidRange,
-    NonBinaryLabel,
-    NonFiniteInput,
-    NonFiniteResult,
-    PifmapError,
-    SchemaMismatch,
-    SingularSystem,
-    UnitSyntaxError,
-    UnknownCatalog,
-    ZeroScale,
-)
+from .errors import DimensionMismatch, PifmapError
 from .experiments import (
     EXPERIMENT_NAMES,
     REGRESSION_NOISE_LEVELS,
@@ -92,26 +84,11 @@ EXIT_IO = 3
 EXIT_BUDGET = 4
 EXIT_NUMERICAL = 5
 
-_USAGE_ERRORS = (
-    InvalidRange,
-    InvalidNoiseLevel,
-    UnknownCatalog,
-    InsufficientData,
-    EmptyInput,
-    NonBinaryLabel,
-    ValueError,
-)
-_NUMERICAL_ERRORS = (
-    SingularSystem,
-    NonFiniteResult,
-    NonFiniteInput,
-    DivisionByZero,
-    ZeroScale,
-)
 
-
-class _InputFileError(Exception):
+class _InputFileError(PifmapError):
     """A named input file could not be read or parsed."""
+
+    exit_code = EXIT_IO
 
 
 def _fail(message: str) -> None:
@@ -127,54 +104,43 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _read_json(path: str) -> dict:
+def _parse_input(kind: str, path: str, parse):
+    """Return ``parse(path)``; any failure names the file and exits 3.
+
+    A file of the wrong shape (a missing key, a list where an object
+    belongs, a float exponent) or with a bad value (a sign of 2, a repeated
+    column) fails inside the parser with one of the errors caught below.  A
+    spec file whose monomials miss its target is a usage error and stays one.
+    """
     try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+        return parse(path)
     except (OSError, json.JSONDecodeError) as exc:
         raise _InputFileError(f"cannot read {path}: {exc}") from exc
+    except (PifmapError, LookupError, TypeError, AttributeError, ValueError,
+            ArithmeticError) as exc:
+        if kind == "spec" and isinstance(exc, DimensionMismatch):
+            raise
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise _InputFileError(f"malformed {kind} {path}: {detail}") from exc
 
 
-def _read_dataset(path: str) -> Dataset:
-    try:
-        return read_csv(path)
-    except OSError as exc:
-        raise _InputFileError(f"cannot read {path}: {exc}") from exc
-    except PifmapError as exc:
-        raise _InputFileError(f"malformed dataset {path}: {exc}") from exc
-
-
-# A JSON document of the wrong shape (a missing key, a list where an object
-# belongs, a float exponent) or with a bad value (a sign of 2) fails inside
-# the parser with one of these.
-_DOCUMENT_ERRORS = (KeyError, TypeError, AttributeError, ValueError)
-
-
-def _malformed(kind: str, path: str, exc: Exception) -> _InputFileError:
-    detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-    return _InputFileError(f"malformed {kind} {path}: {detail}")
+def _json_document(path: str):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _load_spec_file(path: str, allow_inconsistent: bool) -> FeatureMapSpec:
-    document = _read_json(path)
-    try:
-        return spec_from_dict(document, allow_inconsistent=allow_inconsistent)
-    except DimensionMismatch:
-        raise
-    except (PifmapError, *_DOCUMENT_ERRORS) as exc:
-        raise _malformed("spec", path, exc) from exc
+    return _parse_input("spec", path, lambda p: spec_from_dict(
+        _json_document(p), allow_inconsistent=allow_inconsistent
+    ))
 
 
-def _load_model_file(path: str) -> tuple[RidgeModel, FeatureMapSpec | None]:
-    document = _read_json(path)
-    try:
-        model = model_from_dict(document)
-        design = document.get("design", {"kind": "raw", "spec": None})
-        spec = None
-        if design.get("kind") == "spec":
-            spec = spec_from_dict(design["spec"], allow_inconsistent=True)
-    except (PifmapError, *_DOCUMENT_ERRORS) as exc:
-        raise _malformed("model", path, exc) from exc
+def _model_from_file(path: str) -> tuple[RidgeModel, FeatureMapSpec | None]:
+    document = _json_document(path)
+    model = model_from_dict(document)
+    design = document.get("design", {"kind": "raw", "spec": None})
+    spec = None
+    if design.get("kind") == "spec":
+        spec = spec_from_dict(design["spec"], allow_inconsistent=True)
     return model, spec
 
 
@@ -259,30 +225,19 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             label_dimension=dataset.label_dimension,
             provenance=provenance,
         )
-    try:
-        write_csv(dataset, args.out)
-        write_manifest(dataset.provenance, manifest_path_for(args.out))
-    except OSError as exc:
-        raise _InputFileError(f"cannot write {args.out}: {exc}") from exc
+    write_csv(dataset, args.out)
+    write_manifest(dataset.provenance, manifest_path_for(args.out))
     return EXIT_OK
 
 
 def _schema_from_file(path: str):
     if path.endswith(".csv"):
-        return _read_dataset(path).schema
-    document = _read_json(path)
-    try:
-        from .data import schema_of
-
-        return schema_of(tuple((name, unit) for name, unit in document["features"]))
-    except (KeyError, TypeError) as exc:
-        raise _InputFileError(
-            f"schema file {path} must carry a 'features' list of [name, unit] pairs"
-        ) from exc
+        return read_csv(path).schema
+    return schema_of(_json_document(path)["features"])
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    schema = _schema_from_file(args.schema)
+    schema = _parse_input("schema", args.schema, _schema_from_file)
     target = parse_unit(args.target)
     constants = []
     if args.constants:
@@ -335,7 +290,7 @@ def _design_matrix(dataset: Dataset, spec: FeatureMapSpec | None):
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    dataset = _read_dataset(args.data)
+    dataset = _parse_input("dataset", args.data, read_csv)
     spec = None
     if args.spec is not None:
         spec = _load_spec_file(args.spec, args.allow_inconsistent)
@@ -354,10 +309,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         "kind": "raw" if spec is None else "spec",
         "spec": None if spec is None else spec_to_dict(spec),
     }
-    try:
-        _write_text(args.out, _dump_json(document))
-    except OSError as exc:
-        raise _InputFileError(f"cannot write {args.out}: {exc}") from exc
+    _write_text(args.out, _dump_json(document))
     Z_test = standardize_apply(X[k:], model.standardization)
     pred_train = ridge_predict(model, Z_train)
     pred_test = ridge_predict(model, Z_test)
@@ -376,7 +328,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    dataset = _read_dataset(args.data)
+    dataset = _parse_input("dataset", args.data, read_csv)
     spec = _load_spec_file(args.spec, args.allow_inconsistent)
     Phi = evaluate_map(spec, dataset)
     k = split_point(dataset.n_rows, args.split)
@@ -399,8 +351,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    model, spec = _load_model_file(args.model)
-    dataset = _read_dataset(args.data)
+    model, spec = _parse_input("model", args.model, _model_from_file)
+    dataset = _parse_input("dataset", args.data, read_csv)
     X, _ = _design_matrix(dataset, spec)
     Z = standardize_apply(X, model.standardization)
     scores = ridge_predict(model, Z)
@@ -437,12 +389,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds)
     levels = _parse_levels(args.noise_levels)
     settings = TrialSettings(n=args.n, split=args.split)
-    try:
-        for name in names:
-            report = run_experiment(name, seeds, levels, settings)
-            _write_report(report, os.path.join(args.out, name), args.csv_only)
-    except OSError as exc:
-        raise _InputFileError(f"cannot write under {args.out}: {exc}") from exc
+    for name in names:
+        report = run_experiment(name, seeds, levels, settings)
+        _write_report(report, os.path.join(args.out, name), args.csv_only)
     return EXIT_OK
 
 
@@ -546,19 +495,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
+    except PifmapError as exc:
         _fail(str(exc))
-        return EXIT_BUDGET
-    except _NUMERICAL_ERRORS as exc:
-        _fail(str(exc))
-        return EXIT_NUMERICAL
-    except _InputFileError as exc:
-        _fail(str(exc))
+        return exc.exit_code
+    except OSError as exc:
+        # Every input file is read through _parse_input, so this is a write.
+        _fail(f"cannot write {exc.filename}: {exc.strerror}")
         return EXIT_IO
-    except (UnitSyntaxError, DimensionMismatch, SchemaMismatch) as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
-    except _USAGE_ERRORS as exc:
+    except ValueError as exc:
         _fail(str(exc))
         return EXIT_USAGE
 

@@ -184,7 +184,7 @@ def read_csv(path) -> Dataset:
                 f"{path}:{lineno}: column {column!r} holds {cell!r}, "
                 f"which is not a number"
             ) from None
-    data = np.asarray(rows, dtype=float)
+    data = np.asarray(rows, dtype=float).reshape(len(rows), len(cells))
     return Dataset(
         schema=schema,
         X=data[:, :-1],

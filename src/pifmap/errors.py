@@ -4,7 +4,13 @@ from __future__ import annotations
 
 
 class PifmapError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``exit_code`` is the status the command line exits with when the error
+    reaches it: 2 (usage or invalid value) unless a subclass says otherwise.
+    """
+
+    exit_code = 2
 
 
 class UnitSyntaxError(PifmapError):
@@ -53,9 +59,13 @@ class DimensionMismatch(PifmapError):
 class BudgetExceeded(PifmapError):
     """Enumeration walked more candidates than the configured budget."""
 
+    exit_code = 4
+
 
 class DivisionByZero(PifmapError):
     """A negative exponent met a zero value during evaluation."""
+
+    exit_code = 5
 
     def __init__(self, message: str, row: int | None = None, monomial: int | None = None):
         self.row = row
@@ -66,6 +76,8 @@ class DivisionByZero(PifmapError):
 class NonFiniteResult(PifmapError):
     """Evaluation produced an inf or NaN."""
 
+    exit_code = 5
+
     def __init__(self, message: str, row: int | None = None, monomial: int | None = None):
         self.row = row
         self.monomial = monomial
@@ -74,6 +86,8 @@ class NonFiniteResult(PifmapError):
 
 class NonFiniteInput(PifmapError):
     """An input array contains inf or NaN."""
+
+    exit_code = 5
 
 
 class EmptyInput(PifmapError):
@@ -87,9 +101,13 @@ class ColumnMismatch(PifmapError):
 class ZeroScale(PifmapError):
     """A standardization scale is zero or negative where it must not be."""
 
+    exit_code = 5
+
 
 class SingularSystem(PifmapError):
     """The regularized normal equations could not be solved reliably."""
+
+    exit_code = 5
 
 
 class InsufficientData(PifmapError):

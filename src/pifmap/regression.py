@@ -321,15 +321,34 @@ def model_to_dict(model: RidgeModel) -> dict:
 
 
 def model_from_dict(document: dict) -> RidgeModel:
+    """Rebuild a model written by :func:`model_to_dict`.
+
+    Raises :class:`~pifmap.errors.ColumnMismatch` when the weights, means,
+    scales and kept columns differ in length, or when the kept and dropped
+    columns together are not a permutation of the input columns.
+    """
     params = StandardizationParams(
         means=np.asarray(document["means"], dtype=float),
         scales=np.asarray(document["scales"], dtype=float),
         kept=tuple(int(j) for j in document["kept_columns"]),
         dropped=tuple(int(j) for j in document.get("dropped_columns", ())),
     )
+    weights = np.asarray(document["weights"], dtype=float)
+    lengths = (len(weights), len(params.means), len(params.scales), len(params.kept))
+    if len(set(lengths)) != 1:
+        raise ColumnMismatch(
+            "{} weights, {} means, {} scales and {} kept columns".format(*lengths)
+        )
+    columns = sorted(params.kept + params.dropped)
+    if columns != list(range(params.n_input_columns)):
+        raise ColumnMismatch(
+            f"kept columns {list(params.kept)} and dropped columns "
+            f"{list(params.dropped)} are not a permutation of "
+            f"0..{params.n_input_columns - 1}"
+        )
     return RidgeModel(
         lam=float(document["lambda"]),
-        weights=np.asarray(document["weights"], dtype=float),
+        weights=weights,
         intercept=float(document["intercept"]),
         standardization=params,
         feature_names=tuple(document["feature_names"]),

@@ -1,9 +1,12 @@
 """Bundled feature-map catalogs: audits, structure, and evaluation hooks."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pifmap import featuremap
+from pifmap import catalogs, featuremap
 from pifmap.catalogs import CATALOG_NAMES, load_catalog
 from pifmap.data import Dataset, schema_of
 from pifmap.dimension import format_unit, parse_unit
@@ -215,3 +218,28 @@ class TestFlareCatalog:
         # must separate the classes far better than chance
         assert scores.accuracy > 0.85
         assert scores.tss > 0.7
+
+
+def _audit_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "audit_catalogs.py"
+    spec = importlib.util.spec_from_file_location("audit_catalogs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestAuditScript:
+    def test_shipped_catalogs_pass(self, capsys):
+        assert _audit_script().main([]) == 0
+        out = capsys.readouterr().out
+        assert out.count("INCONSISTENT (declared)") == 4
+        assert "undeclared" not in out
+
+    def test_mismatch_missing_from_known_list_fails(self, monkeypatch, capsys):
+        metadata = catalogs._CATALOGS["pulsar"]["metadata"]
+        monkeypatch.setitem(metadata, "known_inconsistent", ["pif_3"])
+        assert _audit_script().main([]) == 1
+        undeclared = [line for line in capsys.readouterr().out.splitlines()
+                      if "undeclared" in line]
+        assert len(undeclared) == 1
+        assert undeclared[0].split()[0] == "pif_7"

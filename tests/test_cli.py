@@ -1,11 +1,16 @@
 """End-to-end command-line behavior, run in process through main(argv)."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pifmap.catalogs import load_catalog
 from pifmap.cli import (
@@ -17,7 +22,7 @@ from pifmap.cli import (
     main,
 )
 from pifmap.data import read_csv, read_manifest, write_csv
-from pifmap.errors import DroppedColumnWarning
+from pifmap.errors import DroppedColumnWarning, PifmapError
 from pifmap.featuremap import spec_to_dict
 
 
@@ -443,6 +448,204 @@ class TestMalformedDocuments:
             f"pifmap: error: malformed dataset {bernoulli_csv}: {bernoulli_csv}:4: "
             "column 'rho' holds 'abc', which is not a number"
         ]
+
+
+def _enumerate_to_missing_dir(tmp_path, data, spec):
+    return ("enumerate", "--schema", str(data), "--target", "Pa",
+            "--out", str(tmp_path / "no" / "spec.json")), EXIT_IO
+
+
+def _rank_out_to_missing_dir(tmp_path, data, spec):
+    return ("rank", "--data", str(data), "--spec", str(spec),
+            "--out", str(tmp_path / "no" / "rank.json")), EXIT_IO
+
+
+def _rank_curve_to_missing_dir(tmp_path, data, spec):
+    return ("rank", "--data", str(data), "--spec", str(spec),
+            "--out", str(tmp_path / "rank.json"),
+            "--curve", str(tmp_path / "no" / "curve.csv")), EXIT_IO
+
+
+def _raw_model(tmp_path, data, corrupt=None):
+    model = tmp_path / "model.json"
+    assert run("fit", "--data", str(data), "--raw", "--out", str(model)) == EXIT_OK
+    if corrupt is not None:
+        document = json.loads(model.read_text(encoding="utf-8"))
+        corrupt(document)
+        model.write_text(json.dumps(document), encoding="utf-8")
+    return model
+
+
+def _eval_on_wrong_width(tmp_path, data, spec):
+    other = tmp_path / "pulsar.csv"
+    assert run("synth", "pulsar", "--n", "40", "--out", str(other)) == EXIT_OK
+    return ("eval", "--model", str(_raw_model(tmp_path, data)),
+            "--data", str(other)), EXIT_USAGE
+
+
+def _fit_on_repeated_column(tmp_path, data, spec):
+    lines = data.read_text(encoding="utf-8").split("\n")
+    cells = lines[0].split(",")
+    cells[1] = cells[0]
+    lines[0] = ",".join(cells)
+    data.write_text("\n".join(lines), encoding="utf-8")
+    return ("fit", "--data", str(data), "--raw",
+            "--out", str(tmp_path / "m.json")), EXIT_IO
+
+
+def _enumerate_invalid_feature_name(tmp_path, data, spec):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"features": [["1bad", "m"]]}), encoding="utf-8")
+    return ("enumerate", "--schema", str(schema), "--target", "m"), EXIT_IO
+
+
+def _drop_last_weight_and_name(doc):
+    doc["weights"].pop()
+    doc["feature_names"].pop()
+
+
+def _keep_column_nine(doc):
+    doc["kept_columns"][-1] = 9
+
+
+def _eval_model(corrupt):
+    def case(tmp_path, data, spec):
+        model = _raw_model(tmp_path, data, corrupt)
+        return ("eval", "--model", str(model), "--data", str(data)), EXIT_IO
+    return case
+
+
+class TestExitCodeContract:
+    """Each failure exits with its documented code and one error line."""
+
+    @pytest.mark.parametrize("case", [
+        _enumerate_to_missing_dir,
+        _rank_out_to_missing_dir,
+        _rank_curve_to_missing_dir,
+        _eval_on_wrong_width,
+        _fit_on_repeated_column,
+        _enumerate_invalid_feature_name,
+        _eval_model(_drop_last_weight_and_name),
+        _eval_model(_keep_column_nine),
+    ], ids=[
+        "enumerate-out-unwritable",
+        "rank-out-unwritable",
+        "rank-curve-unwritable",
+        "eval-wrong-width",
+        "csv-repeated-column",
+        "schema-invalid-name",
+        "model-weight-and-name-removed",
+        "model-kept-column-out-of-range",
+    ])
+    def test_one_error_line_and_documented_code(self, case, bernoulli_csv,
+                                                bernoulli_spec, tmp_path, capsys):
+        argv, code = case(tmp_path, bernoulli_csv, bernoulli_spec)
+        capsys.readouterr()
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("pifmap: error: ")
+
+    def test_every_error_class_has_a_documented_exit_code(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        codes = {cls.__name__: cls.exit_code
+                 for cls in (PifmapError, *subclasses(PifmapError))}
+        assert set(codes.values()) <= {EXIT_USAGE, EXIT_IO, EXIT_BUDGET,
+                                        EXIT_NUMERICAL}
+        assert codes["PifmapError"] == EXIT_USAGE
+        assert codes["_InputFileError"] == EXIT_IO
+        assert codes["BudgetExceeded"] == EXIT_BUDGET
+        for name in ("SingularSystem", "NonFiniteResult", "NonFiniteInput",
+                     "DivisionByZero", "ZeroScale"):
+            assert codes[name] == EXIT_NUMERICAL
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A small dataset, the bernoulli spec and a spec-design model, as bytes."""
+    base = tmp_path_factory.mktemp("valid")
+    data, spec, model = base / "data.csv", base / "spec.json", base / "model.json"
+    assert run("synth", "bernoulli", "--n", "40", "--seed", "2",
+               "--out", str(data)) == EXIT_OK
+    spec.write_text(json.dumps(spec_to_dict(load_catalog("bernoulli"))),
+                    encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("fit", "--data", str(data), "--spec", str(spec),
+                   "--out", str(model)) == EXIT_OK
+    return {"dataset": data.read_bytes(), "spec": spec.read_bytes(),
+            "model": model.read_bytes()}
+
+
+def _key_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield (*path, key)
+            yield from _key_paths(value, (*path, key))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _key_paths(value, (*path, index))
+
+
+@st.composite
+def _corruptions(draw, content, is_json):
+    """Truncate ``content``, splice bytes into it or drop one JSON key."""
+    kinds = ["truncate", "splice", "drop_key"] if is_json else ["truncate", "splice"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "truncate":
+        return content[:draw(st.integers(0, len(content) - 1))]
+    if kind == "splice":
+        at = draw(st.integers(0, len(content)))
+        width = draw(st.integers(0, 8))
+        return (content[:at] + draw(st.binary(min_size=1, max_size=8))
+                + content[at + width:])
+    document = json.loads(content)
+    *parents, key = draw(st.sampled_from(list(_key_paths(document))))
+    node = document
+    for step in parents:
+        node = node[step]
+    del node[key]
+    return json.dumps(document).encode("utf-8")
+
+
+# (corrupted file, command) pairs; every command reads the dataset.
+_FUZZ_TARGETS = [("dataset", "fit"), ("dataset", "rank"), ("dataset", "eval"),
+                 ("spec", "fit"), ("spec", "rank"), ("model", "eval")]
+
+
+class TestCorruptedInputs:
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_exit_code_and_one_error_line(self, valid_inputs, data):
+        target, command = data.draw(st.sampled_from(_FUZZ_TARGETS))
+        files = dict(valid_inputs)
+        files[target] = data.draw(_corruptions(files[target], target != "dataset"))
+        with tempfile.TemporaryDirectory() as base:
+            paths = {kind: os.path.join(base, kind) for kind in files}
+            for kind, content in files.items():
+                with open(paths[kind], "wb") as handle:
+                    handle.write(content)
+            if command == "eval":
+                argv = ["eval", "--model", paths["model"], "--data", paths["dataset"]]
+            else:
+                argv = [command, "--data", paths["dataset"], "--spec", paths["spec"],
+                        "--out", os.path.join(base, "out.json")]
+            stderr = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("ignore")
+                code = main(argv)
+        err = stderr.getvalue()
+        assert code in {EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERICAL}
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) <= 1
+        assert all(line.startswith("pifmap: error: ") for line in lines)
 
 
 class TestReproduce:

@@ -17,7 +17,12 @@ from pifmap.data import (
     write_manifest,
 )
 from pifmap.dimension import Dimension, parse_unit
-from pifmap.errors import LengthMismatch, NonFiniteInput, SchemaMismatch
+from pifmap.errors import (
+    EmptyInput,
+    LengthMismatch,
+    NonFiniteInput,
+    SchemaMismatch,
+)
 
 
 def _toy_dataset(n=5):
@@ -126,6 +131,12 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("v m/s,label[Pa]\n1.0,2.0\n", encoding="utf-8")
         with pytest.raises(SchemaMismatch):
+            read_csv(path)
+
+    def test_header_without_rows_is_empty_input(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("v[m/s],label[Pa]\n", encoding="utf-8")
+        with pytest.raises(EmptyInput):
             read_csv(path)
 
 
