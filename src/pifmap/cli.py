@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -38,7 +39,7 @@ from .data import (
     write_manifest,
 )
 from .dimension import parse_unit
-from .errors import DimensionMismatch, PifmapError
+from .errors import DimensionMismatch, InvalidRange, PifmapError
 from .experiments import (
     EXPERIMENT_NAMES,
     REGRESSION_NOISE_LEVELS,
@@ -96,7 +97,7 @@ def _fail(message: str) -> None:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -187,8 +188,28 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
+def _finite_number(option: str):
+    """An argparse type for ``option``: a finite float, or one error line.
+
+    The error is a :class:`~pifmap.errors.InvalidRange`, which argparse
+    does not catch, so it reaches :func:`main` and names the option.
+    """
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise InvalidRange(f"{option} must be a finite number, got {text!r}")
+        return value
+
+    return parse
+
+
 def _parse_levels(text: str) -> tuple[float, ...]:
-    levels = tuple(float(cell) for cell in text.split(",") if cell.strip())
+    level = _finite_number("--noise-levels")
+    levels = tuple(level(cell) for cell in text.split(",") if cell.strip())
     if not levels:
         raise ValueError("no noise levels given")
     return levels
@@ -411,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("generator", choices=["bernoulli", "pulsar", "binary"])
     p_synth.add_argument("--n", type=int, default=1000)
     p_synth.add_argument("--seed", type=int, default=1)
-    p_synth.add_argument("--noise", type=float, default=None,
+    p_synth.add_argument("--noise", type=_finite_number("--noise"), default=None,
                          help="relative uniform label noise level in [0,1)")
     p_synth.add_argument("--noise-seed", type=int, default=None,
                          help="override the derived noise stream seed")
@@ -431,7 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--constants", default="",
                         help="comma-separated constant names, e.g. g,mu0,c")
     p_enum.add_argument("--budget", type=int, default=None,
-                        help="search-node budget (default 1e6 or PIFMAP_BUDGET)")
+                        help="half-grid rows plus join candidates, checked "
+                        "before allocation (default 1e6 or PIFMAP_BUDGET)")
     p_enum.add_argument("--name", default="enumerated")
     p_enum.add_argument("--out", default=None, help="spec JSON path (default stdout)")
     p_enum.set_defaults(func=_cmd_enumerate)
@@ -442,10 +464,10 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--spec", help="feature-map spec JSON")
     group.add_argument("--raw", action="store_true",
                        help="fit on the raw standardized features")
-    p_fit.add_argument("--lam", type=float, default=DEFAULT_LAMBDA)
+    p_fit.add_argument("--lam", type=_finite_number("--lam"), default=DEFAULT_LAMBDA)
     p_fit.add_argument("--select", action="store_true",
                        help="pick lambda on a validation tail of the train split")
-    p_fit.add_argument("--split", type=float, default=0.7)
+    p_fit.add_argument("--split", type=_finite_number("--split"), default=0.7)
     p_fit.add_argument("--allow-inconsistent", action="store_true")
     p_fit.add_argument("--out", required=True, help="model JSON path")
     p_fit.set_defaults(func=_cmd_fit)
@@ -453,9 +475,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="greedy-rank mapped features")
     p_rank.add_argument("--data", required=True)
     p_rank.add_argument("--spec", required=True)
-    p_rank.add_argument("--epsilon", type=float, default=0.01)
-    p_rank.add_argument("--lam", type=float, default=DEFAULT_LAMBDA)
-    p_rank.add_argument("--split", type=float, default=0.7)
+    p_rank.add_argument("--epsilon", type=_finite_number("--epsilon"), default=0.01)
+    p_rank.add_argument("--lam", type=_finite_number("--lam"), default=DEFAULT_LAMBDA)
+    p_rank.add_argument("--split", type=_finite_number("--split"), default=0.7)
     p_rank.add_argument("--allow-inconsistent", action="store_true")
     p_rank.add_argument("--out", default=None, help="ranking JSON path (default stdout)")
     p_rank.add_argument("--curve", default=None, help="optional error-curve CSV path")
@@ -464,7 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a stored model on a dataset")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--classify", type=float, nargs="?", const=0.5,
+    p_eval.add_argument("--classify", type=_finite_number("--classify"),
+                        nargs="?", const=0.5,
                         default=None,
                         help="threshold the predictions (default 0.5) and "
                         "report the confusion matrix with skill scores")
@@ -478,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--noise-levels",
                        default=",".join(repr(x) for x in REGRESSION_NOISE_LEVELS))
     p_rep.add_argument("--n", type=int, default=1000)
-    p_rep.add_argument("--split", type=float, default=0.7)
+    p_rep.add_argument("--split", type=_finite_number("--split"), default=0.7)
     p_rep.add_argument("--out", default="reports")
     p_rep.add_argument("--csv-only", action="store_true",
                        help="skip the SVG box plots")
@@ -491,10 +514,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as exc:  # argparse's --help and usage errors
+        return int(exc.code or 0)
     except PifmapError as exc:
         _fail(str(exc))
         return exc.exit_code

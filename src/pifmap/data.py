@@ -202,7 +202,8 @@ def manifest_path_for(csv_path) -> str:
 
 def write_manifest(provenance: Mapping, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(provenance, sort_keys=True, indent=2) + "\n")
+        text = json.dumps(provenance, sort_keys=True, indent=2, allow_nan=False)
+        fh.write(text + "\n")
 
 
 def read_manifest(path) -> dict:

@@ -57,7 +57,7 @@ class DimensionMismatch(PifmapError):
 
 
 class BudgetExceeded(PifmapError):
-    """Enumeration walked more candidates than the configured budget."""
+    """Enumeration needs more half-grid rows plus join candidates than the budget."""
 
     exit_code = 4
 

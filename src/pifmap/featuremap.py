@@ -10,16 +10,21 @@ construction.  Specs whose source tables are known to be inconsistent can
 be loaded anyway by listing the offending monomial indices, and then carry
 human-readable diagnostics instead of silently passing.
 
+Both checks work on one exact integer table: unit exponents scaled by the
+lcm of their denominators, one row ``D[i]`` per feature or constant.  A
+spec's monomials are validated with one product ``E @ D == t``.
 :func:`enumerate_monomials` generates every monomial of a given dimension
-within exponent bounds, by depth-first search over exponent assignments
-with componentwise reachability pruning.  The search is exhaustive within
-bounds, emits monomials in lexicographic exponent order, and raises
-:class:`~pifmap.errors.BudgetExceeded` once it has walked more candidate
-assignments than the configured budget.
+within exponent bounds by a meet-in-the-middle search (Horowitz & Sahni,
+1974): it lists the exponent rows of each half of the items and joins them
+on ``t - left == right``.  The search is exhaustive within bounds, emits
+monomials in lexicographic exponent order, and raises
+:class:`~pifmap.errors.BudgetExceeded`, before allocating, when the
+half-grid rows plus join candidates exceed the configured budget.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -96,12 +101,16 @@ TRANSFORM_TAGS: Mapping[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def _exact_int(value) -> int:
+def _exact_ints(values) -> tuple[int, ...]:
     # exponents form an integer lattice; silently truncating 1.5 would
     # change the monomial, so anything non-integral is a type error
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"exponents must be integers, got {value!r}")
-    return int(value)
+    values = tuple(values)
+    if {int}.issuperset(map(type, values)):
+        return values
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"exponents must be integers, got {value!r}")
+    return tuple(map(int, values))
 
 
 @dataclass(frozen=True)
@@ -115,14 +124,10 @@ class Monomial:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self,
-            "feature_exponents",
-            tuple(_exact_int(e) for e in self.feature_exponents),
+            self, "feature_exponents", _exact_ints(self.feature_exponents)
         )
         object.__setattr__(
-            self,
-            "constant_exponents",
-            tuple(_exact_int(e) for e in self.constant_exponents),
+            self, "constant_exponents", _exact_ints(self.constant_exponents)
         )
         object.__setattr__(
             self,
@@ -131,7 +136,7 @@ class Monomial:
         )
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be -1 or +1, got {self.sign}")
-        if not any(e != 0 for e in self.feature_exponents):
+        if not any(self.feature_exponents):
             raise ValueError("a monomial must use at least one feature")
         for index, tag in self.transforms:
             if tag not in TRANSFORM_TAGS:
@@ -178,6 +183,19 @@ _DERIVED_KINDS: Mapping[str, Callable[[Sequence[np.ndarray]], np.ndarray]] = {
 _DERIVED_ARITY = {"reduced_mass": 2}
 
 
+def _check_lengths(monomial: Monomial, n_features: int, n_constants: int) -> None:
+    if len(monomial.feature_exponents) != n_features:
+        raise LengthMismatch(
+            f"{len(monomial.feature_exponents)} feature exponents for "
+            f"{n_features} features"
+        )
+    if len(monomial.constant_exponents) != n_constants:
+        raise LengthMismatch(
+            f"{len(monomial.constant_exponents)} constant exponents for "
+            f"{n_constants} constants"
+        )
+
+
 def monomial_dimension(
     monomial: Monomial,
     feature_dimensions: Sequence[Dimension],
@@ -188,16 +206,7 @@ def monomial_dimension(
     Features wrapped in a non-identity transform contribute a
     dimensionless factor regardless of their own dimension.
     """
-    if len(monomial.feature_exponents) != len(feature_dimensions):
-        raise LengthMismatch(
-            f"{len(monomial.feature_exponents)} feature exponents for "
-            f"{len(feature_dimensions)} features"
-        )
-    if len(monomial.constant_exponents) != len(constant_dimensions):
-        raise LengthMismatch(
-            f"{len(monomial.constant_exponents)} constant exponents for "
-            f"{len(constant_dimensions)} constants"
-        )
+    _check_lengths(monomial, len(feature_dimensions), len(constant_dimensions))
     total = DIMENSIONLESS
     for index, (exponent, dimension) in enumerate(
         zip(monomial.feature_exponents, feature_dimensions)
@@ -213,6 +222,67 @@ def monomial_dimension(
         if exponent != 0:
             total = total * dimension ** exponent
     return total
+
+
+# --------------------------------------------------------------------------
+# The integer lattice
+#
+# Scaling every unit exponent by the lcm of their denominators turns "this
+# monomial has the target dimension" into the integer equation E @ D == t,
+# with one row of D per feature or constant.  Validation checks a spec's
+# monomials with one such product; enumeration searches the same table.
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _integer_dimension_table(
+    dimensions: Sequence[Dimension], target: Dimension
+) -> tuple[list[list[int]], list[int]]:
+    denominators = [e.denominator for d in dimensions for e in d.exponents]
+    denominators += [e.denominator for e in target.exponents]
+    scale = math.lcm(*denominators) if denominators else 1
+    table = [
+        [int(e * scale) for e in d.exponents] for d in dimensions
+    ]
+    target_row = [int(e * scale) for e in target.exponents]
+    return table, target_row
+
+
+def _mismatched_indices(
+    monomials: Sequence[Monomial],
+    feature_dimensions: Sequence[Dimension],
+    constant_dimensions: Sequence[Dimension],
+    target: Dimension,
+) -> list[int]:
+    """Indices of the monomials whose dimension is not ``target``.
+
+    A feature under a non-identity transform contributes a dimensionless
+    factor, so its entry in ``E`` is zeroed.  ``E @ D`` runs in int64 only
+    when no partial sum can overflow, ``max|E| * max_u sum_i |D[i, u]|``
+    fitting; a spec file may carry any integer exponent, and past that
+    bound the product is taken in Python ints.
+    """
+    for monomial in monomials:
+        _check_lengths(monomial, len(feature_dimensions), len(constant_dimensions))
+    table, target_row = _integer_dimension_table(
+        (*feature_dimensions, *constant_dimensions), target
+    )
+    rows = [m.feature_exponents + m.constant_exponents for m in monomials]
+    zeroed = (
+        [i for i, m in enumerate(monomials) for j, tag in m.transforms if tag != "identity"],
+        [j for m in monomials for j, tag in m.transforms if tag != "identity"],
+    )
+    largest = max(map(abs, itertools.chain.from_iterable(rows)), default=0)
+    reach = max((sum(map(abs, column)) for column in zip(*table)), default=0)
+    fits = max(max(largest, 1) * reach, *map(abs, target_row)) <= _INT64_MAX
+    dtype = np.int64 if fits else object
+    exponents = np.array(rows, dtype=dtype).reshape(len(rows), len(table))
+    exponents[zeroed] = 0
+    matrix = np.array(table, dtype=dtype).reshape(len(table), len(target_row))
+    products = exponents @ matrix
+    return np.flatnonzero(
+        np.any(products != np.array(target_row, dtype=dtype), axis=1)
+    ).tolist()
 
 
 @dataclass(frozen=True)
@@ -241,18 +311,19 @@ class FeatureMapSpec:
             self._validate_derived(derived)
         dims = self.column_dimensions
         cdims = tuple(c.dimension for c in self.constants)
+        mismatched = set(_mismatched_indices(
+            self.monomials, dims, cdims, self.target_dimension
+        ))
         declared = set(self.inconsistent_indices)
-        mismatched = []
-        for index, monomial in enumerate(self.monomials):
-            actual = monomial_dimension(monomial, dims, cdims)
-            if actual != self.target_dimension:
-                mismatched.append((index, actual, self.target_dimension))
-        undeclared = [m for m in mismatched if m[0] not in declared]
+        undeclared = sorted(mismatched - declared)
         if undeclared:
-            raise DimensionMismatch(undeclared)
-        actual_set = {m[0] for m in mismatched}
-        if declared != actual_set:
-            stale = sorted(declared - actual_set)
+            raise DimensionMismatch(
+                (index, monomial_dimension(self.monomials[index], dims, cdims),
+                 self.target_dimension)
+                for index in undeclared
+            )
+        if declared != mismatched:
+            stale = sorted(declared - mismatched)
             raise ValueError(
                 f"monomials {stale} are declared inconsistent but check out"
             )
@@ -339,18 +410,77 @@ def render_monomial(spec: FeatureMapSpec, index: int) -> str:
 # Enumeration
 
 
-def _integer_dimension_table(
-    dimensions: Sequence[Dimension], target: Dimension
-) -> tuple[list[list[int]], list[int]]:
-    # Clearing denominators lets the DFS work in integer arithmetic.
-    denominators = [e.denominator for d in dimensions for e in d.exponents]
-    denominators += [e.denominator for e in target.exponents]
-    scale = math.lcm(*denominators) if denominators else 1
-    table = [
-        [int(e * scale) for e in d.exponents] for d in dimensions
-    ]
-    target_row = [int(e * scale) for e in target.exponents]
-    return table, target_row
+def _half_grid_rows(
+    n_features: int, n_constants: int, bound: int, constant_bound: int,
+    max_active: int,
+) -> int:
+    # Feature rows with at most max_active nonzero entries, times every
+    # constant row; the closed form of what _half_grid allocates.
+    feature_rows = sum(
+        math.comb(n_features, k) * (2 * bound) ** k
+        for k in range(min(n_features, max_active) + 1)
+    )
+    return feature_rows * (2 * constant_bound + 1) ** n_constants
+
+
+def _check_budget(needed: int, budget: int) -> None:
+    if needed > budget:
+        raise BudgetExceeded(
+            f"enumeration needs at least {needed} half-grid rows plus join "
+            f"candidates, over its budget of {budget}"
+        )
+
+
+def _group_offsets(sizes: np.ndarray) -> np.ndarray:
+    # 0, 1, ..., size - 1 for each group, concatenated
+    starts = np.cumsum(sizes) - sizes
+    return np.arange(int(sizes.sum())) - np.repeat(starts, sizes)
+
+
+def _half_grid(
+    n_features: int, n_constants: int, bound: int, constant_bound: int,
+    max_active: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent rows of one half in lexicographic order, and their active counts.
+
+    Items are features, then constants.  Each row expands in place into
+    its children in increasing exponent order, so the rows stay sorted; a
+    row that already has ``max_active`` nonzero features only takes 0 for
+    the next feature, so nothing beyond the closed-form count is built.
+    """
+    grid = np.zeros((1, 0), dtype=np.int64)
+    active = np.zeros(1, dtype=np.int64)
+    for position in range(n_features + n_constants):
+        is_feature = position < n_features
+        item_bound = bound if is_feature else constant_bound
+        free = active < max_active if is_feature else np.ones(len(active), bool)
+        sizes = np.where(free, 2 * item_bound + 1, 1)
+        column = np.where(
+            np.repeat(free, sizes), _group_offsets(sizes) - item_bound, 0
+        )
+        grid = np.column_stack([np.repeat(grid, sizes, axis=0), column])
+        active = np.repeat(active, sizes) + (is_feature & (column != 0))
+    return grid, active
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    # one integer label per distinct row, from one lexicographic sort
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    labels = np.empty(len(rows), dtype=np.int64)
+    labels[order] = np.cumsum(
+        np.concatenate([[False], np.any(ordered[1:] != ordered[:-1], axis=1)])
+    )
+    return labels
+
+
+def _strictly_increasing(rows: np.ndarray) -> bool:
+    # each row's first difference from its predecessor must be positive
+    if len(rows) < 2:
+        return True
+    step = np.diff(rows, axis=0)
+    first = (step != 0).argmax(axis=1)
+    return bool(np.all(step[np.arange(len(step)), first] > 0))
 
 
 def enumerate_monomials(
@@ -371,6 +501,10 @@ def enumerate_monomials(
     (defaulting to the feature bound), and do not count toward the active
     limit.  Results come out duplicate-free in lexicographic order of the
     concatenated exponent vector.
+
+    ``budget`` caps the half-grid rows plus join candidates.  Both are
+    counted before the arrays that hold them are allocated, so the budget
+    bounds memory as well as time.
     """
     features = tuple(schema.features if isinstance(schema, FeatureSchema) else schema)
     constants = tuple(constants)
@@ -389,62 +523,63 @@ def enumerate_monomials(
     n_features = len(features)
     dims = [f.dimension for f in features] + [c.dimension for c in constants]
     table, target_row = _integer_dimension_table(dims, target)
-    n_components = len(target_row)
     bounds = [max_abs_exponent] * n_features + [constant_bound] * len(constants)
-    n_items = len(table)
+    reach = [
+        sum(b * abs(row[u]) for b, row in zip(bounds, table))
+        for u in range(len(target_row))
+    ]
+    if any(abs(t) > r for t, r in zip(target_row, reach)):
+        return ()
+    # |target - left| <= 2 * reach bounds every sum the join computes
+    largest = max([2 * r for r in reach] + [abs(v) for row in table for v in row])
+    if largest > _INT64_MAX:
+        raise InvalidRange("exponent bounds too large for the int64 lattice")
 
-    # suffix_reach[j][u]: the largest |contribution| to component u that
-    # items j..end can still make; used to prune unreachable residuals.
-    suffix_reach = [[0] * n_components for _ in range(n_items + 1)]
-    for j in range(n_items - 1, -1, -1):
-        for u in range(n_components):
-            suffix_reach[j][u] = (
-                suffix_reach[j + 1][u] + bounds[j] * abs(table[j][u])
-            )
-
-    results: list[Monomial] = []
-    exponents = [0] * n_items
-    visited = 0
-
-    def walk(index: int, residual: list[int], active: int, any_active: bool) -> None:
-        nonlocal visited
-        for u in range(n_components):
-            if abs(residual[u]) > suffix_reach[index][u]:
-                return
-        if index == n_items:
-            if any_active and all(r == 0 for r in residual):
-                results.append(
-                    Monomial(
-                        feature_exponents=tuple(exponents[:n_features]),
-                        constant_exponents=tuple(exponents[n_features:]),
-                    )
-                )
-            return
-        is_feature = index < n_features
-        bound = bounds[index]
-        row = table[index]
-        for exponent in range(-bound, bound + 1):
-            if is_feature and exponent != 0 and active >= max_active_features:
-                continue
-            visited += 1
-            if visited > budget:
-                raise BudgetExceeded(
-                    f"enumeration exceeded budget of {budget} candidates"
-                )
-            exponents[index] = exponent
-            next_residual = [
-                residual[u] - exponent * row[u] for u in range(n_components)
-            ]
-            walk(
-                index + 1,
-                next_residual,
-                active + (1 if is_feature and exponent != 0 else 0),
-                any_active or (is_feature and exponent != 0),
-            )
-        exponents[index] = 0
-
-    walk(0, list(target_row), 0, False)
-    return tuple(results)
+    # Meet in the middle: split the items into two halves, list each
+    # half's exponent rows and join them on target - left == right.
+    n_left = len(dims) // 2
+    left_features = min(n_features, n_left)
+    halves = [
+        (left_features, n_left - left_features),
+        (n_features - left_features, len(constants) - n_left + left_features),
+    ]
+    needed = sum(
+        _half_grid_rows(f, c, max_abs_exponent, constant_bound, max_active_features)
+        for f, c in halves
+    )
+    _check_budget(needed, budget)
+    (left, left_active), (right, right_active) = (
+        _half_grid(f, c, max_abs_exponent, constant_bound, max_active_features)
+        for f, c in halves
+    )
+    matrix = np.array(table, dtype=np.int64).reshape(len(dims), len(target_row))
+    need = np.array(target_row, dtype=np.int64) - left @ matrix[:n_left]
+    keys = _row_keys(np.concatenate([need, right @ matrix[n_left:]]))
+    left_keys, right_keys = keys[: len(left)], keys[len(left):]
+    right_order = np.argsort(right_keys, kind="stable")
+    per_key = np.bincount(right_keys, minlength=int(keys.max()) + 1)
+    matches = per_key[left_keys]
+    needed += int(matches.sum())
+    _check_budget(needed, budget)
+    first_match = (np.cumsum(per_key) - per_key)[left_keys]
+    left_index = np.repeat(np.arange(len(left)), matches)
+    right_index = right_order[np.repeat(first_match, matches) + _group_offsets(matches)]
+    active = left_active[left_index] + right_active[right_index]
+    keep = (active >= 1) & (active <= max_active_features)
+    rows = np.concatenate(
+        [left[left_index[keep]], right[right_index[keep]]], axis=1
+    )
+    # Left-major order over sorted halves, with each key's right rows in
+    # their own order, is lexicographic order of the whole row.
+    if not _strictly_increasing(rows):
+        raise AssertionError("enumerated monomials are not in strict lexicographic order")
+    return tuple(
+        Monomial(
+            feature_exponents=tuple(row[:n_features]),
+            constant_exponents=tuple(row[n_features:]),
+        )
+        for row in rows.tolist()
+    )
 
 
 # --------------------------------------------------------------------------
@@ -642,24 +777,24 @@ def spec_from_dict(document: Mapping, *, allow_inconsistent: bool = False) -> Fe
     )
     target = parse(document["target_unit"])
 
-    fields = dict(
+    declared: tuple[int, ...] = ()
+    if allow_inconsistent:
+        # One lattice pass names every mismatched monomial, and declaring
+        # exactly those lets construction pass.  A mismatched derived
+        # feature is checked at construction and still raises.
+        declared = tuple(_mismatched_indices(
+            monomials,
+            [f.dimension for f in features] + [d.dimension for d in derived],
+            [c.dimension for c in constants],
+            target,
+        ))
+    return FeatureMapSpec(
         name=document.get("name", "unnamed"),
         features=features,
         constants=constants,
         monomials=monomials,
         target_dimension=target,
         derived=derived,
+        inconsistent_indices=declared,
         metadata=dict(document.get("metadata", {})),
     )
-    try:
-        return FeatureMapSpec(**fields)
-    except DimensionMismatch as exc:
-        if not allow_inconsistent:
-            raise
-        # With nothing declared inconsistent, construction reports every
-        # mismatched monomial; declaring exactly those lets it pass.  A
-        # mismatched derived feature is checked first and raises again.
-        return FeatureMapSpec(
-            **fields,
-            inconsistent_indices=tuple(index for index, _, _ in exc.entries),
-        )

@@ -22,6 +22,7 @@ from .errors import (
     DroppedColumnWarning,
     EmptyInput,
     InsufficientData,
+    InvalidRange,
     NonFiniteInput,
     SingularSystem,
 )
@@ -159,8 +160,9 @@ def ridge_fit(
 ) -> RidgeModel:
     """Solve ``(Z'Z + lam*I) b = Z'(y - mean(y))`` by Cholesky.
 
-    ``lam`` may be zero, in which case the design must have full column
-    rank; a rank-deficient or numerically unreliable system raises
+    ``lam`` must be finite and non-negative.  It may be zero, in which
+    case the design must have full column rank; a rank-deficient or
+    numerically unreliable system raises
     :class:`~pifmap.errors.SingularSystem`.
     """
     Z = _check_matrix(Z, "Z")
@@ -171,6 +173,8 @@ def ridge_fit(
         raise NonFiniteInput("y contains non-finite values")
     if Z.shape[0] == 0:
         raise EmptyInput("cannot fit on zero rows")
+    if not np.isfinite(lam):
+        raise InvalidRange(f"lam must be finite, got {lam}")
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     n, p = Z.shape

@@ -55,16 +55,39 @@ class TestLoading:
         with pytest.raises(DimensionMismatch):
             load_catalog("pulsar_no_pif1")
 
-    def test_strict_load_checks_each_monomial_once(self, monkeypatch):
-        calls = []
+    @staticmethod
+    def _count_checks(monkeypatch):
+        lattice_checks, dimension_calls = [], []
+        lattice = featuremap._mismatched_indices
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
+        def counting_lattice(*args, **kwargs):
+            lattice_checks.append(args[0])
+            return lattice(*args, **kwargs)
+
+        def counting_dimension(*args, **kwargs):
+            dimension_calls.append(args[0])
             return monomial_dimension(*args, **kwargs)
 
-        monkeypatch.setattr(featuremap, "monomial_dimension", counting)
+        monkeypatch.setattr(featuremap, "_mismatched_indices", counting_lattice)
+        monkeypatch.setattr(featuremap, "monomial_dimension", counting_dimension)
+        return lattice_checks, dimension_calls
+
+    def test_strict_load_checks_each_monomial_once(self, monkeypatch):
+        # one integer product checks every monomial; a consistent spec
+        # never needs the per-monomial Fraction sum
+        lattice_checks, dimension_calls = self._count_checks(monkeypatch)
         spec = load_catalog("bernoulli")
-        assert calls == list(spec.monomials)
+        assert lattice_checks == [spec.monomials]
+        assert dimension_calls == []
+
+    def test_permissive_load_sums_only_the_mismatched_monomials(self, monkeypatch):
+        lattice_checks, dimension_calls = self._count_checks(monkeypatch)
+        spec = load_catalog("pulsar", allow_inconsistent=True)
+        assert spec.inconsistent_indices == (2, 6)
+        assert all(checked == spec.monomials for checked in lattice_checks)
+        assert dimension_calls == []
+        assert len(spec.diagnostics) == 2
+        assert dimension_calls == [spec.monomials[2], spec.monomials[6]]
 
     def test_loads_are_independent_copies(self):
         a = load_catalog("bernoulli")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pifmap import cli
 from pifmap.catalogs import load_catalog
 from pifmap.cli import (
     EXIT_BUDGET,
@@ -515,6 +516,31 @@ def _eval_model(corrupt):
     return case
 
 
+def _non_finite_option(command, option, value):
+    """A run whose ``option`` gets the non-finite ``value``; it must exit 2."""
+    def case(tmp_path, data, spec):
+        out = str(tmp_path / "out")
+        argv = {
+            "synth": ("synth", "bernoulli", "--n", "40", "--out", out),
+            "fit": ("fit", "--data", str(data), "--raw", "--out", out),
+            "rank": ("rank", "--data", str(data), "--spec", str(spec),
+                     "--out", out),
+            "reproduce": ("reproduce", "bernoulli", "--seeds", "1",
+                          "--n", "40", "--csv-only", "--out", out),
+        }[command]
+        return (*argv, option, value), EXIT_USAGE
+    return case
+
+
+_NON_FINITE_OPTIONS = [
+    ("fit", "--lam", "inf"),
+    ("rank", "--lam", "nan"),
+    ("fit", "--split", "nan"),
+    ("synth", "--noise", "nan"),
+    ("reproduce", "--noise-levels", "nan"),
+]
+
+
 class TestExitCodeContract:
     """Each failure exits with its documented code and one error line."""
 
@@ -527,6 +553,7 @@ class TestExitCodeContract:
         _enumerate_invalid_feature_name,
         _eval_model(_drop_last_weight_and_name),
         _eval_model(_keep_column_nine),
+        *(_non_finite_option(*case) for case in _NON_FINITE_OPTIONS),
     ], ids=[
         "enumerate-out-unwritable",
         "rank-out-unwritable",
@@ -536,6 +563,7 @@ class TestExitCodeContract:
         "schema-invalid-name",
         "model-weight-and-name-removed",
         "model-kept-column-out-of-range",
+        *("-".join(case) for case in _NON_FINITE_OPTIONS),
     ])
     def test_one_error_line_and_documented_code(self, case, bernoulli_csv,
                                                 bernoulli_spec, tmp_path, capsys):
@@ -547,6 +575,38 @@ class TestExitCodeContract:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("pifmap: error: ")
+
+    @pytest.mark.parametrize("command, option, value", _NON_FINITE_OPTIONS + [
+        ("rank", "--epsilon", "inf"),
+        ("reproduce", "--split", "nan"),
+        ("reproduce", "--noise-levels", "0.1,inf"),
+    ])
+    def test_non_finite_option_is_named_with_its_value(
+            self, command, option, value, bernoulli_csv, bernoulli_spec,
+            tmp_path, capsys):
+        argv, code = _non_finite_option(command, option, value)(
+            tmp_path, bernoulli_csv, bernoulli_spec)
+        capsys.readouterr()
+        assert run(*argv) == code
+        bad = value.split(",")[-1]
+        assert capsys.readouterr().err.splitlines() == [
+            f"pifmap: error: {option} must be a finite number, got {bad!r}"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_classify_threshold_must_be_finite(self, bernoulli_csv,
+                                                    tmp_path, capsys):
+        model = _raw_model(tmp_path, bernoulli_csv)
+        capsys.readouterr()
+        assert run("eval", "--model", str(model), "--data", str(bernoulli_csv),
+                   "--classify", "nan") == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "pifmap: error: --classify must be a finite number, got 'nan'"
+        ]
+
+    def test_json_writer_refuses_non_finite_values(self):
+        with pytest.raises(ValueError):
+            cli._dump_json({"lambda": float("inf")})
 
     def test_every_error_class_has_a_documented_exit_code(self):
         def subclasses(cls):

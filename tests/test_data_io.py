@@ -153,3 +153,9 @@ class TestManifest:
         assert json.loads(text) == read_manifest(path)
         # keys are sorted for byte determinism
         assert text.index('"generator"') < text.index('"ranges"') < text.index('"seed"')
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_is_not_written(self, tmp_path, value):
+        # strict JSON has no NaN or Infinity
+        with pytest.raises(ValueError):
+            write_manifest({"noise": {"level": value}}, tmp_path / "m.json")

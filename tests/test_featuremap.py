@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pifmap.data import Dataset, schema_of
+from pifmap import featuremap
+from pifmap.data import Dataset, Feature, schema_of
 from pifmap.dimension import DIMENSIONLESS, Dimension, parse_unit
 from pifmap.errors import (
     BudgetExceeded,
@@ -428,7 +431,7 @@ class TestEnumerate:
             enumerate_monomials(schema, (), KG, 2, 0)
 
     def test_brute_force_equivalence_small(self):
-        # every monomial the DFS returns, and none besides, matches a
+        # every monomial the search returns, and none besides, matches a
         # direct product-scan over the exponent box
         cases = [
             ([("rho", "kg/m^3"), ("v", "m/s"), ("h", "m")], "Pa", 2, 3),
@@ -457,6 +460,254 @@ class TestEnumerate:
                 if total == target:
                     expected.add(combo)
             assert found == expected
+
+
+# --------------------------------------------------------------------------
+# Oracles for the integer lattice: a brute-force scan for the search and
+# the per-monomial Fraction sum (monomial_dimension) for validation.
+
+_BASES = ("kg", "m", "s")
+_EXPONENTS = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2),
+              Fraction(1), Fraction(2))
+_dimensions = st.builds(
+    lambda exps: Dimension.of(**dict(zip(_BASES, exps))),
+    st.lists(st.sampled_from(_EXPONENTS), min_size=3, max_size=3),
+)
+
+
+def _product_dimension(dims, exponents):
+    return tuple(
+        sum((Fraction(e) * d.exponents[u] for d, e in zip(dims, exponents)),
+            Fraction(0))
+        for u in range(len(DIMENSIONLESS.exponents))
+    )
+
+
+def _scan(dims, n_features, bound, constant_bound, active, target):
+    """Every in-bounds exponent vector of dimension ``target``, in product order."""
+    spans = ([range(-bound, bound + 1)] * n_features
+             + [range(-constant_bound, constant_bound + 1)] * (len(dims) - n_features))
+    powers = [{e: (d ** e).exponents for e in span} for d, span in zip(dims, spans)]
+    return [
+        combo for combo in itertools.product(*spans)
+        if 1 <= sum(1 for e in combo[:n_features] if e) <= active
+        and tuple(map(sum, zip(*(p[e] for p, e in zip(powers, combo)))))
+        == target.exponents
+    ]
+
+
+@st.composite
+def _search_cases(draw):
+    n_features = draw(st.integers(1, 5))
+    n_constants = draw(st.integers(0, 2))
+    dims = draw(st.lists(_dimensions, min_size=n_features + n_constants,
+                         max_size=n_features + n_constants))
+    # the scan stays within 1,500 vectors
+    bound = draw(st.integers(1, 2 if 5 ** n_features <= 1500 else 1))
+    room = 1500 // (2 * bound + 1) ** n_features
+    constant_bound = draw(st.integers(
+        0, max(b for b in range(3) if (2 * b + 1) ** n_constants <= room)
+    ))
+    active = draw(st.integers(1, n_features))
+    if draw(st.booleans()):
+        target = draw(_dimensions)  # often unreachable
+    else:
+        spans = [bound] * n_features + [constant_bound] * n_constants
+        exponents = [draw(st.integers(-b, b)) for b in spans]
+        target = Dimension(_product_dimension(dims, exponents))
+    return dims, n_features, bound, constant_bound, active, target
+
+
+@st.composite
+def _validation_cases(draw):
+    n_features = draw(st.integers(1, 4))
+    n_constants = draw(st.integers(0, 2))
+    dims = draw(st.lists(_dimensions, min_size=n_features + n_constants,
+                         max_size=n_features + n_constants))
+    monomials = []
+    for _ in range(draw(st.integers(0, 8))):
+        features = draw(st.lists(st.integers(-3, 3), min_size=n_features,
+                                 max_size=n_features))
+        features[draw(st.integers(0, n_features - 1))] = draw(st.sampled_from([-1, 1]))
+        sin2 = draw(st.sets(st.integers(0, n_features - 1)))
+        monomials.append(Monomial(
+            feature_exponents=tuple(features),
+            constant_exponents=tuple(draw(st.lists(
+                st.integers(-2, 2), min_size=n_constants, max_size=n_constants))),
+            transforms=tuple((i, "sin2") for i in sorted(sin2)),
+        ))
+    target = draw(_dimensions)
+    if monomials and draw(st.booleans()):
+        target = monomial_dimension(monomials[0], dims[:n_features], dims[n_features:])
+    indices = st.sets(st.sampled_from(range(len(monomials)))) if monomials else st.just(set())
+    declared = tuple(sorted(draw(indices)))
+    return dims, n_features, tuple(monomials), target, declared
+
+
+def _items(dims, n_features):
+    features = tuple(Feature(f"x{i}", d) for i, d in enumerate(dims[:n_features]))
+    constants = tuple(PhysicalConstant(f"k{i}", 2.0, d)
+                      for i, d in enumerate(dims[n_features:]))
+    return features, constants
+
+
+class TestLatticeOracles:
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(case=_search_cases())
+    def test_search_equals_brute_force_scan(self, case):
+        dims, n_features, bound, constant_bound, active, target = case
+        features, constants = _items(dims, n_features)
+        found = enumerate_monomials(
+            features, constants, target, bound, active,
+            max_constant_exponent=constant_bound,
+        )
+        assert [m.feature_exponents + m.constant_exponents for m in found] == (
+            _scan(dims, n_features, bound, constant_bound, active, target)
+        )
+
+    def test_one_feature_schema_has_an_empty_left_half(self):
+        features, _ = _items([parse_unit("kg*m^(-1/2)")], 1)
+        found = enumerate_monomials(features, (), parse_unit("kg^2/m"), 2, 1)
+        assert [m.feature_exponents for m in found] == [(2,)]
+        assert enumerate_monomials(features, (), KG, 2, 1) == ()
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(case=_validation_cases())
+    def test_lattice_check_flags_exactly_the_fraction_mismatches(self, case):
+        dims, n_features, monomials, target, declared = case
+        features, constants = _items(dims, n_features)
+        fdims, cdims = dims[:n_features], dims[n_features:]
+        actual = [monomial_dimension(m, fdims, cdims) for m in monomials]
+        expected = [i for i, d in enumerate(actual) if d != target]
+        assert featuremap._mismatched_indices(
+            monomials, fdims, cdims, target) == expected
+
+        def build():
+            return FeatureMapSpec(
+                name="random", features=features, constants=constants,
+                monomials=monomials, target_dimension=target,
+                inconsistent_indices=declared,
+            )
+
+        undeclared = [i for i in expected if i not in declared]
+        if undeclared:
+            with pytest.raises(DimensionMismatch) as info:
+                build()
+            assert info.value.entries == tuple(
+                (i, actual[i], target) for i in undeclared)
+        elif set(declared) != set(expected):
+            with pytest.raises(ValueError, match="declared inconsistent"):
+                build()
+        else:
+            assert build().inconsistent_indices == declared
+
+    @pytest.mark.parametrize("exponent, unit_power", [
+        (2**62, 1),   # int64 holds the product
+        (2**62, 4),   # 2**64 wraps to 0 in int64
+        (2**63, 1),   # the exponent itself overflows int64
+        (-(2**63), 2),
+        (3**40, 3),
+    ])
+    def test_huge_exponents_do_not_wrap(self, exponent, unit_power):
+        features = (Feature("x", Dimension.of(m=unit_power)),)
+        monomials = (Monomial(feature_exponents=(exponent,)),)
+
+        def spec(target):
+            return FeatureMapSpec(name="huge", features=features, constants=(),
+                                  monomials=monomials, target_dimension=target)
+
+        assert spec(Dimension.of(m=exponent * unit_power)).monomials == monomials
+        for wrong in (DIMENSIONLESS, Dimension.of(m=(exponent * unit_power) % 2**64),
+                      Dimension.of(m=exponent * unit_power + 1)):
+            if wrong.exponents[1] == exponent * unit_power:
+                continue
+            with pytest.raises(DimensionMismatch):
+                spec(wrong)
+
+    def test_huge_exponents_cancelling_in_int64_are_still_caught(self):
+        # 2**62 * 2 + 2**62 * 2 is 2**64, which int64 would wrap to 0
+        features = (Feature("a", Dimension.of(m=2)), Feature("b", Dimension.of(m=2)))
+        monomials = (Monomial(feature_exponents=(2**62, 2**62)),)
+        with pytest.raises(DimensionMismatch):
+            FeatureMapSpec(name="wrap", features=features, constants=(),
+                           monomials=monomials, target_dimension=DIMENSIONLESS)
+
+    def test_search_refuses_a_table_int64_cannot_hold(self):
+        features = (Feature("x", Dimension.of(m=2**62)), Feature("y", KG))
+        with pytest.raises(InvalidRange, match="int64"):
+            enumerate_monomials(features, (), Dimension.of(m=2**62), 2, 1)
+
+
+_FLARE = [("I", "A"), ("F", "T*A*m"), ("H", "T^2/m"), ("Phi", "T*m^2"),
+          ("S", "m^2"), ("rho", "T*A/m"), ("B", "T"), ("gradB", "T/m"),
+          ("l", "m")]
+_PULSAR = [("r", "m"), ("B", "T"), ("omega", "1/s"), ("alpha", "rad"),
+           ("P", "s"), ("m", "kg"), ("I", "kg*m^2"), ("E", "kg*m^2/s^2")]
+
+
+class TestEnumerationBudget:
+    # four features, bound 2, at most 2 active: each half of two features
+    # has 1 + 2*4 + 4**2 = 25 rows
+    SCHEMA = [("a", "m"), ("b", "s"), ("c", "m/s"), ("d", "kg")]
+    TARGET = "m^2/s^2"
+
+    def _enumerate(self, budget):
+        return enumerate_monomials(schema_of(self.SCHEMA), (),
+                                   parse_unit(self.TARGET), 2, 2, budget=budget)
+
+    def test_half_grid_rows_match_the_closed_form(self):
+        for n_features, n_constants, bound, constant_bound, active in [
+            (0, 0, 1, 1, 1), (3, 0, 2, 2, 1), (4, 2, 2, 1, 2), (2, 1, 3, 0, 5),
+        ]:
+            grid, counts = featuremap._half_grid(
+                n_features, n_constants, bound, constant_bound, active)
+            spans = ([range(-bound, bound + 1)] * n_features
+                     + [range(-constant_bound, constant_bound + 1)] * n_constants)
+            rows = [r for r in itertools.product(*spans)
+                    if sum(1 for e in r[:n_features] if e) <= active]
+            assert [tuple(r) for r in grid.tolist()] == rows
+            assert counts.tolist() == [sum(1 for e in r[:n_features] if e) for r in rows]
+            assert featuremap._half_grid_rows(
+                n_features, n_constants, bound, constant_bound, active) == len(rows)
+
+    def test_budget_below_half_grids_raises_before_allocating(self, monkeypatch):
+        built = []
+        half_grid = featuremap._half_grid
+        monkeypatch.setattr(featuremap, "_half_grid",
+                            lambda *args: built.append(args) or half_grid(*args))
+        with pytest.raises(BudgetExceeded):
+            self._enumerate(budget=2 * 25 - 1)
+        assert built == []
+
+    def test_budget_counts_half_grid_rows_plus_join_candidates(self):
+        # candidates: pairs of half rows whose dimensions add up to the target,
+        # before the active-count filter
+        dims = schema_of(self.SCHEMA).dimensions
+        half = [r for r in itertools.product(range(-2, 3), repeat=2)
+                if sum(1 for e in r if e) <= 2]
+        target = parse_unit(self.TARGET).exponents
+        candidates = sum(
+            1 for left in half for right in half
+            if _product_dimension(dims, left + right) == target
+        )
+        assert candidates > 0
+        found = self._enumerate(budget=50 + candidates)
+        assert len(found) == len(_scan(dims, 4, 2, 2, 2, parse_unit(self.TARGET)))
+        with pytest.raises(BudgetExceeded):
+            self._enumerate(budget=50 + candidates - 1)
+
+    def test_flare_bounds_4_9(self):
+        found = enumerate_monomials(schema_of(_FLARE), (), parse_unit("T*A*m^2"), 4, 9)
+        keys = [m.feature_exponents for m in found]
+        assert len(keys) == 63_272
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    def test_pulsar_with_constants_bounds_4_9_fits_the_default_budget(self):
+        constants = (STANDARD_CONSTANTS["mu0"], STANDARD_CONSTANTS["c"])
+        found = enumerate_monomials(schema_of(_PULSAR), constants, parse_unit("W"), 4, 9)
+        keys = [m.feature_exponents + m.constant_exponents for m in found]
+        assert len(keys) == 52_632
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 class TestDestandardize:

@@ -8,6 +8,7 @@ from pifmap.errors import (
     DroppedColumnWarning,
     EmptyInput,
     InsufficientData,
+    InvalidRange,
     NonFiniteInput,
     SingularSystem,
 )
@@ -133,6 +134,12 @@ class TestRidgeFit:
         Z, y = _random_problem(2)
         with pytest.raises(ValueError):
             ridge_fit(Z, y, -1e-3)
+
+    @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan])
+    def test_non_finite_lambda_rejected(self, lam):
+        Z, y = _random_problem(2)
+        with pytest.raises(InvalidRange, match="lam must be finite"):
+            ridge_fit(Z, y, lam)
 
     def test_non_finite_rejected(self):
         Z, y = _random_problem(3)
