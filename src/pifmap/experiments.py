@@ -18,7 +18,6 @@ byte-identically; medians are taken over seeds per noise level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -254,8 +253,8 @@ def _classification_summary(trials: list[dict]) -> dict:
         medians[arm] = {}
         for field_name in _SCORE_FIELDS:
             values = [t["arms"][arm]["scores"][field_name] for t in trials]
-            finite = [v for v in values if not math.isnan(v)]
-            medians[arm][field_name] = _median(finite) if finite else float("nan")
+            defined = [v for v in values if v is not None]
+            medians[arm][field_name] = _median(defined) if defined else None
         totals = np.sum(
             [np.asarray(t["arms"][arm]["confusion"]) for t in trials], axis=0
         )
@@ -330,8 +329,8 @@ def run_experiment(
 # Report rendering
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
+def _fmt(x: float | None) -> str:
+    if x is None:
         return "undefined"
     return f"{x:.6g}"
 
@@ -442,7 +441,7 @@ def per_seed_csv(report: dict) -> str:
                 cells.update(tp=str(tp), fp=str(fp), fn=str(fn), tn=str(tn))
                 for field in _SCORE_FIELDS:
                     value = entry["scores"][field]
-                    cells[field] = "" if math.isnan(value) else repr(value)
+                    cells[field] = "" if value is None else repr(value)
             rows.append(",".join(cells.get(c, "") for c in _CSV_COLUMNS))
     return "\n".join(rows) + "\n"
 
@@ -457,7 +456,7 @@ def boxplot_series(report: dict) -> list[dict]:
                 values = [
                     t["arms"][arm]["scores"][field] for t in report["trials"]
                 ]
-                values = [v for v in values if not math.isnan(v)]
+                values = [v for v in values if v is not None]
                 groups.append((arm, values))
             out.append({
                 "stem": f"binary_{field}",

@@ -258,9 +258,10 @@ def _mismatched_indices(
 
     A feature under a non-identity transform contributes a dimensionless
     factor, so its entry in ``E`` is zeroed.  ``E @ D`` runs in int64 only
-    when no partial sum can overflow, ``max|E| * max_u sum_i |D[i, u]|``
-    fitting; a spec file may carry any integer exponent, and past that
-    bound the product is taken in Python ints.
+    when no entry and no partial sum can overflow, ``max|E|`` times
+    ``max_u sum_i |D[i, u]|`` (each at least 1) fitting; a spec file may
+    carry any integer exponent, and past that bound the product is taken
+    in Python ints.
     """
     for monomial in monomials:
         _check_lengths(monomial, len(feature_dimensions), len(constant_dimensions))
@@ -274,7 +275,7 @@ def _mismatched_indices(
     )
     largest = max(map(abs, itertools.chain.from_iterable(rows)), default=0)
     reach = max((sum(map(abs, column)) for column in zip(*table)), default=0)
-    fits = max(max(largest, 1) * reach, *map(abs, target_row)) <= _INT64_MAX
+    fits = max(max(largest, 1) * max(reach, 1), *map(abs, target_row)) <= _INT64_MAX
     dtype = np.int64 if fits else object
     exponents = np.array(rows, dtype=dtype).reshape(len(rows), len(table))
     exponents[zeroed] = 0
@@ -464,7 +465,9 @@ def _half_grid(
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    # one integer label per distinct row, from one lexicographic sort
+    # one integer label per distinct row, from one lexicographic sort;
+    # np.unique(rows, axis=0) gives the same labels but sorts the rows as
+    # opaque bytes, about 7x slower on the half-grid joins
     order = np.lexsort(rows.T)
     ordered = rows[order]
     labels = np.empty(len(rows), dtype=np.int64)

@@ -149,16 +149,20 @@ def skill_scores(cm: ConfusionMatrix) -> SkillScores:
 
 
 def scores_to_dict(cm: ConfusionMatrix, scores: SkillScores | None = None) -> dict:
+    """JSON-ready scores; an undefined score is ``None`` (JSON ``null``)."""
     if scores is None:
         scores = skill_scores(cm)
     return {
         "confusion": [[cm.tp, cm.fp], [cm.fn, cm.tn]],
         "scores": {
-            "sensitivity": scores.sensitivity,
-            "specificity": scores.specificity,
-            "accuracy": scores.accuracy,
-            "tss": scores.tss,
-            "hss": scores.hss,
+            name: None if math.isnan(value) else value
+            for name, value in (
+                ("sensitivity", scores.sensitivity),
+                ("specificity", scores.specificity),
+                ("accuracy", scores.accuracy),
+                ("tss", scores.tss),
+                ("hss", scores.hss),
+            )
         },
         "undefined": list(scores.undefined),
     }

@@ -358,6 +358,24 @@ class TestEval:
             "sensitivity", "specificity", "accuracy", "tss", "hss",
         }
 
+    def test_classification_of_one_label_class_writes_null_scores(
+            self, tmp_path, capsys):
+        data = tmp_path / "bin.csv"
+        run("synth", "binary", "--n", "200", "--seed", "5", "--out", str(data))
+        model_path = tmp_path / "model.json"
+        run("fit", "--data", str(data), "--raw", "--out", str(model_path))
+        dataset = read_csv(data)
+        negatives = dataset.y == 0
+        dataset.X, dataset.y = dataset.X[negatives], dataset.y[negatives]
+        write_csv(dataset, data)
+        capsys.readouterr()
+        assert run("eval", "--model", str(model_path), "--data", str(data),
+                   "--classify") == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["scores"]["sensitivity"] is None
+        assert out["scores"]["tss"] is None
+        assert {"sensitivity", "tss"} <= set(out["undefined"])
+
     def test_classification_custom_threshold(self, tmp_path, capsys):
         data = tmp_path / "bin.csv"
         run("synth", "binary", "--n", "100", "--seed", "6", "--out", str(data))

@@ -21,6 +21,7 @@ from pifmap.experiments import (
     split_point,
 )
 from pifmap.featuremap import evaluate_map
+from pifmap.metrics import ConfusionMatrix, scores_to_dict
 from pifmap.regression import standardize_fit
 from pifmap.synthdata import gen_bernoulli
 
@@ -244,6 +245,26 @@ class TestRunExperiment:
 
 
 class TestRendering:
+    def test_undefined_scores_stay_null_through_the_report(self, binary_report):
+        # every test label is 0, so sensitivity and TSS are undefined
+        cm = ConfusionMatrix(tp=0, fp=2, fn=0, tn=8)
+        trials = [
+            {"seed": seed, "noise": 0.0, "arms": {"sf": scores_to_dict(cm)}}
+            for seed in (1, 2)
+        ]
+        report = {**binary_report, "trials": trials,
+                  **experiments._classification_summary(trials)}
+        assert report["medians"]["sf"]["sensitivity"] is None
+        assert report["medians"]["sf"]["specificity"] == pytest.approx(0.8)
+        assert report["pooled"]["sf"]["scores"]["tss"] is None
+        json.dumps(report, allow_nan=False)
+        assert "sensitivity=undefined" in report_markdown(report)
+        header, row = per_seed_csv(report).strip().split("\n")[:2]
+        assert dict(zip(header.split(","), row.split(",")))["tss"] == ""
+        sensitivity = next(s for s in boxplot_series(report)
+                           if s["stem"] == "binary_sensitivity")
+        assert sensitivity["groups"] == [("sf", [])]
+
     def test_markdown_sections(self, bernoulli_report):
         text = report_markdown(bernoulli_report)
         assert text.startswith("# ")

@@ -624,6 +624,23 @@ class TestLatticeOracles:
             with pytest.raises(DimensionMismatch):
                 spec(wrong)
 
+    @pytest.mark.parametrize("exponent", [2**63, -(2**63) - 1, 5**30])
+    def test_huge_exponents_of_dimensionless_items(self, exponent):
+        # an all-zero table has no reach; the exponent alone overflows int64
+        features = (Feature("x", DIMENSIONLESS),)
+        constants = (PhysicalConstant("k", 2.0, DIMENSIONLESS),)
+        monomials = (Monomial(feature_exponents=(exponent,),
+                              constant_exponents=(exponent,)),)
+
+        def spec(target):
+            return FeatureMapSpec(name="huge", features=features,
+                                  constants=constants, monomials=monomials,
+                                  target_dimension=target)
+
+        assert spec(DIMENSIONLESS).monomials == monomials
+        with pytest.raises(DimensionMismatch):
+            spec(Dimension.of(m=1))
+
     def test_huge_exponents_cancelling_in_int64_are_still_caught(self):
         # 2**62 * 2 + 2**62 * 2 is 2**64, which int64 would wrap to 0
         features = (Feature("a", Dimension.of(m=2)), Feature("b", Dimension.of(m=2)))

@@ -1,5 +1,6 @@
 """Error metrics, confusion counting, and skill scores."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -232,3 +233,11 @@ class TestScoresToDict:
         )
         document = scores_to_dict(cm, custom)
         assert document["scores"]["hss"] == 0.5
+
+    def test_undefined_scores_are_null(self):
+        document = scores_to_dict(ConfusionMatrix(tp=0, fp=3, fn=0, tn=7))
+        assert document["scores"]["sensitivity"] is None
+        assert document["scores"]["tss"] is None
+        assert document["scores"]["specificity"] == pytest.approx(0.7)
+        assert sorted(document["undefined"]) == ["sensitivity", "tss"]
+        json.dumps(document, allow_nan=False)
