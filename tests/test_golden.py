@@ -17,6 +17,11 @@ digit or byte fails here.
 - ``fit --raw --select`` on the table written by ``synth bernoulli --n 200
   --seed 1`` with its ``h`` column set to the constant 2.5: the kept-column
   names after a dropped column, under ``golden/fit_dropped/``.
+- ``fit --spec <enumerated> --select`` on the table written by ``synth
+  bernoulli --n 400 --seed 5 --noise 0.1``, where the spec is ``enumerate
+  --target Pa --constants g --max-exponent 3 --max-active 3`` over that
+  table (41 monomials, many sharing a column and exponent): the model JSON
+  and the metrics printed on stdout, under ``golden/fit_wide/``.
 """
 
 import json
@@ -94,6 +99,25 @@ def write_fit_dropped(work: Path, capsys) -> dict[str, bytes]:
     }
 
 
+def write_fit_wide(work: Path, capsys) -> dict[str, bytes]:
+    table = work / "bernoulli.csv"
+    spec = work / "enumerated.json"
+    assert main(["synth", "bernoulli", "--n", "400", "--seed", "5",
+                 "--noise", "0.1", "--out", str(table)]) == EXIT_OK
+    assert main(["enumerate", "--schema", str(table), "--target", "Pa",
+                 "--constants", "g", "--max-exponent", "3", "--max-active", "3",
+                 "--out", str(spec)]) == EXIT_OK
+    assert len(json.loads(spec.read_text(encoding="utf-8"))["monomials"]) == 41
+    capsys.readouterr()
+    model = work / "model.json"
+    assert main(["fit", "--data", str(table), "--spec", str(spec),
+                 "--select", "--out", str(model)]) == EXIT_OK
+    return {
+        "model.json": model.read_bytes(),
+        "stdout.json": capsys.readouterr().out.encode("utf-8"),
+    }
+
+
 def _golden(subdir: str) -> dict[str, bytes]:
     return _files_under(GOLDEN / subdir)
 
@@ -137,6 +161,14 @@ def test_reproduce_trial_order_matches_golden_reports(tmp_path):
 def test_fit_with_dropped_column_matches_golden_outputs(tmp_path, capsys):
     produced = write_fit_dropped(tmp_path, capsys)
     expected = _golden("fit_dropped")
+    assert sorted(produced) == sorted(expected)
+    for name, data in expected.items():
+        assert produced[name] == data, name
+
+
+def test_fit_on_a_wide_enumerated_spec_matches_golden_outputs(tmp_path, capsys):
+    produced = write_fit_wide(tmp_path, capsys)
+    expected = _golden("fit_wide")
     assert sorted(produced) == sorted(expected)
     for name, data in expected.items():
         assert produced[name] == data, name
