@@ -149,12 +149,9 @@ def _env_budget(default: int) -> int:
     raw = os.environ.get("PIFMAP_BUDGET")
     if raw is None:
         return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"PIFMAP_BUDGET must be an integer, got {raw!r}") from exc
+    value = _integer("PIFMAP_BUDGET")(raw)
     if value < 1:
-        raise ValueError(f"PIFMAP_BUDGET must be positive, got {value}")
+        raise InvalidRange(f"PIFMAP_BUDGET must be positive, got {value}")
     return value
 
 
@@ -162,29 +159,31 @@ def _env_lambda_grid() -> tuple[float, ...]:
     raw = os.environ.get("PIFMAP_LAMBDA_GRID")
     if raw is None:
         return DEFAULT_LAMBDA_GRID
-    try:
-        grid = tuple(float(cell) for cell in raw.split(",") if cell.strip())
-    except ValueError as exc:
-        raise ValueError(
-            f"PIFMAP_LAMBDA_GRID must be comma-separated floats, got {raw!r}"
-        ) from exc
+    value = _finite_number("PIFMAP_LAMBDA_GRID")
+    grid = tuple(value(cell) for cell in raw.split(",") if cell.strip())
     if not grid:
-        raise ValueError("PIFMAP_LAMBDA_GRID is empty")
+        raise InvalidRange("PIFMAP_LAMBDA_GRID is empty")
+    negative = [lam for lam in grid if lam < 0]
+    if negative:
+        raise InvalidRange(
+            f"PIFMAP_LAMBDA_GRID must be non-negative, got {negative[0]!r}"
+        )
     return grid
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     """Either ``a:b`` (inclusive range) or a comma-separated list."""
+    seed = _integer("--seeds")
     text = text.strip()
     if ":" in text:
         lo_text, hi_text = text.split(":", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = seed(lo_text), seed(hi_text)
         if hi < lo:
-            raise ValueError(f"seed range {text!r} is reversed")
+            raise InvalidRange(f"--seeds range {text!r} is reversed")
         return tuple(range(lo, hi + 1))
-    seeds = tuple(int(cell) for cell in text.split(",") if cell.strip())
+    seeds = tuple(seed(cell) for cell in text.split(",") if cell.strip())
     if not seeds:
-        raise ValueError("no seeds given")
+        raise InvalidRange("--seeds lists no seeds")
     return seeds
 
 
@@ -203,6 +202,22 @@ def _finite_number(option: str):
         if not math.isfinite(value):
             raise InvalidRange(f"{option} must be a finite number, got {text!r}")
         return value
+
+    return parse
+
+
+def _integer(option: str):
+    """An argparse type for ``option``: an integer, or one error line.
+
+    Like :func:`_finite_number`, it raises
+    :class:`~pifmap.errors.InvalidRange`, which names the option.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise InvalidRange(f"{option} must be an integer, got {text!r}") from None
 
     return parse
 
@@ -420,8 +435,18 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 # Parser
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error (a missing option, an unknown choice) instead
+    of exiting, so :func:`main` prints it as one ``pifmap: error:`` line
+    with exit code 2.  Subcommand parsers inherit this class.
+    """
+
+    def error(self, message: str):
+        raise PifmapError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pifmap",
         description="Physics-informed feature maps: generate, enumerate, "
         "fit, rank, evaluate, reproduce.",
@@ -430,11 +455,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     p_synth.add_argument("generator", choices=["bernoulli", "pulsar", "binary"])
-    p_synth.add_argument("--n", type=int, default=1000)
-    p_synth.add_argument("--seed", type=int, default=1)
+    p_synth.add_argument("--n", type=_integer("--n"), default=1000)
+    p_synth.add_argument("--seed", type=_integer("--seed"), default=1)
     p_synth.add_argument("--noise", type=_finite_number("--noise"), default=None,
                          help="relative uniform label noise level in [0,1)")
-    p_synth.add_argument("--noise-seed", type=int, default=None,
+    p_synth.add_argument("--noise-seed", type=_integer("--noise-seed"),
+                         default=None,
                          help="override the derived noise stream seed")
     p_synth.add_argument("--out", required=True, help="output CSV path")
     p_synth.set_defaults(func=_cmd_synth)
@@ -446,12 +472,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="schema JSON ({'features': [[name, unit], ...]}) "
                         "or a dataset CSV")
     p_enum.add_argument("--target", required=True, help="target unit, e.g. Pa")
-    p_enum.add_argument("--max-exponent", type=int, default=4)
-    p_enum.add_argument("--max-active", type=int, default=4)
-    p_enum.add_argument("--max-constant-exponent", type=int, default=None)
+    p_enum.add_argument("--max-exponent", type=_integer("--max-exponent"),
+                        default=4)
+    p_enum.add_argument("--max-active", type=_integer("--max-active"), default=4)
+    p_enum.add_argument("--max-constant-exponent",
+                        type=_integer("--max-constant-exponent"), default=None)
     p_enum.add_argument("--constants", default="",
                         help="comma-separated constant names, e.g. g,mu0,c")
-    p_enum.add_argument("--budget", type=int, default=None,
+    p_enum.add_argument("--budget", type=_integer("--budget"), default=None,
                         help="half-grid rows plus join candidates, checked "
                         "before allocation (default 1e6 or PIFMAP_BUDGET)")
     p_enum.add_argument("--name", default="enumerated")
@@ -500,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="'a:b' inclusive range or comma list (default 1:20)")
     p_rep.add_argument("--noise-levels",
                        default=",".join(repr(x) for x in REGRESSION_NOISE_LEVELS))
-    p_rep.add_argument("--n", type=int, default=1000)
+    p_rep.add_argument("--n", type=_integer("--n"), default=1000)
     p_rep.add_argument("--split", type=_finite_number("--split"), default=0.7)
     p_rep.add_argument("--out", default="reports")
     p_rep.add_argument("--csv-only", action="store_true",
@@ -515,7 +543,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # argparse's --help and usage errors
+    except SystemExit as exc:  # argparse's --help
         return int(exc.code or 0)
     except PifmapError as exc:
         _fail(str(exc))

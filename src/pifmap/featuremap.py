@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -614,45 +615,75 @@ def _extended_columns(spec: FeatureMapSpec, dataset: Dataset) -> list[np.ndarray
     return columns
 
 
+def _power(base: np.ndarray, exponent: int, monomial: int) -> np.ndarray:
+    """``base ** exponent``; a zero under a negative exponent names ``monomial``."""
+    if exponent < 0:
+        zeros = np.flatnonzero(base == 0.0)
+        if zeros.size:
+            raise DivisionByZero(
+                f"monomial {monomial + 1} raises a zero value to power "
+                f"{exponent} at row {zeros[0]}",
+                row=int(zeros[0]),
+                monomial=monomial,
+            )
+    return base ** exponent
+
+
 def evaluate_map(spec: FeatureMapSpec, dataset: Dataset) -> np.ndarray:
     """Evaluate every monomial on every row; returns an ``n x p`` matrix.
 
     Factors multiply in declared order (features, then constants, then the
     sign) so results are bit-reproducible.  Zero raised to a negative
     power raises :class:`~pifmap.errors.DivisionByZero` naming the row and
-    monomial; overflow to inf raises :class:`~pifmap.errors.NonFiniteResult`.
+    the first monomial that does so; overflow to inf raises
+    :class:`~pifmap.errors.NonFiniteResult`.
+
+    Each power ``transform(column) ** exponent`` is computed once per call
+    and shared by every monomial that uses that (column, transform,
+    exponent) triple.  The cache lives only for the call and keeps a power
+    only until the last monomial that uses it, so it holds at most one
+    n-row array per distinct triple that occurs in more than one monomial.
     """
     _check_schema(spec, dataset)
     columns = _extended_columns(spec, dataset)
     n = dataset.n_rows
     out = np.empty((n, len(spec.monomials)), dtype=float)
+    # (position, transform tag, exponent) -> transform(column) ** exponent,
+    # kept while a later monomial still uses it.  A zero under a negative
+    # exponent raises on the triple's first use, by the first monomial
+    # that uses it, so no zero is ever cached.
+    powers: dict[tuple[int, str, int], np.ndarray] = {}
+    uses_left = Counter(
+        (position, monomial.transform_for(position), exponent)
+        for monomial in spec.monomials
+        for position, exponent in enumerate(monomial.feature_exponents)
+        if exponent
+    )
+    value = np.empty(n, dtype=float)  # one buffer, copied into each column
     # overflow is reported as NonFiniteResult below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for j, monomial in enumerate(spec.monomials):
-            value = np.ones(n, dtype=float)
+            value.fill(1.0)
             for position, exponent in enumerate(monomial.feature_exponents):
                 if exponent == 0:
                     continue
-                base = TRANSFORM_TAGS[monomial.transform_for(position)](
-                    columns[position]
-                )
-                if exponent < 0:
-                    zeros = np.flatnonzero(base == 0.0)
-                    if zeros.size:
-                        raise DivisionByZero(
-                            f"monomial {j + 1} raises a zero value to power "
-                            f"{exponent} at row {zeros[0]}",
-                            row=int(zeros[0]),
-                            monomial=j,
-                        )
-                value = value * base ** exponent
+                key = (position, monomial.transform_for(position), exponent)
+                power = powers.pop(key, None)
+                if power is None:
+                    power = _power(
+                        TRANSFORM_TAGS[key[1]](columns[position]), exponent, j
+                    )
+                uses_left[key] -= 1
+                if uses_left[key]:  # a later monomial uses it again
+                    powers[key] = power
+                value *= power
             scale = 1.0
             for constant, exponent in zip(
                 spec.constants, monomial.constant_exponents
             ):
                 if exponent != 0:
                     scale *= constant.value ** exponent
-            value = value * (monomial.sign * scale)
+            value *= monomial.sign * scale
             bad = np.flatnonzero(~np.isfinite(value))
             if bad.size:
                 raise NonFiniteResult(

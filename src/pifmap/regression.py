@@ -5,7 +5,14 @@ solve ``(Z'Z + lambda I) b = Z'(y - b0)`` through a symmetric
 positive-definite (Cholesky) factorization; no matrix inverse is ever
 formed.  A residual check guards against a factorization that silently
 lost accuracy: if the normal equations are not satisfied to 1e-8 relative,
-the fit raises instead of returning garbage.
+the fit raises instead of returning garbage.  The solve and that check live
+in one helper, :func:`_solve_normal_equations`, which both
+:func:`ridge_fit` and :func:`select_lambda` call.
+
+:func:`select_lambda` forms the training Gram ``Z'Z``, the right-hand side
+and ``mean(y)`` once per grid and adds each ``lambda I`` to that one Gram,
+the same floating-point operations :func:`ridge_fit` runs on its own, so
+the chosen lambda is the one a refit per grid value would choose.
 """
 
 from __future__ import annotations
@@ -150,6 +157,37 @@ class RidgeModel:
             )
 
 
+def _check_lambda(lam: float) -> None:
+    if not np.isfinite(lam):
+        raise InvalidRange(f"lam must be finite, got {lam}")
+    if lam < 0:
+        raise ValueError(f"lam must be non-negative, got {lam}")
+
+
+def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``gram @ b = rhs`` by Cholesky and check the residual.
+
+    Raises :class:`~pifmap.errors.SingularSystem` when the factorization
+    fails, the weights are non-finite, or the normal equations are not
+    satisfied to 1e-8 relative.
+    """
+    try:
+        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+        weights = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularSystem(f"normal equations are singular: {exc}") from exc
+    if not np.isfinite(weights).all():
+        raise SingularSystem("solver produced non-finite weights")
+    residual = gram @ weights - rhs
+    limit = 1e-8 * max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
+    if float(np.linalg.norm(residual)) > limit:
+        raise SingularSystem(
+            "normal-equation residual exceeds 1e-8 relative; the system "
+            "is too ill-conditioned to trust"
+        )
+    return weights
+
+
 def ridge_fit(
     Z: np.ndarray,
     y: np.ndarray,
@@ -173,31 +211,15 @@ def ridge_fit(
         raise NonFiniteInput("y contains non-finite values")
     if Z.shape[0] == 0:
         raise EmptyInput("cannot fit on zero rows")
-    if not np.isfinite(lam):
-        raise InvalidRange(f"lam must be finite, got {lam}")
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
-    n, p = Z.shape
+    _check_lambda(lam)
+    p = Z.shape[1]
     intercept = float(np.mean(y))
     if p == 0:
         weights = np.zeros(0)
     else:
-        gram = Z.T @ Z + lam * np.eye(p)
-        rhs = Z.T @ (y - intercept)
-        try:
-            factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-            weights = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularSystem(f"normal equations are singular: {exc}") from exc
-        if not np.isfinite(weights).all():
-            raise SingularSystem("solver produced non-finite weights")
-        residual = gram @ weights - rhs
-        limit = 1e-8 * max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-        if float(np.linalg.norm(residual)) > limit:
-            raise SingularSystem(
-                "normal-equation residual exceeds 1e-8 relative; the system "
-                "is too ill-conditioned to trust"
-            )
+        weights = _solve_normal_equations(
+            Z.T @ Z + lam * np.eye(p), Z.T @ (y - intercept)
+        )
     names = (
         tuple(feature_names)
         if feature_names is not None
@@ -260,6 +282,12 @@ def select_lambda(
     The last ``ceil(n * val_fraction)`` rows are the validation set; the
     winner minimizes validation MSE with ties resolved toward the larger
     (more regularized) candidate.
+
+    Every grid value is checked (finite, non-negative) before any work.
+    The training Gram ``Z'Z``, the right-hand side and ``mean(y)`` are
+    formed once; each candidate solves ``Z'Z + lambda I`` through the same
+    Cholesky solve and residual guard as :func:`ridge_fit`, with the same
+    floating-point operations, so the result equals a refit per value.
     """
     Z = _check_matrix(Z, "Z")
     y = np.asarray(y, dtype=float)
@@ -267,23 +295,37 @@ def select_lambda(
         raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
     if not grid:
         raise ValueError("lambda grid is empty")
-    n = Z.shape[0]
+    grid = [float(lam) for lam in grid]
+    for lam in grid:
+        _check_lambda(lam)
+    n, p = Z.shape
     n_val = int(np.ceil(n * val_fraction))
     n_train = n - n_val
     if n_train < 2 or n_val < 1:
         raise InsufficientData(
             f"cannot split {n} rows into a usable train/validation pair"
         )
+    if y.shape != (n,):
+        raise ValueError(f"y shape {y.shape} does not match {n} rows")
+    if not np.isfinite(y).all():
+        raise NonFiniteInput("y contains non-finite values")
     Z_train, Z_val = Z[:n_train], Z[n_train:]
     y_train, y_val = y[:n_train], y[n_train:]
+    intercept = float(np.mean(y_train))
+    gram = Z_train.T @ Z_train
+    rhs = Z_train.T @ (y_train - intercept)
+    identity = np.eye(p)
     best_lam = None
     best_mse = None
     for lam in grid:
-        model = ridge_fit(Z_train, y_train, float(lam))
-        errors = ridge_predict(model, Z_val) - y_val
+        weights = (
+            _solve_normal_equations(gram + lam * identity, rhs)
+            if p else np.zeros(0)
+        )
+        errors = Z_val @ weights + intercept - y_val
         mse = float(np.mean(errors ** 2))
         if best_mse is None or mse < best_mse or (mse == best_mse and lam > best_lam):
-            best_mse, best_lam = mse, float(lam)
+            best_mse, best_lam = mse, lam
     return best_lam
 
 

@@ -550,6 +550,34 @@ def _non_finite_option(command, option, value):
     return case
 
 
+def _non_integer_option(command, option, value):
+    """A run whose integer ``option`` gets ``value``; it must exit 2."""
+    def case(tmp_path, data, spec):
+        out = str(tmp_path / "out")
+        argv = {
+            "synth": ("synth", "bernoulli", "--n", "40", "--out", out),
+            "enumerate": ("enumerate", "--schema", str(data), "--target", "Pa",
+                          "--out", out),
+            "reproduce": ("reproduce", "bernoulli", "--seeds", "1",
+                          "--n", "40", "--csv-only", "--out", out),
+        }[command]
+        return (*argv, option, value), EXIT_USAGE
+    return case
+
+
+_NON_INTEGER_OPTIONS = [
+    ("synth", "--n", "abc"),
+    ("synth", "--seed", "1.5"),
+    ("synth", "--noise-seed", "x"),
+    ("enumerate", "--max-exponent", "two"),
+    ("enumerate", "--max-active", "nan"),
+    ("enumerate", "--max-constant-exponent", "inf"),
+    ("enumerate", "--budget", "1e6"),
+    ("reproduce", "--n", "40.0"),
+    ("reproduce", "--seeds", "nan"),
+    ("reproduce", "--seeds", "1:x"),
+]
+
 _NON_FINITE_OPTIONS = [
     ("fit", "--lam", "inf"),
     ("rank", "--lam", "nan"),
@@ -572,6 +600,7 @@ class TestExitCodeContract:
         _eval_model(_drop_last_weight_and_name),
         _eval_model(_keep_column_nine),
         *(_non_finite_option(*case) for case in _NON_FINITE_OPTIONS),
+        *(_non_integer_option(*case) for case in _NON_INTEGER_OPTIONS),
     ], ids=[
         "enumerate-out-unwritable",
         "rank-out-unwritable",
@@ -582,6 +611,7 @@ class TestExitCodeContract:
         "model-weight-and-name-removed",
         "model-kept-column-out-of-range",
         *("-".join(case) for case in _NON_FINITE_OPTIONS),
+        *("-".join(case) for case in _NON_INTEGER_OPTIONS),
     ])
     def test_one_error_line_and_documented_code(self, case, bernoulli_csv,
                                                 bernoulli_spec, tmp_path, capsys):
@@ -611,6 +641,60 @@ class TestExitCodeContract:
             f"pifmap: error: {option} must be a finite number, got {bad!r}"
         ]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, option, value", _NON_INTEGER_OPTIONS)
+    def test_non_integer_option_is_named_with_its_value(
+            self, command, option, value, bernoulli_csv, bernoulli_spec,
+            tmp_path, capsys):
+        argv, code = _non_integer_option(command, option, value)(
+            tmp_path, bernoulli_csv, bernoulli_spec)
+        capsys.readouterr()
+        assert run(*argv) == code
+        bad = value.split(":")[-1]
+        assert capsys.readouterr().err.splitlines() == [
+            f"pifmap: error: {option} must be an integer, got {bad!r}"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("variable, value, message", [
+        ("PIFMAP_LAMBDA_GRID", "0.1,inf",
+         "PIFMAP_LAMBDA_GRID must be a finite number, got 'inf'"),
+        ("PIFMAP_LAMBDA_GRID", "nan",
+         "PIFMAP_LAMBDA_GRID must be a finite number, got 'nan'"),
+        ("PIFMAP_LAMBDA_GRID", "0.1,-1",
+         "PIFMAP_LAMBDA_GRID must be non-negative, got -1.0"),
+        ("PIFMAP_LAMBDA_GRID", " , ", "PIFMAP_LAMBDA_GRID is empty"),
+        ("PIFMAP_BUDGET", "1e6", "PIFMAP_BUDGET must be an integer, got '1e6'"),
+        ("PIFMAP_BUDGET", "0", "PIFMAP_BUDGET must be positive, got 0"),
+    ])
+    def test_bad_environment_value_is_named(self, variable, value, message,
+                                            bernoulli_csv, tmp_path,
+                                            monkeypatch, capsys):
+        monkeypatch.setenv(variable, value)
+        out = str(tmp_path / "out")
+        if variable == "PIFMAP_BUDGET":
+            argv = ("enumerate", "--schema", str(bernoulli_csv),
+                    "--target", "Pa", "--out", out)
+        else:
+            argv = ("fit", "--data", str(bernoulli_csv), "--raw", "--select",
+                    "--out", out)
+        capsys.readouterr()
+        assert run(*argv) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"pifmap: error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("synth", "bernoulli"),
+         "the following arguments are required: --out"),
+        (("synth", "tides", "--out", "x.csv"),
+         "argument generator: invalid choice: 'tides' "
+         "(choose from 'bernoulli', 'pulsar', 'binary')"),
+    ])
+    def test_argparse_usage_error_is_one_line(self, argv, message, capsys):
+        assert run(*argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"pifmap: error: {message}"]
+        assert captured.out == ""
 
     def test_eval_classify_threshold_must_be_finite(self, bernoulli_csv,
                                                     tmp_path, capsys):

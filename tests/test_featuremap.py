@@ -35,6 +35,7 @@ from pifmap.featuremap import (
     spec_to_dict,
 )
 from pifmap.regression import fit_standardized, ridge_predict, standardize_apply
+from pifmap.synthdata import gen_bernoulli
 
 KG = parse_unit("kg")
 M_PER_S = parse_unit("m/s")
@@ -213,7 +214,95 @@ class TestRenderMonomial:
         assert render_monomial(spec, 0) == "-r*sin2(alpha)*c^-1"
 
 
+def _per_monomial_reference(spec, dataset):
+    """Each monomial evaluated on its own, every factor recomputed."""
+    out = np.empty((dataset.n_rows, len(spec.monomials)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, monomial in enumerate(spec.monomials):
+            value = np.ones(dataset.n_rows)
+            for position, exponent in enumerate(monomial.feature_exponents):
+                if exponent:
+                    transform = featuremap.TRANSFORM_TAGS[
+                        monomial.transform_for(position)]
+                    value = value * transform(dataset.X[:, position]) ** exponent
+            scale = 1.0
+            for constant, exponent in zip(spec.constants,
+                                          monomial.constant_exponents):
+                if exponent:
+                    scale *= constant.value ** exponent
+            out[:, j] = value * (monomial.sign * scale)
+    return out
+
+
+def _shared_power_case(tag):
+    """Energy monomials m^a v^b E^c alpha^d sharing (column, exponent) pairs."""
+    columns = [("m", "kg"), ("v", "m/s"), ("E", "J"), ("alpha", "rad")]
+    on_alpha = () if tag is None else ((3, tag),)
+    monomials = (
+        Monomial(feature_exponents=(1, 2, 0, 1), transforms=on_alpha),
+        Monomial(feature_exponents=(1, 2, 0, 1)),
+        Monomial(feature_exponents=(0, 0, 1, 2), sign=-1, transforms=on_alpha),
+        Monomial(feature_exponents=(2, 4, -1, 0)),
+        Monomial(feature_exponents=(1, 2, 0, -1), transforms=on_alpha),
+        Monomial(feature_exponents=(2, 4, -1, 1)),
+        Monomial(feature_exponents=(0, 0, 1, -1)),
+        Monomial(feature_exponents=(3, 6, -2, 2), transforms=on_alpha),
+    )
+    spec = FeatureMapSpec(
+        name="shared",
+        features=tuple(schema_of(columns).features),
+        constants=(),
+        monomials=monomials,
+        target_dimension=JOULE,
+    )
+    rng = np.random.Generator(np.random.PCG64(31))
+    X = rng.uniform(0.1, 3.0, size=(64, 4))
+    data = Dataset(schema=schema_of(columns), X=X, y=np.zeros(64),
+                   label_dimension=JOULE)
+    return spec, data
+
+
 class TestEvaluateMap:
+    @pytest.mark.parametrize("tag", [None, "sin2"])
+    def test_shared_powers_match_a_per_monomial_reference_bitwise(self, tag):
+        spec, data = _shared_power_case(tag)
+        Phi = evaluate_map(spec, data)
+        assert Phi.tobytes() == _per_monomial_reference(spec, data).tobytes()
+
+    def test_division_by_zero_names_the_first_negative_use(self):
+        # E = 0 in rows 1 and 3: monomial 2 uses E^1 and monomial 4 E^-1
+        spec, data = _shared_power_case(None)
+        data.X[[1, 3], 2] = 0.0
+        with pytest.raises(DivisionByZero) as info:
+            evaluate_map(spec, data)
+        assert (info.value.monomial, info.value.row) == (3, 1)
+
+    def test_each_power_is_computed_once_per_call(self, monkeypatch):
+        data = gen_bernoulli(40, 1)
+        monomials = enumerate_monomials(
+            data.schema, (STANDARD_CONSTANTS["g"],), parse_unit("Pa"), 4, 4)
+        spec = FeatureMapSpec(
+            name="wide",
+            features=tuple(data.schema.features),
+            constants=(STANDARD_CONSTANTS["g"],),
+            monomials=monomials,
+            target_dimension=parse_unit("Pa"),
+        )
+        factors = [(i, e) for m in monomials
+                   for i, e in enumerate(m.feature_exponents) if e]
+        assert (len(monomials), len(factors), len(set(factors))) == (419, 1606, 56)
+        identity = featuremap.TRANSFORM_TAGS["identity"]
+        calls = []
+
+        def counted(values):
+            calls.append(1)
+            return identity(values)
+
+        monkeypatch.setitem(featuremap.TRANSFORM_TAGS, "identity", counted)
+        Phi = evaluate_map(spec, data)
+        assert len(calls) == 56
+        assert Phi.tobytes() == _per_monomial_reference(spec, data).tobytes()
+
     def test_hand_oracle_row(self):
         # m v^2, E, m^2 v^4 / E at (m, v, E) = (2, 3, 5)
         Phi = evaluate_map(_mve_spec(), _mve_dataset([[2.0, 3.0, 5.0]]))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pifmap import regression
 from pifmap.errors import (
     ColumnMismatch,
     DroppedColumnWarning,
@@ -205,6 +206,62 @@ class TestSelectLambda:
         Z, y = _random_problem(19, n=2)
         with pytest.raises(InsufficientData):
             select_lambda(Z, y, (1e-3,), val_fraction=0.9)
+
+    @staticmethod
+    def _refit_per_value(Z, y, grid, val_fraction=0.3):
+        """Oracle: one independent ridge_fit per grid value."""
+        n_train = len(y) - int(np.ceil(len(y) * val_fraction))
+        best_lam = best_mse = None
+        for lam in grid:
+            model = ridge_fit(Z[:n_train], y[:n_train], lam)
+            errors = ridge_predict(model, Z[n_train:]) - y[n_train:]
+            mse = float(np.mean(errors ** 2))
+            if best_mse is None or mse < best_mse or (
+                    mse == best_mse and lam > best_lam):
+                best_mse, best_lam = mse, lam
+        return best_lam
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_a_refit_per_grid_value(self, seed):
+        rng = np.random.Generator(np.random.PCG64(1000 + seed))
+        n = int(rng.integers(8, 120))
+        p = int(rng.integers(1, 12))
+        Z = rng.standard_normal((n, p))
+        if seed % 3 == 0:  # near-collinear columns make the choice sensitive
+            Z[:, -1] = Z[:, 0] + 1e-3 * rng.standard_normal(n)
+        y = Z @ rng.standard_normal(p) + rng.uniform(0.0, 2.0) * rng.standard_normal(n)
+        pool = np.logspace(-6.0, 2.0, 9)
+        grid = tuple(float(lam) for lam in rng.choice(pool, size=int(rng.integers(1, 12))))
+        if seed % 2 == 0:
+            grid = grid + grid[:2]  # duplicated values, out of order
+        val_fraction = float(rng.uniform(0.1, 0.5))
+        assert select_lambda(Z, y, grid, val_fraction) == self._refit_per_value(
+            Z, y, grid, val_fraction)
+
+    def test_zero_lambda_on_rank_deficient_design_raises(self):
+        Z = np.zeros((10, 2))
+        Z[:, 0] = np.arange(1.0, 11.0)  # the second column is all zero
+        y = np.arange(10.0)
+        assert select_lambda(Z, y, (1e-3, 1e-1)) in (1e-3, 1e-1)
+        with pytest.raises(SingularSystem):
+            select_lambda(Z, y, (1e-3, 0.0))
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.nan, InvalidRange), (np.inf, InvalidRange), (-1.0, ValueError),
+    ])
+    def test_bad_grid_value_rejected_before_any_solve(self, bad, error,
+                                                      monkeypatch):
+        def no_solve(gram, rhs):
+            raise AssertionError("a solve ran before the grid was checked")
+
+        monkeypatch.setattr(regression, "_solve_normal_equations", no_solve)
+        Z, y = _random_problem(23)
+        with pytest.raises(error):
+            select_lambda(Z, y, (1e-3, 1e-2, bad))
+
+    def test_no_columns_picks_the_largest_value(self):
+        y = np.arange(10.0)
+        assert select_lambda(np.empty((10, 0)), y, (1e-3, 1e-1, 1e-2)) == 1e-1
 
 
 class TestGram:
