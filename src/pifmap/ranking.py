@@ -1,9 +1,14 @@
 """Coefficient-magnitude ranking and greedy prefix selection.
 
 Columns are ordered by decreasing absolute standardized weight (ties go
-to the lower index).  The greedy pass refits the model on growing
-prefixes of that order and stops at the first size ``k >= 2`` where the
-relative improvement of BOTH error metrics,
+to the lower index).  When the greedy pass ranks a design, columns that
+agree in every row to 1e-8 of their largest magnitude count as one column
+computed along different paths: their ridge weights are equal in exact
+arithmetic and differ only by rounding, so each takes the group's largest
+magnitude and the group ranks together, in index order: the order does
+not follow the solver's rounding.  The greedy pass refits the model on
+growing prefixes of that order and stops at the first size ``k >= 2``
+where the relative improvement of BOTH error metrics,
 ``(metric(k-1) - metric(k)) / metric(k-1)``, falls below ``epsilon``;
 the selected count is then ``k - 1``.  One extra prefix beyond the stop
 (capped at the column count) is always evaluated so the reported curve
@@ -15,7 +20,7 @@ raw columns and map the refit back to raw-column scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,6 +74,62 @@ def rank_by_coefficient(model: RidgeModel) -> tuple[int, ...]:
     )
 
 
+# Columns whose rows differ by at most this share of their largest
+# magnitude are taken for one column.
+_IDENTICAL_RTOL = 1e-8
+
+# One fixed random weight per design row that the projection below reads.
+_PROBE = np.random.default_rng(0).standard_normal(64)
+
+
+def _identical_column_groups(Z: np.ndarray) -> np.ndarray:
+    """Label each column with the lowest index of the columns identical to it.
+
+    The first rows of every column are projected on one fixed random
+    vector ``v``.  Identical columns project to within
+    ``rtol * max|Z| * sum|v|`` of each other, so only columns that close in
+    projection order are compared in every row.
+    """
+    largest = max(float(Z.max(initial=0.0)), -float(Z.min(initial=0.0)))
+    head = Z[:len(_PROBE)]
+    v = _PROBE[:len(head)]
+    projection = v @ head
+    reach = _IDENTICAL_RTOL * largest * float(np.abs(v).sum())
+    labels = np.arange(Z.shape[1])
+    magnitudes: dict[int, float] = {}
+
+    def magnitude(j: int) -> float:
+        if j not in magnitudes:
+            magnitudes[j] = float(np.abs(Z[:, j]).max(initial=0.0))
+        return magnitudes[j]
+
+    by_projection = np.argsort(projection, kind="stable")
+    for a, j in enumerate(by_projection):
+        for k in by_projection[a + 1:]:
+            if projection[k] - projection[j] > reach:
+                break
+            if labels[j] == labels[k]:
+                continue
+            limit = _IDENTICAL_RTOL * max(magnitude(j), magnitude(k))
+            if np.abs(Z[:, j] - Z[:, k]).max(initial=0.0) <= limit:
+                low = min(labels[j], labels[k])
+                labels[(labels == labels[j]) | (labels == labels[k])] = low
+    return labels
+
+
+def _rank_design_columns(model: RidgeModel, Z: np.ndarray) -> tuple[int, ...]:
+    """:func:`rank_by_coefficient` with identical columns of ``Z`` ranked together.
+
+    Each column takes the largest |weight| of its group of identical
+    columns, so a group ranks as one, in index order.
+    """
+    labels = _identical_column_groups(Z)
+    weights = np.abs(np.asarray(model.weights, dtype=float))
+    shared = np.zeros(weights.size)
+    np.maximum.at(shared, labels, weights)
+    return rank_by_coefficient(replace(model, weights=shared[labels]))
+
+
 def _relative_improvement(previous: float, current: float) -> float:
     # A perfect previous score cannot be improved; treat as saturated.
     if previous == 0.0:
@@ -88,8 +149,9 @@ def greedy_select(
     """Evaluate growing prefixes of ``order`` and stop once saturated.
 
     ``order`` defaults to the coefficient ranking of a full fit on the
-    training data.  Each prefix is refit from scratch with the same
-    ``lam`` and scored on the evaluation split with MAE and MSE.
+    training data, with identical columns of ``Z_train`` ranked together.
+    Each prefix is refit from scratch with the same ``lam`` and scored on
+    the evaluation split with MAE and MSE.
     """
     Z_train = np.asarray(Z_train, dtype=float)
     Z_eval = np.asarray(Z_eval, dtype=float)
@@ -103,7 +165,7 @@ def greedy_select(
             f"evaluation matrix has {Z_eval.shape[1]} columns, training has {p}"
         )
     if order is None:
-        order = rank_by_coefficient(ridge_fit(Z_train, y_train, lam))
+        order = _rank_design_columns(ridge_fit(Z_train, y_train, lam), Z_train)
     else:
         order = tuple(int(j) for j in order)
         if sorted(order) != list(range(p)):
@@ -154,9 +216,10 @@ def rank_and_refit(
     ``Z_train`` (as :func:`~pifmap.regression.fit_standardized` returns
     it), ``Z_eval`` the evaluation rows under the same standardization and
     ``X_train`` the raw training rows.  The columns are ranked by the
-    model's own weights and scored with :func:`greedy_select` at the
-    model's ``lam``; the selected raw columns are then standardized and
-    refit, and their weights mapped back to raw scale.  Returns the
+    model's own weights, identical columns of ``Z_train`` together, and
+    scored with :func:`greedy_select` at the model's ``lam``; the selected
+    raw columns are then standardized and refit, and their weights mapped
+    back to raw scale.  Returns the
     ranking result, whose indices count the columns kept by
     standardization, and a JSON-ready document that names every column by
     the model's feature names: ``epsilon``, ``order``, ``selected``,
@@ -172,7 +235,7 @@ def rank_and_refit(
         )
     result = greedy_select(
         Z_train, y_train, Z_eval, y_eval, model.lam,
-        order=rank_by_coefficient(model), epsilon=epsilon,
+        order=_rank_design_columns(model, Z_train), epsilon=epsilon,
     )
     names = model.feature_names
     selected_names = [names[j] for j in result.selected]

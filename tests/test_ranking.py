@@ -1,5 +1,7 @@
 """Coefficient ranking and greedy prefix selection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,52 @@ class TestRankAndRefit:
         model, Z_train, Z_eval = self._fitted(X, y, k, names)
         with pytest.raises(ColumnMismatch):
             rank_and_refit(model, X[:k, :3], Z_train, y[:k], Z_eval, y[k:], 0.01)
+
+
+class TestIdenticalColumns:
+    """Columns equal to rounding rank together, lower index first."""
+
+    @staticmethod
+    def _fitted(gap):
+        rng = np.random.Generator(np.random.PCG64(11))
+        X = rng.uniform(1.0, 2.0, size=(60, 4))
+        # A scaled copy would standardize to the same column; add a share
+        # of another column instead.
+        X[:, 3] = X[:, 1] + gap * X[:, 0]
+        y = 3.0 * X[:, 0] + 2.0 * X[:, 1] + 2.0 * X[:, 3] + X[:, 2]
+        y = y + 0.01 * rng.standard_normal(60)
+        model, Z_train = fit_standardized(X[:40], y[:40], 1e-3)
+        Z_eval = standardize_apply(X[40:], model.standardization)
+        return X, y, model, Z_train, Z_eval
+
+    @staticmethod
+    def _order(X, y, model, Z_train, Z_eval, weights):
+        nudged = dataclasses.replace(model, weights=np.array(weights))
+        result, _ = rank_and_refit(
+            nudged, X[:40], Z_train, y[:40], Z_eval, y[40:], 0.01
+        )
+        return result.order
+
+    def test_order_does_not_follow_rounding_of_the_weights(self):
+        X, y, model, Z_train, Z_eval = self._fitted(1e-15)
+        w = model.weights
+        larger_first = [w[0], w[1] * (1 + 1e-9), w[2], w[1]]
+        larger_last = [w[0], w[1], w[2], w[1] * (1 + 1e-9)]
+        order = self._order(X, y, model, Z_train, Z_eval, larger_last)
+        assert order == self._order(X, y, model, Z_train, Z_eval, larger_first)
+        assert order[order.index(1) + 1] == 3
+
+    def test_default_order_of_greedy_select_keeps_identical_columns_together(self):
+        X, y, model, Z_train, Z_eval = self._fitted(1e-15)
+        order = greedy_select(Z_train, y[:40], Z_eval, y[40:], 1e-3).order
+        assert order[order.index(1) + 1] == 3
+
+    def test_columns_apart_beyond_rounding_rank_by_weight(self):
+        X, y, model, Z_train, Z_eval = self._fitted(1e-6)
+        w = model.weights
+        order = self._order(X, y, model, Z_train, Z_eval,
+                            [w[0], w[1], w[2], w[1] * (1 + 1e-9)])
+        assert order.index(3) < order.index(1)
 
 
 class TestSerialization:
