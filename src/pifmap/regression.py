@@ -1,13 +1,18 @@
 """Standardization and ridge regression with an unpenalized intercept.
 
 The intercept is handled by centering: ``b0 = mean(y)`` and the weights
-solve ``(Z'Z + lambda I) b = Z'(y - b0)`` through a symmetric
-positive-definite (Cholesky) factorization; no matrix inverse is ever
-formed.  A residual check guards against a factorization that silently
-lost accuracy: if the normal equations are not satisfied to 1e-8 relative,
-the fit raises instead of returning garbage.  The solve and that check live
-in one helper, :func:`_solve_normal_equations`, which both
-:func:`ridge_fit` and :func:`select_lambda` call.
+solve ``(Z'Z + lambda I) b = Z'(y - b0)`` by an LU factorization with
+partial pivoting (LAPACK ``gesv`` through ``np.linalg.solve``); no matrix
+inverse is ever formed.  When ``lambda`` is zero or below the rounding of
+the Gram's diagonal, a Cholesky factorization of ``Z'Z + lambda I`` first
+checks that it is numerically positive definite, because LU alone accepts
+a consistent rank-deficient system; a larger ``lambda`` makes the system
+positive definite.  A residual check guards against a
+factorization that silently lost accuracy: if the normal equations are not
+satisfied to 1e-8 relative, the fit raises instead of returning garbage.
+The solve and both checks live in one helper,
+:func:`_solve_normal_equations`, which both :func:`ridge_fit` and
+:func:`select_lambda` call.
 
 :func:`select_lambda` forms the training Gram ``Z'Z``, the right-hand side
 and ``mean(y)`` once per grid and adds each ``lambda I`` to that one Gram,
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ColumnMismatch,
@@ -164,21 +168,42 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lam must be non-negative, got {lam}")
 
 
-def _solve_normal_equations(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``gram @ b = rhs`` by Cholesky and check the residual.
+def _solve_normal_equations(
+    gram: np.ndarray, rhs: np.ndarray, lam: float
+) -> np.ndarray:
+    """Solve ``(gram + lam*I) @ b = rhs`` by LU and check the residual.
 
-    Raises :class:`~pifmap.errors.SingularSystem` when the factorization
-    fails, the weights are non-finite, or the normal equations are not
-    satisfied to 1e-8 relative.
+    ``np.linalg.solve`` (LAPACK ``gesv``) does the solve.  When ``lam`` is
+    at most ``p * eps`` times the largest diagonal entry of ``gram`` it
+    does not lift the system above rounding, so ``np.linalg.cholesky``
+    first checks that ``gram + lam*I`` is numerically positive definite:
+    each squared pivot over its diagonal entry, the share of that column's
+    squared norm the earlier columns leave unexplained, must exceed
+    ``p * eps`` (LAPACK ``pstrf``'s default rank tolerance, taken per
+    column so column scale does not matter).  A rank-deficient Gram leaves
+    rounding there, not zero, and whether rounding comes out positive
+    depends on the LAPACK build.  A larger ``lam`` makes the system
+    positive definite.  Raises :class:`~pifmap.errors.SingularSystem` when
+    the check fails, the weights are non-finite, or the normal equations
+    are not satisfied to 1e-8 relative.
     """
+    p = len(gram)
+    tolerance = p * np.finfo(float).eps
+    system = gram + lam * np.eye(p)
     try:
-        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-        weights = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        if lam <= tolerance * float(np.diagonal(gram).max()):
+            pivots = np.diagonal(np.linalg.cholesky(system)) ** 2
+            if (pivots <= tolerance * np.diagonal(system)).any():
+                raise SingularSystem(
+                    "normal equations are singular: the Gram is not "
+                    "numerically positive definite"
+                )
+        weights = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"normal equations are singular: {exc}") from exc
     if not np.isfinite(weights).all():
         raise SingularSystem("solver produced non-finite weights")
-    residual = gram @ weights - rhs
+    residual = system @ weights - rhs
     limit = 1e-8 * max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
     if float(np.linalg.norm(residual)) > limit:
         raise SingularSystem(
@@ -196,7 +221,7 @@ def ridge_fit(
     feature_names: Sequence[str] | None = None,
     standardization: StandardizationParams | None = None,
 ) -> RidgeModel:
-    """Solve ``(Z'Z + lam*I) b = Z'(y - mean(y))`` by Cholesky.
+    """Solve ``(Z'Z + lam*I) b = Z'(y - mean(y))`` by LU.
 
     ``lam`` must be finite and non-negative.  It may be zero, in which
     case the design must have full column rank; a rank-deficient or
@@ -217,9 +242,7 @@ def ridge_fit(
     if p == 0:
         weights = np.zeros(0)
     else:
-        weights = _solve_normal_equations(
-            Z.T @ Z + lam * np.eye(p), Z.T @ (y - intercept)
-        )
+        weights = _solve_normal_equations(Z.T @ Z, Z.T @ (y - intercept), lam)
     names = (
         tuple(feature_names)
         if feature_names is not None
@@ -286,8 +309,9 @@ def select_lambda(
     Every grid value is checked (finite, non-negative) before any work.
     The training Gram ``Z'Z``, the right-hand side and ``mean(y)`` are
     formed once; each candidate solves ``Z'Z + lambda I`` through the same
-    Cholesky solve and residual guard as :func:`ridge_fit`, with the same
-    floating-point operations, so the result equals a refit per value.
+    LU solve, definiteness check and residual guard as :func:`ridge_fit`,
+    with the same floating-point operations, so the result equals a refit
+    per value.
     """
     Z = _check_matrix(Z, "Z")
     y = np.asarray(y, dtype=float)
@@ -314,12 +338,11 @@ def select_lambda(
     intercept = float(np.mean(y_train))
     gram = Z_train.T @ Z_train
     rhs = Z_train.T @ (y_train - intercept)
-    identity = np.eye(p)
     best_lam = None
     best_mse = None
     for lam in grid:
         weights = (
-            _solve_normal_equations(gram + lam * identity, rhs)
+            _solve_normal_equations(gram, rhs, lam)
             if p else np.zeros(0)
         )
         errors = Z_val @ weights + intercept - y_val

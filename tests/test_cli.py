@@ -866,6 +866,21 @@ class TestTopLevel:
         assert run("--help") == EXIT_OK
         assert "synth" in capsys.readouterr().out
 
+    def test_import_loads_no_scipy(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(cli.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, pifmap.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert loaded == "[]\n"
+
     def test_console_script_registered(self):
         """Declared entry point always; installed registration if installed."""
         import sys

@@ -117,6 +117,41 @@ class TestRidgeFit:
         with pytest.raises(SingularSystem):
             ridge_fit(Z, y, 0.0)
 
+    def test_lambda_zero_on_consistent_exact_combination_raises(self):
+        # LU alone solves this consistent rank-deficient system; the
+        # definiteness check must reject it at lambda = 0 and at every
+        # lambda below the rounding of the Gram's diagonal (about 200).
+        rng = np.random.default_rng(0)
+        Z = rng.standard_normal((200, 5))
+        Z[:, 2] = 2.0 * Z[:, 0] - 0.5 * Z[:, 1]
+        y = Z @ rng.standard_normal(5) + 0.1 * rng.standard_normal(200)
+        for lam in (0.0, 1e-300, 1e-14):
+            with pytest.raises(SingularSystem):
+                ridge_fit(Z, y, lam)
+        assert np.isfinite(ridge_fit(Z, y, 1e-3).weights).all()
+
+    def test_lambda_zero_on_duplicated_column_raises(self):
+        # A duplicated column leaves a rounding-level Cholesky pivot whose
+        # sign depends on the LAPACK build; the pivot tolerance rejects it.
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            p = int(rng.integers(3, 9))
+            n = int(rng.integers(p + 2, 80))
+            Z = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-2, 2, p)
+            i, j = rng.choice(p, size=2, replace=False)
+            Z[:, j] = Z[:, i]
+            y = Z @ rng.standard_normal(p) + rng.standard_normal(n)
+            with pytest.raises(SingularSystem):
+                ridge_fit(Z, y, 0.0)
+
+    def test_lambda_zero_pivot_tolerance_ignores_column_scale(self):
+        Z, y = _random_problem(11, n=40, p=3)
+        scale = np.array([1.0, 1e-9, 1.0])
+        np.testing.assert_allclose(
+            ridge_fit(Z * scale, y, 0.0).weights * scale,
+            ridge_fit(Z, y, 0.0).weights, rtol=1e-9,
+        )
+
     def test_rank_deficient_with_ridge_succeeds(self):
         Z = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([1.0, 2.0, 3.0])
