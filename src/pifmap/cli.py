@@ -149,25 +149,17 @@ def _env_budget(default: int) -> int:
     raw = os.environ.get("PIFMAP_BUDGET")
     if raw is None:
         return default
-    value = _integer("PIFMAP_BUDGET")(raw)
-    if value < 1:
-        raise InvalidRange(f"PIFMAP_BUDGET must be positive, got {value}")
-    return value
+    return _integer("PIFMAP_BUDGET", "positive")(raw)
 
 
 def _env_lambda_grid() -> tuple[float, ...]:
     raw = os.environ.get("PIFMAP_LAMBDA_GRID")
     if raw is None:
         return DEFAULT_LAMBDA_GRID
-    value = _finite_number("PIFMAP_LAMBDA_GRID")
+    value = _finite_number("PIFMAP_LAMBDA_GRID", "non-negative")
     grid = tuple(value(cell) for cell in raw.split(",") if cell.strip())
     if not grid:
         raise InvalidRange("PIFMAP_LAMBDA_GRID is empty")
-    negative = [lam for lam in grid if lam < 0]
-    if negative:
-        raise InvalidRange(
-            f"PIFMAP_LAMBDA_GRID must be non-negative, got {negative[0]!r}"
-        )
     return grid
 
 
@@ -187,11 +179,24 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def _finite_number(option: str):
+# The lower bounds an option can carry, by the word its error message uses.
+_BOUNDS = {
+    "non-negative": lambda value: value >= 0,
+    "positive": lambda value: value > 0,
+}
+
+
+def _check_bound(option: str, bound: str | None, value, text: str) -> None:
+    if bound is not None and not _BOUNDS[bound](value):
+        raise InvalidRange(f"{option} must be {bound}, got {text!r}")
+
+
+def _finite_number(option: str, bound: str | None = None):
     """An argparse type for ``option``: a finite float, or one error line.
 
-    The error is a :class:`~pifmap.errors.InvalidRange`, which argparse
-    does not catch, so it reaches :func:`main` and names the option.
+    ``bound`` names a lower bound from ``_BOUNDS``.  The error is a
+    :class:`~pifmap.errors.InvalidRange`, which argparse does not catch,
+    so it reaches :func:`main` and names the option.
     """
 
     def parse(text: str) -> float:
@@ -201,23 +206,26 @@ def _finite_number(option: str):
             value = math.nan
         if not math.isfinite(value):
             raise InvalidRange(f"{option} must be a finite number, got {text!r}")
+        _check_bound(option, bound, value, text)
         return value
 
     return parse
 
 
-def _integer(option: str):
+def _integer(option: str, bound: str | None = None):
     """An argparse type for ``option``: an integer, or one error line.
 
-    Like :func:`_finite_number`, it raises
+    Like :func:`_finite_number`, it checks ``bound`` and raises
     :class:`~pifmap.errors.InvalidRange`, which names the option.
     """
 
     def parse(text: str) -> int:
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             raise InvalidRange(f"{option} must be an integer, got {text!r}") from None
+        _check_bound(option, bound, value, text)
+        return value
 
     return parse
 
@@ -455,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     p_synth.add_argument("generator", choices=["bernoulli", "pulsar", "binary"])
-    p_synth.add_argument("--n", type=_integer("--n"), default=1000)
+    p_synth.add_argument("--n", type=_integer("--n", "positive"), default=1000)
     p_synth.add_argument("--seed", type=_integer("--seed"), default=1)
     p_synth.add_argument("--noise", type=_finite_number("--noise"), default=None,
                          help="relative uniform label noise level in [0,1)")
@@ -472,14 +480,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="schema JSON ({'features': [[name, unit], ...]}) "
                         "or a dataset CSV")
     p_enum.add_argument("--target", required=True, help="target unit, e.g. Pa")
-    p_enum.add_argument("--max-exponent", type=_integer("--max-exponent"),
+    p_enum.add_argument("--max-exponent",
+                        type=_integer("--max-exponent", "positive"), default=4)
+    p_enum.add_argument("--max-active", type=_integer("--max-active", "positive"),
                         default=4)
-    p_enum.add_argument("--max-active", type=_integer("--max-active"), default=4)
     p_enum.add_argument("--max-constant-exponent",
                         type=_integer("--max-constant-exponent"), default=None)
     p_enum.add_argument("--constants", default="",
                         help="comma-separated constant names, e.g. g,mu0,c")
-    p_enum.add_argument("--budget", type=_integer("--budget"), default=None,
+    p_enum.add_argument("--budget", type=_integer("--budget", "positive"),
+                        default=None,
                         help="half-grid rows plus join candidates, checked "
                         "before allocation (default 1e6 or PIFMAP_BUDGET)")
     p_enum.add_argument("--name", default="enumerated")
@@ -492,7 +502,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--spec", help="feature-map spec JSON")
     group.add_argument("--raw", action="store_true",
                        help="fit on the raw standardized features")
-    p_fit.add_argument("--lam", type=_finite_number("--lam"), default=DEFAULT_LAMBDA)
+    p_fit.add_argument("--lam", type=_finite_number("--lam", "non-negative"),
+                       default=DEFAULT_LAMBDA)
     p_fit.add_argument("--select", action="store_true",
                        help="pick lambda on a validation tail of the train split")
     p_fit.add_argument("--split", type=_finite_number("--split"), default=0.7)
@@ -503,8 +514,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="greedy-rank mapped features")
     p_rank.add_argument("--data", required=True)
     p_rank.add_argument("--spec", required=True)
-    p_rank.add_argument("--epsilon", type=_finite_number("--epsilon"), default=0.01)
-    p_rank.add_argument("--lam", type=_finite_number("--lam"), default=DEFAULT_LAMBDA)
+    p_rank.add_argument("--epsilon", type=_finite_number("--epsilon", "positive"),
+                        default=0.01)
+    p_rank.add_argument("--lam", type=_finite_number("--lam", "non-negative"),
+                        default=DEFAULT_LAMBDA)
     p_rank.add_argument("--split", type=_finite_number("--split"), default=0.7)
     p_rank.add_argument("--allow-inconsistent", action="store_true")
     p_rank.add_argument("--out", default=None, help="ranking JSON path (default stdout)")
@@ -528,7 +541,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="'a:b' inclusive range or comma list (default 1:20)")
     p_rep.add_argument("--noise-levels",
                        default=",".join(repr(x) for x in REGRESSION_NOISE_LEVELS))
-    p_rep.add_argument("--n", type=_integer("--n"), default=1000)
+    p_rep.add_argument("--n", type=_integer("--n", "positive"), default=1000)
     p_rep.add_argument("--split", type=_finite_number("--split"), default=0.7)
     p_rep.add_argument("--out", default="reports")
     p_rep.add_argument("--csv-only", action="store_true",

@@ -534,30 +534,17 @@ def _eval_model(corrupt):
     return case
 
 
-def _non_finite_option(command, option, value):
-    """A run whose ``option`` gets the non-finite ``value``; it must exit 2."""
-    def case(tmp_path, data, spec):
-        out = str(tmp_path / "out")
-        argv = {
-            "synth": ("synth", "bernoulli", "--n", "40", "--out", out),
-            "fit": ("fit", "--data", str(data), "--raw", "--out", out),
-            "rank": ("rank", "--data", str(data), "--spec", str(spec),
-                     "--out", out),
-            "reproduce": ("reproduce", "bernoulli", "--seeds", "1",
-                          "--n", "40", "--csv-only", "--out", out),
-        }[command]
-        return (*argv, option, value), EXIT_USAGE
-    return case
-
-
-def _non_integer_option(command, option, value):
-    """A run whose integer ``option`` gets ``value``; it must exit 2."""
+def _bad_option(command, option, value):
+    """A run whose ``option`` gets the bad ``value``; it must exit 2."""
     def case(tmp_path, data, spec):
         out = str(tmp_path / "out")
         argv = {
             "synth": ("synth", "bernoulli", "--n", "40", "--out", out),
             "enumerate": ("enumerate", "--schema", str(data), "--target", "Pa",
                           "--out", out),
+            "fit": ("fit", "--data", str(data), "--raw", "--out", out),
+            "rank": ("rank", "--data", str(data), "--spec", str(spec),
+                     "--out", out),
             "reproduce": ("reproduce", "bernoulli", "--seeds", "1",
                           "--n", "40", "--csv-only", "--out", out),
         }[command]
@@ -586,6 +573,18 @@ _NON_FINITE_OPTIONS = [
     ("reproduce", "--noise-levels", "nan"),
 ]
 
+# (command, option, value, the bound the message names)
+_OUT_OF_RANGE_OPTIONS = [
+    ("fit", "--lam", "-1", "non-negative"),
+    ("rank", "--lam", "-0.5", "non-negative"),
+    ("rank", "--epsilon", "0", "positive"),
+    ("synth", "--n", "-5", "positive"),
+    ("reproduce", "--n", "0", "positive"),
+    ("enumerate", "--max-exponent", "0", "positive"),
+    ("enumerate", "--max-active", "-1", "positive"),
+    ("enumerate", "--budget", "0", "positive"),
+]
+
 
 class TestExitCodeContract:
     """Each failure exits with its documented code and one error line."""
@@ -599,8 +598,9 @@ class TestExitCodeContract:
         _enumerate_invalid_feature_name,
         _eval_model(_drop_last_weight_and_name),
         _eval_model(_keep_column_nine),
-        *(_non_finite_option(*case) for case in _NON_FINITE_OPTIONS),
-        *(_non_integer_option(*case) for case in _NON_INTEGER_OPTIONS),
+        *(_bad_option(*case) for case in _NON_FINITE_OPTIONS),
+        *(_bad_option(*case) for case in _NON_INTEGER_OPTIONS),
+        *(_bad_option(*case[:3]) for case in _OUT_OF_RANGE_OPTIONS),
     ], ids=[
         "enumerate-out-unwritable",
         "rank-out-unwritable",
@@ -612,6 +612,7 @@ class TestExitCodeContract:
         "model-kept-column-out-of-range",
         *("-".join(case) for case in _NON_FINITE_OPTIONS),
         *("-".join(case) for case in _NON_INTEGER_OPTIONS),
+        *("-".join(case[:3]) for case in _OUT_OF_RANGE_OPTIONS),
     ])
     def test_one_error_line_and_documented_code(self, case, bernoulli_csv,
                                                 bernoulli_spec, tmp_path, capsys):
@@ -632,7 +633,7 @@ class TestExitCodeContract:
     def test_non_finite_option_is_named_with_its_value(
             self, command, option, value, bernoulli_csv, bernoulli_spec,
             tmp_path, capsys):
-        argv, code = _non_finite_option(command, option, value)(
+        argv, code = _bad_option(command, option, value)(
             tmp_path, bernoulli_csv, bernoulli_spec)
         capsys.readouterr()
         assert run(*argv) == code
@@ -646,7 +647,7 @@ class TestExitCodeContract:
     def test_non_integer_option_is_named_with_its_value(
             self, command, option, value, bernoulli_csv, bernoulli_spec,
             tmp_path, capsys):
-        argv, code = _non_integer_option(command, option, value)(
+        argv, code = _bad_option(command, option, value)(
             tmp_path, bernoulli_csv, bernoulli_spec)
         capsys.readouterr()
         assert run(*argv) == code
@@ -656,16 +657,30 @@ class TestExitCodeContract:
         ]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, option, value, bound",
+                             _OUT_OF_RANGE_OPTIONS)
+    def test_out_of_range_option_is_named_with_its_value(
+            self, command, option, value, bound, bernoulli_csv, bernoulli_spec,
+            tmp_path, capsys):
+        argv, code = _bad_option(command, option, value)(
+            tmp_path, bernoulli_csv, bernoulli_spec)
+        capsys.readouterr()
+        assert run(*argv) == code
+        assert capsys.readouterr().err.splitlines() == [
+            f"pifmap: error: {option} must be {bound}, got {value!r}"
+        ]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("variable, value, message", [
         ("PIFMAP_LAMBDA_GRID", "0.1,inf",
          "PIFMAP_LAMBDA_GRID must be a finite number, got 'inf'"),
         ("PIFMAP_LAMBDA_GRID", "nan",
          "PIFMAP_LAMBDA_GRID must be a finite number, got 'nan'"),
         ("PIFMAP_LAMBDA_GRID", "0.1,-1",
-         "PIFMAP_LAMBDA_GRID must be non-negative, got -1.0"),
+         "PIFMAP_LAMBDA_GRID must be non-negative, got '-1'"),
         ("PIFMAP_LAMBDA_GRID", " , ", "PIFMAP_LAMBDA_GRID is empty"),
         ("PIFMAP_BUDGET", "1e6", "PIFMAP_BUDGET must be an integer, got '1e6'"),
-        ("PIFMAP_BUDGET", "0", "PIFMAP_BUDGET must be positive, got 0"),
+        ("PIFMAP_BUDGET", "0", "PIFMAP_BUDGET must be positive, got '0'"),
     ])
     def test_bad_environment_value_is_named(self, variable, value, message,
                                             bernoulli_csv, tmp_path,
