@@ -7,10 +7,10 @@ inverse is ever formed.  When ``lambda`` is zero or below the rounding of
 the Gram's diagonal, a Cholesky factorization of ``Z'Z + lambda I`` first
 checks that it is numerically positive definite, because LU alone accepts
 a consistent rank-deficient system; a larger ``lambda`` makes the system
-positive definite.  A residual check guards against a
-factorization that silently lost accuracy: if the normal equations are not
-satisfied to 1e-8 relative, the fit raises instead of returning garbage.
-The solve and both checks live in one helper,
+positive definite.  A residual check guards against a factorization that
+silently lost accuracy: if the normal equations are not satisfied to 1e-8
+relative, the fit raises instead of returning garbage.  The solve and both
+checks live in one helper,
 :func:`_solve_normal_equations`, which both :func:`ridge_fit` and
 :func:`select_lambda` call.
 
