@@ -13,9 +13,8 @@ and any output path that cannot be written; 4 enumeration budget exhausted;
 (``PifmapError.exit_code``), and every failure prints one
 ``pifmap: error:`` line.
 
-Environment overrides: ``PIFMAP_LAMBDA_GRID`` (comma-separated floats)
-replaces the default grid used by ``fit --select``; ``PIFMAP_BUDGET``
-replaces the default enumeration budget.  Explicit flags beat both.
+Environment override: ``PIFMAP_LAMBDA_GRID`` (comma-separated floats)
+replaces the default grid used by ``fit --select``.
 """
 
 from __future__ import annotations
@@ -97,7 +96,11 @@ def _fail(message: str) -> None:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Sorted, indented JSON; a non-finite number is an :class:`InvalidRange`."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InvalidRange(str(exc)) from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -138,18 +141,12 @@ def _load_spec_file(path: str, allow_inconsistent: bool) -> FeatureMapSpec:
 def _model_from_file(path: str) -> tuple[RidgeModel, FeatureMapSpec | None]:
     document = _json_document(path)
     model = model_from_dict(document)
-    design = document.get("design", {"kind": "raw", "spec": None})
-    spec = None
-    if design.get("kind") == "spec":
-        spec = spec_from_dict(design["spec"], allow_inconsistent=True)
-    return model, spec
-
-
-def _env_budget(default: int) -> int:
-    raw = os.environ.get("PIFMAP_BUDGET")
-    if raw is None:
-        return default
-    return _integer("PIFMAP_BUDGET", "positive")(raw)
+    kind = document.get("design", {"kind": "raw"})["kind"]
+    if kind == "raw":
+        return model, None
+    if kind != "spec":
+        raise ValueError(f"design kind {kind!r} is neither 'raw' nor 'spec'")
+    return model, spec_from_dict(document["design"]["spec"], allow_inconsistent=True)
 
 
 def _env_lambda_grid() -> tuple[float, ...]:
@@ -165,7 +162,7 @@ def _env_lambda_grid() -> tuple[float, ...]:
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     """Either ``a:b`` (inclusive range) or a comma-separated list."""
-    seed = _integer("--seeds")
+    seed = _integer("--seeds", "non-negative")
     text = text.strip()
     if ":" in text:
         lo_text, hi_text = text.split(":", 1)
@@ -231,10 +228,10 @@ def _integer(option: str, bound: str | None = None):
 
 
 def _parse_levels(text: str) -> tuple[float, ...]:
-    level = _finite_number("--noise-levels")
+    level = _finite_number("--noise-levels", "non-negative")
     levels = tuple(level(cell) for cell in text.split(",") if cell.strip())
     if not levels:
-        raise ValueError("no noise levels given")
+        raise InvalidRange("--noise-levels lists no noise levels")
     return levels
 
 
@@ -251,8 +248,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     dataset = generators[args.generator](args.n, args.seed)
     if args.noise is not None:
         if args.generator == "binary":
-            raise ValueError(
-                "binary labels are exact signs and cannot be noised"
+            raise InvalidRange(
+                "--noise cannot be used with binary: its labels are exact "
+                "signs and cannot be noised"
             )
         noise_seed = (
             args.noise_seed
@@ -290,12 +288,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             if not name:
                 continue
             if name not in STANDARD_CONSTANTS:
-                raise ValueError(
-                    f"unknown constant {name!r}; available: "
+                raise InvalidRange(
+                    f"--constants names unknown constant {name!r}; available: "
                     f"{sorted(STANDARD_CONSTANTS)}"
                 )
             constants.append(STANDARD_CONSTANTS[name])
-    budget = args.budget if args.budget is not None else _env_budget(1_000_000)
     monomials = enumerate_monomials(
         schema,
         tuple(constants),
@@ -303,7 +300,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         max_abs_exponent=args.max_exponent,
         max_active_features=args.max_active,
         max_constant_exponent=args.max_constant_exponent,
-        budget=budget,
+        budget=args.budget,
     )
     if not monomials:
         print(
@@ -317,7 +314,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         constants=tuple(constants),
         monomials=tuple(monomials),
         target_dimension=target,
-        metadata={"source": "enumeration", "budget": budget},
+        metadata={"source": "enumeration", "budget": args.budget},
     )
     text = _dump_json(spec_to_dict(spec))
     if args.out:
@@ -464,10 +461,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     p_synth.add_argument("generator", choices=["bernoulli", "pulsar", "binary"])
     p_synth.add_argument("--n", type=_integer("--n", "positive"), default=1000)
-    p_synth.add_argument("--seed", type=_integer("--seed"), default=1)
-    p_synth.add_argument("--noise", type=_finite_number("--noise"), default=None,
+    p_synth.add_argument("--seed", type=_integer("--seed", "non-negative"),
+                         default=1)
+    p_synth.add_argument("--noise", type=_finite_number("--noise", "non-negative"),
+                         default=None,
                          help="relative uniform label noise level in [0,1)")
-    p_synth.add_argument("--noise-seed", type=_integer("--noise-seed"),
+    p_synth.add_argument("--noise-seed",
+                         type=_integer("--noise-seed", "non-negative"),
                          default=None,
                          help="override the derived noise stream seed")
     p_synth.add_argument("--out", required=True, help="output CSV path")
@@ -485,13 +485,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--max-active", type=_integer("--max-active", "positive"),
                         default=4)
     p_enum.add_argument("--max-constant-exponent",
-                        type=_integer("--max-constant-exponent"), default=None)
+                        type=_integer("--max-constant-exponent", "non-negative"),
+                        default=None)
     p_enum.add_argument("--constants", default="",
                         help="comma-separated constant names, e.g. g,mu0,c")
     p_enum.add_argument("--budget", type=_integer("--budget", "positive"),
-                        default=None,
+                        default=1_000_000,
                         help="half-grid rows plus join candidates, checked "
-                        "before allocation (default 1e6 or PIFMAP_BUDGET)")
+                        "before allocation (default 1e6)")
     p_enum.add_argument("--name", default="enumerated")
     p_enum.add_argument("--out", default=None, help="spec JSON path (default stdout)")
     p_enum.set_defaults(func=_cmd_enumerate)
@@ -565,9 +566,6 @@ def main(argv=None) -> int:
         # Every input file is read through _parse_input, so this is a write.
         _fail(f"cannot write {exc.filename}: {exc.strerror}")
         return EXIT_IO
-    except ValueError as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ expressions:
 
 ``/`` is left-associative, so ``kg/m/s == kg/(m*s)``.  Whitespace is
 ignored everywhere.  Recognized symbols are the seven base units plus the
-derived aliases Pa, W, J, N, T, Hz and rad (rad is dimensionless); extra
-aliases can be supplied per call but the built-in table is fixed.
+derived aliases Pa, W, J, N, T, Hz and rad (rad is dimensionless); the
+table is fixed.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ class Dimension:
             raise ValueError(f"unknown base units: {unknown}")
         return cls(tuple(_as_fraction(units.get(u, 0)) for u in BASE_UNITS))
 
-    @property
-    def is_dimensionless(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
     def __mul__(self, other: "Dimension") -> "Dimension":
         if not isinstance(other, Dimension):
             return NotImplemented
@@ -125,10 +121,9 @@ _MULTIPLY_CHARS = frozenset({"*", "\N{MIDDLE DOT}"})
 
 
 class _Parser:
-    def __init__(self, text: str, symbols: Mapping[str, Dimension]):
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.symbols = symbols
 
     def fail(self, message: str, position: int | None = None) -> None:
         raise UnitSyntaxError(
@@ -189,7 +184,7 @@ class _Parser:
                 self.pos += 1
             symbol = self.text[start : self.pos]
             try:
-                dim = self.symbols[symbol]
+                dim = UNIT_SYMBOLS[symbol]
             except KeyError:
                 raise UnknownUnitSymbol(symbol, start, self.text) from None
             if self.peek() == "^":
@@ -224,18 +219,11 @@ class _Parser:
         return int(self.text[start : self.pos])
 
 
-def parse_unit(
-    text: str, aliases: Mapping[str, Dimension] | None = None
-) -> Dimension:
-    """Parse a unit expression into a :class:`Dimension`.
-
-    ``aliases`` optionally extends the symbol table for this call only
-    (catalog files may declare their own shorthands).
-    """
+def parse_unit(text: str) -> Dimension:
+    """Parse a unit expression into a :class:`Dimension`."""
     if not isinstance(text, str):
         raise TypeError(f"unit expression must be a string, got {type(text).__name__}")
-    symbols = UNIT_SYMBOLS if not aliases else {**UNIT_SYMBOLS, **aliases}
-    return _Parser(text, symbols).parse()
+    return _Parser(text).parse()
 
 
 def _exponent_suffix(e: Fraction) -> str:

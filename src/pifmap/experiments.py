@@ -25,7 +25,7 @@ import numpy as np
 
 from .catalogs import load_catalog
 from .data import Dataset
-from .errors import InsufficientData
+from .errors import InsufficientData, InvalidRange
 from .featuremap import FeatureMapSpec, evaluate_map, render_monomial
 from .metrics import ConfusionMatrix, confusion, mae, mse, scores_to_dict
 from .ranking import rank_and_refit
@@ -56,6 +56,11 @@ REGRESSION_NOISE_LEVELS: tuple[float, ...] = (0.1, 0.3, 0.5)
 DEFAULT_SEEDS: tuple[int, ...] = tuple(range(1, 21))
 
 _SCORE_FIELDS = ("sensitivity", "specificity", "accuracy", "tss", "hss")
+
+# Every trial fits at DEFAULT_LAMBDA, stops the greedy pass at this relative
+# improvement and labels class 1 at this score; the report records all three.
+_EPSILON = 0.01
+_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -92,17 +97,14 @@ EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 @dataclass(frozen=True)
 class TrialSettings:
-    """Shared per-trial configuration; defaults match the report runs."""
+    """Rows per seed and train share; defaults match the report runs."""
 
     n: int = 1000
     split: float = 0.7
-    lam: float = DEFAULT_LAMBDA
-    epsilon: float = 0.01
-    threshold: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.split < 1.0:
-            raise ValueError(f"split must be in (0, 1), got {self.split}")
+            raise InvalidRange(f"split must be in (0, 1), got {self.split}")
 
 
 def split_point(n: int, fraction: float) -> int:
@@ -147,12 +149,12 @@ def _trial(experiment: _Experiment, designs: Mapping[str, _Design],
     models = {}
     for arm, design in designs.items():
         model = models[arm] = ridge_fit(
-            design.Z_train, y[:k], settings.lam, feature_names=design.names,
+            design.Z_train, y[:k], DEFAULT_LAMBDA, feature_names=design.names,
             standardization=design.standardization,
         )
         predictions = ridge_predict(model, design.Z_eval)
         if experiment.classification:
-            labels = classify(predictions, settings.threshold)
+            labels = classify(predictions, _THRESHOLD)
             arms[arm] = scores_to_dict(confusion(y[k:], labels))
         else:
             arms[arm] = {"mae": mae(y[k:], predictions),
@@ -162,7 +164,7 @@ def _trial(experiment: _Experiment, designs: Mapping[str, _Design],
         spif = designs["spif"]
         _, ranked = rank_and_refit(
             models["spif"], spif.X_train, spif.Z_train, y[:k], spif.Z_eval,
-            y[k:], settings.epsilon,
+            y[k:], _EPSILON,
         )
         trial["ranking"] = {
             key: ranked[key] for key in ("order", "selected_count", "selected", "curve")
@@ -294,9 +296,9 @@ def run_experiment(
     )
     if experiment.classification:
         noise_levels = (0.0,)
-        task_setting = {"threshold": settings.threshold}
+        task_setting = {"threshold": _THRESHOLD}
     else:
-        task_setting = {"epsilon": settings.epsilon}
+        task_setting = {"epsilon": _EPSILON}
     # Computed seed by seed, so only one seed's designs are held at a time,
     # and reported level-major with the seeds in the order given.
     by_seed = [
@@ -307,7 +309,7 @@ def run_experiment(
     report = {
         "experiment": name,
         "settings": {
-            "n": settings.n, "split": settings.split, "lambda": settings.lam,
+            "n": settings.n, "split": settings.split, "lambda": DEFAULT_LAMBDA,
             **task_setting,
         },
         "seeds": seeds,

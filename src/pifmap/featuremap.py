@@ -773,29 +773,21 @@ def spec_to_dict(spec: FeatureMapSpec) -> dict:
 
 
 def spec_from_dict(document: Mapping, *, allow_inconsistent: bool = False) -> FeatureMapSpec:
-    aliases = {
-        name: parse_unit(text)
-        for name, text in document.get("unit_aliases", {}).items()
-    }
-
-    def parse(text: str) -> Dimension:
-        return parse_unit(text, aliases=aliases or None)
-
     features = tuple(
-        Feature(entry["name"], parse(entry["unit"]))
+        Feature(entry["name"], parse_unit(entry["unit"]))
         for entry in document["features"]
     )
     derived = tuple(
         DerivedFeature(
             name=entry["name"],
-            dimension=parse(entry["unit"]),
+            dimension=parse_unit(entry["unit"]),
             kind=entry["kind"],
             args=tuple(entry["args"]),
         )
         for entry in document.get("derived_features", [])
     )
     constants = tuple(
-        PhysicalConstant(entry["name"], float(entry["value"]), parse(entry["unit"]))
+        PhysicalConstant(entry["name"], float(entry["value"]), parse_unit(entry["unit"]))
         for entry in document.get("constants", [])
     )
     monomials = tuple(
@@ -809,7 +801,7 @@ def spec_from_dict(document: Mapping, *, allow_inconsistent: bool = False) -> Fe
         )
         for entry in document["monomials"]
     )
-    target = parse(document["target_unit"])
+    target = parse_unit(document["target_unit"])
 
     declared: tuple[int, ...] = ()
     if allow_inconsistent:

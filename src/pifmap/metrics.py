@@ -148,10 +148,9 @@ def skill_scores(cm: ConfusionMatrix) -> SkillScores:
     return SkillScores(undefined=undefined, **as_float)
 
 
-def scores_to_dict(cm: ConfusionMatrix, scores: SkillScores | None = None) -> dict:
+def scores_to_dict(cm: ConfusionMatrix) -> dict:
     """JSON-ready scores; an undefined score is ``None`` (JSON ``null``)."""
-    if scores is None:
-        scores = skill_scores(cm)
+    scores = skill_scores(cm)
     return {
         "confusion": [[cm.tp, cm.fp], [cm.fn, cm.tn]],
         "scores": {

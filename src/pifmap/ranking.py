@@ -40,7 +40,6 @@ __all__ = [
     "rank_by_coefficient",
     "greedy_select",
     "rank_and_refit",
-    "ranking_to_dict",
     "curve_to_csv",
 ]
 
@@ -262,18 +261,6 @@ def rank_and_refit(
         "intercept": intercept,
     }
     return result, document
-
-
-def ranking_to_dict(result: RankingResult) -> dict:
-    return {
-        "order": list(result.order),
-        "selected_count": result.selected_count,
-        "epsilon": result.epsilon,
-        "curve": [
-            {"k": point.k, "mae": point.mae, "mse": point.mse}
-            for point in result.curve
-        ],
-    }
 
 
 def curve_to_csv(result: RankingResult) -> str:

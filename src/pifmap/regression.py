@@ -64,6 +64,9 @@ DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(
     float(x) for x in np.logspace(-6.0, 2.0, 10)
 )
 
+# select_lambda validates on this share of the rows, taken from the end.
+_VALIDATION_FRACTION = 0.3
+
 # A column counts as constant when its population standard deviation is
 # zero to within this relative tolerance of the mean magnitude.
 _ZERO_SCALE_RTOL = 1e-12
@@ -152,7 +155,6 @@ class RidgeModel:
     intercept: float
     standardization: StandardizationParams
     feature_names: tuple[str, ...]
-    threshold: float | None = None
 
     def __post_init__(self) -> None:
         if len(self.feature_names) != len(self.weights):
@@ -298,13 +300,12 @@ def select_lambda(
     Z: np.ndarray,
     y: np.ndarray,
     grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
-    val_fraction: float = 0.3,
 ) -> float:
     """Pick the ridge strength by a single chronological tail split.
 
-    The last ``ceil(n * val_fraction)`` rows are the validation set; the
-    winner minimizes validation MSE with ties resolved toward the larger
-    (more regularized) candidate.
+    The last ``ceil(0.3 * n)`` rows, a fixed 30% tail, are the validation
+    set; the winner minimizes validation MSE with ties resolved toward the
+    larger (more regularized) candidate.
 
     Every grid value is checked (finite, non-negative) before any work.
     The training Gram ``Z'Z``, the right-hand side and ``mean(y)`` are
@@ -315,15 +316,13 @@ def select_lambda(
     """
     Z = _check_matrix(Z, "Z")
     y = np.asarray(y, dtype=float)
-    if not 0.0 < val_fraction < 1.0:
-        raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
     if not grid:
         raise ValueError("lambda grid is empty")
     grid = [float(lam) for lam in grid]
     for lam in grid:
         _check_lambda(lam)
     n, p = Z.shape
-    n_val = int(np.ceil(n * val_fraction))
+    n_val = int(np.ceil(n * _VALIDATION_FRACTION))
     n_train = n - n_val
     if n_train < 2 or n_val < 1:
         raise InsufficientData(
@@ -374,7 +373,7 @@ def classify(scores: np.ndarray, threshold: float = 0.5) -> np.ndarray:
 
 
 def model_to_dict(model: RidgeModel) -> dict:
-    document = {
+    return {
         "lambda": model.lam,
         "weights": [float(w) for w in model.weights],
         "intercept": model.intercept,
@@ -384,9 +383,6 @@ def model_to_dict(model: RidgeModel) -> dict:
         "dropped_columns": list(model.standardization.dropped),
         "feature_names": list(model.feature_names),
     }
-    if model.threshold is not None:
-        document["threshold"] = model.threshold
-    return document
 
 
 def model_from_dict(document: dict) -> RidgeModel:
@@ -421,5 +417,4 @@ def model_from_dict(document: dict) -> RidgeModel:
         intercept=float(document["intercept"]),
         standardization=params,
         feature_names=tuple(document["feature_names"]),
-        threshold=document.get("threshold"),
     )

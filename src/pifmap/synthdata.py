@@ -7,9 +7,11 @@ affine or exponential transforms.  Identical seeds therefore give
 bit-identical datasets on every platform, and the draw order never
 depends on the range configuration.
 
-Labels come out noiseless; relative uniform noise is applied separately
-by :func:`add_noise` with its own seed so feature and noise streams never
-alias.  Classification labels are hard signs and are never noised.
+Each generator takes only ``n``, ``seed`` and its sampling ranges.
+Labels come out noiseless and unscaled, in the unit the dataset declares;
+relative uniform noise is applied separately by :func:`add_noise` with its
+own seed so feature and noise streams never alias.  Classification labels
+are hard signs and are never noised.
 """
 
 from __future__ import annotations
@@ -186,10 +188,7 @@ def gen_bernoulli(
 
 
 def gen_pulsar(
-    n: int,
-    seed: int,
-    ranges: PulsarRanges = PulsarRanges(),
-    label_scale_exp: int = 0,
+    n: int, seed: int, ranges: PulsarRanges = PulsarRanges()
 ) -> Dataset:
     """Rotating magnetic dipole in vacuum: radiated power as the label.
 
@@ -197,9 +196,8 @@ def gen_pulsar(
     appended per row: the period ``P = 2*pi/omega``, the moment of
     inertia of a uniform sphere ``I = 2*m*r^2/5`` and the rotational
     energy ``E = I*omega^2/2``.  The label is
-    ``-2*pi*B^2*r^6*omega^4*sin(alpha)^2 / (3*mu0*c^3)``, optionally
-    divided by ``10**label_scale_exp`` (recorded in provenance) because
-    raw magnitudes span many decades.
+    ``-2*pi*B^2*r^6*omega^4*sin(alpha)^2 / (3*mu0*c^3)`` in watts,
+    unscaled.
     """
     u = _uniform_block(seed, n, 5)
     r = ranges.r.map_uniform(u[:, 0])
@@ -216,8 +214,6 @@ def gen_pulsar(
         -2.0 * math.pi * b ** 2 * r ** 6 * omega ** 4 * np.sin(alpha) ** 2
         / (3.0 * mu0 * c ** 3)
     )
-    if label_scale_exp:
-        y = y / 10.0 ** label_scale_exp
     schema = schema_of([
         ("r", "m"),
         ("B", "T"),
@@ -239,28 +235,21 @@ def gen_pulsar(
             "seed": seed,
             "rng": _RNG_NAME,
             "ranges": _ranges_provenance(ranges),
-            "label_scale_exp": label_scale_exp,
             "noise": None,
         },
     )
 
 
 def gen_binary(
-    n: int,
-    seed: int,
-    ranges: BinaryRanges = BinaryRanges(),
-    dead_band: float = 0.0,
+    n: int, seed: int, ranges: BinaryRanges = BinaryRanges()
 ) -> Dataset:
     """Two-body systems labeled 1 when gravitationally bound.
 
     Raw draw order: m1, m2, v, r.  The total energy
     ``E = 0.5*(m1*m2/(m1+m2))*v^2 - G*m1*m2/r`` decides the label:
-    1 when E < 0 (bound), 0 otherwise.  Rows with ``|E| <= dead_band``
-    are kept as-is under the same sign rule; the band is only recorded.
-    Labels are exact signs and must never be noised.
+    1 when E < 0 (bound), 0 otherwise, for every row.  Labels are exact
+    signs and must never be noised.
     """
-    if dead_band < 0 or not math.isfinite(dead_band):
-        raise InvalidRange(f"dead_band must be finite and non-negative, got {dead_band}")
     u = _uniform_block(seed, n, 4)
     m1 = ranges.m1.map_uniform(u[:, 0])
     m2 = ranges.m2.map_uniform(u[:, 1])
@@ -294,7 +283,6 @@ def gen_binary(
             "seed": seed,
             "rng": _RNG_NAME,
             "ranges": _ranges_provenance(ranges),
-            "dead_band": dead_band,
             "class_counts": {"0": counts[0], "1": counts[1]},
             "noise": None,
         },

@@ -23,7 +23,7 @@ from pifmap.cli import (
     main,
 )
 from pifmap.data import read_csv, read_manifest, write_csv
-from pifmap.errors import DroppedColumnWarning, PifmapError
+from pifmap.errors import DroppedColumnWarning, InvalidRange, PifmapError
 from pifmap.featuremap import spec_to_dict
 
 
@@ -163,22 +163,6 @@ class TestEnumerate:
         schema = self._schema_file(tmp_path)
         assert run("enumerate", "--schema", str(schema), "--target", "Pa",
                    "--constants", "g", "--budget", "3") == EXIT_BUDGET
-
-    def test_env_budget_override(self, tmp_path, monkeypatch):
-        schema = self._schema_file(tmp_path)
-        monkeypatch.setenv("PIFMAP_BUDGET", "3")
-        assert run("enumerate", "--schema", str(schema),
-                   "--target", "Pa") == EXIT_BUDGET
-        # explicit flag beats the environment
-        assert run("enumerate", "--schema", str(schema), "--target", "Pa",
-                   "--budget", "1000000", "--out",
-                   str(tmp_path / "ok.json")) == EXIT_OK
-
-    def test_env_budget_invalid(self, tmp_path, monkeypatch):
-        schema = self._schema_file(tmp_path)
-        monkeypatch.setenv("PIFMAP_BUDGET", "many")
-        assert run("enumerate", "--schema", str(schema),
-                   "--target", "Pa") == EXIT_USAGE
 
     def test_unknown_constant(self, tmp_path):
         schema = self._schema_file(tmp_path)
@@ -417,6 +401,10 @@ def _drop_means(doc):
     del doc["means"]
 
 
+def _bogus_design_kind(doc):
+    doc["design"]["kind"] = "bogus"
+
+
 class TestMalformedDocuments:
     """Wrong-shaped JSON is a malformed file: exit 3, one line, no traceback."""
 
@@ -429,6 +417,7 @@ class TestMalformedDocuments:
         ("rank", _fractional_exponent),
         ("fit", _sign_of_two),
         ("eval", _drop_means),
+        ("eval", _bogus_design_kind),
     ])
     def test_exit_3_with_one_error_line(self, command, corrupt, bernoulli_csv,
                                         bernoulli_spec, tmp_path, capsys):
@@ -548,7 +537,8 @@ def _bad_option(command, option, value):
             "reproduce": ("reproduce", "bernoulli", "--seeds", "1",
                           "--n", "40", "--csv-only", "--out", out),
         }[command]
-        return (*argv, option, value), EXIT_USAGE
+        # One argument, so a value such as -3:-1 is not taken for an option.
+        return (*argv, f"{option}={value}"), EXIT_USAGE
     return case
 
 
@@ -583,6 +573,12 @@ _OUT_OF_RANGE_OPTIONS = [
     ("enumerate", "--max-exponent", "0", "positive"),
     ("enumerate", "--max-active", "-1", "positive"),
     ("enumerate", "--budget", "0", "positive"),
+    ("enumerate", "--max-constant-exponent", "-1", "non-negative"),
+    ("synth", "--seed", "-1", "non-negative"),
+    ("synth", "--noise-seed", "-1", "non-negative"),
+    ("synth", "--noise", "-0.5", "non-negative"),
+    ("reproduce", "--seeds", "-3:-1", "non-negative"),
+    ("reproduce", "--noise-levels", "-0.5", "non-negative"),
 ]
 
 
@@ -666,10 +662,42 @@ class TestExitCodeContract:
             tmp_path, bernoulli_csv, bernoulli_spec)
         capsys.readouterr()
         assert run(*argv) == code
+        bad = value.split(":")[0]  # a seed range fails on its first bound
         assert capsys.readouterr().err.splitlines() == [
-            f"pifmap: error: {option} must be {bound}, got {value!r}"
+            f"pifmap: error: {option} must be {bound}, got {bad!r}"
         ]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("synth", "binary", "--noise", "0.1"),
+         "--noise cannot be used with binary: its labels are exact signs and "
+         "cannot be noised"),
+        (("enumerate", "--target", "Pa", "--constants", "g,planck"),
+         "--constants names unknown constant 'planck'; available: "
+         "['G', 'c', 'g', 'mu0']"),
+        (("reproduce", "bernoulli", "--noise-levels", ","),
+         "--noise-levels lists no noise levels"),
+        (("reproduce", "bernoulli", "--split", "1"),
+         "split must be in (0, 1), got 1.0"),
+    ], ids=["synth-binary-noise", "enumerate-unknown-constant",
+            "reproduce-no-noise-levels", "reproduce-split"])
+    def test_subcommand_check_is_one_named_line(self, argv, message,
+                                                bernoulli_csv, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        if argv[0] == "enumerate":
+            argv = (*argv, "--schema", str(bernoulli_csv))
+        capsys.readouterr()
+        assert run(*argv, "--out", out) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"pifmap: error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_value_error_from_a_subcommand_propagates(self, monkeypatch):
+        def broken(args):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(cli, "_cmd_synth", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            run("synth", "bernoulli", "--out", "unused.csv")
 
     @pytest.mark.parametrize("variable, value, message", [
         ("PIFMAP_LAMBDA_GRID", "0.1,inf",
@@ -679,20 +707,13 @@ class TestExitCodeContract:
         ("PIFMAP_LAMBDA_GRID", "0.1,-1",
          "PIFMAP_LAMBDA_GRID must be non-negative, got '-1'"),
         ("PIFMAP_LAMBDA_GRID", " , ", "PIFMAP_LAMBDA_GRID is empty"),
-        ("PIFMAP_BUDGET", "1e6", "PIFMAP_BUDGET must be an integer, got '1e6'"),
-        ("PIFMAP_BUDGET", "0", "PIFMAP_BUDGET must be positive, got '0'"),
     ])
     def test_bad_environment_value_is_named(self, variable, value, message,
                                             bernoulli_csv, tmp_path,
                                             monkeypatch, capsys):
         monkeypatch.setenv(variable, value)
-        out = str(tmp_path / "out")
-        if variable == "PIFMAP_BUDGET":
-            argv = ("enumerate", "--schema", str(bernoulli_csv),
-                    "--target", "Pa", "--out", out)
-        else:
-            argv = ("fit", "--data", str(bernoulli_csv), "--raw", "--select",
-                    "--out", out)
+        argv = ("fit", "--data", str(bernoulli_csv), "--raw", "--select",
+                "--out", str(tmp_path / "out"))
         capsys.readouterr()
         assert run(*argv) == EXIT_USAGE
         assert capsys.readouterr().err.splitlines() == [f"pifmap: error: {message}"]
@@ -722,7 +743,7 @@ class TestExitCodeContract:
         ]
 
     def test_json_writer_refuses_non_finite_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidRange):
             cli._dump_json({"lambda": float("inf")})
 
     def test_every_error_class_has_a_documented_exit_code(self):
@@ -796,7 +817,7 @@ _FUZZ_TARGETS = [("dataset", "fit"), ("dataset", "rank"), ("dataset", "eval"),
 
 
 class TestCorruptedInputs:
-    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_exit_code_and_one_error_line(self, valid_inputs, data):
         target, command = data.draw(st.sampled_from(_FUZZ_TARGETS))

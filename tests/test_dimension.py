@@ -81,13 +81,6 @@ def test_unknown_symbol_position():
     assert excinfo.value.position == 3
 
 
-def test_aliases_extend_table_per_call():
-    gauss = parse_unit("T") ** Fraction(1)
-    assert parse_unit("Gs/m", aliases={"Gs": gauss}) == gauss / parse_unit("m")
-    with pytest.raises(UnknownUnitSymbol):
-        parse_unit("Gs/m")
-
-
 def test_division_is_left_associative():
     assert parse_unit("kg/m/s") == parse_unit("kg/(m*s)")
     assert parse_unit("kg/m*s") == parse_unit("(kg/m)*s")

@@ -7,7 +7,7 @@ import pytest
 
 from pifmap import experiments, ranking
 from pifmap.catalogs import load_catalog
-from pifmap.errors import InsufficientData
+from pifmap.errors import InsufficientData, InvalidRange
 from pifmap.experiments import (
     DEFAULT_SEEDS,
     EXPERIMENT_NAMES,
@@ -56,14 +56,11 @@ class TestDefaults:
         s = TrialSettings()
         assert s.n == 1000
         assert s.split == 0.7
-        assert s.lam == 1e-3
-        assert s.epsilon == 0.01
-        assert s.threshold == 0.5
 
     def test_split_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidRange):
             TrialSettings(split=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidRange):
             TrialSettings(split=1.0)
 
 

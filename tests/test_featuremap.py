@@ -641,7 +641,7 @@ def _items(dims, n_features):
 
 
 class TestLatticeOracles:
-    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=100)
     @given(case=_search_cases())
     def test_search_equals_brute_force_scan(self, case):
         dims, n_features, bound, constant_bound, active, target = case
@@ -660,7 +660,7 @@ class TestLatticeOracles:
         assert [m.feature_exponents for m in found] == [(2,)]
         assert enumerate_monomials(features, (), KG, 2, 1) == ()
 
-    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=80)
     @given(case=_validation_cases())
     def test_lattice_check_flags_exactly_the_fraction_mismatches(self, case):
         dims, n_features, monomials, target, declared = case

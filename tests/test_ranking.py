@@ -17,7 +17,6 @@ from pifmap.ranking import (
     greedy_select,
     rank_and_refit,
     rank_by_coefficient,
-    ranking_to_dict,
 )
 from pifmap.regression import fit_standardized, ridge_fit, standardize_apply
 
@@ -230,14 +229,16 @@ class TestIdenticalColumns:
 
 class TestSerialization:
     def test_dict_shape(self):
-        Z_tr, y_tr, Z_ev, y_ev = _planted_problem()
-        result = greedy_select(Z_tr, y_tr, Z_ev, y_ev, lam=1e-6)
-        document = ranking_to_dict(result)
+        X_tr, y_tr, X_ev, y_ev = _planted_problem()
+        model, Z_tr = fit_standardized(X_tr, y_tr, 1e-6)
+        Z_ev = standardize_apply(X_ev, model.standardization)
+        result, document = rank_and_refit(model, X_tr, Z_tr, y_tr, Z_ev, y_ev, 0.01)
         assert document["selected_count"] == result.selected_count
-        assert document["order"] == list(result.order)
+        assert document["order"] == [model.feature_names[j] for j in result.order]
         assert document["epsilon"] == result.epsilon
-        assert [point["k"] for point in document["curve"]] == [
-            point.k for point in result.curve
+        assert document["curve"] == [
+            {"k": point.k, "mae": point.mae, "mse": point.mse}
+            for point in result.curve
         ]
 
     def test_curve_csv_format(self):

@@ -19,7 +19,6 @@ from pifmap.regression import (
     classify,
     fit_standardized,
     gram_matrix,
-    identity_standardization,
     model_from_dict,
     model_to_dict,
     ridge_fit,
@@ -234,18 +233,19 @@ class TestSelectLambda:
         # train head is constant, tail is informative; selection must
         # still run (train >= 2, val >= 1) and return from the grid
         Z, y = _random_problem(17, n=10)
-        lam = select_lambda(Z, y, (1e-3, 1e-1), val_fraction=0.3)
+        lam = select_lambda(Z, y, (1e-3, 1e-1))
         assert lam in (1e-3, 1e-1)
 
     def test_too_few_rows(self):
+        # two rows leave one for training once the 30% tail is taken
         Z, y = _random_problem(19, n=2)
         with pytest.raises(InsufficientData):
-            select_lambda(Z, y, (1e-3,), val_fraction=0.9)
+            select_lambda(Z, y, (1e-3,))
 
     @staticmethod
-    def _refit_per_value(Z, y, grid, val_fraction=0.3):
-        """Oracle: one independent ridge_fit per grid value."""
-        n_train = len(y) - int(np.ceil(len(y) * val_fraction))
+    def _refit_per_value(Z, y, grid):
+        """Oracle: one independent ridge_fit per grid value, last 30% held out."""
+        n_train = len(y) - int(np.ceil(len(y) * 0.3))
         best_lam = best_mse = None
         for lam in grid:
             model = ridge_fit(Z[:n_train], y[:n_train], lam)
@@ -269,9 +269,7 @@ class TestSelectLambda:
         grid = tuple(float(lam) for lam in rng.choice(pool, size=int(rng.integers(1, 12))))
         if seed % 2 == 0:
             grid = grid + grid[:2]  # duplicated values, out of order
-        val_fraction = float(rng.uniform(0.1, 0.5))
-        assert select_lambda(Z, y, grid, val_fraction) == self._refit_per_value(
-            Z, y, grid, val_fraction)
+        assert select_lambda(Z, y, grid) == self._refit_per_value(Z, y, grid)
 
     def test_zero_lambda_on_rank_deficient_design_raises(self):
         Z = np.zeros((10, 2))
@@ -340,16 +338,6 @@ class TestModelSerialization:
         )
         assert back.feature_names == model.feature_names
         assert back.lam == model.lam
-
-    def test_threshold_survives(self):
-        model = ridge_fit(
-            np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), 1e-3,
-            standardization=identity_standardization(1),
-        )
-        document = model_to_dict(model)
-        assert "threshold" not in document
-        with_threshold = model_from_dict({**document, "threshold": 0.4})
-        assert with_threshold.threshold == 0.4
 
     def test_default_lambda_value(self):
         assert DEFAULT_LAMBDA == 1e-3

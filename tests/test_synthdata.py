@@ -168,12 +168,6 @@ class TestPulsar:
         np.testing.assert_allclose(ds.y, expected, rtol=1e-12)
         assert (ds.y <= 0.0).all()
 
-    def test_label_rescaling_exponent(self):
-        plain = gen_pulsar(50, seed=2)
-        scaled = gen_pulsar(50, seed=2, label_scale_exp=24)
-        np.testing.assert_allclose(scaled.y, plain.y / 1e24, rtol=1e-12)
-        assert scaled.provenance["label_scale_exp"] == 24
-
     def test_magnetic_field_log_sampled(self):
         # log-uniform draws put roughly as much mass per decade
         ds = gen_pulsar(4000, seed=13)
@@ -216,21 +210,6 @@ class TestBinary:
         counts = ds.provenance["class_counts"]
         assert counts["0"] > 0 and counts["1"] > 0
         assert counts["0"] + counts["1"] == 400
-
-    def test_dead_band_recorded_without_changing_rows(self):
-        wide = gen_binary(600, seed=4)
-        banded = gen_binary(600, seed=4, dead_band=0.5)
-        # band is provenance only: the sign rule still labels every row
-        assert banded.X.shape == wide.X.shape
-        assert np.array_equal(banded.y, wide.y)
-        assert banded.provenance["dead_band"] == 0.5
-        assert wide.provenance["dead_band"] == 0.0
-
-    def test_dead_band_validated(self):
-        with pytest.raises(InvalidRange):
-            gen_binary(10, seed=0, dead_band=-1.0)
-        with pytest.raises(InvalidRange):
-            gen_binary(10, seed=0, dead_band=math.inf)
 
     def test_labels_are_binary(self):
         ds = gen_binary(100, seed=8)
