@@ -176,10 +176,12 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
-# The lower bounds an option can carry, by the word its error message uses.
+# The ranges an option can be limited to, by the words its error message uses.
 _BOUNDS = {
     "non-negative": lambda value: value >= 0,
     "positive": lambda value: value > 0,
+    "in [0, 1)": lambda value: 0 <= value < 1,
+    "in (0, 1)": lambda value: 0 < value < 1,
 }
 
 
@@ -191,7 +193,7 @@ def _check_bound(option: str, bound: str | None, value, text: str) -> None:
 def _finite_number(option: str, bound: str | None = None):
     """An argparse type for ``option``: a finite float, or one error line.
 
-    ``bound`` names a lower bound from ``_BOUNDS``.  The error is a
+    ``bound`` names a range from ``_BOUNDS``.  The error is a
     :class:`~pifmap.errors.InvalidRange`, which argparse does not catch,
     so it reaches :func:`main` and names the option.
     """
@@ -228,7 +230,7 @@ def _integer(option: str, bound: str | None = None):
 
 
 def _parse_levels(text: str) -> tuple[float, ...]:
-    level = _finite_number("--noise-levels", "non-negative")
+    level = _finite_number("--noise-levels", "in [0, 1)")
     levels = tuple(level(cell) for cell in text.split(",") if cell.strip())
     if not levels:
         raise InvalidRange("--noise-levels lists no noise levels")
@@ -463,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--n", type=_integer("--n", "positive"), default=1000)
     p_synth.add_argument("--seed", type=_integer("--seed", "non-negative"),
                          default=1)
-    p_synth.add_argument("--noise", type=_finite_number("--noise", "non-negative"),
+    p_synth.add_argument("--noise", type=_finite_number("--noise", "in [0, 1)"),
                          default=None,
                          help="relative uniform label noise level in [0,1)")
     p_synth.add_argument("--noise-seed",
@@ -507,7 +509,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_LAMBDA)
     p_fit.add_argument("--select", action="store_true",
                        help="pick lambda on a validation tail of the train split")
-    p_fit.add_argument("--split", type=_finite_number("--split"), default=0.7)
+    p_fit.add_argument("--split", type=_finite_number("--split", "in (0, 1)"),
+                       default=0.7)
     p_fit.add_argument("--allow-inconsistent", action="store_true")
     p_fit.add_argument("--out", required=True, help="model JSON path")
     p_fit.set_defaults(func=_cmd_fit)
@@ -519,7 +522,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=0.01)
     p_rank.add_argument("--lam", type=_finite_number("--lam", "non-negative"),
                         default=DEFAULT_LAMBDA)
-    p_rank.add_argument("--split", type=_finite_number("--split"), default=0.7)
+    p_rank.add_argument("--split", type=_finite_number("--split", "in (0, 1)"),
+                       default=0.7)
     p_rank.add_argument("--allow-inconsistent", action="store_true")
     p_rank.add_argument("--out", default=None, help="ranking JSON path (default stdout)")
     p_rank.add_argument("--curve", default=None, help="optional error-curve CSV path")
@@ -543,7 +547,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--noise-levels",
                        default=",".join(repr(x) for x in REGRESSION_NOISE_LEVELS))
     p_rep.add_argument("--n", type=_integer("--n", "positive"), default=1000)
-    p_rep.add_argument("--split", type=_finite_number("--split"), default=0.7)
+    p_rep.add_argument("--split", type=_finite_number("--split", "in (0, 1)"),
+                       default=0.7)
     p_rep.add_argument("--out", default="reports")
     p_rep.add_argument("--csv-only", action="store_true",
                        help="skip the SVG box plots")

@@ -118,7 +118,13 @@ def split_point(n: int, fraction: float) -> int:
 
 
 def derive_noise_seed(seed: int, level: float) -> int:
-    """Key the noise stream off (seed, level) so arms never share draws."""
+    """Key the noise stream off (seed, level) so arms never share draws.
+
+    The level is checked as :class:`~pifmap.synthdata.NoiseConfig` checks
+    it before it is scaled to an integer key, so an out-of-range level
+    raises :class:`~pifmap.errors.InvalidNoiseLevel`, not an overflow.
+    """
+    NoiseConfig(level=level, seed=seed)
     ss = np.random.SeedSequence([int(seed), int(round(level * 1e6))])
     return int(ss.generate_state(1, np.uint64)[0])
 

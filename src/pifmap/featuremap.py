@@ -169,8 +169,8 @@ class DerivedFeature:
 def _reduced_mass(columns: Sequence[np.ndarray]) -> np.ndarray:
     a, b = columns
     total = a + b
-    zeros = np.flatnonzero(total == 0.0)
-    if zeros.size:
+    if not total.all():
+        zeros = np.flatnonzero(total == 0.0)
         raise DivisionByZero(
             f"reduced mass undefined at row {zeros[0]} (zero total)",
             row=int(zeros[0]),
@@ -606,8 +606,8 @@ def _check_schema(spec: FeatureMapSpec, dataset: Dataset) -> None:
             )
 
 
-def _extended_columns(spec: FeatureMapSpec, dataset: Dataset) -> list[np.ndarray]:
-    columns = [dataset.X[:, j] for j in range(dataset.n_features)]
+def _extended_columns(spec: FeatureMapSpec, X: np.ndarray) -> list[np.ndarray]:
+    columns = [X[:, j] for j in range(X.shape[1])]
     by_name = {f.name: c for f, c in zip(spec.features, columns)}
     for derived in spec.derived:
         compute = _DERIVED_KINDS[derived.kind]
@@ -617,37 +617,30 @@ def _extended_columns(spec: FeatureMapSpec, dataset: Dataset) -> list[np.ndarray
 
 def _power(base: np.ndarray, exponent: int, monomial: int) -> np.ndarray:
     """``base ** exponent``; a zero under a negative exponent names ``monomial``."""
-    if exponent < 0:
+    if exponent < 0 and not base.all():
         zeros = np.flatnonzero(base == 0.0)
-        if zeros.size:
-            raise DivisionByZero(
-                f"monomial {monomial + 1} raises a zero value to power "
-                f"{exponent} at row {zeros[0]}",
-                row=int(zeros[0]),
-                monomial=monomial,
-            )
+        raise DivisionByZero(
+            f"monomial {monomial + 1} raises a zero value to power "
+            f"{exponent} at row {zeros[0]}",
+            row=int(zeros[0]),
+            monomial=monomial,
+        )
     return base ** exponent
 
 
-def evaluate_map(spec: FeatureMapSpec, dataset: Dataset) -> np.ndarray:
-    """Evaluate every monomial on every row; returns an ``n x p`` matrix.
+# evaluate_map works through the table this many rows at a time, so that a
+# block's powers and its rows of the output stay in cache while its columns
+# are written.
+_BLOCK_ROWS = 8192
 
-    Factors multiply in declared order (features, then constants, then the
-    sign) so results are bit-reproducible.  Zero raised to a negative
-    power raises :class:`~pifmap.errors.DivisionByZero` naming the row and
-    the first monomial that does so; overflow to inf raises
-    :class:`~pifmap.errors.NonFiniteResult`.
 
-    Each power ``transform(column) ** exponent`` is computed once per call
-    and shared by every monomial that uses that (column, transform,
-    exponent) triple.  The cache lives only for the call and keeps a power
-    only until the last monomial that uses it, so it holds at most one
-    n-row array per distinct triple that occurs in more than one monomial.
+def _evaluate_rows(spec: FeatureMapSpec, X: np.ndarray, out: np.ndarray) -> None:
+    """Write every monomial, evaluated on the rows of ``X``, into ``out``.
+
+    An error names the first monomial that fails on these rows and its
+    row, counted from the first row of ``X``.
     """
-    _check_schema(spec, dataset)
-    columns = _extended_columns(spec, dataset)
-    n = dataset.n_rows
-    out = np.empty((n, len(spec.monomials)), dtype=float)
+    columns = _extended_columns(spec, X)
     # (position, transform tag, exponent) -> transform(column) ** exponent,
     # kept while a later monomial still uses it.  A zero under a negative
     # exponent raises on the triple's first use, by the first monomial
@@ -659,7 +652,7 @@ def evaluate_map(spec: FeatureMapSpec, dataset: Dataset) -> np.ndarray:
         for position, exponent in enumerate(monomial.feature_exponents)
         if exponent
     )
-    value = np.empty(n, dtype=float)  # one buffer, copied into each column
+    value = np.empty(X.shape[0], dtype=float)  # one buffer, copied into each column
     # overflow is reported as NonFiniteResult below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for j, monomial in enumerate(spec.monomials):
@@ -684,14 +677,49 @@ def evaluate_map(spec: FeatureMapSpec, dataset: Dataset) -> np.ndarray:
                 if exponent != 0:
                     scale *= constant.value ** exponent
             value *= monomial.sign * scale
-            bad = np.flatnonzero(~np.isfinite(value))
-            if bad.size:
+            if not np.isfinite(value).all():
+                bad = np.flatnonzero(~np.isfinite(value))
                 raise NonFiniteResult(
                     f"monomial {j + 1} is non-finite at row {bad[0]}",
                     row=int(bad[0]),
                     monomial=j,
                 )
             out[:, j] = value
+
+
+def evaluate_map(spec: FeatureMapSpec, dataset: Dataset) -> np.ndarray:
+    """Evaluate every monomial on every row; returns an ``n x p`` matrix.
+
+    Factors multiply in declared order (features, then constants, then the
+    sign) so results are bit-reproducible.  Zero raised to a negative
+    power raises :class:`~pifmap.errors.DivisionByZero` naming the row and
+    the first monomial that does so; overflow to inf raises
+    :class:`~pifmap.errors.NonFiniteResult`.
+
+    The table is evaluated in blocks of 8,192 rows.  Within a block, each
+    power ``transform(column) ** exponent`` is computed once per block and
+    shared by every monomial that uses that (column, transform, exponent)
+    triple; a power is kept only until the last monomial that uses it and
+    never outlives its block.  Beyond the output, memory is bounded by one
+    block: at most one block-sized array per distinct triple that occurs
+    in more than one monomial.
+    """
+    _check_schema(spec, dataset)
+    n = dataset.n_rows
+    out = np.empty((n, len(spec.monomials)), dtype=float)
+    try:
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            _evaluate_rows(spec, dataset.X[rows], out[rows])
+    except (DivisionByZero, NonFiniteResult):
+        if n <= _BLOCK_ROWS:
+            raise
+        # A block's error names the first monomial that fails in that block,
+        # at a row of the block.  One pass over the whole table raises the
+        # error of the first monomial that fails on any row, at its row in
+        # the table.
+        _evaluate_rows(spec, dataset.X, out)
+        raise
     return out
 
 

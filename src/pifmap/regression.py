@@ -35,6 +35,7 @@ from .errors import (
     InsufficientData,
     InvalidRange,
     NonFiniteInput,
+    NonFiniteResult,
     SingularSystem,
 )
 
@@ -101,14 +102,30 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
     Columns whose standard deviation is zero (to 1e-12 relative of the
     mean magnitude) carry no information at this scale; they are dropped
     with a :class:`~pifmap.errors.DroppedColumnWarning` and recorded in
-    ``params.dropped`` so later matrices can be sliced consistently.
+    ``params.dropped`` so later matrices can be sliced consistently.  A
+    column whose values are too large for its variance to be finite raises
+    :class:`~pifmap.errors.NonFiniteResult`.
+
+    The matrix is centered once.  The scales are taken from the centered
+    matrix by the steps of ``np.std`` (square, sum over rows, divide by
+    ``n``, square root), so they equal ``X.std(axis=0)`` bit for bit.
     """
     X = _check_matrix(X)
     n = X.shape[0]
     if n < 2:
         raise InsufficientData(f"standardization needs at least 2 rows, got {n}")
-    means = X.mean(axis=0)
-    scales = X.std(axis=0)  # population (1/n) convention
+    # overflow is reported as NonFiniteResult below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.mean(axis=0)
+        centered = X - means
+        # population (1/n) convention
+        scales = np.sqrt(np.add.reduce(np.square(centered), axis=0) / n)
+    if not np.isfinite(scales).all():
+        column = int(np.flatnonzero(~np.isfinite(scales))[0])
+        raise NonFiniteResult(
+            f"column {column} is too large to standardize: its standard "
+            "deviation overflows"
+        )
     constant = scales <= _ZERO_SCALE_RTOL * np.abs(means)
     kept = tuple(int(j) for j in np.flatnonzero(~constant))
     dropped = tuple(int(j) for j in np.flatnonzero(constant))
@@ -124,7 +141,11 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
         kept=kept,
         dropped=dropped,
     )
-    Z = (X[:, list(kept)] - params.means) / params.scales
+    if dropped:
+        centered = centered[:, list(kept)]
+    # Z is Fortran-ordered, as the gather X[:, kept] returns it, because the
+    # Gram, Z'y and the predictions round according to that layout
+    Z = np.divide(centered, params.scales, out=np.empty(centered.shape, order="F"))
     return Z, params
 
 
@@ -136,7 +157,11 @@ def standardize_apply(X: np.ndarray, params: StandardizationParams) -> np.ndarra
             f"matrix has {X.shape[1]} columns, parameters expect "
             f"{params.n_input_columns}"
         )
-    return (X[:, list(params.kept)] - params.means) / params.scales
+    if params.dropped:
+        X = X[:, list(params.kept)]
+    # Fortran-ordered, as standardize_fit returns Z
+    Z = np.subtract(X, params.means, out=np.empty(X.shape, order="F"))
+    return np.divide(Z, params.scales, out=Z)
 
 
 def identity_standardization(p: int) -> StandardizationParams:

@@ -4,12 +4,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pifmap import cli
@@ -282,6 +285,29 @@ class TestFit:
         capsys.readouterr()
         assert run("fit", "--data", str(data), "--spec", str(spec),
                    "--out", str(tmp_path / "m.json")) == EXIT_NUMERICAL
+
+
+    def test_overflowing_standardization_is_one_numerical_error_line(
+            self, tmp_path):
+        # squaring the centered 1e200-scale column overflows float64
+        data = tmp_path / "huge.csv"
+        rows = ["a[m],b[m],label[m]"]
+        for i in range(1, 11):
+            rows.append(f"{i * 1e200!r},{float(i)!r},{i * 1e200!r}")
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        src = Path(cli.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "pifmap.cli", "fit", "--raw",
+             "--data", str(data), "--out", str(tmp_path / "m.json")],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True,
+        )
+        assert done.returncode == EXIT_NUMERICAL
+        assert done.stderr.splitlines() == [
+            "pifmap: error: column 0 is too large to standardize: its "
+            "standard deviation overflows"
+        ]
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestRank:
@@ -576,9 +602,13 @@ _OUT_OF_RANGE_OPTIONS = [
     ("enumerate", "--max-constant-exponent", "-1", "non-negative"),
     ("synth", "--seed", "-1", "non-negative"),
     ("synth", "--noise-seed", "-1", "non-negative"),
-    ("synth", "--noise", "-0.5", "non-negative"),
+    ("synth", "--noise", "-0.5", "in [0, 1)"),
+    ("synth", "--noise", "1e308", "in [0, 1)"),
     ("reproduce", "--seeds", "-3:-1", "non-negative"),
-    ("reproduce", "--noise-levels", "-0.5", "non-negative"),
+    ("reproduce", "--noise-levels", "-0.5", "in [0, 1)"),
+    ("reproduce", "--noise-levels", "1e308", "in [0, 1)"),
+    ("reproduce", "--split", "1", "in (0, 1)"),
+    ("fit", "--split", "1e308", "in (0, 1)"),
 ]
 
 
@@ -677,10 +707,8 @@ class TestExitCodeContract:
          "['G', 'c', 'g', 'mu0']"),
         (("reproduce", "bernoulli", "--noise-levels", ","),
          "--noise-levels lists no noise levels"),
-        (("reproduce", "bernoulli", "--split", "1"),
-         "split must be in (0, 1), got 1.0"),
     ], ids=["synth-binary-noise", "enumerate-unknown-constant",
-            "reproduce-no-noise-levels", "reproduce-split"])
+            "reproduce-no-noise-levels"])
     def test_subcommand_check_is_one_named_line(self, argv, message,
                                                 bernoulli_csv, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -846,6 +874,125 @@ class TestCorruptedInputs:
         assert all(line.startswith("pifmap: error: ") for line in lines)
 
 
+# Every numeric option: (command, option, integer?, the range it names).
+_NUMERIC_OPTIONS = [
+    ("synth", "--n", True, "positive"),
+    ("synth", "--seed", True, "non-negative"),
+    ("synth", "--noise", False, "in [0, 1)"),
+    ("synth", "--noise-seed", True, "non-negative"),
+    ("enumerate", "--max-exponent", True, "positive"),
+    ("enumerate", "--max-active", True, "positive"),
+    ("enumerate", "--max-constant-exponent", True, "non-negative"),
+    ("enumerate", "--budget", True, "positive"),
+    ("fit", "--lam", False, "non-negative"),
+    ("fit", "--split", False, "in (0, 1)"),
+    ("rank", "--epsilon", False, "positive"),
+    ("rank", "--lam", False, "non-negative"),
+    ("rank", "--split", False, "in (0, 1)"),
+    ("eval", "--classify", False, None),
+    ("reproduce", "--seeds", True, "non-negative"),
+    ("reproduce", "--noise-levels", False, "in [0, 1)"),
+    ("reproduce", "--n", True, "positive"),
+    ("reproduce", "--split", False, "in (0, 1)"),
+]
+
+_IN_RANGE = {
+    "positive": lambda value: value > 0,
+    "non-negative": lambda value: value >= 0,
+    "in [0, 1)": lambda value: 0 <= value < 1,
+    "in (0, 1)": lambda value: 0 < value < 1,
+    None: lambda value: True,
+}
+
+
+def _expected_error(option, integer, bound, text):
+    """The one error line a value gets, or None if the run must succeed."""
+    if integer:
+        try:
+            value = int(text)
+        except ValueError:
+            return f"pifmap: error: {option} must be an integer, got {text!r}"
+    else:
+        value = float(text)
+        if not np.isfinite(value):
+            return f"pifmap: error: {option} must be a finite number, got {text!r}"
+    if not _IN_RANGE[bound](value):
+        return f"pifmap: error: {option} must be {bound}, got {text!r}"
+    return None
+
+
+@pytest.fixture(scope="module")
+def option_inputs(tmp_path_factory):
+    """A regression table, the bernoulli spec, a binary table and its model."""
+    base = tmp_path_factory.mktemp("options")
+    paths = {kind: base / name for kind, name in [
+        ("data", "data.csv"), ("spec", "spec.json"), ("binary", "binary.csv"),
+        ("model", "model.json")]}
+    assert run("synth", "bernoulli", "--n", "40", "--seed", "2",
+               "--out", str(paths["data"])) == EXIT_OK
+    assert run("synth", "binary", "--n", "40", "--seed", "2",
+               "--out", str(paths["binary"])) == EXIT_OK
+    paths["spec"].write_text(json.dumps(spec_to_dict(load_catalog("bernoulli"))),
+                             encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("fit", "--data", str(paths["binary"]), "--raw",
+                   "--out", str(paths["model"])) == EXIT_OK
+    return {kind: str(path) for kind, path in paths.items()}
+
+
+class TestNumericOptionValues:
+    """Every numeric option, given nan, +-inf, -0.0, 1e308 or a negative
+    number, either runs (exit 0) or exits 2 with one error line that names
+    the option and the value; it never ends in a traceback."""
+
+    @pytest.mark.parametrize("command, option, integer, bound", _NUMERIC_OPTIONS,
+                             ids=[" ".join(case[:2]) for case in _NUMERIC_OPTIONS])
+    @settings(max_examples=6)
+    @example(text="nan")
+    @example(text="inf")
+    @example(text="-inf")
+    @example(text="-0.0")
+    @example(text="1e308")
+    @given(text=st.one_of(
+        st.integers(max_value=-1).map(str),
+        st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)
+        .map(repr),
+    ))
+    def test_runs_or_names_the_option(self, command, option, integer, bound,
+                                      text, option_inputs):
+        expected = _expected_error(option, integer, bound, text)
+        with tempfile.TemporaryDirectory() as base:
+            out = os.path.join(base, "out")
+            argv = {
+                "synth": ["synth", "bernoulli", "--n", "40", "--out", out],
+                "enumerate": ["enumerate", "--schema", option_inputs["data"],
+                              "--target", "Pa", "--max-exponent", "2",
+                              "--out", out],
+                "fit": ["fit", "--data", option_inputs["data"], "--raw",
+                        "--out", out],
+                "rank": ["rank", "--data", option_inputs["data"],
+                         "--spec", option_inputs["spec"], "--out", out],
+                "eval": ["eval", "--model", option_inputs["model"],
+                         "--data", option_inputs["binary"]],
+                "reproduce": ["reproduce", "bernoulli", "--seeds", "1",
+                              "--n", "40", "--csv-only", "--out", out],
+            }[command]
+            # one argument, so that a negative value is not taken for an option
+            argv.append(f"{option}={text}")
+            stderr = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("ignore", DroppedColumnWarning)
+                warnings.simplefilter("error", RuntimeWarning)  # from numpy
+                code = main(argv)
+            wrote = os.path.exists(out)
+        if expected is None:
+            assert (code, stderr.getvalue()) == (EXIT_OK, "")
+        else:
+            assert (code, stderr.getvalue().splitlines()) == (EXIT_USAGE, [expected])
+            assert not wrote
+
+
 class TestReproduce:
     def test_csv_only_outputs(self, tmp_path):
         out = tmp_path / "reports"
@@ -903,10 +1050,6 @@ class TestTopLevel:
         assert "synth" in capsys.readouterr().out
 
     def test_import_loads_no_scipy(self):
-        import subprocess
-        import sys
-        from pathlib import Path
-
         src = Path(cli.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(src))
         loaded = subprocess.run(

@@ -7,7 +7,7 @@ import pytest
 
 from pifmap import experiments, ranking
 from pifmap.catalogs import load_catalog
-from pifmap.errors import InsufficientData, InvalidRange
+from pifmap.errors import InsufficientData, InvalidNoiseLevel, InvalidRange
 from pifmap.experiments import (
     DEFAULT_SEEDS,
     EXPERIMENT_NAMES,
@@ -92,6 +92,13 @@ class TestNoiseSeeds:
     def test_level_scale_independent(self):
         # derived from round(level * 1e6): distinguishes 0.1 from 0.1000001
         assert derive_noise_seed(1, 0.1) != derive_noise_seed(1, 0.100001)
+
+    @pytest.mark.parametrize("level", [1e308, float("inf"), float("nan"),
+                                       1.0, -0.5])
+    def test_level_is_range_checked_before_it_is_scaled(self, level):
+        # 1e308 * 1e6 is inf, which int() cannot convert
+        with pytest.raises(InvalidNoiseLevel, match="0 <= level < 1"):
+            derive_noise_seed(1, level)
 
 
 class TestTrials:

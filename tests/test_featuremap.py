@@ -1,6 +1,7 @@
 """Monomial feature maps: dimensions, enumeration, evaluation, round-trips."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pifmap import featuremap
+from pifmap.catalogs import load_catalog
 from pifmap.data import Dataset, Feature, schema_of
 from pifmap.dimension import DIMENSIONLESS, Dimension, parse_unit
 from pifmap.errors import (
@@ -35,7 +37,7 @@ from pifmap.featuremap import (
     spec_to_dict,
 )
 from pifmap.regression import fit_standardized, ridge_predict, standardize_apply
-from pifmap.synthdata import gen_bernoulli
+from pifmap.synthdata import gen_bernoulli, gen_pulsar
 
 KG = parse_unit("kg")
 M_PER_S = parse_unit("m/s")
@@ -234,7 +236,7 @@ def _per_monomial_reference(spec, dataset):
     return out
 
 
-def _shared_power_case(tag):
+def _shared_power_case(tag, n=64):
     """Energy monomials m^a v^b E^c alpha^d sharing (column, exponent) pairs."""
     columns = [("m", "kg"), ("v", "m/s"), ("E", "J"), ("alpha", "rad")]
     on_alpha = () if tag is None else ((3, tag),)
@@ -256,8 +258,8 @@ def _shared_power_case(tag):
         target_dimension=JOULE,
     )
     rng = np.random.Generator(np.random.PCG64(31))
-    X = rng.uniform(0.1, 3.0, size=(64, 4))
-    data = Dataset(schema=schema_of(columns), X=X, y=np.zeros(64),
+    X = rng.uniform(0.1, 3.0, size=(n, 4))
+    data = Dataset(schema=schema_of(columns), X=X, y=np.zeros(n),
                    label_dimension=JOULE)
     return spec, data
 
@@ -302,6 +304,53 @@ class TestEvaluateMap:
         Phi = evaluate_map(spec, data)
         assert len(calls) == 56
         assert Phi.tobytes() == _per_monomial_reference(spec, data).tobytes()
+
+    @pytest.mark.parametrize("tag", [None, "sin2"])
+    def test_row_blocks_match_a_per_monomial_reference_bitwise(self, tag):
+        # two and a half blocks: the last block is short
+        spec, data = _shared_power_case(tag, n=5 * featuremap._BLOCK_ROWS // 2)
+        Phi = evaluate_map(spec, data)
+        assert Phi.tobytes() == _per_monomial_reference(spec, data).tobytes()
+
+    def test_block_errors_name_the_first_failing_monomial_of_the_table(self):
+        # The first block fails at monomial 5 (alpha^-1 on alpha = 0), the
+        # second at monomial 4 (m^2 v^4 E^-1 overflows on a subnormal E).
+        # On the whole table monomial 4 fails first, at its row in the table.
+        spec, data = _shared_power_case(None, n=2 * featuremap._BLOCK_ROWS + 10)
+        data.X[100, 3] = 0.0
+        second_block_row = featuremap._BLOCK_ROWS + 7
+        data.X[second_block_row, 2] = 1e-310
+        with pytest.raises(DivisionByZero) as first_block:
+            evaluate_map(spec, Dataset(schema=data.schema, X=data.X[:200],
+                                       y=data.y[:200],
+                                       label_dimension=JOULE))
+        assert (first_block.value.monomial, first_block.value.row) == (4, 100)
+        with pytest.raises(NonFiniteResult) as info:
+            evaluate_map(spec, data)
+        assert (info.value.monomial, info.value.row) == (3, second_block_row)
+        assert str(info.value) == (
+            f"monomial 4 is non-finite at row {second_block_row}")
+
+    def test_division_by_zero_in_a_later_block_names_its_table_row(self):
+        spec, data = _shared_power_case(None, n=3 * featuremap._BLOCK_ROWS)
+        row = 2 * featuremap._BLOCK_ROWS + 5
+        data.X[row, 2] = 0.0
+        with pytest.raises(DivisionByZero) as info:
+            evaluate_map(spec, data)
+        assert (info.value.monomial, info.value.row) == (3, row)
+
+    def test_memory_beyond_the_output_is_one_block(self):
+        spec = load_catalog("pulsar", allow_inconsistent=True)
+        data = gen_pulsar(200_000, 5)
+        output_bytes = data.n_rows * len(spec.monomials) * 8
+        tracemalloc.start()
+        try:
+            Phi = evaluate_map(spec, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert Phi.nbytes == output_bytes
+        assert peak < 1.1 * output_bytes
 
     def test_hand_oracle_row(self):
         # m v^2, E, m^2 v^4 / E at (m, v, E) = (2, 3, 5)

@@ -1,5 +1,7 @@
 """Standardization, ridge solver, lambda selection, Gram, classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from pifmap.errors import (
     InsufficientData,
     InvalidRange,
     NonFiniteInput,
+    NonFiniteResult,
     SingularSystem,
 )
 from pifmap.regression import (
@@ -78,6 +81,57 @@ class TestStandardize:
     def test_single_row_rejected(self):
         with pytest.raises(InsufficientData):
             standardize_fit(np.array([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "column-view", "row-view"])
+    @pytest.mark.parametrize("constant_column", [None, 2])
+    def test_bitwise_equal_to_the_two_pass_formulas(self, layout,
+                                                    constant_column):
+        rng = np.random.Generator(np.random.PCG64(17))
+        X = (rng.standard_normal((2001, 6)) * [1e-3, 1.0, 7.0, 1e4, 0.3, 2e6]
+             + [5.0, -2.0, 1e3, 0.0, 9.0, -4e6])
+        if constant_column is not None:
+            X[:, constant_column] = 3.25
+        X = {"C": X, "F": np.asfortranarray(X), "column-view": X[:, 1:],
+             "row-view": X[::3]}[layout]
+        X_new = X[:700] * 1.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DroppedColumnWarning)
+            Z, params = standardize_fit(X)
+        means, scales = X.mean(axis=0), X.std(axis=0)
+        kept = [j for j in range(X.shape[1]) if scales[j] > 1e-12 * abs(means[j])]
+        assert list(params.kept) == kept
+        assert len(kept) < X.shape[1] or constant_column is None
+        assert params.means.tobytes() == means[kept].tobytes()
+        assert params.scales.tobytes() == scales[kept].tobytes()
+        expected = (X[:, kept] - means[kept]) / scales[kept]
+        assert Z.tobytes(order="A") == expected.tobytes(order="A")
+        assert Z.flags.f_contiguous
+        applied = standardize_apply(X_new, params)
+        expected = (X_new[:, kept] - means[kept]) / scales[kept]
+        assert applied.tobytes(order="A") == expected.tobytes(order="A")
+        assert applied.flags.f_contiguous
+
+    def test_apply_copies_a_fortran_input(self):
+        X = np.asfortranarray(np.arange(12.0).reshape(6, 2))
+        _, params = standardize_fit(X)
+        before = X.copy()
+        Z = standardize_apply(X, params)
+        assert not np.shares_memory(Z, X)
+        assert X.tobytes() == before.tobytes()
+
+    def test_overflowing_scale_is_a_numerical_error(self):
+        X = np.column_stack([np.arange(10.0), np.arange(1.0, 11.0) * 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            with pytest.raises(NonFiniteResult, match="column 1 is too large"):
+                standardize_fit(X)
+
+    def test_overflowing_mean_is_a_numerical_error(self):
+        X = np.full((4, 1), 1.7e308) * [[1.0], [-1.0], [1.0], [1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult, match="column 0"):
+                standardize_fit(X)
 
 
 class TestRidgeFit:
