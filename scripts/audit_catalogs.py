@@ -34,10 +34,10 @@ def main(argv=None) -> int:
         spec = load_catalog(name, allow_inconsistent=True)
         target = format_unit(spec.target_dimension)
         known = set(spec.metadata.get("known_inconsistent", ()))
-        print(f"{name}: {len(spec.monomials)} monomials, target [{target}]")
-        for index, monomial in enumerate(spec.monomials):
+        print(f"{name}: {len(spec)} monomials, target [{target}]")
+        for index in range(len(spec)):
             dimension = monomial_dimension(
-                monomial,
+                spec.monomial(index),
                 spec.column_dimensions,
                 tuple(c.dimension for c in spec.constants),
             )

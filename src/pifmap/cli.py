@@ -1,8 +1,9 @@
 """Command-line surface: synth, enumerate, fit, rank, eval, reproduce.
 
 All outputs are byte-deterministic for fixed inputs and seeds: JSON with
-sorted keys and a trailing newline, CSV with repr() floats and LF line
-endings, SVG from the fixed-geometry emitter.
+sorted keys, two-space indentation and a trailing newline, except that each
+monomial of a spec is one line; CSV with repr() floats and LF line endings,
+SVG from the fixed-geometry emitter.
 
 Exit codes: 0 success; 2 usage or invalid values, including a bad
 ``--target`` unit, a spec whose monomials miss its target and a dataset
@@ -38,7 +39,13 @@ from .data import (
     write_manifest,
 )
 from .dimension import parse_unit
-from .errors import DimensionMismatch, InvalidRange, PifmapError
+from .errors import (
+    DimensionMismatch,
+    InsufficientData,
+    InvalidRange,
+    PifmapError,
+    SchemaMismatch,
+)
 from .experiments import (
     EXPERIMENT_NAMES,
     REGRESSION_NOISE_LEVELS,
@@ -95,12 +102,48 @@ def _fail(message: str) -> None:
     print(f"pifmap: error: {message}", file=sys.stderr)
 
 
+# Encodes one monomial of a spec on one line.  Without indentation the
+# json module uses its C encoder; with it, its pure-Python one.  A spec
+# document is a tree, so the encoder need not look for cycles.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, check_circular=False)
+
+
 def _dump_json(obj) -> str:
-    """Sorted, indented JSON; a non-finite number is an :class:`InvalidRange`."""
+    """Sorted JSON indented by two spaces, each monomial of a spec on one line.
+
+    A spec's monomials are the list under a ``"monomials"`` key; each of its
+    elements is written compactly on a line of its own, and everything else
+    exactly as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it.  A
+    non-finite number is an :class:`InvalidRange`.
+    """
     try:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return _json_text(obj, "\n") + "\n"
     except ValueError as exc:
         raise InvalidRange(str(exc)) from exc
+
+
+def _holds_monomials(node) -> bool:
+    return isinstance(node, dict) and (
+        isinstance(node.get("monomials"), list)
+        or any(map(_holds_monomials, node.values()))
+    )
+
+
+def _json_text(node, newline: str) -> str:
+    """``node`` as indented JSON whose inner lines start with ``newline``."""
+    if not _holds_monomials(node):
+        text = json.dumps(node, sort_keys=True, indent=2, allow_nan=False)
+        return text.replace("\n", newline)
+    inner = newline + "  "
+    items = []
+    for key, value in sorted(node.items()):
+        if key == "monomials" and isinstance(value, list) and value:
+            lines = (inner + "  " + line for line in map(_LINE_ENCODER.encode, value))
+            text = "[" + ",".join(lines) + inner + "]"
+        else:
+            text = _json_text(value, inner)
+        items.append(f"{inner}{json.dumps(key)}: {text}")
+    return "{" + ",".join(items) + newline + "}"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -277,7 +320,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _schema_from_file(path: str):
     if path.endswith(".csv"):
         return read_csv(path).schema
-    return schema_of(_json_document(path)["features"])
+    document = _json_document(path)
+    if not isinstance(document, dict) or "features" not in document:
+        raise SchemaMismatch(
+            'expected {"features": [[name, unit], ...]} or '
+            '{"features": [{"name": name, "unit": unit}, ...]}'
+        )
+    return schema_of(document["features"])
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -295,7 +344,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                     f"{sorted(STANDARD_CONSTANTS)}"
                 )
             constants.append(STANDARD_CONSTANTS[name])
-    monomials = enumerate_monomials(
+    exponents = enumerate_monomials(
         schema,
         tuple(constants),
         target,
@@ -304,7 +353,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         max_constant_exponent=args.max_constant_exponent,
         budget=args.budget,
     )
-    if not monomials:
+    if not len(exponents):
         print(
             f"pifmap: warning: no combination of {list(schema.names)} reaches "
             f"[{target}] within the bounds",
@@ -314,7 +363,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         name=args.name,
         features=tuple(schema.features),
         constants=tuple(constants),
-        monomials=tuple(monomials),
+        exponents=exponents,
         target_dimension=target,
         metadata={"source": "enumeration", "budget": args.budget},
     )
@@ -324,6 +373,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
+
+
+def _split_rows(n_rows: int, split: float) -> int:
+    """:func:`split_point` of ``--split``; its error names the option."""
+    try:
+        return split_point(n_rows, split)
+    except InsufficientData as exc:
+        raise InsufficientData(f"--{exc}") from None
 
 
 def _design_matrix(dataset: Dataset, spec: FeatureMapSpec | None):
@@ -338,7 +395,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.spec is not None:
         spec = _load_spec_file(args.spec, args.allow_inconsistent)
     X, names = _design_matrix(dataset, spec)
-    k = split_point(dataset.n_rows, args.split)
+    k = _split_rows(dataset.n_rows, args.split)
     y = dataset.y
     grid = _env_lambda_grid() if args.select else None
     Z_train, params = standardize_fit(X[:k])
@@ -374,7 +431,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     dataset = _parse_input("dataset", args.data, read_csv)
     spec = _load_spec_file(args.spec, args.allow_inconsistent)
     Phi = evaluate_map(spec, dataset)
-    k = split_point(dataset.n_rows, args.split)
+    k = _split_rows(dataset.n_rows, args.split)
     y = dataset.y
     model, Z_train = fit_standardized(
         Phi[:k], y[:k], args.lam, feature_names=spec.monomial_names
@@ -400,6 +457,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     Z = standardize_apply(X, model.standardization)
     scores = ridge_predict(model, Z)
     if args.classify is not None:
+        labels = dataset.y[~np.isin(dataset.y, (0.0, 1.0))]
+        if labels.size:
+            raise InvalidRange(
+                f"--classify needs labels 0 and 1, but {args.data} has label "
+                f"{float(labels[0])!r}"
+            )
         threshold = args.classify
         predictions = classify(scores, threshold)
         out = scores_to_dict(confusion(dataset.y, predictions))
@@ -431,6 +494,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     names = EXPERIMENT_NAMES if args.experiment == "all" else [args.experiment]
     seeds = _parse_seeds(args.seeds)
     levels = _parse_levels(args.noise_levels)
+    _split_rows(args.n, args.split)
     settings = TrialSettings(n=args.n, split=args.split)
     for name in names:
         report = run_experiment(name, seeds, levels, settings)
@@ -479,8 +543,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "enumerate", help="list dimensionally consistent monomials"
     )
     p_enum.add_argument("--schema", required=True,
-                        help="schema JSON ({'features': [[name, unit], ...]}) "
-                        "or a dataset CSV")
+                        help="schema JSON ({'features': [[name, unit], ...]} "
+                        "or {'features': [{'name': ..., 'unit': ...}, ...]}, "
+                        "as in a spec file) or a dataset CSV")
     p_enum.add_argument("--target", required=True, help="target unit, e.g. Pa")
     p_enum.add_argument("--max-exponent",
                         type=_integer("--max-exponent", "positive"), default=4)

@@ -73,11 +73,30 @@ class FeatureSchema:
         return len(self.features)
 
 
-def schema_of(pairs: Iterable[tuple[str, str]]) -> FeatureSchema:
-    """Build a schema from ``(name, unit string)`` pairs."""
-    return FeatureSchema(
-        tuple(Feature(name, parse_unit(unit)) for name, unit in pairs)
-    )
+def schema_of(entries: Iterable) -> FeatureSchema:
+    """Build a schema from ``(name, unit string)`` pairs.
+
+    An entry may also be a ``{"name": name, "unit": unit}`` object, the
+    form spec files write their features in.  Any other entry is a
+    :class:`~pifmap.errors.SchemaMismatch` naming the expected shapes.
+    """
+    if isinstance(entries, (str, bytes, Mapping)) or not isinstance(entries, Iterable):
+        raise SchemaMismatch(f"expected a list of features, got {entries!r}")
+    features = []
+    for entry in entries:
+        if isinstance(entry, Mapping) and set(entry) == {"name", "unit"}:
+            name, unit = entry["name"], entry["unit"]
+        elif isinstance(entry, (list, tuple)) and len(entry) == 2:
+            name, unit = entry
+        else:
+            name = unit = None
+        if not (isinstance(name, str) and isinstance(unit, str)):
+            raise SchemaMismatch(
+                'expected [name, unit] or {"name": name, "unit": unit} for '
+                f"each feature, got {entry!r}"
+            )
+        features.append(Feature(name, parse_unit(unit)))
+    return FeatureSchema(tuple(features))
 
 
 @dataclass

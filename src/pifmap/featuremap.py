@@ -1,25 +1,32 @@
 """Dimensionally homogeneous monomial feature maps.
 
 A monomial feature is a signed product of integer powers of the input
-features and of physical constants, optionally passing individual features
+columns and of physical constants, optionally passing individual columns
 through a tagged elementwise transform first (the closed tag set is
-``identity`` and ``sin2``).  A :class:`FeatureMapSpec` bundles an ordered
-list of monomials with the schema they apply to and a target dimension;
-every monomial must match the target exactly, which is enforced at
-construction.  Specs whose source tables are known to be inconsistent can
-be loaded anyway by listing the offending monomial indices, and then carry
-human-readable diagnostics instead of silently passing.
+``identity`` and ``sin2``).  A :class:`FeatureMapSpec` bundles its monomials
+with the schema they apply to and a target dimension, and holds them as one
+integer matrix: row ``i`` of ``exponents`` is monomial ``i``'s powers of the
+columns (features, then derived features) followed by its powers of the
+constants, ``signs[i]`` is its sign, and the sparse ``transforms`` map names
+the tag of each transformed ``(row, column)`` entry.  Every monomial must
+match the target exactly, which is enforced at construction.  Specs whose
+source tables are known to be inconsistent can be loaded anyway by listing
+the offending rows, and then carry human-readable diagnostics instead of
+silently passing.  :class:`Monomial` is the value type for building a spec
+by hand (:meth:`FeatureMapSpec.from_monomials`) and for reading one row
+back (:meth:`FeatureMapSpec.monomial`).
 
 Both checks work on one exact integer table: unit exponents scaled by the
-lcm of their denominators, one row ``D[i]`` per feature or constant.  A
-spec's monomials are validated with one product ``E @ D == t``.
-:func:`enumerate_monomials` generates every monomial of a given dimension
-within exponent bounds by a meet-in-the-middle search (Horowitz & Sahni,
-1974): it lists the exponent rows of each half of the items and joins them
-on ``t - left == right``.  The search is exhaustive within bounds, emits
-monomials in lexicographic exponent order, and raises
-:class:`~pifmap.errors.BudgetExceeded`, before allocating, when the
-half-grid rows plus join candidates exceed the configured budget.
+lcm of their denominators, one row ``D[i]`` per column or constant.  A
+spec's monomials are validated with one product ``E @ D == t`` over its
+exponent matrix ``E``.  :func:`enumerate_monomials` returns the exponent
+matrix of every monomial of a given dimension within exponent bounds, found
+by a meet-in-the-middle search (Horowitz & Sahni, 1974): it lists the
+exponent rows of each half of the items and joins them on
+``t - left == right``.  The search is exhaustive within bounds, emits rows
+in lexicographic order, and raises :class:`~pifmap.errors.BudgetExceeded`,
+before allocating, when the half-grid rows plus join candidates exceed the
+configured budget.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -250,46 +256,105 @@ def _integer_dimension_table(
 
 
 def _mismatched_indices(
-    monomials: Sequence[Monomial],
-    feature_dimensions: Sequence[Dimension],
+    exponents: np.ndarray,
+    transforms: Mapping[tuple[int, int], str],
+    column_dimensions: Sequence[Dimension],
     constant_dimensions: Sequence[Dimension],
     target: Dimension,
 ) -> list[int]:
-    """Indices of the monomials whose dimension is not ``target``.
+    """Rows of the exponent matrix whose dimension is not ``target``.
 
-    A feature under a non-identity transform contributes a dimensionless
+    A column under a non-identity transform contributes a dimensionless
     factor, so its entry in ``E`` is zeroed.  ``E @ D`` runs in int64 only
     when no entry and no partial sum can overflow, ``max|E|`` times
     ``max_u sum_i |D[i, u]|`` (each at least 1) fitting; a spec file may
     carry any integer exponent, and past that bound the product is taken
     in Python ints.
     """
-    for monomial in monomials:
-        _check_lengths(monomial, len(feature_dimensions), len(constant_dimensions))
     table, target_row = _integer_dimension_table(
-        (*feature_dimensions, *constant_dimensions), target
+        (*column_dimensions, *constant_dimensions), target
     )
-    rows = [m.feature_exponents + m.constant_exponents for m in monomials]
-    zeroed = (
-        [i for i, m in enumerate(monomials) for j, tag in m.transforms if tag != "identity"],
-        [j for m in monomials for j, tag in m.transforms if tag != "identity"],
-    )
-    largest = max(map(abs, itertools.chain.from_iterable(rows)), default=0)
+    transformed = [entry for entry, tag in transforms.items() if tag != "identity"]
+    if transformed:
+        exponents = exponents.copy()
+        exponents[tuple(np.array(transformed).T)] = 0
+    largest = max(-int(exponents.min()), int(exponents.max())) if exponents.size else 0
     reach = max((sum(map(abs, column)) for column in zip(*table)), default=0)
     fits = max(max(largest, 1) * max(reach, 1), *map(abs, target_row)) <= _INT64_MAX
     dtype = np.int64 if fits else object
-    exponents = np.array(rows, dtype=dtype).reshape(len(rows), len(table))
-    exponents[zeroed] = 0
     matrix = np.array(table, dtype=dtype).reshape(len(table), len(target_row))
-    products = exponents @ matrix
+    products = exponents.astype(dtype) @ matrix
     return np.flatnonzero(
         np.any(products != np.array(target_row, dtype=dtype), axis=1)
     ).tolist()
 
 
-@dataclass(frozen=True)
+def _exponent_matrix(rows, width: int, items: str) -> np.ndarray:
+    """``rows`` as an integer matrix with ``width`` columns.
+
+    The matrix is int64 when every entry fits and holds Python ints
+    otherwise.  Exponents form an integer lattice; silently truncating 1.5
+    would change the monomial, so a bool or non-integral entry is a
+    :class:`TypeError`, and a row of the wrong length a
+    :class:`~pifmap.errors.LengthMismatch` that names it.
+    """
+    if not (isinstance(rows, np.ndarray) and rows.dtype.kind == "i"):
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+        if not {int}.issuperset(map(type, itertools.chain.from_iterable(rows))):
+            _exact_ints(itertools.chain.from_iterable(rows))
+    if len(rows) == 0:
+        return np.zeros((0, width), dtype=np.int64)
+    try:
+        matrix = np.array(rows, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64
+        matrix = np.array(rows, dtype=object)
+    except ValueError:  # ragged rows
+        matrix = None
+    if matrix is not None and matrix.ndim == 2 and matrix.shape[1] == width:
+        return matrix
+    for index, row in enumerate(rows):
+        if np.ndim(row) != 1 or len(row) != width:
+            raise LengthMismatch(
+                f"monomial {index + 1} has {np.size(row)} exponents for "
+                f"{width} {items}"
+            )
+    raise LengthMismatch(f"exponents for {width} {items} do not form a matrix")
+
+
+def _sign_vector(signs, n_rows: int) -> np.ndarray:
+    values = np.ones(n_rows, dtype=np.int64) if signs is None else np.asarray(signs)
+    if values.shape != (n_rows,):
+        raise LengthMismatch(f"{values.size} signs for {n_rows} monomials")
+    wrong = ~np.isin(values, (-1, 1))
+    if wrong.any():
+        raise ValueError(f"sign must be -1 or +1, got {values[wrong][0]}")
+    return values.astype(np.int64)
+
+
+def _transform_map(
+    transforms: Mapping[tuple[int, int], str], n_rows: int, n_columns: int
+) -> dict[tuple[int, int], str]:
+    checked = {}
+    for (row, column), tag in transforms.items():
+        if tag not in TRANSFORM_TAGS:
+            raise ValueError(f"unknown transform tag {tag!r}")
+        if not 0 <= column < n_columns:
+            raise ValueError(f"transform index {column} out of range")
+        if not 0 <= row < n_rows:
+            raise ValueError(f"transform on monomial {row + 1} out of range")
+        checked[int(row), int(column)] = str(tag)
+    return checked
+
+
+@dataclass(frozen=True, eq=False)
 class FeatureMapSpec:
     """Ordered monomials over a declared schema, all of one target dimension.
+
+    ``exponents`` is the ``p x (columns + constants)`` integer matrix of the
+    ``p`` monomials, ``signs`` their ``p`` signs (all +1 when omitted) and
+    ``transforms`` maps a ``(row, column)`` entry to its transform tag; an
+    entry it does not list is ``identity``.  Construction stores them as a
+    read-only matrix, an int64 vector and a dict.
 
     ``inconsistent_indices`` lists monomials that are knowingly kept
     despite failing the dimension check; any mismatch not listed there
@@ -299,11 +364,33 @@ class FeatureMapSpec:
     name: str
     features: tuple[Feature, ...]
     constants: tuple[PhysicalConstant, ...]
-    monomials: tuple[Monomial, ...]
+    exponents: np.ndarray
     target_dimension: Dimension
+    signs: np.ndarray | None = None
+    transforms: Mapping[tuple[int, int], str] = field(default_factory=dict)
     derived: tuple[DerivedFeature, ...] = ()
     inconsistent_indices: tuple[int, ...] = ()
     metadata: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_monomials(cls, monomials: Iterable[Monomial], **fields) -> FeatureMapSpec:
+        """Build a spec by hand from :class:`Monomial` values, one row each.
+
+        ``fields`` are the remaining constructor arguments.
+        """
+        monomials = tuple(monomials)
+        n_columns = len(fields["features"]) + len(fields.get("derived", ()))
+        for monomial in monomials:
+            _check_lengths(monomial, n_columns, len(fields["constants"]))
+        return cls(
+            exponents=[m.feature_exponents + m.constant_exponents for m in monomials],
+            signs=[m.sign for m in monomials],
+            transforms={
+                (row, column): tag
+                for row, m in enumerate(monomials) for column, tag in m.transforms
+            },
+            **fields,
+        )
 
     def __post_init__(self) -> None:
         names = [f.name for f in self.features] + [d.name for d in self.derived]
@@ -313,14 +400,30 @@ class FeatureMapSpec:
             self._validate_derived(derived)
         dims = self.column_dimensions
         cdims = tuple(c.dimension for c in self.constants)
+        exponents = _exponent_matrix(
+            self.exponents, len(dims) + len(cdims), "columns and constants"
+        )
+        exponents.flags.writeable = False
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "signs", _sign_vector(self.signs, len(exponents)))
+        self.signs.flags.writeable = False
+        object.__setattr__(self, "transforms", _transform_map(
+            self.transforms, len(exponents), len(dims)
+        ))
+        featureless = np.flatnonzero(~np.any(exponents[:, :len(dims)] != 0, axis=1))
+        if featureless.size:
+            raise ValueError(
+                f"monomial {featureless[0] + 1} uses no feature; a monomial "
+                f"must use at least one feature"
+            )
         mismatched = set(_mismatched_indices(
-            self.monomials, dims, cdims, self.target_dimension
+            exponents, self.transforms, dims, cdims, self.target_dimension
         ))
         declared = set(self.inconsistent_indices)
         undeclared = sorted(mismatched - declared)
         if undeclared:
             raise DimensionMismatch(
-                (index, monomial_dimension(self.monomials[index], dims, cdims),
+                (index, monomial_dimension(self.monomial(index), dims, cdims),
                  self.target_dimension)
                 for index in undeclared
             )
@@ -329,6 +432,21 @@ class FeatureMapSpec:
             raise ValueError(
                 f"monomials {stale} are declared inconsistent but check out"
             )
+
+    def monomial(self, index: int) -> Monomial:
+        """Row ``index`` as a :class:`Monomial`, for inspection."""
+        index = range(len(self))[index]
+        n_columns = len(self.column_dimensions)
+        row = self.exponents[index].tolist()
+        return Monomial(
+            feature_exponents=tuple(row[:n_columns]),
+            constant_exponents=tuple(row[n_columns:]),
+            sign=int(self.signs[index]),
+            transforms=tuple(
+                (column, tag) for (i, column), tag in self.transforms.items()
+                if i == index
+            ),
+        )
 
     def _validate_derived(self, derived: DerivedFeature) -> None:
         if derived.kind not in _DERIVED_KINDS:
@@ -367,7 +485,7 @@ class FeatureMapSpec:
 
     @property
     def monomial_names(self) -> tuple[str, ...]:
-        return tuple(f"pif_{i + 1}" for i in range(len(self.monomials)))
+        return tuple(f"pif_{i + 1}" for i in range(len(self)))
 
     @property
     def diagnostics(self) -> tuple[str, ...]:
@@ -375,7 +493,7 @@ class FeatureMapSpec:
         cdims = tuple(c.dimension for c in self.constants)
         notes = []
         for index in self.inconsistent_indices:
-            actual = monomial_dimension(self.monomials[index], dims, cdims)
+            actual = monomial_dimension(self.monomial(index), dims, cdims)
             notes.append(
                 f"pif_{index + 1} ({render_monomial(self, index)}) has dimension "
                 f"{format_unit(actual)}, declared target is "
@@ -384,28 +502,28 @@ class FeatureMapSpec:
         return tuple(notes)
 
     def __len__(self) -> int:
-        return len(self.monomials)
+        return len(self.exponents)
 
 
 def render_monomial(spec: FeatureMapSpec, index: int) -> str:
     """Human-readable product form, e.g. ``-B^2*r^4*omega*mu0^-1``."""
-    monomial = spec.monomials[index]
     names = spec.column_feature_names
+    row = spec.exponents[index].tolist()
     parts = []
-    for position, exponent in enumerate(monomial.feature_exponents):
+    for position, exponent in enumerate(row[:len(names)]):
         if exponent == 0:
             continue
-        tag = monomial.transform_for(position)
+        tag = spec.transforms.get((index, position), "identity")
         base = names[position] if tag == "identity" else f"{tag}({names[position]})"
         parts.append(base if exponent == 1 else f"{base}^{exponent}")
-    for constant, exponent in zip(spec.constants, monomial.constant_exponents):
+    for constant, exponent in zip(spec.constants, row[len(names):]):
         if exponent == 0:
             continue
         parts.append(
             constant.name if exponent == 1 else f"{constant.name}^{exponent}"
         )
     text = "*".join(parts)
-    return f"-{text}" if monomial.sign < 0 else text
+    return f"-{text}" if spec.signs[index] < 0 else text
 
 
 # --------------------------------------------------------------------------
@@ -496,15 +614,17 @@ def enumerate_monomials(
     *,
     max_constant_exponent: int | None = None,
     budget: int = 1_000_000,
-) -> tuple[Monomial, ...]:
-    """All monomials of dimension ``target`` within the exponent bounds.
+) -> np.ndarray:
+    """The exponent matrix of every monomial of dimension ``target`` within bounds.
 
     Feature exponents range over ``[-max_abs_exponent, max_abs_exponent]``
     with at most ``max_active_features`` of them nonzero (and at least
     one); constants get their own bound, ``max_constant_exponent``
     (defaulting to the feature bound), and do not count toward the active
-    limit.  Results come out duplicate-free in lexicographic order of the
-    concatenated exponent vector.
+    limit.  The result is an int64 matrix with one row per monomial, the
+    feature exponents followed by the constant exponents, duplicate-free
+    and in lexicographic row order; it is the ``exponents`` of a
+    :class:`FeatureMapSpec` over the same features and constants.
 
     ``budget`` caps the half-grid rows plus join candidates.  Both are
     counted before the arrays that hold them are allocated, so the budget
@@ -533,7 +653,7 @@ def enumerate_monomials(
         for u in range(len(target_row))
     ]
     if any(abs(t) > r for t, r in zip(target_row, reach)):
-        return ()
+        return np.zeros((0, len(dims)), dtype=np.int64)
     # |target - left| <= 2 * reach bounds every sum the join computes
     largest = max([2 * r for r in reach] + [abs(v) for row in table for v in row])
     if largest > _INT64_MAX:
@@ -577,13 +697,7 @@ def enumerate_monomials(
     # their own order, is lexicographic order of the whole row.
     if not _strictly_increasing(rows):
         raise AssertionError("enumerated monomials are not in strict lexicographic order")
-    return tuple(
-        Monomial(
-            feature_exponents=tuple(row[:n_features]),
-            constant_exponents=tuple(row[n_features:]),
-        )
-        for row in rows.tolist()
-    )
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -634,49 +748,66 @@ def _power(base: np.ndarray, exponent: int, monomial: int) -> np.ndarray:
 _BLOCK_ROWS = 8192
 
 
-def _evaluate_rows(spec: FeatureMapSpec, X: np.ndarray, out: np.ndarray) -> None:
+# One factor of a monomial: (column, transform tag, exponent).
+_Factor = tuple[int, str, int]
+
+
+def _factor_plan(spec: FeatureMapSpec) -> tuple[list[list[_Factor]], Counter, list[float]]:
+    """Each monomial's factors in column order, their use counts, and its scale.
+
+    The factors are the nonzero entries of the column block of the exponent
+    matrix; the scale is the sign times the product of the constant powers,
+    multiplied in declared order.
+    """
+    n_columns = len(spec.column_dimensions)
+    block = spec.exponents[:, :n_columns]
+    rows, columns = np.nonzero(block)
+    factors: list[list[_Factor]] = [[] for _ in range(len(spec))]
+    for row, column, exponent in zip(
+        rows.tolist(), columns.tolist(), block[rows, columns].tolist()
+    ):
+        tag = spec.transforms.get((row, column), "identity")
+        factors[row].append((column, tag, exponent))
+    uses = Counter(itertools.chain.from_iterable(factors))
+    scales = []
+    for sign, powers in zip(spec.signs.tolist(), spec.exponents[:, n_columns:].tolist()):
+        scale = 1.0
+        for constant, exponent in zip(spec.constants, powers):
+            if exponent != 0:
+                scale *= constant.value ** exponent
+        scales.append(sign * scale)
+    return factors, uses, scales
+
+
+def _evaluate_rows(spec: FeatureMapSpec, plan, X: np.ndarray, out: np.ndarray) -> None:
     """Write every monomial, evaluated on the rows of ``X``, into ``out``.
 
     An error names the first monomial that fails on these rows and its
     row, counted from the first row of ``X``.
     """
     columns = _extended_columns(spec, X)
-    # (position, transform tag, exponent) -> transform(column) ** exponent,
+    factors, uses, scales = plan
+    # (column, transform tag, exponent) -> transform(column) ** exponent,
     # kept while a later monomial still uses it.  A zero under a negative
     # exponent raises on the triple's first use, by the first monomial
     # that uses it, so no zero is ever cached.
-    powers: dict[tuple[int, str, int], np.ndarray] = {}
-    uses_left = Counter(
-        (position, monomial.transform_for(position), exponent)
-        for monomial in spec.monomials
-        for position, exponent in enumerate(monomial.feature_exponents)
-        if exponent
-    )
+    powers: dict[_Factor, np.ndarray] = {}
+    uses_left = Counter(uses)
     value = np.empty(X.shape[0], dtype=float)  # one buffer, copied into each column
     # overflow is reported as NonFiniteResult below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, monomial in enumerate(spec.monomials):
+        for j, (row_factors, scale) in enumerate(zip(factors, scales)):
             value.fill(1.0)
-            for position, exponent in enumerate(monomial.feature_exponents):
-                if exponent == 0:
-                    continue
-                key = (position, monomial.transform_for(position), exponent)
+            for key in row_factors:
                 power = powers.pop(key, None)
                 if power is None:
-                    power = _power(
-                        TRANSFORM_TAGS[key[1]](columns[position]), exponent, j
-                    )
+                    position, tag, exponent = key
+                    power = _power(TRANSFORM_TAGS[tag](columns[position]), exponent, j)
                 uses_left[key] -= 1
                 if uses_left[key]:  # a later monomial uses it again
                     powers[key] = power
                 value *= power
-            scale = 1.0
-            for constant, exponent in zip(
-                spec.constants, monomial.constant_exponents
-            ):
-                if exponent != 0:
-                    scale *= constant.value ** exponent
-            value *= monomial.sign * scale
+            value *= scale
             if not np.isfinite(value).all():
                 bad = np.flatnonzero(~np.isfinite(value))
                 raise NonFiniteResult(
@@ -690,27 +821,30 @@ def _evaluate_rows(spec: FeatureMapSpec, X: np.ndarray, out: np.ndarray) -> None
 def evaluate_map(spec: FeatureMapSpec, dataset: Dataset) -> np.ndarray:
     """Evaluate every monomial on every row; returns an ``n x p`` matrix.
 
-    Factors multiply in declared order (features, then constants, then the
+    Factors multiply in declared order (columns, then constants, then the
     sign) so results are bit-reproducible.  Zero raised to a negative
     power raises :class:`~pifmap.errors.DivisionByZero` naming the row and
     the first monomial that does so; overflow to inf raises
     :class:`~pifmap.errors.NonFiniteResult`.
 
-    The table is evaluated in blocks of 8,192 rows.  Within a block, each
-    power ``transform(column) ** exponent`` is computed once per block and
-    shared by every monomial that uses that (column, transform, exponent)
-    triple; a power is kept only until the last monomial that uses it and
-    never outlives its block.  Beyond the output, memory is bounded by one
-    block: at most one block-sized array per distinct triple that occurs
-    in more than one monomial.
+    The factors and their use counts are read once from the nonzero
+    entries of the exponent matrix.  The table is evaluated in blocks of
+    8,192 rows.  Within a block, each power ``transform(column) **
+    exponent`` is computed once per block and shared by every monomial
+    that uses that (column, transform, exponent) triple; a power is kept
+    only until the last monomial that uses it and never outlives its
+    block.  Beyond the output, memory is bounded by one block: at most one
+    block-sized array per distinct triple that occurs in more than one
+    monomial.
     """
     _check_schema(spec, dataset)
     n = dataset.n_rows
-    out = np.empty((n, len(spec.monomials)), dtype=float)
+    out = np.empty((n, len(spec)), dtype=float)
+    plan = _factor_plan(spec)
     try:
         for start in range(0, n, _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
-            _evaluate_rows(spec, dataset.X[rows], out[rows])
+            _evaluate_rows(spec, plan, dataset.X[rows], out[rows])
     except (DivisionByZero, NonFiniteResult):
         if n <= _BLOCK_ROWS:
             raise
@@ -718,7 +852,7 @@ def evaluate_map(spec: FeatureMapSpec, dataset: Dataset) -> np.ndarray:
         # at a row of the block.  One pass over the whole table raises the
         # error of the first monomial that fails on any row, at its row in
         # the table.
-        _evaluate_rows(spec, dataset.X, out)
+        _evaluate_rows(spec, plan, dataset.X, out)
         raise
     return out
 
@@ -760,6 +894,10 @@ def destandardize(model, spec: FeatureMapSpec | None = None):
 
 
 def spec_to_dict(spec: FeatureMapSpec) -> dict:
+    n_columns = len(spec.column_dimensions)
+    transforms: dict[int, dict[str, str]] = {}
+    for (row, column), tag in spec.transforms.items():
+        transforms.setdefault(row, {})[str(column)] = tag
     document: dict = {
         "name": spec.name,
         "target_unit": format_unit(spec.target_dimension),
@@ -777,12 +915,16 @@ def spec_to_dict(spec: FeatureMapSpec) -> dict:
         ],
         "monomials": [
             {
-                "sign": m.sign,
-                "feature_exponents": list(m.feature_exponents),
-                "constant_exponents": list(m.constant_exponents),
-                "transforms": {str(i): tag for i, tag in m.transforms},
+                "sign": sign,
+                "feature_exponents": columns,
+                "constant_exponents": constants,
+                "transforms": transforms.get(row, {}),
             }
-            for m in spec.monomials
+            for row, (sign, columns, constants) in enumerate(zip(
+                spec.signs.tolist(),
+                spec.exponents[:, :n_columns].tolist(),
+                spec.exponents[:, n_columns:].tolist(),
+            ))
         ],
     }
     if spec.derived:
@@ -818,17 +960,24 @@ def spec_from_dict(document: Mapping, *, allow_inconsistent: bool = False) -> Fe
         PhysicalConstant(entry["name"], float(entry["value"]), parse_unit(entry["unit"]))
         for entry in document.get("constants", [])
     )
-    monomials = tuple(
-        Monomial(
-            feature_exponents=tuple(entry["feature_exponents"]),
-            constant_exponents=tuple(entry.get("constant_exponents", ())),
-            sign=int(entry.get("sign", 1)),
-            transforms=tuple(
-                (int(i), tag) for i, tag in entry.get("transforms", {}).items()
-            ),
-        )
-        for entry in document["monomials"]
-    )
+    entries = document["monomials"]
+    column_dimensions = [f.dimension for f in features] + [d.dimension for d in derived]
+    exponents = np.hstack([
+        _exponent_matrix(
+            [entry["feature_exponents"] for entry in entries],
+            len(column_dimensions), "features",
+        ),
+        _exponent_matrix(
+            [entry.get("constant_exponents", ()) for entry in entries],
+            len(constants), "constants",
+        ),
+    ])
+    signs = [int(entry.get("sign", 1)) for entry in entries]
+    transforms = {
+        (row, int(column)): tag
+        for row, entry in enumerate(entries)
+        for column, tag in entry.get("transforms", {}).items()
+    }
     target = parse_unit(document["target_unit"])
 
     declared: tuple[int, ...] = ()
@@ -837,8 +986,9 @@ def spec_from_dict(document: Mapping, *, allow_inconsistent: bool = False) -> Fe
         # exactly those lets construction pass.  A mismatched derived
         # feature is checked at construction and still raises.
         declared = tuple(_mismatched_indices(
-            monomials,
-            [f.dimension for f in features] + [d.dimension for d in derived],
+            exponents,
+            _transform_map(transforms, len(exponents), len(column_dimensions)),
+            column_dimensions,
             [c.dimension for c in constants],
             target,
         ))
@@ -846,8 +996,10 @@ def spec_from_dict(document: Mapping, *, allow_inconsistent: bool = False) -> Fe
         name=document.get("name", "unnamed"),
         features=features,
         constants=constants,
-        monomials=monomials,
+        exponents=exponents,
         target_dimension=target,
+        signs=signs,
+        transforms=transforms,
         derived=derived,
         inconsistent_indices=declared,
         metadata=dict(document.get("metadata", {})),

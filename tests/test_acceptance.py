@@ -353,10 +353,13 @@ def test_criterion_08_enumeration_contains_catalog_and_matches_oracle():
         max_abs_exponent=4,
         max_active_features=4,
     )
+    n_features = len(schema)
     enumerated_keys = {
-        (m.feature_exponents, m.constant_exponents) for m in enumerated
+        (tuple(row[:n_features]), tuple(row[n_features:]))
+        for row in enumerated.tolist()
     }
-    for monomial in catalog.monomials:
+    for index in range(len(catalog)):
+        monomial = catalog.monomial(index)
         key = (monomial.feature_exponents, monomial.constant_exponents)
         assert key in enumerated_keys, (
             f"catalog monomial {key} missing from the {len(enumerated_keys)} "
@@ -373,18 +376,19 @@ def test_criterion_08_enumeration_contains_catalog_and_matches_oracle():
         case_schema = schema_of(pairs)
         constants = tuple(STANDARD_CONSTANTS[name] for name in constant_names)
         target = parse_unit(target_text)
+        n_features = len(case_schema)
         fast = {
-            (m.feature_exponents, m.constant_exponents)
-            for m in enumerate_monomials(
+            (tuple(row[:n_features]), tuple(row[n_features:]))
+            for row in enumerate_monomials(
                 case_schema, constants, target,
                 max_abs_exponent=bound, max_active_features=active,
                 max_constant_exponent=bound,
-            )
+            ).tolist()
         }
         slow = _brute_force_exponents(case_schema, constants, target, bound, active)
         assert fast == slow, f"schema {pairs}: fast {len(fast)} vs slow {len(slow)}"
     print(f"criterion 08 PASS: catalog contained "
-          f"({len(catalog.monomials)}/{len(enumerated_keys)} enumerated), "
+          f"({len(catalog)}/{len(enumerated_keys)} enumerated), "
           f"{len(oracle_cases)} oracle schemas equal")
 
 

@@ -186,6 +186,57 @@ class TestEnumerate:
         bad.write_text(json.dumps({"columns": []}), encoding="utf-8")
         assert run("enumerate", "--schema", str(bad), "--target", "Pa") == EXIT_IO
 
+    def test_enumerated_spec_file_as_schema(self, tmp_path, capsys):
+        # a spec file writes its features as {"name", "unit"} objects
+        spec = tmp_path / "spec.json"
+        base = ["enumerate", "--target", "Pa", "--constants", "g"]
+        assert run(*base, "--schema", str(self._schema_file(tmp_path)),
+                   "--out", str(spec)) == EXIT_OK
+        again = tmp_path / "again.json"
+        assert run(*base, "--schema", str(spec), "--out", str(again)) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert again.read_bytes() == spec.read_bytes()
+
+    @pytest.mark.parametrize("document, message", [
+        ({"features": [["rho", "kg/m^3", "extra"]]},
+         'expected [name, unit] or {"name": name, "unit": unit} for each '
+         "feature, got ['rho', 'kg/m^3', 'extra']"),
+        ({"features": [{"name": "rho", "units": "kg/m^3"}]},
+         'expected [name, unit] or {"name": name, "unit": unit} for each '
+         "feature, got {'name': 'rho', 'units': 'kg/m^3'}"),
+        ({"features": {"rho": "kg/m^3"}},
+         "expected a list of features, got {'rho': 'kg/m^3'}"),
+        ([["rho", "kg/m^3"]],
+         'expected {"features": [[name, unit], ...]} or '
+         '{"features": [{"name": name, "unit": unit}, ...]}'),
+    ], ids=["long-pair", "object-without-unit", "object-of-features", "bare-list"])
+    def test_schema_of_another_shape_names_the_expected_shapes(
+            self, document, message, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        assert run("enumerate", "--schema", str(bad), "--target", "Pa") == EXIT_IO
+        assert capsys.readouterr().err.splitlines() == [
+            f"pifmap: error: malformed schema {bad}: {message}"
+        ]
+
+    def test_spec_lists_one_monomial_per_line(self, tmp_path):
+        out = tmp_path / "spec.json"
+        assert run("enumerate", "--schema", str(self._schema_file(tmp_path)),
+                   "--target", "Pa", "--constants", "g", "--out", str(out)) == EXIT_OK
+        text = out.read_text(encoding="utf-8")
+        document = json.loads(text)
+        lines = text.splitlines()
+        start = lines.index('  "monomials": [')
+        rows = lines[start + 1:start + 1 + len(document["monomials"])]
+        assert [json.loads(row.rstrip(",")) for row in rows] == document["monomials"]
+        assert all(row.startswith("    {") for row in rows)
+        assert lines[start + 1 + len(rows)] == "  ],"
+        # everything but the monomial lines is json.dumps(indent=2)
+        document["monomials"] = []
+        assert json.dumps(document, sort_keys=True, indent=2) + "\n" == (
+            "\n".join(lines[:start] + ['  "monomials": [],']
+                      + lines[start + 2 + len(rows):]) + "\n")
+
 
 class TestFit:
     def test_raw_fit_writes_model_and_metrics(self, bernoulli_csv, tmp_path, capsys):
@@ -257,6 +308,23 @@ class TestFit:
     def test_missing_data_file(self, tmp_path):
         assert run("fit", "--data", str(tmp_path / "nope.csv"), "--raw",
                    "--out", str(tmp_path / "m.json")) == EXIT_IO
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--raw", "--data", "{csv}", "--split", "0.01", "--out", "{out}"),
+        ("reproduce", "bernoulli", "--n", "40", "--seeds", "1", "--split", "0.01",
+         "--out", "{out}"),
+    ], ids=["fit", "reproduce"])
+    def test_split_leaving_no_training_rows_names_the_option(
+            self, argv, tmp_path, capsys):
+        table = tmp_path / "small.csv"
+        assert run("synth", "bernoulli", "--n", "40", "--out", str(table)) == EXIT_OK
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(*(cell.format(csv=table, out=out) for cell in argv)) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            "pifmap: error: --split 0.01 of 40 rows leaves train=0, test=40"
+        ]
+        assert not out.exists()
 
     def test_negative_lambda(self, bernoulli_csv, tmp_path):
         assert run("fit", "--data", str(bernoulli_csv), "--raw",
@@ -396,6 +464,18 @@ class TestEval:
                    "--classify", "0.75") == EXIT_OK
         assert json.loads(capsys.readouterr().out)["threshold"] == 0.75
 
+    def test_classify_on_labels_other_than_0_and_1_names_the_file(
+            self, bernoulli_csv, tmp_path, capsys):
+        model = _raw_model(tmp_path, bernoulli_csv)
+        label = read_csv(bernoulli_csv).y[0]
+        capsys.readouterr()
+        assert run("eval", "--model", str(model), "--data", str(bernoulli_csv),
+                   "--classify") == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"pifmap: error: --classify needs labels 0 and 1, but "
+            f"{bernoulli_csv} has label {float(label)!r}"
+        ]
+
     def test_missing_model(self, bernoulli_csv, tmp_path):
         assert run("eval", "--model", str(tmp_path / "no.json"),
                    "--data", str(bernoulli_csv)) == EXIT_IO
@@ -417,6 +497,14 @@ def _drop_feature_unit(doc):
 
 def _fractional_exponent(doc):
     doc["monomials"][0]["feature_exponents"][0] = 1.5
+
+
+def _boolean_exponent(doc):
+    doc["monomials"][0]["feature_exponents"][0] = True
+
+
+def _ragged_exponent_row(doc):
+    doc["monomials"][1]["feature_exponents"].append(0)
 
 
 def _sign_of_two(doc):
@@ -441,6 +529,10 @@ class TestMalformedDocuments:
         ("rank", _drop_feature_unit),
         ("fit", _fractional_exponent),
         ("rank", _fractional_exponent),
+        ("fit", _boolean_exponent),
+        ("rank", _boolean_exponent),
+        ("fit", _ragged_exponent_row),
+        ("rank", _ragged_exponent_row),
         ("fit", _sign_of_two),
         ("eval", _drop_means),
         ("eval", _bogus_design_kind),

@@ -1,6 +1,7 @@
 """Monomial feature maps: dimensions, enumeration, evaluation, round-trips."""
 
 import itertools
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pifmap import featuremap
-from pifmap.catalogs import load_catalog
+from pifmap.catalogs import CATALOG_NAMES, load_catalog
 from pifmap.data import Dataset, Feature, schema_of
 from pifmap.dimension import DIMENSIONLESS, Dimension, parse_unit
 from pifmap.errors import (
@@ -52,7 +53,7 @@ def _mve_spec():
         Monomial(feature_exponents=(0, 0, 1)),
         Monomial(feature_exponents=(2, 4, -1)),
     )
-    return FeatureMapSpec(
+    return FeatureMapSpec.from_monomials(
         name="mve",
         features=features,
         constants=(),
@@ -77,9 +78,25 @@ class TestMonomialValidation:
         with pytest.raises(ValueError):
             Monomial(feature_exponents=(0, 0))
 
-    def test_float_exponents_rejected(self):
+    @pytest.mark.parametrize("bad", [1.5, True, 2.0])
+    def test_float_exponents_rejected(self, bad):
         with pytest.raises(TypeError):
-            Monomial(feature_exponents=(1.5, 0))
+            Monomial(feature_exponents=(bad, 0))
+        # a spec document is checked the same way, in either exponent list
+        for key in ("feature_exponents", "constant_exponents"):
+            doc = spec_to_dict(load_catalog("bernoulli"))
+            doc["monomials"][3][key][0] = bad
+            with pytest.raises(TypeError, match="exponents must be integers"):
+                spec_from_dict(doc)
+
+    def test_ragged_exponent_rows_rejected(self):
+        doc = spec_to_dict(load_catalog("bernoulli"))
+        doc["monomials"][1]["feature_exponents"].append(0)
+        with pytest.raises(LengthMismatch, match="monomial 2 has 8 exponents"):
+            spec_from_dict(doc)
+        doc["monomials"][1]["feature_exponents"][-2:] = []
+        with pytest.raises(LengthMismatch, match="monomial 2 has 6 exponents"):
+            spec_from_dict(doc)
 
     def test_sign_must_be_unit(self):
         with pytest.raises(ValueError):
@@ -146,7 +163,7 @@ class TestSpecValidation:
     def test_undeclared_mismatch_raises(self):
         features = tuple(schema_of([("m", "kg"), ("v", "m/s")]).features)
         with pytest.raises(DimensionMismatch) as info:
-            FeatureMapSpec(
+            FeatureMapSpec.from_monomials(
                 name="bad",
                 features=features,
                 constants=(),
@@ -161,7 +178,7 @@ class TestSpecValidation:
 
     def test_declared_mismatch_tolerated(self):
         features = tuple(schema_of([("m", "kg"), ("v", "m/s")]).features)
-        spec = FeatureMapSpec(
+        spec = FeatureMapSpec.from_monomials(
             name="mixed",
             features=features,
             constants=(),
@@ -178,13 +195,33 @@ class TestSpecValidation:
     def test_stale_declaration_rejected(self):
         features = tuple(schema_of([("m", "kg"), ("v", "m/s")]).features)
         with pytest.raises(ValueError):
-            FeatureMapSpec(
+            FeatureMapSpec.from_monomials(
                 name="stale",
                 features=features,
                 constants=(),
                 monomials=(Monomial(feature_exponents=(1, 2)),),
                 target_dimension=JOULE,
                 inconsistent_indices=(0,),
+            )
+
+
+    def test_rows_read_back_as_the_monomials_they_were_built_from(self):
+        spec = _mve_spec()
+        assert spec.exponents.tolist() == [[1, 2, 0], [0, 0, 1], [2, 4, -1]]
+        assert spec.monomial(2) == Monomial(feature_exponents=(2, 4, -1))
+        assert spec.monomial(-1) == spec.monomial(2)
+        with pytest.raises(IndexError):
+            spec.monomial(3)
+
+    def test_monomial_of_the_wrong_length_rejected(self):
+        features = tuple(schema_of([("m", "kg"), ("v", "m/s")]).features)
+        with pytest.raises(LengthMismatch, match="2 feature exponents for 3"):
+            FeatureMapSpec.from_monomials(
+                name="short", features=features, constants=(STANDARD_CONSTANTS["g"],),
+                monomials=(Monomial(feature_exponents=(1, 2), constant_exponents=()),
+                           Monomial(feature_exponents=(1, 2, 0))),
+                target_dimension=JOULE,
+                derived=(DerivedFeature("mu", KG, "reduced_mass", ("m", "m")),),
             )
 
 
@@ -199,7 +236,7 @@ class TestRenderMonomial:
         features = tuple(
             schema_of([("r", "m"), ("alpha", "rad")]).features
         )
-        spec = FeatureMapSpec(
+        spec = FeatureMapSpec.from_monomials(
             name="t",
             features=features,
             constants=(STANDARD_CONSTANTS["c"],),
@@ -218,9 +255,10 @@ class TestRenderMonomial:
 
 def _per_monomial_reference(spec, dataset):
     """Each monomial evaluated on its own, every factor recomputed."""
-    out = np.empty((dataset.n_rows, len(spec.monomials)))
+    out = np.empty((dataset.n_rows, len(spec)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, monomial in enumerate(spec.monomials):
+        for j in range(len(spec)):
+            monomial = spec.monomial(j)
             value = np.ones(dataset.n_rows)
             for position, exponent in enumerate(monomial.feature_exponents):
                 if exponent:
@@ -250,7 +288,7 @@ def _shared_power_case(tag, n=64):
         Monomial(feature_exponents=(0, 0, 1, -1)),
         Monomial(feature_exponents=(3, 6, -2, 2), transforms=on_alpha),
     )
-    spec = FeatureMapSpec(
+    spec = FeatureMapSpec.from_monomials(
         name="shared",
         features=tuple(schema_of(columns).features),
         constants=(),
@@ -281,18 +319,18 @@ class TestEvaluateMap:
 
     def test_each_power_is_computed_once_per_call(self, monkeypatch):
         data = gen_bernoulli(40, 1)
-        monomials = enumerate_monomials(
+        exponents = enumerate_monomials(
             data.schema, (STANDARD_CONSTANTS["g"],), parse_unit("Pa"), 4, 4)
         spec = FeatureMapSpec(
             name="wide",
             features=tuple(data.schema.features),
             constants=(STANDARD_CONSTANTS["g"],),
-            monomials=monomials,
+            exponents=exponents,
             target_dimension=parse_unit("Pa"),
         )
-        factors = [(i, e) for m in monomials
-                   for i, e in enumerate(m.feature_exponents) if e]
-        assert (len(monomials), len(factors), len(set(factors))) == (419, 1606, 56)
+        factors = [(i, e) for row in exponents.tolist()
+                   for i, e in enumerate(row[:-1]) if e]
+        assert (len(exponents), len(factors), len(set(factors))) == (419, 1606, 56)
         identity = featuremap.TRANSFORM_TAGS["identity"]
         calls = []
 
@@ -342,7 +380,7 @@ class TestEvaluateMap:
     def test_memory_beyond_the_output_is_one_block(self):
         spec = load_catalog("pulsar", allow_inconsistent=True)
         data = gen_pulsar(200_000, 5)
-        output_bytes = data.n_rows * len(spec.monomials) * 8
+        output_bytes = data.n_rows * len(spec) * 8
         tracemalloc.start()
         try:
             Phi = evaluate_map(spec, data)
@@ -366,7 +404,7 @@ class TestEvaluateMap:
 
     def test_sign_flips_column(self):
         features = tuple(schema_of([("m", "kg")]).features)
-        spec = FeatureMapSpec(
+        spec = FeatureMapSpec.from_monomials(
             name="neg",
             features=features,
             constants=(),
@@ -383,7 +421,7 @@ class TestEvaluateMap:
 
     def test_sin2_transform_applied(self):
         features = tuple(schema_of([("alpha", "rad")]).features)
-        spec = FeatureMapSpec(
+        spec = FeatureMapSpec.from_monomials(
             name="s2",
             features=features,
             constants=(),
@@ -404,7 +442,7 @@ class TestEvaluateMap:
     def test_constant_power_enters_value(self):
         features = tuple(schema_of([("h", "m")]).features)
         g = STANDARD_CONSTANTS["g"]
-        spec = FeatureMapSpec(
+        spec = FeatureMapSpec.from_monomials(
             name="gh",
             features=features,
             constants=(g,),
@@ -463,7 +501,7 @@ class TestDerivedFeatures:
         monomials = (
             Monomial(feature_exponents=(0, 0, 1)),
         )
-        return FeatureMapSpec(
+        return FeatureMapSpec.from_monomials(
             name="red",
             features=features,
             constants=(),
@@ -498,7 +536,7 @@ class TestDerivedFeatures:
         features = tuple(schema_of([("m1", "kg"), ("v", "m/s")]).features)
         derived = (DerivedFeature("mu_red", KG, "reduced_mass", ("m1", "v")),)
         with pytest.raises(DimensionMismatch):
-            FeatureMapSpec(
+            FeatureMapSpec.from_monomials(
                 name="bad_red",
                 features=features,
                 constants=(),
@@ -515,25 +553,23 @@ class TestEnumerate:
     def test_single_feature_direct_hit(self):
         schema = self._schema([("E", "J")])
         found = enumerate_monomials(schema, (), JOULE, 2, 1)
-        exps = {m.feature_exponents for m in found}
+        exps = set(map(tuple, found.tolist()))
         assert (1,) in exps
-        assert all(monomial_dimension(m, schema.dimensions, ()) == JOULE
-                   for m in found)
+        assert all(monomial_dimension(Monomial(e), schema.dimensions, ()) == JOULE
+                   for e in exps)
 
     def test_lexicographic_output(self):
         schema = self._schema([("a", "m"), ("b", "m")])
         found = enumerate_monomials(schema, (), parse_unit("m^2"), 2, 2)
-        exps = [m.feature_exponents for m in found]
+        exps = list(map(tuple, found.tolist()))
         assert exps == sorted(exps)
         assert (0, 2) in exps and (1, 1) in exps and (2, 0) in exps
 
     def test_max_active_features_limits(self):
         schema = self._schema([("a", "m"), ("b", "m"), ("c", "m")])
         found = enumerate_monomials(schema, (), parse_unit("m^3"), 3, 2)
-        assert all(
-            sum(1 for e in m.feature_exponents if e) <= 2 for m in found
-        )
-        assert (1, 1, 1) not in {m.feature_exponents for m in found}
+        assert all(sum(1 for e in row if e) <= 2 for row in found.tolist())
+        assert (1, 1, 1) not in set(map(tuple, found.tolist()))
 
     def test_constant_exponent_bound_separate(self):
         schema = self._schema([("h", "m")])
@@ -542,17 +578,15 @@ class TestEnumerate:
         found = enumerate_monomials(
             schema, (g,), target, 1, 1, max_constant_exponent=1
         )
-        assert {(m.feature_exponents, m.constant_exponents) for m in found} == {
-            ((1,), (1,))
-        }
+        assert found.tolist() == [[1, 1]]
         none_found = enumerate_monomials(
             schema, (g,), target, 1, 1, max_constant_exponent=0
         )
-        assert none_found == ()
+        assert none_found.shape == (0, 2)
 
     def test_impossible_target_empty(self):
         schema = self._schema([("a", "m"), ("b", "s")])
-        assert enumerate_monomials(schema, (), parse_unit("cd"), 3, 2) == ()
+        assert enumerate_monomials(schema, (), parse_unit("cd"), 3, 2).shape == (0, 2)
 
     def test_budget_exhaustion(self):
         schema = self._schema(
@@ -579,10 +613,8 @@ class TestEnumerate:
         for pairs, target_text, bound, active in cases:
             schema = schema_of(pairs)
             target = parse_unit(target_text)
-            found = {
-                m.feature_exponents
-                for m in enumerate_monomials(schema, (), target, bound, active)
-            }
+            found = set(map(tuple, enumerate_monomials(
+                schema, (), target, bound, active).tolist()))
             expected = set()
             dims = schema.dimensions
             for combo in itertools.product(
@@ -699,15 +731,15 @@ class TestLatticeOracles:
             features, constants, target, bound, active,
             max_constant_exponent=constant_bound,
         )
-        assert [m.feature_exponents + m.constant_exponents for m in found] == (
+        assert list(map(tuple, found.tolist())) == (
             _scan(dims, n_features, bound, constant_bound, active, target)
         )
 
     def test_one_feature_schema_has_an_empty_left_half(self):
         features, _ = _items([parse_unit("kg*m^(-1/2)")], 1)
         found = enumerate_monomials(features, (), parse_unit("kg^2/m"), 2, 1)
-        assert [m.feature_exponents for m in found] == [(2,)]
-        assert enumerate_monomials(features, (), KG, 2, 1) == ()
+        assert found.tolist() == [[2]]
+        assert enumerate_monomials(features, (), KG, 2, 1).shape == (0, 1)
 
     @settings(max_examples=80)
     @given(case=_validation_cases())
@@ -717,11 +749,16 @@ class TestLatticeOracles:
         fdims, cdims = dims[:n_features], dims[n_features:]
         actual = [monomial_dimension(m, fdims, cdims) for m in monomials]
         expected = [i for i, d in enumerate(actual) if d != target]
+        exponents = np.array(
+            [m.feature_exponents + m.constant_exponents for m in monomials],
+            dtype=np.int64).reshape(len(monomials), len(dims))
+        transforms = {(i, j): tag for i, m in enumerate(monomials)
+                      for j, tag in m.transforms}
         assert featuremap._mismatched_indices(
-            monomials, fdims, cdims, target) == expected
+            exponents, transforms, fdims, cdims, target) == expected
 
         def build():
-            return FeatureMapSpec(
+            return FeatureMapSpec.from_monomials(
                 name="random", features=features, constants=constants,
                 monomials=monomials, target_dimension=target,
                 inconsistent_indices=declared,
@@ -751,10 +788,10 @@ class TestLatticeOracles:
         monomials = (Monomial(feature_exponents=(exponent,)),)
 
         def spec(target):
-            return FeatureMapSpec(name="huge", features=features, constants=(),
+            return FeatureMapSpec.from_monomials(name="huge", features=features, constants=(),
                                   monomials=monomials, target_dimension=target)
 
-        assert spec(Dimension.of(m=exponent * unit_power)).monomials == monomials
+        assert spec(Dimension.of(m=exponent * unit_power)).monomial(0) == monomials[0]
         for wrong in (DIMENSIONLESS, Dimension.of(m=(exponent * unit_power) % 2**64),
                       Dimension.of(m=exponent * unit_power + 1)):
             if wrong.exponents[1] == exponent * unit_power:
@@ -771,11 +808,11 @@ class TestLatticeOracles:
                               constant_exponents=(exponent,)),)
 
         def spec(target):
-            return FeatureMapSpec(name="huge", features=features,
+            return FeatureMapSpec.from_monomials(name="huge", features=features,
                                   constants=constants, monomials=monomials,
                                   target_dimension=target)
 
-        assert spec(DIMENSIONLESS).monomials == monomials
+        assert spec(DIMENSIONLESS).monomial(0) == monomials[0]
         with pytest.raises(DimensionMismatch):
             spec(Dimension.of(m=1))
 
@@ -784,7 +821,7 @@ class TestLatticeOracles:
         features = (Feature("a", Dimension.of(m=2)), Feature("b", Dimension.of(m=2)))
         monomials = (Monomial(feature_exponents=(2**62, 2**62)),)
         with pytest.raises(DimensionMismatch):
-            FeatureMapSpec(name="wrap", features=features, constants=(),
+            FeatureMapSpec.from_monomials(name="wrap", features=features, constants=(),
                            monomials=monomials, target_dimension=DIMENSIONLESS)
 
     def test_search_refuses_a_table_int64_cannot_hold(self):
@@ -853,14 +890,14 @@ class TestEnumerationBudget:
 
     def test_flare_bounds_4_9(self):
         found = enumerate_monomials(schema_of(_FLARE), (), parse_unit("T*A*m^2"), 4, 9)
-        keys = [m.feature_exponents for m in found]
+        keys = found.tolist()
         assert len(keys) == 63_272
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
     def test_pulsar_with_constants_bounds_4_9_fits_the_default_budget(self):
         constants = (STANDARD_CONSTANTS["mu0"], STANDARD_CONSTANTS["c"])
         found = enumerate_monomials(schema_of(_PULSAR), constants, parse_unit("W"), 4, 9)
-        keys = [m.feature_exponents + m.constant_exponents for m in found]
+        keys = found.tolist()
         assert len(keys) == 52_632
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
@@ -892,15 +929,46 @@ class TestSpecSerialization:
         spec = _mve_spec()
         back = spec_from_dict(spec_to_dict(spec))
         assert back.name == spec.name
-        assert back.monomials == spec.monomials
+        assert back.exponents.tobytes() == spec.exponents.tobytes()
+        assert back.signs.tolist() == spec.signs.tolist()
+        assert back.transforms == spec.transforms
         assert back.target_dimension == spec.target_dimension
         assert tuple(f.name for f in back.features) == tuple(
             f.name for f in spec.features
         )
 
-    def test_dict_is_json_ready(self):
-        import json
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_every_catalog_round_trips(self, name):
+        spec = load_catalog(name, allow_inconsistent=True)
+        back = spec_from_dict(spec_to_dict(spec), allow_inconsistent=True)
+        assert back.exponents.dtype == np.int64
+        assert back.exponents.tobytes() == spec.exponents.tobytes()
+        assert back.exponents.shape == spec.exponents.shape
+        assert back.signs.tolist() == spec.signs.tolist()
+        assert back.transforms == spec.transforms
+        assert back.inconsistent_indices == spec.inconsistent_indices
 
+    def test_enumerated_spec_round_trips(self):
+        data = gen_bernoulli(10, 1)
+        constants = (STANDARD_CONSTANTS["g"],)
+        exponents = enumerate_monomials(
+            data.schema, constants, parse_unit("Pa"), 4, 4)
+        spec = FeatureMapSpec(name="wide", features=tuple(data.schema.features),
+                              constants=constants, exponents=exponents,
+                              target_dimension=parse_unit("Pa"))
+        back = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+        assert back.exponents.tobytes() == exponents.tobytes()
+        assert back.signs.tolist() == [1] * 419
+        assert back.transforms == {}
+
+    def test_exponents_are_stored_read_only(self):
+        spec = _mve_spec()
+        with pytest.raises(ValueError):
+            spec.exponents[0, 0] = 5
+        with pytest.raises(ValueError):
+            spec.signs[0] = -1
+
+    def test_dict_is_json_ready(self):
         text = json.dumps(spec_to_dict(_mve_spec()), sort_keys=True)
         assert "pif" not in text  # names derive from order, not storage
 
