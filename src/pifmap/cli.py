@@ -380,6 +380,7 @@ def _split_rows(n_rows: int, split: float) -> int:
     try:
         return split_point(n_rows, split)
     except InsufficientData as exc:
+        # "split 0.01 of 40 rows leaves ..." becomes "--split 0.01 of 40 ..."
         raise InsufficientData(f"--{exc}") from None
 
 
