@@ -507,6 +507,7 @@ class FeatureMapSpec:
 
 def render_monomial(spec: FeatureMapSpec, index: int) -> str:
     """Human-readable product form, e.g. ``-B^2*r^4*omega*mu0^-1``."""
+    index = range(len(spec))[index]
     names = spec.column_feature_names
     row = spec.exponents[index].tolist()
     parts = []

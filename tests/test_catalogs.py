@@ -98,7 +98,10 @@ class TestLoading:
         a = load_catalog("bernoulli")
         b = load_catalog("bernoulli")
         assert a is not b
+        assert a.exponents is not b.exponents
         assert a.exponents.tobytes() == b.exponents.tobytes()
+        assert a.signs.tolist() == b.signs.tolist()
+        assert a.transforms == b.transforms
 
 
 class TestBernoulliCatalog:

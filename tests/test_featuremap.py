@@ -251,6 +251,7 @@ class TestRenderMonomial:
             target_dimension=parse_unit("s"),
         )
         assert render_monomial(spec, 0) == "-r*sin2(alpha)*c^-1"
+        assert render_monomial(spec, -1) == "-r*sin2(alpha)*c^-1"
 
 
 def _per_monomial_reference(spec, dataset):
