@@ -25,6 +25,10 @@ moved only whitespace; ``json.loads`` of each file is unchanged.
   --target Pa --constants g --max-exponent 3 --max-active 3`` over that
   table (41 monomials, many sharing a column and exponent): the model JSON
   and the metrics printed on stdout, under ``golden/fit_wide/``.
+- ``enumerate --target W --constants mu0,c --max-exponent 3 --max-active 3
+  --out`` over the schema ``{"features": PULSAR_SCHEMA}`` below (131
+  monomials; a dimensionless column, constants and units that no item
+  uses): the spec JSON, under ``golden/enumerate/``.
 """
 
 import json
@@ -38,6 +42,11 @@ from pifmap.data import read_csv, write_csv
 from pifmap.featuremap import spec_to_dict
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+PULSAR_SCHEMA = [
+    ["r", "m"], ["B", "T"], ["omega", "1/s"], ["alpha", "rad"], ["P", "s"],
+    ["m", "kg"], ["I", "kg*m^2"], ["E", "kg*m^2/s^2"],
+]
 
 
 def _files_under(root: Path) -> dict[str, bytes]:
@@ -121,6 +130,17 @@ def write_fit_wide(work: Path, capsys) -> dict[str, bytes]:
     }
 
 
+def write_enumerate(work: Path) -> dict[str, bytes]:
+    schema = work / "pulsar.json"
+    spec = work / "spec.json"
+    schema.write_text(json.dumps({"features": PULSAR_SCHEMA}), encoding="utf-8")
+    assert main(["enumerate", "--schema", str(schema), "--target", "W",
+                 "--constants", "mu0,c", "--max-exponent", "3",
+                 "--max-active", "3", "--out", str(spec)]) == EXIT_OK
+    assert len(json.loads(spec.read_text(encoding="utf-8"))["monomials"]) == 131
+    return {"spec.json": spec.read_bytes()}
+
+
 def _golden(subdir: str) -> dict[str, bytes]:
     return _files_under(GOLDEN / subdir)
 
@@ -171,6 +191,14 @@ def test_fit_with_dropped_column_matches_golden_outputs(tmp_path, capsys):
 def test_fit_on_a_wide_enumerated_spec_matches_golden_outputs(tmp_path, capsys):
     produced = write_fit_wide(tmp_path, capsys)
     expected = _golden("fit_wide")
+    assert sorted(produced) == sorted(expected)
+    for name, data in expected.items():
+        assert produced[name] == data, name
+
+
+def test_enumerate_matches_golden_spec(tmp_path):
+    produced = write_enumerate(tmp_path)
+    expected = _golden("enumerate")
     assert sorted(produced) == sorted(expected)
     for name, data in expected.items():
         assert produced[name] == data, name
