@@ -237,7 +237,9 @@ def monomial_dimension(
 # Scaling every unit exponent by the lcm of their denominators turns "this
 # monomial has the target dimension" into the integer equation E @ D == t,
 # with one row of D per feature or constant.  Validation checks a spec's
-# monomials with one such product; enumeration searches the same table.
+# monomials with one such product; enumeration searches the same table,
+# restricted to the units some item or the target uses, and joins its two
+# halves on one int64 key per dimension vector (_dimension_keys).
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -584,17 +586,30 @@ def _half_grid(
     return grid, active
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    # one integer label per distinct row, from one lexicographic sort;
-    # np.unique(rows, axis=0) gives the same labels but sorts the rows as
-    # opaque bytes, about 7x slower on the half-grid joins
-    order = np.lexsort(rows.T)
-    ordered = rows[order]
-    labels = np.empty(len(rows), dtype=np.int64)
-    labels[order] = np.cumsum(
-        np.concatenate([[False], np.any(ordered[1:] != ordered[:-1], axis=1)])
-    )
-    return labels
+def _dimension_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 per row of an int64 matrix, equal exactly when the rows are.
+
+    Each column's offset from its minimum is one digit of a mixed-radix
+    number, folded in column by column; spans are Python ints.  A fold that
+    could overflow int64 instead relabels the pair (key so far, column)
+    densely, so the key then counts at most one value per row.  Every
+    column's ``max - min`` must fit int64.
+    """
+    keys = np.zeros(len(rows), dtype=np.int64)
+    radix = 1  # keys lie in [0, radix)
+    for column in rows.T:
+        low = int(column.min())
+        span = int(column.max()) - low + 1
+        if radix * span <= _INT64_MAX:
+            keys = keys * span + (column - low)
+            radix *= span
+        else:
+            _, keys = np.unique(
+                np.column_stack([keys, column]), axis=0, return_inverse=True
+            )
+            keys = keys.reshape(-1).astype(np.int64)
+            radix = int(keys.max()) + 1
+    return keys
 
 
 def _strictly_increasing(rows: np.ndarray) -> bool:
@@ -648,6 +663,12 @@ def enumerate_monomials(
     n_features = len(features)
     dims = [f.dimension for f in features] + [c.dimension for c in constants]
     table, target_row = _integer_dimension_table(dims, target)
+    # A unit that neither an item nor the target uses adds 0 == 0 to every row.
+    used = [
+        u for u, t in enumerate(target_row) if t or any(row[u] for row in table)
+    ]
+    table = [[row[u] for u in used] for row in table]
+    target_row = [target_row[u] for u in used]
     bounds = [max_abs_exponent] * n_features + [constant_bound] * len(constants)
     reach = [
         sum(b * abs(row[u]) for b, row in zip(bounds, table))
@@ -655,8 +676,11 @@ def enumerate_monomials(
     ]
     if any(abs(t) > r for t, r in zip(target_row, reach)):
         return np.zeros((0, len(dims)), dtype=np.int64)
-    # |target - left| <= 2 * reach bounds every sum the join computes
-    largest = max([2 * r for r in reach] + [abs(v) for row in table for v in row])
+    # |target - left| <= 2 * reach bounds every sum the join computes, and
+    # the target - left and right values of one unit span at most 2 * reach,
+    # so each key column's max - min fits int64 too.
+    largest = max([2 * r for r in reach] + [abs(v) for row in table for v in row],
+                  default=0)
     if largest > _INT64_MAX:
         raise InvalidRange("exponent bounds too large for the int64 lattice")
 
@@ -679,14 +703,14 @@ def enumerate_monomials(
     )
     matrix = np.array(table, dtype=np.int64).reshape(len(dims), len(target_row))
     need = np.array(target_row, dtype=np.int64) - left @ matrix[:n_left]
-    keys = _row_keys(np.concatenate([need, right @ matrix[n_left:]]))
-    left_keys, right_keys = keys[: len(left)], keys[len(left):]
-    right_order = np.argsort(right_keys, kind="stable")
-    per_key = np.bincount(right_keys, minlength=int(keys.max()) + 1)
-    matches = per_key[left_keys]
+    keys = _dimension_keys(np.concatenate([need, right @ matrix[n_left:]]))
+    need_keys, have_keys = np.split(keys, [len(left)])
+    right_order = np.argsort(have_keys, kind="stable")
+    have_keys = have_keys[right_order]
+    first_match = np.searchsorted(have_keys, need_keys, "left")
+    matches = np.searchsorted(have_keys, need_keys, "right") - first_match
     needed += int(matches.sum())
     _check_budget(needed, budget)
-    first_match = (np.cumsum(per_key) - per_key)[left_keys]
     left_index = np.repeat(np.arange(len(left)), matches)
     right_index = right_order[np.repeat(first_match, matches) + _group_offsets(matches)]
     active = left_active[left_index] + right_active[right_index]

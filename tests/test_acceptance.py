@@ -392,6 +392,33 @@ def test_criterion_08_enumeration_contains_catalog_and_matches_oracle():
           f"{len(oracle_cases)} oracle schemas equal")
 
 
+def test_criterion_08_oracle_on_unused_units_and_constants():
+    """The search equals a brute-force scan where a feature carries a unit
+    the target does not use (kelvin here), where constants bring a unit
+    (ampere) that only they and one feature share, and where neither the
+    items nor the target carry a unit."""
+    cases = [
+        ((("m", "kg"), ("v", "m/s"), ("theta", "K"), ("r", "m")), (), "J", 2, 4),
+        ((("B", "T"), ("r", "m"), ("omega", "1/s")), ("mu0", "c"), "W", 2, 3),
+        ((("a", "1"), ("phi", "rad")), (), "1", 2, 2),
+    ]
+    for pairs, constant_names, target_text, bound, active in cases:
+        schema = schema_of(pairs)
+        constants = tuple(STANDARD_CONSTANTS[name] for name in constant_names)
+        target = parse_unit(target_text)
+        n_features = len(schema)
+        fast = {
+            (tuple(row[:n_features]), tuple(row[n_features:]))
+            for row in enumerate_monomials(
+                schema, constants, target, max_abs_exponent=bound,
+                max_active_features=active, max_constant_exponent=bound,
+            ).tolist()
+        }
+        slow = _brute_force_exponents(schema, constants, target, bound, active)
+        assert slow, f"schema {pairs} has no monomial to compare"
+        assert fast == slow, f"schema {pairs}: fast {len(fast)} vs slow {len(slow)}"
+
+
 # --------------------------------------------------------------------------
 # Criterion 9: dimensional audit of the shipped catalogs.
 

@@ -736,6 +736,31 @@ class TestLatticeOracles:
             _scan(dims, n_features, bound, constant_bound, active, target)
         )
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_dimension_keys_are_equal_exactly_when_rows_are(self, seed):
+        # Columns small, 2**20 wide (their spans' product passes int64 after
+        # four) and spanning a right half's whole range under the lattice
+        # guard, |entry| <= 2**62 - 1; rows repeat so equal rows occur.
+        rng = np.random.default_rng(seed)
+        guard = 2**62 - 1
+        limits = rng.choice([3, 2**20, guard], size=rng.integers(1, 9))
+        distinct = np.column_stack([
+            rng.integers(-limit, limit, size=30, endpoint=True) for limit in limits
+        ])
+        distinct[0], distinct[1] = limits, -limits
+        rows = distinct[rng.integers(0, len(distinct), size=200)]
+        keys = featuremap._dimension_keys(rows)
+        _, labels = np.unique(rows, axis=0, return_inverse=True)
+        pairs = set(zip(keys.tolist(), labels.ravel().tolist()))
+        assert keys.dtype == np.int64
+        assert len(pairs) == len(set(keys.tolist())) == len(set(labels.ravel().tolist()))
+
+    def test_dimension_keys_do_not_wrap(self):
+        # A fold wrapping mod 2**64 would give rows 0 and 1 one key:
+        # (2**32 - 0) * 2**32 == 2**64.
+        rows = np.array([[0, 5], [2**32, 5], [0, 0], [2**32, 2**32 - 1]])
+        assert len(set(featuremap._dimension_keys(rows).tolist())) == 4
+
     def test_one_feature_schema_has_an_empty_left_half(self):
         features, _ = _items([parse_unit("kg*m^(-1/2)")], 1)
         found = enumerate_monomials(features, (), parse_unit("kg^2/m"), 2, 1)
