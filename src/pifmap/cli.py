@@ -21,6 +21,7 @@ replaces the default grid used by ``fit --select``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -102,9 +103,9 @@ def _fail(message: str) -> None:
     print(f"pifmap: error: {message}", file=sys.stderr)
 
 
-# Encodes one monomial of a spec on one line.  Without indentation the
-# json module uses its C encoder; with it, its pure-Python one.  A spec
-# document is a tree, so the encoder need not look for cycles.
+# Encodes a spec's monomial list compactly.  Without indentation the json
+# module uses its C encoder; with it, its pure-Python one.  A spec document
+# is a tree, so the encoder need not look for cycles.
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, check_circular=False)
 
 
@@ -138,12 +139,29 @@ def _json_text(node, newline: str) -> str:
     items = []
     for key, value in sorted(node.items()):
         if key == "monomials" and isinstance(value, list) and value:
-            lines = (inner + "  " + line for line in map(_LINE_ENCODER.encode, value))
-            text = "[" + ",".join(lines) + inner + "]"
+            text = _monomial_lines(value, inner)
         else:
             text = _json_text(value, inner)
         items.append(f"{inner}{json.dumps(key)}: {text}")
     return "{" + ",".join(items) + newline + "}"
+
+
+def _monomial_lines(items: list, inner: str) -> str:
+    """``items`` as a JSON list, each element compact on a line of its own.
+
+    One encoder pass writes the whole list.  Spec monomials are objects, so
+    that text is their compact texts joined by ``"}, {"``; when the sequence
+    occurs nowhere else, a line break goes in at each occurrence.  Any other
+    list is encoded one element at a time, to the same bytes.
+    """
+    line = inner + "  "
+    text = _LINE_ENCODER.encode(items)[1:-1]
+    if (text.count("}, {") == len(items) - 1
+            and all(isinstance(item, dict) for item in items)):
+        body = text.replace("}, {", "}," + line + "{")
+    else:
+        body = ("," + line).join(map(_LINE_ENCODER.encode, items))
+    return "[" + line + body + inner + "]"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -538,7 +556,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          default=None,
                          help="override the derived noise stream seed")
     p_synth.add_argument("--out", required=True, help="output CSV path")
-    p_synth.set_defaults(func=_cmd_synth)
 
     p_enum = sub.add_parser(
         "enumerate", help="list dimensionally consistent monomials"
@@ -563,7 +580,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "before allocation (default 1e6)")
     p_enum.add_argument("--name", default="enumerated")
     p_enum.add_argument("--out", default=None, help="spec JSON path (default stdout)")
-    p_enum.set_defaults(func=_cmd_enumerate)
 
     p_fit = sub.add_parser("fit", help="fit ridge on raw or mapped features")
     p_fit.add_argument("--data", required=True)
@@ -579,7 +595,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=0.7)
     p_fit.add_argument("--allow-inconsistent", action="store_true")
     p_fit.add_argument("--out", required=True, help="model JSON path")
-    p_fit.set_defaults(func=_cmd_fit)
 
     p_rank = sub.add_parser("rank", help="greedy-rank mapped features")
     p_rank.add_argument("--data", required=True)
@@ -593,7 +608,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--allow-inconsistent", action="store_true")
     p_rank.add_argument("--out", default=None, help="ranking JSON path (default stdout)")
     p_rank.add_argument("--curve", default=None, help="optional error-curve CSV path")
-    p_rank.set_defaults(func=_cmd_rank)
 
     p_eval = sub.add_parser("eval", help="evaluate a stored model on a dataset")
     p_eval.add_argument("--model", required=True)
@@ -603,7 +617,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="threshold the predictions (default 0.5) and "
                         "report the confusion matrix with skill scores")
-    p_eval.set_defaults(func=_cmd_eval)
 
     p_rep = sub.add_parser("reproduce", help="run a full experiment report")
     p_rep.add_argument("experiment",
@@ -618,16 +631,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", default="reports")
     p_rep.add_argument("--csv-only", action="store_true",
                        help="skip the SVG box plots")
-    p_rep.set_defaults(func=_cmd_reproduce)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser as it was, so one serves every call of main.
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # looked up per call, not bound into the cached parser
+        return globals()[f"_cmd_{args.command}"](args)
     except SystemExit as exc:  # argparse's --help
         return int(exc.code or 0)
     except PifmapError as exc:

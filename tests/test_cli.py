@@ -866,6 +866,17 @@ class TestExitCodeContract:
         with pytest.raises(InvalidRange):
             cli._dump_json({"lambda": float("inf")})
 
+    @pytest.mark.parametrize("monomials", [
+        [{"tag": "}, {"}, {"tag": 1}],
+        ["x}, {y", [3]],
+    ], ids=["separator-inside-an-element", "not-all-objects"])
+    def test_json_writer_puts_any_monomial_element_on_its_own_line(
+            self, monomials):
+        text = cli._dump_json({"monomials": monomials})
+        assert text == "{\n  \"monomials\": [\n" + ",\n".join(
+            "    " + json.dumps(item, sort_keys=True) for item in monomials
+        ) + "\n  ]\n}\n"
+
     def test_every_error_class_has_a_documented_exit_code(self):
         def subclasses(cls):
             for sub in cls.__subclasses__():
@@ -1140,6 +1151,41 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert run("--help") == EXIT_OK
         assert "synth" in capsys.readouterr().out
+
+    def test_one_parser_serves_every_call(self, bernoulli_csv, bernoulli_spec,
+                                          monkeypatch, tmp_path, capsys):
+        out = tmp_path / "out"
+        calls = [
+            ("fit", "--data", str(bernoulli_csv), "--raw"),  # no --out
+            ("--help",),
+            ("fit", "--data", str(bernoulli_csv), "--raw", "--out", str(out)),
+            ("fit", "--data", str(bernoulli_csv), "--spec", str(bernoulli_spec),
+             "--out", str(out)),
+            ("synth", "pulsar", "--n", "20", "--out", str(out)),
+        ]
+
+        def outcomes(fresh_parser):
+            seen = []
+            for argv in calls:
+                if fresh_parser:
+                    cli._parser.cache_clear()
+                code = run(*argv)
+                captured = capsys.readouterr()
+                written = out.read_bytes() if out.exists() else None
+                out.unlink(missing_ok=True)
+                seen.append((code, captured.out, captured.err, written))
+            return seen
+
+        fresh = outcomes(fresh_parser=True)
+        assert [code for code, *_ in fresh] == [EXIT_USAGE, EXIT_OK, EXIT_OK,
+                                               EXIT_OK, EXIT_OK]
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser",
+                            lambda: built.append(None) or build())
+        cli._parser.cache_clear()
+        assert outcomes(fresh_parser=False) == fresh
+        assert len(built) == 1
 
     def test_import_loads_no_scipy(self):
         src = Path(cli.__file__).resolve().parent.parent
