@@ -8,9 +8,9 @@ SVG from the fixed-geometry emitter.
 Exit codes: 0 success; 2 usage or invalid values, including a bad
 ``--target`` unit, a spec whose monomials miss its target and a dataset
 whose width does not match the model; 3 any input file that cannot be read
-or parsed (a bad unit, a repeated or invalid column name, the wrong shape)
-and any output path that cannot be written; 4 enumeration budget exhausted;
-5 numerical failure.  Each error class carries its code
+or parsed (a bad unit, a repeated or invalid column or constant name, the
+wrong shape) and any output path that cannot be written; 4 enumeration
+budget exhausted; 5 numerical failure.  Each error class carries its code
 (``PifmapError.exit_code``), and every failure prints one
 ``pifmap: error:`` line.
 
@@ -35,6 +35,7 @@ from .data import (
     Dataset,
     manifest_path_for,
     read_csv,
+    read_schema,
     schema_of,
     write_csv,
     write_manifest,
@@ -337,7 +338,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _schema_from_file(path: str):
     if path.endswith(".csv"):
-        return read_csv(path).schema
+        return read_schema(path)
     document = _json_document(path)
     if not isinstance(document, dict) or "features" not in document:
         raise SchemaMismatch(
@@ -361,6 +362,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                     f"--constants names unknown constant {name!r}; available: "
                     f"{sorted(STANDARD_CONSTANTS)}"
                 )
+            if STANDARD_CONSTANTS[name] in constants:
+                raise InvalidRange(f"--constants names {name!r} twice")
             constants.append(STANDARD_CONSTANTS[name])
     exponents = enumerate_monomials(
         schema,

@@ -25,6 +25,7 @@ __all__ = [
     "Dataset",
     "write_csv",
     "read_csv",
+    "read_schema",
     "write_manifest",
     "read_manifest",
     "manifest_path_for",
@@ -170,12 +171,11 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def read_csv(path) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [line for line in fh.read().split("\n") if line.strip()]
-    if not lines:
+def _parse_header(path, line: str | None) -> tuple[FeatureSchema, Dimension]:
+    """The schema and label dimension of a CSV header line (``None``: no line)."""
+    if line is None:
         raise EmptyInput(f"{path}: empty CSV")
-    cells = lines[0].split(",")
+    cells = line.split(",")
     if len(cells) < 2:
         raise SchemaMismatch(f"{path}: need at least one feature and a label column")
     parsed = [_parse_header_cell(c, i) for i, c in enumerate(cells)]
@@ -184,26 +184,39 @@ def read_csv(path) -> Dataset:
         raise SchemaMismatch(
             f"{path}: last column must be 'label', got {label_name!r}"
         )
-    schema = FeatureSchema(tuple(Feature(n, d) for n, d in parsed[:-1]))
+    return FeatureSchema(tuple(Feature(n, d) for n, d in parsed[:-1])), label_dim
+
+
+def read_schema(path) -> FeatureSchema:
+    """The feature schema of a CSV file, read from its header line alone."""
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        header = next((line.removesuffix("\n") for line in fh if line.strip()), None)
+    return _parse_header(path, header)[0]
+
+
+def read_csv(path) -> Dataset:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = [line for line in fh.read().split("\n") if line.strip()]
+    schema, label_dim = _parse_header(path, lines[0] if lines else None)
+    names = (*schema.names, "label")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         values = line.split(",")
-        if len(values) != len(cells):
+        if len(values) != len(names):
             raise SchemaMismatch(
-                f"{path}:{lineno}: expected {len(cells)} cells, got {len(values)}"
+                f"{path}:{lineno}: expected {len(names)} cells, got {len(values)}"
             )
         try:
             rows.append([float(v) for v in values])
         except ValueError:
             column, cell = next(
-                (name, v) for (name, _), v in zip(parsed, values)
-                if not _is_number(v)
+                (name, v) for name, v in zip(names, values) if not _is_number(v)
             )
             raise SchemaMismatch(
                 f"{path}:{lineno}: column {column!r} holds {cell!r}, "
                 f"which is not a number"
             ) from None
-    data = np.asarray(rows, dtype=float).reshape(len(rows), len(cells))
+    data = np.asarray(rows, dtype=float).reshape(len(rows), len(names))
     return Dataset(
         schema=schema,
         X=data[:, :-1],

@@ -398,6 +398,9 @@ class FeatureMapSpec:
         names = [f.name for f in self.features] + [d.name for d in self.derived]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate feature names in {names}")
+        constant_names = [c.name for c in self.constants]
+        if len(set(constant_names)) != len(constant_names):
+            raise ValueError(f"duplicate constant names in {constant_names}")
         for derived in self.derived:
             self._validate_derived(derived)
         dims = self.column_dimensions

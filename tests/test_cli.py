@@ -153,6 +153,25 @@ class TestEnumerate:
         names = [f["name"] for f in document["features"]]
         assert names[:3] == ["p", "rho", "v"]
 
+    def test_dataset_csv_schema_is_read_from_the_header_alone(
+            self, bernoulli_csv, tmp_path, capsys):
+        base = ["enumerate", "--target", "Pa", "--constants", "g",
+                "--max-active", "3"]
+        clean = tmp_path / "clean.json"
+        assert run(*base, "--schema", str(bernoulli_csv),
+                   "--out", str(clean)) == EXIT_OK
+        lines = bernoulli_csv.read_text(encoding="utf-8").split("\n")
+        lines[3] = lines[3].replace(lines[3].split(",")[1], "abc", 1)
+        bernoulli_csv.write_text("\n".join(lines), encoding="utf-8")
+        dirty = tmp_path / "dirty.json"
+        assert run(*base, "--schema", str(bernoulli_csv),
+                   "--out", str(dirty)) == EXIT_OK
+        assert dirty.read_bytes() == clean.read_bytes()
+        capsys.readouterr()
+        assert run("fit", "--data", str(bernoulli_csv), "--raw",
+                   "--out", str(tmp_path / "m.json")) == EXIT_IO
+        assert "holds 'abc', which is not a number" in capsys.readouterr().err
+
     def test_empty_result_warns_but_succeeds(self, tmp_path, capsys):
         schema = tmp_path / "schema.json"
         schema.write_text(json.dumps({"features": [["t", "s"]]}), encoding="utf-8")
@@ -511,6 +530,12 @@ def _sign_of_two(doc):
     doc["monomials"][0]["sign"] = 2
 
 
+def _repeated_constant(doc):
+    doc["constants"].append(doc["constants"][0])
+    for monomial in doc["monomials"]:
+        monomial["constant_exponents"].append(0)
+
+
 def _drop_means(doc):
     del doc["means"]
 
@@ -534,6 +559,7 @@ class TestMalformedDocuments:
         ("fit", _ragged_exponent_row),
         ("rank", _ragged_exponent_row),
         ("fit", _sign_of_two),
+        ("fit", _repeated_constant),
         ("eval", _drop_means),
         ("eval", _bogus_design_kind),
     ])
@@ -799,8 +825,10 @@ class TestExitCodeContract:
          "['G', 'c', 'g', 'mu0']"),
         (("reproduce", "bernoulli", "--noise-levels", ","),
          "--noise-levels lists no noise levels"),
+        (("enumerate", "--target", "Pa", "--constants", "g,c, g"),
+         "--constants names 'g' twice"),
     ], ids=["synth-binary-noise", "enumerate-unknown-constant",
-            "reproduce-no-noise-levels"])
+            "reproduce-no-noise-levels", "enumerate-repeated-constant"])
     def test_subcommand_check_is_one_named_line(self, argv, message,
                                                 bernoulli_csv, tmp_path, capsys):
         out = str(tmp_path / "out")
