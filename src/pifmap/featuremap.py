@@ -595,8 +595,8 @@ def _dimension_keys(rows: np.ndarray) -> np.ndarray:
     Each column's offset from its minimum is one digit of a mixed-radix
     number, folded in column by column; spans are Python ints.  A fold that
     could overflow int64 instead relabels the pair (key so far, column)
-    densely, so the key then counts at most one value per row.  Every
-    column's ``max - min`` must fit int64.
+    densely, so the key then takes no more values than there are rows.
+    Every column's ``max - min`` must fit int64.
     """
     keys = np.zeros(len(rows), dtype=np.int64)
     radix = 1  # keys lie in [0, radix)
@@ -610,7 +610,7 @@ def _dimension_keys(rows: np.ndarray) -> np.ndarray:
             _, keys = np.unique(
                 np.column_stack([keys, column]), axis=0, return_inverse=True
             )
-            keys = keys.reshape(-1).astype(np.int64)
+            keys = keys.reshape(-1).astype(np.int64, copy=False)
             radix = int(keys.max()) + 1
     return keys
 
