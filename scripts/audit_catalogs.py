@@ -5,8 +5,10 @@ Loads each catalog permissively, evaluates every monomial's physical
 dimension, and prints it next to the catalog's target so inconsistent
 entries are visible at a glance.  Exits 1 if any catalog carries an
 inconsistency its ``metadata["known_inconsistent"]`` does not list.  (A
-permissive load declares every mismatch it finds, so the spec's own
-``inconsistent_indices`` cannot tell a known entry from a new one.)
+permissive load keeps every mismatch it finds, so the spec's own
+``inconsistent_indices`` lists a new entry and a known one alike.)  Each
+dimension here is the per-monomial Fraction sum ``monomial_dimension``,
+independent of the integer product the spec's constructor runs.
 """
 
 import argparse

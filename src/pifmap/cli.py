@@ -6,13 +6,13 @@ monomial of a spec is one line; CSV with repr() floats and LF line endings,
 SVG from the fixed-geometry emitter.
 
 Exit codes: 0 success; 2 usage or invalid values, including a bad
-``--target`` unit, a spec whose monomials miss its target and a dataset
-whose width does not match the model; 3 any input file that cannot be read
-or parsed (a bad unit, a repeated or invalid column or constant name, the
-wrong shape) and any output path that cannot be written; 4 enumeration
-budget exhausted; 5 numerical failure.  Each error class carries its code
-(``PifmapError.exit_code``), and every failure prints one
-``pifmap: error:`` line.
+``--target`` unit, a spec whose monomials miss its target, a dataset whose
+width does not match the model and a size too large to allocate; 3 any input
+file that cannot be read or parsed (a bad unit, a repeated or invalid column
+or constant name, the wrong shape) and any output path that cannot be
+written; 4 enumeration budget exhausted; 5 numerical failure.  Each error
+class carries its code (``PifmapError.exit_code``), and every failure prints
+one ``pifmap: error:`` line.
 
 Environment override: ``PIFMAP_LAMBDA_GRID`` (comma-separated floats)
 replaces the default grid used by ``fit --select``.
@@ -658,6 +658,10 @@ def main(argv=None) -> int:
         # Every input file is read through _parse_input, so this is a write.
         _fail(f"cannot write {exc.filename}: {exc.strerror}")
         return EXIT_IO
+    except MemoryError as exc:
+        # a size too large to hold; numpy's message names the allocation
+        _fail(f"out of memory: {exc}" if str(exc) else "out of memory")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

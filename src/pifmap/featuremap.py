@@ -9,19 +9,20 @@ integer matrix: row ``i`` of ``exponents`` is monomial ``i``'s powers of the
 columns (features, then derived features) followed by its powers of the
 constants, ``signs[i]`` is its sign, and the sparse ``transforms`` map names
 the tag of each transformed ``(row, column)`` entry.  Every monomial must
-match the target exactly, which is enforced at construction.  Specs whose
-source tables are known to be inconsistent can be loaded anyway by listing
-the offending rows, and then carry human-readable diagnostics instead of
-silently passing.  :class:`Monomial` is the value type for building a spec
-by hand (:meth:`FeatureMapSpec.from_monomials`) and for reading one row
-back (:meth:`FeatureMapSpec.monomial`).
+match the target exactly, which is checked at construction; a spec built
+with ``allow_inconsistent=True`` keeps the monomials that miss it and
+carries human-readable ``diagnostics`` for them instead of silently passing.
+:class:`Monomial` is the value type for building a spec by hand
+(:meth:`FeatureMapSpec.from_monomials`) and for reading one row back
+(:meth:`FeatureMapSpec.monomial`).
 
 Both checks work on one exact integer table: unit exponents scaled by the
 lcm of their denominators, one row ``D[i]`` per column or constant.  A
 spec's monomials are validated with one product ``E @ D == t`` over its
-exponent matrix ``E``.  :func:`enumerate_monomials` returns the exponent
-matrix of every monomial of a given dimension within exponent bounds, found
-by a meet-in-the-middle search (Horowitz & Sahni, 1974): it lists the
+exponent matrix ``E``; row ``i`` of ``E @ D`` over the lcm is monomial
+``i``'s dimension.  :func:`enumerate_monomials` returns the exponent matrix
+of every monomial of a given dimension within exponent bounds, found by a
+meet-in-the-middle search (Horowitz & Sahni, 1974): it lists the
 exponent rows of each half of the items and joins them on
 ``t - left == right``.  The search is exhaustive within bounds, emits rows
 in lexicographic order, and raises :class:`~pifmap.errors.BudgetExceeded`,
@@ -35,6 +36,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -108,15 +110,16 @@ TRANSFORM_TAGS: Mapping[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def _exact_ints(values) -> tuple[int, ...]:
-    # exponents form an integer lattice; silently truncating 1.5 would
-    # change the monomial, so anything non-integral is a type error
+def _exact_ints(values, what: str) -> tuple[int, ...]:
+    # exponents form an integer lattice, and signs and column indices are
+    # integers too; silently truncating 1.5 or true would change the value,
+    # so anything non-integral is a type error naming ``what``
     values = tuple(values)
     if {int}.issuperset(map(type, values)):
         return values
     for value in values:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"exponents must be integers, got {value!r}")
+            raise TypeError(f"{what} must be integers, got {value!r}")
     return tuple(map(int, values))
 
 
@@ -131,10 +134,10 @@ class Monomial:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "feature_exponents", _exact_ints(self.feature_exponents)
+            self, "feature_exponents", _exact_ints(self.feature_exponents, "exponents")
         )
         object.__setattr__(
-            self, "constant_exponents", _exact_ints(self.constant_exponents)
+            self, "constant_exponents", _exact_ints(self.constant_exponents, "exponents")
         )
         object.__setattr__(
             self,
@@ -246,7 +249,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 def _integer_dimension_table(
     dimensions: Sequence[Dimension], target: Dimension
-) -> tuple[list[list[int]], list[int]]:
+) -> tuple[list[list[int]], list[int], int]:
     denominators = [e.denominator for d in dimensions for e in d.exponents]
     denominators += [e.denominator for e in target.exponents]
     scale = math.lcm(*denominators) if denominators else 1
@@ -254,17 +257,17 @@ def _integer_dimension_table(
         [int(e * scale) for e in d.exponents] for d in dimensions
     ]
     target_row = [int(e * scale) for e in target.exponents]
-    return table, target_row
+    return table, target_row, scale
 
 
-def _mismatched_indices(
+def _mismatched_rows(
     exponents: np.ndarray,
     transforms: Mapping[tuple[int, int], str],
     column_dimensions: Sequence[Dimension],
     constant_dimensions: Sequence[Dimension],
     target: Dimension,
-) -> list[int]:
-    """Rows of the exponent matrix whose dimension is not ``target``.
+) -> dict[int, Dimension]:
+    """Row -> dimension of each row of the exponent matrix that misses ``target``.
 
     A column under a non-identity transform contributes a dimensionless
     factor, so its entry in ``E`` is zeroed.  ``E @ D`` runs in int64 only
@@ -273,7 +276,7 @@ def _mismatched_indices(
     carry any integer exponent, and past that bound the product is taken
     in Python ints.
     """
-    table, target_row = _integer_dimension_table(
+    table, target_row, scale = _integer_dimension_table(
         (*column_dimensions, *constant_dimensions), target
     )
     transformed = [entry for entry, tag in transforms.items() if tag != "identity"]
@@ -286,9 +289,11 @@ def _mismatched_indices(
     dtype = np.int64 if fits else object
     matrix = np.array(table, dtype=dtype).reshape(len(table), len(target_row))
     products = exponents.astype(dtype) @ matrix
-    return np.flatnonzero(
-        np.any(products != np.array(target_row, dtype=dtype), axis=1)
-    ).tolist()
+    rows = np.flatnonzero(np.any(products != np.array(target_row, dtype=dtype), axis=1))
+    return {
+        row: Dimension(tuple(Fraction(v, scale) for v in products[row].tolist()))
+        for row in rows.tolist()
+    }
 
 
 def _exponent_matrix(rows, width: int, items: str) -> np.ndarray:
@@ -303,7 +308,7 @@ def _exponent_matrix(rows, width: int, items: str) -> np.ndarray:
     if not (isinstance(rows, np.ndarray) and rows.dtype.kind == "i"):
         rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
         if not {int}.issuperset(map(type, itertools.chain.from_iterable(rows))):
-            _exact_ints(itertools.chain.from_iterable(rows))
+            _exact_ints(itertools.chain.from_iterable(rows), "exponents")
     if len(rows) == 0:
         return np.zeros((0, width), dtype=np.int64)
     try:
@@ -324,13 +329,15 @@ def _exponent_matrix(rows, width: int, items: str) -> np.ndarray:
 
 
 def _sign_vector(signs, n_rows: int) -> np.ndarray:
-    values = np.ones(n_rows, dtype=np.int64) if signs is None else np.asarray(signs)
-    if values.shape != (n_rows,):
-        raise LengthMismatch(f"{values.size} signs for {n_rows} monomials")
-    wrong = ~np.isin(values, (-1, 1))
-    if wrong.any():
-        raise ValueError(f"sign must be -1 or +1, got {values[wrong][0]}")
-    return values.astype(np.int64)
+    if signs is None:
+        return np.ones(n_rows, dtype=np.int64)
+    values = _exact_ints(signs.tolist() if isinstance(signs, np.ndarray) else signs, "signs")
+    if len(values) != n_rows:
+        raise LengthMismatch(f"{len(values)} signs for {n_rows} monomials")
+    wrong = [value for value in values if value not in (-1, 1)]
+    if wrong:
+        raise ValueError(f"sign must be -1 or +1, got {wrong[0]}")
+    return np.array(values, dtype=np.int64)
 
 
 def _transform_map(
@@ -358,9 +365,10 @@ class FeatureMapSpec:
     entry it does not list is ``identity``.  Construction stores them as a
     read-only matrix, an int64 vector and a dict.
 
-    ``inconsistent_indices`` lists monomials that are knowingly kept
-    despite failing the dimension check; any mismatch not listed there
-    raises :class:`~pifmap.errors.DimensionMismatch` at construction.
+    A monomial that misses ``target_dimension`` raises
+    :class:`~pifmap.errors.DimensionMismatch` at construction unless
+    ``allow_inconsistent`` is set; then ``inconsistent_indices`` lists it and
+    ``diagnostics`` describes it.
     """
 
     name: str
@@ -371,8 +379,10 @@ class FeatureMapSpec:
     signs: np.ndarray | None = None
     transforms: Mapping[tuple[int, int], str] = field(default_factory=dict)
     derived: tuple[DerivedFeature, ...] = ()
-    inconsistent_indices: tuple[int, ...] = ()
+    allow_inconsistent: bool = False
     metadata: dict = field(default_factory=dict)
+    # row -> dimension of each monomial that misses the target
+    _mismatches: dict = field(init=False, repr=False, default_factory=dict)
 
     @classmethod
     def from_monomials(cls, monomials: Iterable[Monomial], **fields) -> FeatureMapSpec:
@@ -421,22 +431,15 @@ class FeatureMapSpec:
                 f"monomial {featureless[0] + 1} uses no feature; a monomial "
                 f"must use at least one feature"
             )
-        mismatched = set(_mismatched_indices(
+        mismatches = _mismatched_rows(
             exponents, self.transforms, dims, cdims, self.target_dimension
-        ))
-        declared = set(self.inconsistent_indices)
-        undeclared = sorted(mismatched - declared)
-        if undeclared:
+        )
+        if mismatches and not self.allow_inconsistent:
             raise DimensionMismatch(
-                (index, monomial_dimension(self.monomial(index), dims, cdims),
-                 self.target_dimension)
-                for index in undeclared
+                (index, actual, self.target_dimension)
+                for index, actual in mismatches.items()
             )
-        if declared != mismatched:
-            stale = sorted(declared - mismatched)
-            raise ValueError(
-                f"monomials {stale} are declared inconsistent but check out"
-            )
+        object.__setattr__(self, "_mismatches", mismatches)
 
     def monomial(self, index: int) -> Monomial:
         """Row ``index`` as a :class:`Monomial`, for inspection."""
@@ -493,18 +496,19 @@ class FeatureMapSpec:
         return tuple(f"pif_{i + 1}" for i in range(len(self)))
 
     @property
+    def inconsistent_indices(self) -> tuple[int, ...]:
+        """The 0-based rows that miss the target, kept by ``allow_inconsistent``."""
+        return tuple(self._mismatches)
+
+    @property
     def diagnostics(self) -> tuple[str, ...]:
-        dims = self.column_dimensions
-        cdims = tuple(c.dimension for c in self.constants)
-        notes = []
-        for index in self.inconsistent_indices:
-            actual = monomial_dimension(self.monomial(index), dims, cdims)
-            notes.append(
-                f"pif_{index + 1} ({render_monomial(self, index)}) has dimension "
-                f"{format_unit(actual)}, declared target is "
-                f"{format_unit(self.target_dimension)}"
-            )
-        return tuple(notes)
+        """One line per inconsistent monomial: its dimension and the target."""
+        return tuple(
+            f"pif_{index + 1} ({render_monomial(self, index)}) has dimension "
+            f"{format_unit(actual)}, declared target is "
+            f"{format_unit(self.target_dimension)}"
+            for index, actual in self._mismatches.items()
+        )
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -665,7 +669,7 @@ def enumerate_monomials(
 
     n_features = len(features)
     dims = [f.dimension for f in features] + [c.dimension for c in constants]
-    table, target_row = _integer_dimension_table(dims, target)
+    table, target_row, _ = _integer_dimension_table(dims, target)
     # A unit that neither an item nor the target uses adds 0 == 0 to every row.
     used = [
         u for u, t in enumerate(target_row) if t or any(row[u] for row in table)
@@ -971,6 +975,7 @@ def spec_to_dict(spec: FeatureMapSpec) -> dict:
 
 
 def spec_from_dict(document: Mapping, *, allow_inconsistent: bool = False) -> FeatureMapSpec:
+    """Read a spec document; the :class:`FeatureMapSpec` it builds checks it."""
     features = tuple(
         Feature(entry["name"], parse_unit(entry["unit"]))
         for entry in document["features"]
@@ -989,46 +994,31 @@ def spec_from_dict(document: Mapping, *, allow_inconsistent: bool = False) -> Fe
         for entry in document.get("constants", [])
     )
     entries = document["monomials"]
-    column_dimensions = [f.dimension for f in features] + [d.dimension for d in derived]
     exponents = np.hstack([
         _exponent_matrix(
             [entry["feature_exponents"] for entry in entries],
-            len(column_dimensions), "features",
+            len(features) + len(derived), "features",
         ),
         _exponent_matrix(
             [entry.get("constant_exponents", ()) for entry in entries],
             len(constants), "constants",
         ),
     ])
-    signs = [int(entry.get("sign", 1)) for entry in entries]
+    signs = [entry.get("sign", 1) for entry in entries]
     transforms = {
         (row, int(column)): tag
         for row, entry in enumerate(entries)
         for column, tag in entry.get("transforms", {}).items()
     }
-    target = parse_unit(document["target_unit"])
-
-    declared: tuple[int, ...] = ()
-    if allow_inconsistent:
-        # One lattice pass names every mismatched monomial, and declaring
-        # exactly those lets construction pass.  A mismatched derived
-        # feature is checked at construction and still raises.
-        declared = tuple(_mismatched_indices(
-            exponents,
-            _transform_map(transforms, len(exponents), len(column_dimensions)),
-            column_dimensions,
-            [c.dimension for c in constants],
-            target,
-        ))
     return FeatureMapSpec(
         name=document.get("name", "unnamed"),
         features=features,
         constants=constants,
         exponents=exponents,
-        target_dimension=target,
+        target_dimension=parse_unit(document["target_unit"]),
         signs=signs,
         transforms=transforms,
         derived=derived,
-        inconsistent_indices=declared,
+        allow_inconsistent=allow_inconsistent,
         metadata=dict(document.get("metadata", {})),
     )

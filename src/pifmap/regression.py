@@ -38,6 +38,7 @@ from .errors import (
     NonFiniteResult,
     SingularSystem,
 )
+from .featuremap import _exact_ints
 
 __all__ = [
     "DEFAULT_LAMBDA",
@@ -94,6 +95,15 @@ def _check_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
     if not np.isfinite(X).all():
         raise NonFiniteInput(f"{name} contains non-finite values")
     return X
+
+
+def _check_labels(y: np.ndarray, n: int) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise ValueError(f"y shape {y.shape} does not match {n} rows")
+    if not np.isfinite(y).all():
+        raise NonFiniteInput("y contains non-finite values")
+    return y
 
 
 def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
@@ -256,11 +266,7 @@ def ridge_fit(
     :class:`~pifmap.errors.SingularSystem`.
     """
     Z = _check_matrix(Z, "Z")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (Z.shape[0],):
-        raise ValueError(f"y shape {y.shape} does not match {Z.shape[0]} rows")
-    if not np.isfinite(y).all():
-        raise NonFiniteInput("y contains non-finite values")
+    y = _check_labels(y, Z.shape[0])
     if Z.shape[0] == 0:
         raise EmptyInput("cannot fit on zero rows")
     _check_lambda(lam)
@@ -340,7 +346,6 @@ def select_lambda(
     per value.
     """
     Z = _check_matrix(Z, "Z")
-    y = np.asarray(y, dtype=float)
     if not grid:
         raise ValueError("lambda grid is empty")
     grid = [float(lam) for lam in grid]
@@ -353,10 +358,7 @@ def select_lambda(
         raise InsufficientData(
             f"cannot split {n} rows into a usable train/validation pair"
         )
-    if y.shape != (n,):
-        raise ValueError(f"y shape {y.shape} does not match {n} rows")
-    if not np.isfinite(y).all():
-        raise NonFiniteInput("y contains non-finite values")
+    y = _check_labels(y, n)
     Z_train, Z_val = Z[:n_train], Z[n_train:]
     y_train, y_val = y[:n_train], y[n_train:]
     intercept = float(np.mean(y_train))
@@ -415,13 +417,14 @@ def model_from_dict(document: dict) -> RidgeModel:
 
     Raises :class:`~pifmap.errors.ColumnMismatch` when the weights, means,
     scales and kept columns differ in length, or when the kept and dropped
-    columns together are not a permutation of the input columns.
+    columns together are not a permutation of the input columns, and
+    :class:`TypeError` when a column index is a bool or not an integer.
     """
     params = StandardizationParams(
         means=np.asarray(document["means"], dtype=float),
         scales=np.asarray(document["scales"], dtype=float),
-        kept=tuple(int(j) for j in document["kept_columns"]),
-        dropped=tuple(int(j) for j in document.get("dropped_columns", ())),
+        kept=_exact_ints(document["kept_columns"], "kept_columns"),
+        dropped=_exact_ints(document.get("dropped_columns", ()), "dropped_columns"),
     )
     weights = np.asarray(document["weights"], dtype=float)
     lengths = (len(weights), len(params.means), len(params.scales), len(params.kept))

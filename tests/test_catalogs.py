@@ -45,7 +45,12 @@ class TestLoading:
     def test_pulsar_permissive_records_diagnostics(self):
         spec = load_catalog("pulsar", allow_inconsistent=True)
         assert spec.inconsistent_indices == (2, 6)
-        assert len(spec.diagnostics) == 2
+        assert spec.diagnostics == (
+            "pif_3 (-r^4*B^2*omega*mu0^-1) has dimension kg*m^3*s^-3, "
+            "declared target is kg*m^2*s^-3",
+            "pif_7 (-r^2*omega^-3*m) has dimension kg*m^2*s^3, "
+            "declared target is kg*m^2*s^-3",
+        )
 
     def test_pulsar_ablated_variant(self):
         spec = load_catalog("pulsar_no_pif1", allow_inconsistent=True)
@@ -61,7 +66,7 @@ class TestLoading:
     @staticmethod
     def _count_checks(monkeypatch):
         lattice_checks, dimension_calls = [], []
-        lattice = featuremap._mismatched_indices
+        lattice = featuremap._mismatched_rows
 
         def counting_lattice(*args, **kwargs):
             lattice_checks.append(args[0])
@@ -71,7 +76,7 @@ class TestLoading:
             dimension_calls.append(args[0])
             return monomial_dimension(*args, **kwargs)
 
-        monkeypatch.setattr(featuremap, "_mismatched_indices", counting_lattice)
+        monkeypatch.setattr(featuremap, "_mismatched_rows", counting_lattice)
         monkeypatch.setattr(featuremap, "monomial_dimension", counting_dimension)
         return lattice_checks, dimension_calls
 
@@ -85,14 +90,21 @@ class TestLoading:
         assert dimension_calls == []
 
     def test_permissive_load_sums_only_the_mismatched_monomials(self, monkeypatch):
+        # the one lattice product also gives each mismatched row's
+        # dimension, so neither diagnostics nor the strict load's error
+        # needs the per-monomial Fraction sum
         lattice_checks, dimension_calls = self._count_checks(monkeypatch)
         spec = load_catalog("pulsar", allow_inconsistent=True)
         assert spec.inconsistent_indices == (2, 6)
-        assert all(checked.tobytes() == spec.exponents.tobytes()
-                   for checked in lattice_checks)
-        assert dimension_calls == []
         assert len(spec.diagnostics) == 2
-        assert dimension_calls == [spec.monomial(2), spec.monomial(6)]
+        assert len(lattice_checks) == 1
+        assert lattice_checks[0].tobytes() == spec.exponents.tobytes()
+        assert dimension_calls == []
+        with pytest.raises(DimensionMismatch) as info:
+            load_catalog("pulsar")
+        assert [entry[0] for entry in info.value.entries] == [2, 6]
+        assert len(lattice_checks) == 2
+        assert dimension_calls == []
 
     def test_loads_are_independent_copies(self):
         a = load_catalog("bernoulli")

@@ -530,6 +530,23 @@ def _sign_of_two(doc):
     doc["monomials"][0]["sign"] = 2
 
 
+def _sign_of(value):
+    def corrupt(doc):
+        doc["monomials"][0]["sign"] = value
+    corrupt.__name__ = f"_sign_of_{type(value).__name__}"
+    return corrupt
+
+
+def _kept_column_of(value):
+    # in place of the index it truncates to, so that only the exact-integer
+    # check can fail
+    def corrupt(doc):
+        columns = doc["kept_columns"]
+        columns[columns.index(int(value))] = value
+    corrupt.__name__ = f"_kept_column_of_{type(value).__name__}"
+    return corrupt
+
+
 def _repeated_constant(doc):
     doc["constants"].append(doc["constants"][0])
     for monomial in doc["monomials"]:
@@ -559,9 +576,13 @@ class TestMalformedDocuments:
         ("fit", _ragged_exponent_row),
         ("rank", _ragged_exponent_row),
         ("fit", _sign_of_two),
+        *((command, _sign_of(value)) for value in (1.5, True, "-1")
+          for command in ("fit", "rank")),
         ("fit", _repeated_constant),
         ("eval", _drop_means),
         ("eval", _bogus_design_kind),
+        ("eval", _kept_column_of(0.7)),
+        ("eval", _kept_column_of(True)),
     ])
     def test_exit_3_with_one_error_line(self, command, corrupt, bernoulli_csv,
                                         bernoulli_spec, tmp_path, capsys):
@@ -838,6 +859,26 @@ class TestExitCodeContract:
         assert run(*argv, "--out", out) == EXIT_USAGE
         assert capsys.readouterr().err.splitlines() == [f"pifmap: error: {message}"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 7.28 PiB for an array with shape "
+                     "(1000000000000000,) and data type float64"),
+         "pifmap: error: out of memory: Unable to allocate 7.28 PiB for an "
+         "array with shape (1000000000000000,) and data type float64"),
+        (MemoryError(), "pifmap: error: out of memory"),
+    ], ids=["numpy-message", "bare"])
+    def test_memory_error_is_one_line_naming_the_allocation(
+            self, error, message, monkeypatch, tmp_path, capsys):
+        # the generator raises as numpy would; nothing large is allocated
+        def too_large(n, seed):
+            raise error
+
+        monkeypatch.setattr(cli, "gen_bernoulli", too_large)
+        capsys.readouterr()
+        assert run("synth", "bernoulli", "--n", "1000000000000000",
+                   "--out", str(tmp_path / "big.csv")) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (tmp_path / "big.csv").exists()
 
     def test_value_error_from_a_subcommand_propagates(self, monkeypatch):
         def broken(args):

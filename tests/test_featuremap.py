@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pifmap import featuremap
 from pifmap.catalogs import CATALOG_NAMES, load_catalog
 from pifmap.data import Dataset, Feature, schema_of
-from pifmap.dimension import DIMENSIONLESS, Dimension, parse_unit
+from pifmap.dimension import DIMENSIONLESS, Dimension, format_unit, parse_unit
 from pifmap.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -102,6 +102,20 @@ class TestMonomialValidation:
         with pytest.raises(ValueError):
             Monomial(feature_exponents=(1,), sign=2)
 
+    def test_non_integer_signs_rejected(self):
+        # a spec document's signs are checked like its exponents, not
+        # truncated to +-1
+        for bad in (1.5, -1.9, True, "-1", 1.0):
+            doc = spec_to_dict(load_catalog("bernoulli"))
+            doc["monomials"][3]["sign"] = bad
+            with pytest.raises(TypeError, match="signs must be integers"):
+                spec_from_dict(doc)
+        doc["monomials"][3]["sign"] = 2
+        with pytest.raises(ValueError, match="sign must be -1 or \\+1, got 2"):
+            spec_from_dict(doc)
+        doc["monomials"][3]["sign"] = np.int64(-1)
+        assert spec_from_dict(doc).signs[3] == -1
+
     def test_transform_tags_checked(self):
         with pytest.raises(ValueError):
             Monomial(feature_exponents=(1,), transforms=((0, "cube"),))
@@ -187,22 +201,14 @@ class TestSpecValidation:
                 Monomial(feature_exponents=(1, 0)),
             ),
             target_dimension=JOULE,
-            inconsistent_indices=(1,),
+            allow_inconsistent=True,
         )
         assert spec.inconsistent_indices == (1,)
-        assert len(spec.diagnostics) == 1
-
-    def test_stale_declaration_rejected(self):
-        features = tuple(schema_of([("m", "kg"), ("v", "m/s")]).features)
-        with pytest.raises(ValueError):
-            FeatureMapSpec.from_monomials(
-                name="stale",
-                features=features,
-                constants=(),
-                monomials=(Monomial(feature_exponents=(1, 2)),),
-                target_dimension=JOULE,
-                inconsistent_indices=(0,),
-            )
+        assert spec.diagnostics == (
+            "pif_2 (m) has dimension kg, declared target is kg*m^2*s^-2",
+        )
+        with pytest.raises(AttributeError):
+            spec.inconsistent_indices = ()
 
 
     def test_rows_read_back_as_the_monomials_they_were_built_from(self):
@@ -710,9 +716,7 @@ def _validation_cases(draw):
     target = draw(_dimensions)
     if monomials and draw(st.booleans()):
         target = monomial_dimension(monomials[0], dims[:n_features], dims[n_features:])
-    indices = st.sets(st.sampled_from(range(len(monomials)))) if monomials else st.just(set())
-    declared = tuple(sorted(draw(indices)))
-    return dims, n_features, tuple(monomials), target, declared
+    return dims, n_features, tuple(monomials), target, draw(st.booleans())
 
 
 def _items(dims, n_features):
@@ -770,7 +774,7 @@ class TestLatticeOracles:
     @settings(max_examples=80)
     @given(case=_validation_cases())
     def test_lattice_check_flags_exactly_the_fraction_mismatches(self, case):
-        dims, n_features, monomials, target, declared = case
+        dims, n_features, monomials, target, permissive = case
         features, constants = _items(dims, n_features)
         fdims, cdims = dims[:n_features], dims[n_features:]
         actual = [monomial_dimension(m, fdims, cdims) for m in monomials]
@@ -780,27 +784,28 @@ class TestLatticeOracles:
             dtype=np.int64).reshape(len(monomials), len(dims))
         transforms = {(i, j): tag for i, m in enumerate(monomials)
                       for j, tag in m.transforms}
-        assert featuremap._mismatched_indices(
-            exponents, transforms, fdims, cdims, target) == expected
+        assert featuremap._mismatched_rows(
+            exponents, transforms, fdims, cdims, target) == {
+                i: actual[i] for i in expected}
 
         def build():
             return FeatureMapSpec.from_monomials(
                 name="random", features=features, constants=constants,
                 monomials=monomials, target_dimension=target,
-                inconsistent_indices=declared,
+                allow_inconsistent=permissive,
             )
 
-        undeclared = [i for i in expected if i not in declared]
-        if undeclared:
+        if expected and not permissive:
             with pytest.raises(DimensionMismatch) as info:
                 build()
             assert info.value.entries == tuple(
-                (i, actual[i], target) for i in undeclared)
-        elif set(declared) != set(expected):
-            with pytest.raises(ValueError, match="declared inconsistent"):
-                build()
+                (i, actual[i], target) for i in expected)
         else:
-            assert build().inconsistent_indices == declared
+            spec = build()
+            assert spec.inconsistent_indices == tuple(expected)
+            assert [note.split(" has dimension ")[1] for note in spec.diagnostics] == [
+                f"{format_unit(actual[i])}, declared target is {format_unit(target)}"
+                for i in expected]
 
     @pytest.mark.parametrize("exponent, unit_power", [
         (2**62, 1),   # int64 holds the product

@@ -393,5 +393,21 @@ class TestModelSerialization:
         assert back.feature_names == model.feature_names
         assert back.lam == model.lam
 
+    @pytest.mark.parametrize("key, position, bad", [
+        ("kept_columns", 0, True), ("kept_columns", 1, 2.7), ("dropped_columns", 0, 0.5),
+    ])
+    def test_column_indices_must_be_integers(self, key, position, bad):
+        # each bad index truncates to the index it replaces, so only the
+        # exact-integer check can tell
+        X = np.column_stack([np.ones(6), np.arange(6.0), np.arange(6.0) ** 2])
+        with pytest.warns(DroppedColumnWarning):
+            model, _ = fit_standardized(X, np.arange(6.0), 1e-2)
+        document = model_to_dict(model)
+        assert (document["kept_columns"], document["dropped_columns"]) == ([1, 2], [0])
+        assert int(bad) == document[key][position]
+        document[key][position] = bad
+        with pytest.raises(TypeError, match=f"{key} must be integers"):
+            model_from_dict(document)
+
     def test_default_lambda_value(self):
         assert DEFAULT_LAMBDA == 1e-3
