@@ -123,6 +123,17 @@ def _exact_ints(values, what: str) -> tuple[int, ...]:
     return tuple(map(int, values))
 
 
+def _exact_floats(values, what: str) -> tuple[float, ...]:
+    # a document's numbers are read as written: float() would load true as
+    # 1.0 and "9.8" as 9.8, so a bool or string is a type error naming ``what``
+    values = tuple(values)
+    numbers = (int, float, np.integer, np.floating)
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers):
+            raise TypeError(f"{what} must be numbers, got {value!r}")
+    return tuple(map(float, values))
+
+
 @dataclass(frozen=True)
 class Monomial:
     """Signed product of feature powers and constant powers."""
@@ -144,8 +155,10 @@ class Monomial:
             "transforms",
             tuple(sorted((int(i), str(t)) for i, t in self.transforms)),
         )
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be -1 or +1, got {self.sign}")
+        (sign,) = _exact_ints((self.sign,), "signs")
+        if sign not in (-1, 1):
+            raise ValueError(f"sign must be -1 or +1, got {sign}")
+        object.__setattr__(self, "sign", sign)
         if not any(self.feature_exponents):
             raise ValueError("a monomial must use at least one feature")
         for index, tag in self.transforms:
@@ -990,7 +1003,11 @@ def spec_from_dict(document: Mapping, *, allow_inconsistent: bool = False) -> Fe
         for entry in document.get("derived_features", [])
     )
     constants = tuple(
-        PhysicalConstant(entry["name"], float(entry["value"]), parse_unit(entry["unit"]))
+        PhysicalConstant(
+            entry["name"],
+            _exact_floats((entry["value"],), "constant values")[0],
+            parse_unit(entry["unit"]),
+        )
         for entry in document.get("constants", [])
     )
     entries = document["monomials"]

@@ -37,19 +37,33 @@ def _check_pair(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
         )
     if y_true.size == 0:
         raise EmptyInput("no values to score")
-    if not (np.isfinite(y_true).all() and np.isfinite(y_pred).all()):
-        raise NonFiniteInput("metric inputs contain non-finite values")
     return y_true, y_pred
+
+
+def _mean_error(total, y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    """``total / n``, np.mean's own steps, once the inputs are known finite.
+
+    ``total`` sums one non-negative error term per entry.  A NaN or
+    infinite input makes its term, and so the sum, non-finite, so a finite
+    sum shows both inputs finite with no pass of its own; only a sum that
+    is not finite, which finite terms can also reach by overflowing, needs
+    the elementwise test.
+    """
+    total = float(total)
+    if not (math.isfinite(total)
+            or (np.isfinite(y_true).all() and np.isfinite(y_pred).all())):
+        raise NonFiniteInput("metric inputs contain non-finite values")
+    return total / y_true.size
 
 
 def mae(y_true, y_pred) -> float:
     y_true, y_pred = _check_pair(y_true, y_pred)
-    return float(np.mean(np.abs(y_true - y_pred)))
+    return _mean_error(np.abs(y_true - y_pred).sum(), y_true, y_pred)
 
 
 def mse(y_true, y_pred) -> float:
     y_true, y_pred = _check_pair(y_true, y_pred)
-    return float(np.mean((y_true - y_pred) ** 2))
+    return _mean_error(((y_true - y_pred) ** 2).sum(), y_true, y_pred)
 
 
 @dataclass(frozen=True)

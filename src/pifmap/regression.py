@@ -9,10 +9,23 @@ checks that it is numerically positive definite, because LU alone accepts
 a consistent rank-deficient system; a larger ``lambda`` makes the system
 positive definite.  A residual check guards against a factorization that
 silently lost accuracy: if the normal equations are not satisfied to 1e-8
-relative, the fit raises instead of returning garbage.  The solve and both
-checks live in one helper,
+relative, the fit raises instead of returning garbage.  The solve, both
+checks and the finite-weights check live in one helper,
 :func:`_solve_normal_equations`, which both :func:`ridge_fit` and
 :func:`select_lambda` call.
+
+Inputs are checked once each, by one helper per kind: ``_check_matrix``
+(2-d, every entry finite) for every design a public function takes,
+``_check_labels`` (one finite label per row) for the labels and
+``_check_lambda`` (finite, non-negative) for each ridge strength.  A
+non-finite entry raises :class:`~pifmap.errors.NonFiniteInput`, and
+finite entries pass however large their sum.
+
+Most fits in a run are small (hundreds of rows, a few columns), so their
+time is the fixed cost of each numpy call, not arithmetic.  The code takes
+the cheapest call that gives the same bits: ``mean(y)`` is one pairwise
+sum and one division (``np.mean``'s own steps) and a vector norm is
+``math.sqrt(v @ v)`` (``np.linalg.norm``'s, for a real vector).
 
 :func:`select_lambda` forms the training Gram ``Z'Z``, the right-hand side
 and ``mean(y)`` once per grid and adds each ``lambda I`` to that one Gram,
@@ -22,6 +35,7 @@ the chosen lambda is the one a refit per grid value would choose.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,7 +52,7 @@ from .errors import (
     NonFiniteResult,
     SingularSystem,
 )
-from .featuremap import _exact_ints
+from .featuremap import _exact_floats, _exact_ints
 
 __all__ = [
     "DEFAULT_LAMBDA",
@@ -72,6 +86,9 @@ _VALIDATION_FRACTION = 0.3
 # A column counts as constant when its population standard deviation is
 # zero to within this relative tolerance of the mean magnitude.
 _ZERO_SCALE_RTOL = 1e-12
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -116,9 +133,11 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
     column whose values are too large for its variance to be finite raises
     :class:`~pifmap.errors.NonFiniteResult`.
 
-    The matrix is centered once.  The scales are taken from the centered
-    matrix by the steps of ``np.std`` (square, sum over rows, divide by
-    ``n``, square root), so they equal ``X.std(axis=0)`` bit for bit.
+    The matrix is centered once.  The means are taken by the steps of
+    ``np.mean`` (sum over rows, divide by ``n``) and the scales from the
+    centered matrix by those of ``np.std`` (square, sum over rows, divide
+    by ``n``, square root), so they equal ``X.mean(axis=0)`` and
+    ``X.std(axis=0)`` bit for bit.
     """
     X = _check_matrix(X)
     n = X.shape[0]
@@ -126,7 +145,7 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
         raise InsufficientData(f"standardization needs at least 2 rows, got {n}")
     # overflow is reported as NonFiniteResult below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        means = X.mean(axis=0)
+        means = np.add.reduce(X, axis=0) / n
         centered = X - means
         # population (1/n) convention
         scales = np.sqrt(np.add.reduce(np.square(centered), axis=0) / n)
@@ -137,25 +156,23 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
             "deviation overflows"
         )
     constant = scales <= _ZERO_SCALE_RTOL * np.abs(means)
-    kept = tuple(int(j) for j in np.flatnonzero(~constant))
-    dropped = tuple(int(j) for j in np.flatnonzero(constant))
-    if dropped:
+    if constant.any():
+        kept = np.flatnonzero(~constant).tolist()
+        dropped = np.flatnonzero(constant).tolist()
         warnings.warn(
-            f"dropping constant columns {list(dropped)} (zero variance)",
+            f"dropping constant columns {dropped} (zero variance)",
             DroppedColumnWarning,
             stacklevel=2,
         )
+        means, scales, centered = means[kept], scales[kept], centered[:, kept]
+    else:
+        kept, dropped = range(X.shape[1]), ()
     params = StandardizationParams(
-        means=means[list(kept)],
-        scales=scales[list(kept)],
-        kept=kept,
-        dropped=dropped,
+        means=means, scales=scales, kept=tuple(kept), dropped=tuple(dropped)
     )
-    if dropped:
-        centered = centered[:, list(kept)]
     # Z is Fortran-ordered, as the gather X[:, kept] returns it, because the
     # Gram, Z'y and the predictions round according to that layout
-    Z = np.divide(centered, params.scales, out=np.empty(centered.shape, order="F"))
+    Z = np.divide(centered, scales, out=np.empty(centered.shape, order="F"))
     return Z, params
 
 
@@ -225,12 +242,12 @@ def _solve_normal_equations(
     are not satisfied to 1e-8 relative.
     """
     p = len(gram)
-    tolerance = p * np.finfo(float).eps
+    tolerance = p * _EPS
     system = gram + lam * np.eye(p)
     try:
-        if lam <= tolerance * float(np.diagonal(gram).max()):
-            pivots = np.diagonal(np.linalg.cholesky(system)) ** 2
-            if (pivots <= tolerance * np.diagonal(system)).any():
+        if lam <= tolerance * float(gram.diagonal().max()):
+            pivots = np.linalg.cholesky(system).diagonal() ** 2
+            if (pivots <= tolerance * system.diagonal()).any():
                 raise SingularSystem(
                     "normal equations are singular: the Gram is not "
                     "numerically positive definite"
@@ -241,8 +258,9 @@ def _solve_normal_equations(
     if not np.isfinite(weights).all():
         raise SingularSystem("solver produced non-finite weights")
     residual = system @ weights - rhs
-    limit = 1e-8 * max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-    if float(np.linalg.norm(residual)) > limit:
+    # math.sqrt(v @ v) is what np.linalg.norm computes for a real vector
+    limit = 1e-8 * max(math.sqrt(rhs @ rhs), _TINY)
+    if math.sqrt(residual @ residual) > limit:
         raise SingularSystem(
             "normal-equation residual exceeds 1e-8 relative; the system "
             "is too ill-conditioned to trust"
@@ -270,8 +288,9 @@ def ridge_fit(
     if Z.shape[0] == 0:
         raise EmptyInput("cannot fit on zero rows")
     _check_lambda(lam)
-    p = Z.shape[1]
-    intercept = float(np.mean(y))
+    n, p = Z.shape
+    # the steps of np.mean: one pairwise sum, one division
+    intercept = float(y.sum()) / n
     if p == 0:
         weights = np.zeros(0)
     else:
@@ -361,7 +380,7 @@ def select_lambda(
     y = _check_labels(y, n)
     Z_train, Z_val = Z[:n_train], Z[n_train:]
     y_train, y_val = y[:n_train], y[n_train:]
-    intercept = float(np.mean(y_train))
+    intercept = float(y_train.sum()) / n_train
     gram = Z_train.T @ Z_train
     rhs = Z_train.T @ (y_train - intercept)
     best_lam = None
@@ -418,15 +437,17 @@ def model_from_dict(document: dict) -> RidgeModel:
     Raises :class:`~pifmap.errors.ColumnMismatch` when the weights, means,
     scales and kept columns differ in length, or when the kept and dropped
     columns together are not a permutation of the input columns, and
-    :class:`TypeError` when a column index is a bool or not an integer.
+    :class:`TypeError` when a column index is a bool or not an integer, or
+    a number (lambda, intercept, weight, mean or scale) is a bool or a
+    string.
     """
     params = StandardizationParams(
-        means=np.asarray(document["means"], dtype=float),
-        scales=np.asarray(document["scales"], dtype=float),
+        means=np.array(_exact_floats(document["means"], "means")),
+        scales=np.array(_exact_floats(document["scales"], "scales")),
         kept=_exact_ints(document["kept_columns"], "kept_columns"),
         dropped=_exact_ints(document.get("dropped_columns", ()), "dropped_columns"),
     )
-    weights = np.asarray(document["weights"], dtype=float)
+    weights = np.array(_exact_floats(document["weights"], "weights"))
     lengths = (len(weights), len(params.means), len(params.scales), len(params.kept))
     if len(set(lengths)) != 1:
         raise ColumnMismatch(
@@ -440,9 +461,9 @@ def model_from_dict(document: dict) -> RidgeModel:
             f"0..{params.n_input_columns - 1}"
         )
     return RidgeModel(
-        lam=float(document["lambda"]),
+        lam=_exact_floats((document["lambda"],), "lambda")[0],
         weights=weights,
-        intercept=float(document["intercept"]),
+        intercept=_exact_floats((document["intercept"],), "intercept")[0],
         standardization=params,
         feature_names=tuple(document["feature_names"]),
     )

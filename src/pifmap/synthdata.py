@@ -16,6 +16,7 @@ are hard signs and are never noised.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -23,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, FeatureSchema, schema_of
-from .dimension import parse_unit
+from .dimension import Dimension, parse_unit
 from .errors import (
     DegenerateClassBalanceWarning,
     InvalidNoiseLevel,
@@ -137,6 +138,16 @@ def _uniform_block(seed: int, n: int, columns: int) -> np.ndarray:
     return rng.random((n, columns))
 
 
+@functools.cache
+def _units(
+    features: tuple[tuple[str, str], ...], label_unit: str
+) -> tuple[FeatureSchema, Dimension]:
+    # Each generator passes the same literal units on every call, so this
+    # parses them once per process and holds one entry per generator; the
+    # schema and dimension are frozen, so every dataset can share them.
+    return schema_of(features), parse_unit(label_unit)
+
+
 def _ranges_provenance(ranges) -> dict:
     described = {}
     for name in ranges.__dataclass_fields__:
@@ -162,7 +173,7 @@ def gen_bernoulli(
     h = ranges.h.map_uniform(u[:, 6])
     g = STANDARD_CONSTANTS["g"].value
     y = p + 0.5 * rho * v ** 2 + rho * g * h
-    schema = schema_of([
+    schema, label_dimension = _units((
         ("p", "kg/(m*s^2)"),
         ("rho", "kg/m^3"),
         ("v", "m/s"),
@@ -170,12 +181,12 @@ def gen_bernoulli(
         ("A", "m^2"),
         ("mu", "kg/(m*s)"),
         ("h", "m"),
-    ])
+    ), "Pa")
     return Dataset(
         schema=schema,
         X=np.column_stack([p, rho, v, q, a, mu, h]),
         y=y,
-        label_dimension=parse_unit("Pa"),
+        label_dimension=label_dimension,
         provenance={
             "generator": "bernoulli",
             "n": n,
@@ -214,7 +225,7 @@ def gen_pulsar(
         -2.0 * math.pi * b ** 2 * r ** 6 * omega ** 4 * np.sin(alpha) ** 2
         / (3.0 * mu0 * c ** 3)
     )
-    schema = schema_of([
+    schema, label_dimension = _units((
         ("r", "m"),
         ("B", "T"),
         ("omega", "1/s"),
@@ -223,12 +234,12 @@ def gen_pulsar(
         ("m", "kg"),
         ("I", "kg*m^2"),
         ("E", "kg*m^2/s^2"),
-    ])
+    ), "W")
     return Dataset(
         schema=schema,
         X=np.column_stack([r, b, omega, alpha, period, m, inertia, energy]),
         y=y,
-        label_dimension=parse_unit("W"),
+        label_dimension=label_dimension,
         provenance={
             "generator": "pulsar",
             "n": n,
@@ -266,17 +277,17 @@ def gen_binary(
             DegenerateClassBalanceWarning,
             stacklevel=2,
         )
-    schema = schema_of([
+    schema, label_dimension = _units((
         ("m1", "kg"),
         ("m2", "kg"),
         ("v", "m/s"),
         ("r", "m"),
-    ])
+    ), "1")
     return Dataset(
         schema=schema,
         X=np.column_stack([m1, m2, v, r]),
         y=y,
-        label_dimension=parse_unit("1"),
+        label_dimension=label_dimension,
         provenance={
             "generator": "binary",
             "n": n,

@@ -374,13 +374,12 @@ class TestFit:
                    "--out", str(tmp_path / "m.json")) == EXIT_NUMERICAL
 
 
-    def test_overflowing_standardization_is_one_numerical_error_line(
-            self, tmp_path):
-        # squaring the centered 1e200-scale column overflows float64
+    @staticmethod
+    def _fit_raw_on_column_of(scale, tmp_path):
         data = tmp_path / "huge.csv"
         rows = ["a[m],b[m],label[m]"]
         for i in range(1, 11):
-            rows.append(f"{i * 1e200!r},{float(i)!r},{i * 1e200!r}")
+            rows.append(f"{i * scale!r},{float(i)!r},{i * scale!r}")
         data.write_text("\n".join(rows) + "\n", encoding="utf-8")
         src = Path(cli.__file__).resolve().parent.parent
         done = subprocess.run(
@@ -395,6 +394,16 @@ class TestFit:
             "standard deviation overflows"
         ]
         assert not (tmp_path / "m.json").exists()
+
+    def test_overflowing_standardization_is_one_numerical_error_line(
+            self, tmp_path):
+        # squaring the centered 1e200-scale column overflows float64
+        self._fit_raw_on_column_of(1e200, tmp_path)
+
+    def test_finite_values_whose_sum_overflows_warn_of_nothing(self, tmp_path):
+        # the column sums to 5.5e308: the finiteness checks on the way to
+        # standardization must not print an overflow warning of their own
+        self._fit_raw_on_column_of(1e307, tmp_path)
 
 
 class TestRank:
@@ -547,6 +556,27 @@ def _kept_column_of(value):
     return corrupt
 
 
+def _constant_value_of(value, design=False):
+    # in place of the value float() reads from it, so that only the
+    # exact-number check can fail
+    def corrupt(doc):
+        spec = doc["design"]["spec"] if design else doc
+        spec["constants"][0]["value"] = value
+    where = "design_" if design else ""
+    corrupt.__name__ = f"_{where}constant_value_of_{type(value).__name__}"
+    return corrupt
+
+
+def _model_number_of(key, convert):
+    def corrupt(doc):
+        if isinstance(doc[key], list):
+            doc[key][0] = convert(doc[key][0])
+        else:
+            doc[key] = convert(doc[key])
+    corrupt.__name__ = f"_{key}_of_{convert.__name__}"
+    return corrupt
+
+
 def _repeated_constant(doc):
     doc["constants"].append(doc["constants"][0])
     for monomial in doc["monomials"]:
@@ -583,6 +613,13 @@ class TestMalformedDocuments:
         ("eval", _bogus_design_kind),
         ("eval", _kept_column_of(0.7)),
         ("eval", _kept_column_of(True)),
+        *((command, _constant_value_of(value)) for value in (True, "9.80665")
+          for command in ("fit", "rank")),
+        ("eval", _constant_value_of("9.80665", design=True)),
+        ("eval", _model_number_of("lambda", bool)),
+        ("eval", _model_number_of("weights", str)),
+        ("eval", _model_number_of("intercept", str)),
+        ("eval", _model_number_of("means", bool)),
     ])
     def test_exit_3_with_one_error_line(self, command, corrupt, bernoulli_csv,
                                         bernoulli_spec, tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Trial runners, aggregation, and report rendering at small scale."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from pifmap import experiments, ranking
+from pifmap import dimension, experiments, ranking
 from pifmap.catalogs import load_catalog
 from pifmap.errors import InsufficientData, InvalidNoiseLevel, InvalidRange
 from pifmap.experiments import (
@@ -242,6 +243,30 @@ class TestRunExperiment:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             run_experiment("tides", seeds=(1,), settings=SMALL)
+
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_unit_parsing_does_not_grow_with_seeds(self, name, monkeypatch):
+        # counts calls, times nothing: the catalog's units are parsed once
+        # per run and the generator's once per process, never once per seed
+        original = dimension.parse_unit
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return original(text)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "pifmap" or module_name.startswith("pifmap."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        # the first run may be the process's first call of the generator
+        counts = []
+        for seeds in ((1,), (1,), (1, 2, 3)):
+            calls.clear()
+            run_experiment(name, seeds=seeds, noise_levels=(0.1,), settings=SMALL)
+            counts.append(len(calls))
+        assert counts[1] == counts[2] > 0
 
     def test_report_json_serializable(self, bernoulli_report, binary_report):
         json.dumps(bernoulli_report)

@@ -116,6 +116,37 @@ class TestMonomialValidation:
         doc["monomials"][3]["sign"] = np.int64(-1)
         assert spec_from_dict(doc).signs[3] == -1
 
+    @pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+    def test_monomial_and_spec_check_a_sign_alike(self, bad):
+        # a Monomial with such a sign could not be put into a spec, so it
+        # cannot be built either, and both paths say the same thing
+        with pytest.raises(TypeError, match=f"signs must be integers, got {bad}"):
+            Monomial(feature_exponents=(1,), sign=bad)
+        fields = {
+            "name": "mve",
+            "features": _mve_spec().features,
+            "constants": (),
+            "target_dimension": JOULE,
+        }
+        with pytest.raises(TypeError, match=f"signs must be integers, got {bad}"):
+            FeatureMapSpec(exponents=[(0, 0, 1)], signs=[bad], **fields)
+        monomial = Monomial(feature_exponents=(0, 0, 1), sign=np.int64(-1))
+        assert type(monomial.sign) is int and monomial.sign == -1
+        spec = FeatureMapSpec.from_monomials([monomial], **fields)
+        assert spec.signs.tolist() == [-1]
+
+    @pytest.mark.parametrize("bad", [True, "9.8", None, [9.8]],
+                             ids=["bool", "str", "null", "list"])
+    def test_constant_values_must_be_numbers(self, bad):
+        doc = spec_to_dict(load_catalog("bernoulli"))
+        doc["constants"][0]["value"] = bad
+        with pytest.raises(TypeError, match="constant values must be numbers"):
+            spec_from_dict(doc)
+        for good in (9, 9.80665, np.float64(9.80665)):
+            doc["constants"][0]["value"] = good
+            value = spec_from_dict(doc).constants[0].value
+            assert type(value) is float and value == good
+
     def test_transform_tags_checked(self):
         with pytest.raises(ValueError):
             Monomial(feature_exponents=(1,), transforms=((0, "cube"),))

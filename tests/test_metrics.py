@@ -2,12 +2,14 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pifmap.errors import EmptyInput, LengthMismatch, NonBinaryLabel, NonFiniteInput
 from pifmap.metrics import (
@@ -43,6 +45,48 @@ class TestRegressionMetrics:
     def test_non_finite(self):
         with pytest.raises(NonFiniteInput):
             mae([1.0, np.nan], [1.0, 2.0])
+
+    @pytest.mark.parametrize("metric", [mae, mse])
+    def test_finite_values_whose_sums_overflow_pass_without_a_warning(self, metric):
+        huge = np.array([1e308, 1e308, -1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert metric(huge, huge) == 0.0
+
+    @pytest.mark.parametrize("metric", [mae, mse])
+    def test_an_overflowing_error_is_returned_not_rejected(self, metric):
+        # the error sum is not finite, but every input is: np.mean's inf
+        a = np.array([1e308, -1e308, 1.0])
+        with np.errstate(over="ignore"):
+            assert metric(a, -a) == math.inf
+
+    @pytest.mark.parametrize("metric", [mae, mse])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("other", [1.0, np.inf], ids=["finite", "inf"])
+    def test_a_non_finite_entry_raises(self, metric, bad, side, other):
+        # the other input holds 1e308s, so the error sum may overflow too,
+        # or +inf where the bad entry is
+        pair = [np.array([1e308, 1e308, 2.0]), np.array([1e308, -1e308, 1.0])]
+        pair[side][2] = bad
+        pair[1 - side][2] = other
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteInput, match="non-finite"):
+                metric(*pair)
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 1100).flatmap(lambda n: st.tuples(
+        arrays(np.float64, n, elements=st.floats(-1e150, 1e150)),
+        arrays(np.float64, n, elements=st.floats(-1e150, 1e150)),
+    )))
+    def test_bitwise_equal_to_np_mean(self, pair):
+        y_true, y_pred = pair
+        for value, reference in (
+            (mae(y_true, y_pred), np.mean(np.abs(y_true - y_pred))),
+            (mse(y_true, y_pred), np.mean((y_true - y_pred) ** 2)),
+        ):
+            assert type(value) is float
+            assert np.float64(value).tobytes() == np.float64(reference).tobytes()
 
 
 class TestConfusion:

@@ -1,9 +1,13 @@
 """Standardization, ridge solver, lambda selection, Gram, classification."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pifmap import regression
 from pifmap.errors import (
@@ -138,7 +142,7 @@ class TestRidgeFit:
     def test_intercept_is_label_mean(self):
         Z, y = _random_problem(1)
         model = ridge_fit(Z, y, 1e-3)
-        assert model.intercept == pytest.approx(float(np.mean(y)))
+        assert model.intercept == float(np.mean(y))
 
     def test_closed_form_small_case(self):
         # one column: b = z.(y - ybar) / (z.z + lam)
@@ -240,6 +244,94 @@ class TestRidgeFit:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             ridge_fit(np.empty((0, 2)), np.empty(0), 1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["Z", "y"])
+    def test_every_non_finite_value_rejected(self, bad, where):
+        Z, y = _random_problem(3)
+        Z, y = Z.copy(), y.copy()
+        if where == "Z":
+            Z[4, 1] = bad
+        else:
+            y[4] = bad
+        with pytest.raises(NonFiniteInput, match=f"{where} contains non-finite"):
+            ridge_fit(Z, y, 1e-3)
+
+    @pytest.mark.parametrize("Z, y, lam, message", [
+        # an exactly rank-1 Gram: Cholesky meets a zero pivot
+        ([[1.0, 1.0], [0.0, 0.0]], [1.0, 2.0], 0.0,
+         "normal equations are singular: Matrix is not positive definite"),
+        # a Gram that overflows: its first pivot is inf
+        ([[1e200, 1e200], [1e200, -1e200], [1.0, 2.0]], [1.0, 2.0, 3.0], 1e-3,
+         "the Gram is not numerically positive definite"),
+        # a Gram that underflows to zero under a tiny lambda: LU divides
+        # 1e100 by 1e-300
+        ([[1e-200], [-1e-200], [2e-200]], [1e300, -1e300, 0.0], 1e-300,
+         "solver produced non-finite weights"),
+    ], ids=["zero-pivot", "overflowing-gram", "overflowing-weights"])
+    def test_each_singular_system_check_is_reachable(self, Z, y, lam, message):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularSystem, match=message):
+                ridge_fit(np.array(Z), np.array(y), lam)
+
+    def test_residual_guard_catches_an_inaccurate_solve(self):
+        # nearly collinear pairs pass the definiteness check at lambda = 0,
+        # and on some draws LU leaves a residual far above 1e-8 relative
+        guarded = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            z, w, y = rng.standard_normal((3, 6))
+            for d in (3e-8, 1e-7):
+                Z = np.column_stack([z, z + d * w])
+                try:
+                    model = ridge_fit(Z, y, 0.0)
+                except SingularSystem as exc:
+                    guarded += "residual exceeds 1e-8 relative" in str(exc)
+                    continue
+                rhs = Z.T @ (y - model.intercept)
+                residual = Z.T @ Z @ model.weights - rhs
+                assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
+        assert guarded > 0
+
+    def test_finite_values_whose_sums_overflow_are_not_non_finite_input(self):
+        # the Gram of such a design overflows, which the solve reports as
+        # a numerical failure of its own
+        Z = np.array([[1e308], [1e308], [-1e308]])
+        with np.errstate(over="ignore"), pytest.raises(SingularSystem):
+            ridge_fit(Z, np.array([1.0, 2.0, 3.0]), 1e-3)
+
+    @settings(max_examples=150)
+    @given(arrays(np.float64, st.integers(1, 1100),
+                  elements=st.floats(-1e300, 1e300)))
+    def test_intercept_and_norm_steps_are_bitwise_numpys(self, v):
+        # ridge_fit's intercept and the residual guard's norms take these
+        # steps in place of np.mean and np.linalg.norm
+        assert (np.float64(float(v.sum()) / len(v)).tobytes()
+                == np.mean(v).tobytes())
+        with np.errstate(over="ignore"):
+            assert (np.float64(math.sqrt(v @ v)).tobytes()
+                    == np.linalg.norm(v).tobytes())
+
+
+class TestRidgePredict:
+    @staticmethod
+    def _flat_model():
+        # constant labels give a weight of exactly 0 and an intercept of 1
+        model = ridge_fit(np.array([[1.0], [2.0], [4.0]]), np.ones(3), 1e-3)
+        assert model.weights.tolist() == [0.0] and model.intercept == 1.0
+        return model
+
+    def test_finite_values_whose_sums_overflow_pass_without_a_warning(self):
+        Z = np.array([[1e308], [1e308], [-1e308], [1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ridge_predict(self._flat_model(), Z).tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_non_finite_value_rejected(self, bad):
+        Z = np.array([[1e308], [bad], [1e308]])
+        with pytest.raises(NonFiniteInput, match="Z contains non-finite"):
+            ridge_predict(self._flat_model(), Z)
 
 
 class TestFitStandardized:
@@ -377,6 +469,11 @@ class TestClassify:
         scores = np.array([0.2, 0.8])
         np.testing.assert_array_equal(classify(scores, 0.9), [0, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(NonFiniteInput, match="scores contain non-finite"):
+            classify(np.array([0.2, bad]))
+
 
 class TestModelSerialization:
     def test_round_trip_predicts_identically(self):
@@ -408,6 +505,30 @@ class TestModelSerialization:
         document[key][position] = bad
         with pytest.raises(TypeError, match=f"{key} must be integers"):
             model_from_dict(document)
+
+    @pytest.mark.parametrize("key, position, bad", [
+        ("lambda", None, True), ("intercept", None, "2"), ("weights", 0, "1.5"),
+        ("means", 0, True), ("scales", 1, "0.5"), ("weights", 1, None),
+    ])
+    def test_numbers_must_be_numbers(self, key, position, bad):
+        Z, y = _random_problem(4, p=3)
+        document = model_to_dict(fit_standardized(Z, y, 1e-2)[0])
+        if position is None:
+            document[key] = bad
+        else:
+            document[key][position] = bad
+        with pytest.raises(TypeError, match=f"{key} must be numbers, got {bad!r}"):
+            model_from_dict(document)
+
+    def test_integral_numbers_load_as_floats(self):
+        Z, y = _random_problem(4, p=2)
+        document = model_to_dict(fit_standardized(Z, y, 1.0)[0])
+        document.update({"lambda": 1, "intercept": 2, "weights": [3, 4.5]})
+        model = model_from_dict(document)
+        assert (model.lam, model.intercept) == (1.0, 2.0)
+        assert type(model.lam) is float and type(model.intercept) is float
+        assert model.weights.dtype == np.float64
+        assert model.weights.tolist() == [3.0, 4.5]
 
     def test_default_lambda_value(self):
         assert DEFAULT_LAMBDA == 1e-3
