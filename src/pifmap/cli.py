@@ -68,7 +68,7 @@ from .featuremap import (
     spec_to_dict,
 )
 from .metrics import confusion, mae, mse, scores_to_dict
-from .ranking import curve_to_csv, rank_and_refit
+from .ranking import _identical_column_groups, curve_to_csv, rank_and_refit
 from .regression import (
     DEFAULT_LAMBDA,
     DEFAULT_LAMBDA_GRID,
@@ -460,7 +460,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     )
     Z_eval = standardize_apply(Phi[k:], model.standardization)
     result, ranked = rank_and_refit(
-        model, Phi[:k], Z_train, y[:k], Z_eval, y[k:], args.epsilon
+        model, _identical_column_groups(Z_train), Z_train, y[:k], Z_eval,
+        y[k:], args.epsilon,
     )
     text = _dump_json({"spec": spec.name, **ranked})
     if args.out:

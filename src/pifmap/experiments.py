@@ -5,8 +5,8 @@ split chronologically and standardize two designs on the training rows:
 the raw features (arm ``sf``) and the evaluated physics-informed
 monomials (arm ``spif``).  Each noise level then noises the labels and
 fits ridge models on those shared designs.  Regression experiments then
-greedy-rank the monomials and refit the selected set; the classification
-experiment thresholds the predictions and scores the confusion matrix.
+greedy-rank the monomials and report the greedy pass's fit of the selected
+set; the classification experiment scores thresholded predictions.
 What differs between experiments is one row of ``_EXPERIMENTS``.  The
 rotating-dipole experiment adds a third arm with its leading monomial
 removed (``spif_no_pif1``) to probe how much that single
@@ -28,7 +28,7 @@ from .data import Dataset
 from .errors import InsufficientData, InvalidRange
 from .featuremap import FeatureMapSpec, evaluate_map, render_monomial
 from .metrics import ConfusionMatrix, confusion, mae, mse, scores_to_dict
-from .ranking import rank_and_refit
+from .ranking import _identical_column_groups, rank_and_refit
 from .regression import (
     DEFAULT_LAMBDA,
     StandardizationParams,
@@ -139,7 +139,6 @@ def _noisy_labels(y: np.ndarray, seed: int, level: float) -> np.ndarray:
 class _Design:
     """One arm's design, standardized on the training rows of one seed."""
 
-    X_train: np.ndarray
     Z_train: np.ndarray
     Z_eval: np.ndarray
     standardization: StandardizationParams
@@ -147,9 +146,9 @@ class _Design:
 
 
 def _trial(experiment: _Experiment, designs: Mapping[str, _Design],
-           y_clean: np.ndarray, k: int, seed: int, level: float,
-           settings: TrialSettings) -> dict:
-    """Fit every arm at one noise level; regression trials also rank and refit."""
+           spif_groups: np.ndarray | None, y_clean: np.ndarray, k: int,
+           seed: int, level: float) -> dict:
+    """Fit every arm at one noise level; regression trials also rank ``spif``."""
     y = _noisy_labels(y_clean, seed, level)
     arms = {}
     models = {}
@@ -169,7 +168,7 @@ def _trial(experiment: _Experiment, designs: Mapping[str, _Design],
     if not experiment.classification:
         spif = designs["spif"]
         _, ranked = rank_and_refit(
-            models["spif"], spif.X_train, spif.Z_train, y[:k], spif.Z_eval,
+            models["spif"], spif_groups, spif.Z_train, y[:k], spif.Z_eval,
             y[k:], _EPSILON,
         )
         trial["ranking"] = {
@@ -185,8 +184,9 @@ def _seed_trials(experiment: _Experiment, spec: FeatureMapSpec, seed: int,
     """One seed's trials, one per noise level.
 
     The work that does not depend on the noise level is done once: generate
-    the data, evaluate the map and standardize every arm's design on the
-    training rows.  Each level then only re-noises the labels and refits.
+    the data, evaluate the map, standardize every arm's design on the
+    training rows and group the identical ``spif`` columns for ranking.
+    Each level then only re-noises the labels and refits.
     """
     data = experiment.generator(settings.n, seed)
     k = split_point(data.n_rows, settings.split)
@@ -199,14 +199,15 @@ def _seed_trials(experiment: _Experiment, spec: FeatureMapSpec, seed: int,
     for arm, (X, column_names) in raw.items():
         Z_train, params = standardize_fit(X[:k])
         designs[arm] = _Design(
-            X_train=X[:k],
             Z_train=Z_train,
             Z_eval=standardize_apply(X[k:], params),
             standardization=params,
             names=tuple(column_names[j] for j in params.kept),
         )
+    spif_groups = (None if experiment.classification
+                   else _identical_column_groups(designs["spif"].Z_train))
     return [
-        _trial(experiment, designs, data.y, k, seed, level, settings)
+        _trial(experiment, designs, spif_groups, data.y, k, seed, level)
         for level in noise_levels
     ]
 

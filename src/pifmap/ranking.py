@@ -14,8 +14,8 @@ the selected count is then ``k - 1``.  One extra prefix beyond the stop
 (capped at the column count) is always evaluated so the reported curve
 shows the plateau, and if no stop is ever triggered every column ends up
 selected.  :func:`rank_and_refit` runs the whole step on a design that
-is already standardized and fitted: rank by that fit, refit the selected
-raw columns and map the refit back to raw-column scale.
+is already standardized and fitted: rank by that fit and map the greedy
+pass's own fit of the selected prefix back to raw-column scale.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ColumnMismatch, EmptyInput, LengthMismatch
+from .errors import EmptyInput, InvalidRange, LengthMismatch
 from .featuremap import destandardize
 from .metrics import mae, mse
 from .regression import (
     RidgeModel,
-    fit_standardized,
+    StandardizationParams,
     ridge_fit,
     ridge_predict,
 )
@@ -57,6 +57,7 @@ class RankingResult:
     selected_count: int
     curve: tuple[CurvePoint, ...]
     epsilon: float
+    selected_fit: RidgeModel
 
     @property
     def selected(self) -> tuple[int, ...]:
@@ -116,13 +117,12 @@ def _identical_column_groups(Z: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _rank_design_columns(model: RidgeModel, Z: np.ndarray) -> tuple[int, ...]:
-    """:func:`rank_by_coefficient` with identical columns of ``Z`` ranked together.
+def _rank_design_columns(model: RidgeModel, labels: np.ndarray) -> tuple[int, ...]:
+    """:func:`rank_by_coefficient` with identical columns ranked together.
 
-    Each column takes the largest |weight| of its group of identical
-    columns, so a group ranks as one, in index order.
+    Each column takes the largest |weight| of its ``labels`` group (see
+    :func:`_identical_column_groups`), so a group ranks as one, in index order.
     """
-    labels = _identical_column_groups(Z)
     weights = np.abs(np.asarray(model.weights, dtype=float))
     shared = np.zeros(weights.size)
     np.maximum.at(shared, labels, weights)
@@ -150,10 +150,13 @@ def greedy_select(
     ``order`` defaults to the coefficient ranking of a full fit on the
     training data, with identical columns of ``Z_train`` ranked together.
     Each prefix is refit from scratch with the same ``lam`` and scored on
-    the evaluation split with MAE and MSE.
+    the evaluation split with MAE and MSE; ``selected_fit`` is the fit of
+    the selected prefix.
     """
     Z_train = np.asarray(Z_train, dtype=float)
     Z_eval = np.asarray(Z_eval, dtype=float)
+    if not np.isfinite(epsilon):
+        raise InvalidRange(f"epsilon must be finite, got {epsilon}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     p = Z_train.shape[1]
@@ -164,7 +167,8 @@ def greedy_select(
             f"evaluation matrix has {Z_eval.shape[1]} columns, training has {p}"
         )
     if order is None:
-        order = _rank_design_columns(ridge_fit(Z_train, y_train, lam), Z_train)
+        full_fit = ridge_fit(Z_train, y_train, lam)
+        order = _rank_design_columns(full_fit, _identical_column_groups(Z_train))
     else:
         order = tuple(int(j) for j in order)
         if sorted(order) != list(range(p)):
@@ -188,6 +192,8 @@ def greedy_select(
             saturated_mse = _relative_improvement(previous.mse, point.mse) < epsilon
             if saturated_mae and saturated_mse:
                 stop_k = k
+        if stop_k is None:
+            selected_fit = model
         if stop_k is not None and k >= min(p, stop_k + 1):
             break
 
@@ -197,66 +203,58 @@ def greedy_select(
         selected_count=selected_count,
         curve=tuple(curve),
         epsilon=float(epsilon),
+        selected_fit=selected_fit,
     )
 
 
 def rank_and_refit(
     model: RidgeModel,
-    X_train: np.ndarray,
+    groups: np.ndarray,
     Z_train: np.ndarray,
     y_train: np.ndarray,
     Z_eval: np.ndarray,
     y_eval: np.ndarray,
     epsilon: float,
 ) -> tuple[RankingResult, dict]:
-    """Greedy-rank a fitted design, refit the selected set, destandardize.
+    """Greedy-rank a fitted design and destandardize the selected fit.
 
     ``model`` is the ridge fit of the standardized training design
     ``Z_train`` (as :func:`~pifmap.regression.fit_standardized` returns
-    it), ``Z_eval`` the evaluation rows under the same standardization and
-    ``X_train`` the raw training rows.  The columns are ranked by the
-    model's own weights, identical columns of ``Z_train`` together, and
-    scored with :func:`greedy_select` at the model's ``lam``; the selected
-    raw columns are then standardized and refit, and their weights mapped
-    back to raw scale.  Returns the
+    it), ``groups`` the :func:`_identical_column_groups` of ``Z_train`` and
+    ``Z_eval`` the evaluation rows under the same standardization.  The
+    columns are ranked by the model's own weights, identical columns
+    together, and scored with :func:`greedy_select` at the model's
+    ``lam``.  Standardization acts on each column alone, so the greedy
+    fit of the selected prefix, mapped back with the model's means and
+    scales, is the refit of the selected raw columns.  Returns the
     ranking result, whose indices count the columns kept by
     standardization, and a JSON-ready document that names every column by
     the model's feature names: ``epsilon``, ``order``, ``selected``,
     ``selected_count``, ``curve``, ``coefficients`` (one per selected
     column) and ``intercept``.
     """
-    X_train = np.asarray(X_train, dtype=float)
-    params = model.standardization
-    if X_train.ndim != 2 or X_train.shape[1] != params.n_input_columns:
-        raise ColumnMismatch(
-            f"raw training design has shape {X_train.shape}, the model "
-            f"expects {params.n_input_columns} columns"
-        )
     result = greedy_select(
         Z_train, y_train, Z_eval, y_eval, model.lam,
-        order=_rank_design_columns(model, Z_train), epsilon=epsilon,
+        order=_rank_design_columns(model, groups), epsilon=epsilon,
     )
     names = model.feature_names
-    selected_names = [names[j] for j in result.selected]
-    # Standardize the raw selected columns afresh: means of a column subset
-    # are not bitwise a slice of the full design's means.
-    refit, _ = fit_standardized(
-        X_train[:, [params.kept[j] for j in result.selected]], y_train,
-        model.lam, feature_names=selected_names,
-    )
-    coefficients, intercept = destandardize(refit)
+    selected = list(result.selected)
+    params = model.standardization
+    subset = StandardizationParams(params.means[selected], params.scales[selected],
+                                   kept=tuple(range(len(selected))))
+    fit = replace(result.selected_fit, standardization=subset)
+    coefficients, intercept = destandardize(fit)
     document = {
         "epsilon": result.epsilon,
         "order": [names[j] for j in result.order],
-        "selected": selected_names,
+        "selected": [names[j] for j in selected],
         "selected_count": result.selected_count,
         "curve": [
             {"k": point.k, "mae": point.mae, "mse": point.mse}
             for point in result.curve
         ],
         "coefficients": {
-            name: float(value)
-            for name, value in zip(refit.feature_names, coefficients)
+            names[j]: float(value) for j, value in zip(selected, coefficients)
         },
         "intercept": intercept,
     }

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from pifmap import dimension, experiments, ranking
+from pifmap import dimension, experiments, ranking, regression
 from pifmap.catalogs import load_catalog
 from pifmap.errors import InsufficientData, InvalidNoiseLevel, InvalidRange
 from pifmap.experiments import (
@@ -239,6 +239,34 @@ class TestRunExperiment:
                                 settings=settings)
         assert len(report["trials"]) == 6
         assert calls == {"generator": 2, "evaluate_map": 2, "full spif fits": 6}
+
+    @pytest.mark.parametrize("seeds", [(1,), (1, 2, 3)])
+    @pytest.mark.parametrize("levels", [(0.1,), REGRESSION_NOISE_LEVELS])
+    def test_designs_standardized_and_grouped_once_per_seed(self, seeds, levels,
+                                                            monkeypatch):
+        # counts calls, times nothing: each arm is standardized once per seed
+        # and the spif design's identical columns are found once per seed,
+        # whatever the number of noise levels; nothing standardizes afresh
+        originals = {
+            "standardize_fit": regression.standardize_fit,
+            "fit_standardized": regression.fit_standardized,
+            "groups": ranking._identical_column_groups,
+        }
+        calls = dict.fromkeys(originals, 0)
+        for key, original in originals.items():
+            def counted(*args, _key=key, _original=original, **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name == "pifmap" or module_name.startswith("pifmap."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, counted)
+        report = run_experiment("bernoulli", seeds=seeds, noise_levels=levels)
+        assert len(report["trials"]) == len(seeds) * len(levels)
+        assert calls == {"standardize_fit": 2 * len(seeds), "fit_standardized": 0,
+                         "groups": len(seeds)}
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):

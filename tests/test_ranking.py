@@ -5,20 +5,29 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pifmap.catalogs import load_catalog
 from pifmap.errors import (
-    ColumnMismatch,
     DroppedColumnWarning,
     EmptyInput,
+    InvalidRange,
     LengthMismatch,
 )
-from pifmap.featuremap import destandardize
+from pifmap.experiments import split_point
+from pifmap.featuremap import destandardize, evaluate_map
 from pifmap.ranking import (
+    _identical_column_groups,
     curve_to_csv,
     greedy_select,
     rank_and_refit,
     rank_by_coefficient,
 )
-from pifmap.regression import fit_standardized, ridge_fit, standardize_apply
+from pifmap.regression import (
+    fit_standardized,
+    ridge_fit,
+    standardize_apply,
+    standardize_fit,
+)
+from pifmap.synthdata import NoiseConfig, add_noise, gen_bernoulli, gen_pulsar
 
 
 def _planted_problem(seed=0, n=80, weights=(10.0, 5.0, 1.0, 0.0, 0.0)):
@@ -114,6 +123,21 @@ class TestGreedySelect:
         with pytest.raises(ValueError):
             greedy_select(Z_tr, y_tr, Z_ev, y_ev, lam=1e-6, epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf")])
+    def test_epsilon_finite(self, epsilon):
+        # a nan epsilon would never saturate and silently select every column
+        Z_tr, y_tr, Z_ev, y_ev = _planted_problem()
+        with pytest.raises(InvalidRange):
+            greedy_select(Z_tr, y_tr, Z_ev, y_ev, lam=1e-6, epsilon=epsilon)
+
+    def test_selected_fit_is_the_fit_of_the_selected_prefix(self):
+        Z_tr, y_tr, Z_ev, y_ev = _planted_problem()
+        for epsilon in (0.01, 1.0, 1e-300):
+            result = greedy_select(Z_tr, y_tr, Z_ev, y_ev, lam=1e-6, epsilon=epsilon)
+            fit = ridge_fit(Z_tr[:, list(result.selected)], y_tr, 1e-6)
+            assert result.selected_fit.weights.tobytes() == fit.weights.tobytes()
+            assert result.selected_fit.intercept == fit.intercept
+
     def test_no_columns(self):
         with pytest.raises(EmptyInput):
             greedy_select(
@@ -155,30 +179,60 @@ class TestRankAndRefit:
         y = 4.0 * X[:, 2] - 2.0 * X[:, 0] + 0.01 * rng.standard_normal(60)
         return X, y, 40, ["a", "const", "b", "c"]
 
+    @staticmethod
+    def _assert_matches_the_raw_refit(X_train, y_train, model, document):
+        """The reported model is, to rounding, the old second fit: the raw
+        selected columns standardized afresh, refit and destandardized."""
+        columns = [model.feature_names.index(name) for name in document["selected"]]
+        raw = [model.standardization.kept[j] for j in columns]
+        refit, _ = fit_standardized(X_train[:, raw], y_train, model.lam,
+                                    feature_names=document["selected"])
+        coefficients, intercept = destandardize(refit)
+        np.testing.assert_allclose(
+            [document["coefficients"][name] for name in document["selected"]],
+            coefficients, rtol=1e-10, atol=0.0,
+        )
+        np.testing.assert_allclose(document["intercept"], intercept,
+                                   rtol=1e-10, atol=0.0)
+
     def test_ranks_by_the_given_fit_and_refits_the_raw_columns(self):
         X, y, k, names = self._problem()
         model, Z_train, Z_eval = self._fitted(X, y, k, names)
         result, document = rank_and_refit(
-            model, X[:k], Z_train, y[:k], Z_eval, y[k:], 0.01
+            model, _identical_column_groups(Z_train), Z_train, y[:k], Z_eval,
+            y[k:], 0.01,
         )
         assert result.order == rank_by_coefficient(model)
         assert document["order"] == [model.feature_names[j] for j in result.order]
         assert "const" not in document["order"]
         assert document["selected"][:2] == ["b", "a"]
-        columns = [names.index(name) for name in document["selected"]]
-        refit, _ = fit_standardized(X[:k, columns], y[:k], 1e-3,
-                                    feature_names=document["selected"])
-        coefficients, intercept = destandardize(refit)
-        assert document["coefficients"] == dict(
-            zip(document["selected"], (float(c) for c in coefficients))
-        )
-        assert document["intercept"] == intercept
+        fit = ridge_fit(Z_train[:, list(result.selected)], y[:k], model.lam)
+        assert result.selected_fit.weights.tobytes() == fit.weights.tobytes()
+        self._assert_matches_the_raw_refit(X[:k], y[:k], model, document)
 
-    def test_raw_width_checked(self):
-        X, y, k, names = self._problem()
-        model, Z_train, Z_eval = self._fitted(X, y, k, names)
-        with pytest.raises(ColumnMismatch):
-            rank_and_refit(model, X[:k, :3], Z_train, y[:k], Z_eval, y[k:], 0.01)
+    @pytest.mark.parametrize("name, generator", [("bernoulli", gen_bernoulli),
+                                                 ("pulsar", gen_pulsar)])
+    def test_reported_fit_matches_the_raw_refit_on_catalog_data(self, name,
+                                                                generator):
+        spec = load_catalog(name, allow_inconsistent=name == "pulsar")
+        for seed in (1, 2, 3):
+            data = generator(1000, seed)
+            k = split_point(data.n_rows, 0.7)
+            Phi = evaluate_map(spec, data)
+            Z_train, params = standardize_fit(Phi[:k])
+            Z_eval = standardize_apply(Phi[k:], params)
+            kept_names = [spec.monomial_names[j] for j in params.kept]
+            groups = _identical_column_groups(Z_train)
+            for level in (0.1, 0.5):
+                y = add_noise(data.y, NoiseConfig(level=level, seed=seed))
+                model = ridge_fit(Z_train, y[:k], 1e-3, feature_names=kept_names,
+                                  standardization=params)
+                result, document = rank_and_refit(
+                    model, groups, Z_train, y[:k], Z_eval, y[k:], 0.01
+                )
+                fit = ridge_fit(Z_train[:, list(result.selected)], y[:k], 1e-3)
+                assert result.selected_fit.weights.tobytes() == fit.weights.tobytes()
+                self._assert_matches_the_raw_refit(Phi[:k], y[:k], model, document)
 
 
 class TestIdenticalColumns:
@@ -201,7 +255,8 @@ class TestIdenticalColumns:
     def _order(X, y, model, Z_train, Z_eval, weights):
         nudged = dataclasses.replace(model, weights=np.array(weights))
         result, _ = rank_and_refit(
-            nudged, X[:40], Z_train, y[:40], Z_eval, y[40:], 0.01
+            nudged, _identical_column_groups(Z_train), Z_train, y[:40], Z_eval,
+            y[40:], 0.01,
         )
         return result.order
 
@@ -232,7 +287,9 @@ class TestSerialization:
         X_tr, y_tr, X_ev, y_ev = _planted_problem()
         model, Z_tr = fit_standardized(X_tr, y_tr, 1e-6)
         Z_ev = standardize_apply(X_ev, model.standardization)
-        result, document = rank_and_refit(model, X_tr, Z_tr, y_tr, Z_ev, y_ev, 0.01)
+        result, document = rank_and_refit(
+            model, _identical_column_groups(Z_tr), Z_tr, y_tr, Z_ev, y_ev, 0.01
+        )
         assert document["selected_count"] == result.selected_count
         assert document["order"] == [model.feature_names[j] for j in result.order]
         assert document["epsilon"] == result.epsilon
