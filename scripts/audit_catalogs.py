@@ -7,8 +7,9 @@ entries are visible at a glance.  Exits 1 if any catalog carries an
 inconsistency its ``metadata["known_inconsistent"]`` does not list.  (A
 permissive load keeps every mismatch it finds, so the spec's own
 ``inconsistent_indices`` lists a new entry and a known one alike.)  Each
-dimension here is the per-monomial Fraction sum ``monomial_dimension``,
-independent of the integer product the spec's constructor runs.
+dimension is ``monomial_dimension(spec, index)``, a Fraction sum over the
+spec's exponent row that is independent of the integer lattice product
+the spec's constructor runs.
 """
 
 import argparse
@@ -38,11 +39,7 @@ def main(argv=None) -> int:
         known = set(spec.metadata.get("known_inconsistent", ()))
         print(f"{name}: {len(spec)} monomials, target [{target}]")
         for index in range(len(spec)):
-            dimension = monomial_dimension(
-                spec.monomial(index),
-                spec.column_dimensions,
-                tuple(c.dimension for c in spec.constants),
-            )
+            dimension = monomial_dimension(spec, index)
             label = spec.monomial_names[index]
             if dimension == spec.target_dimension:
                 flag = "ok"

@@ -18,7 +18,6 @@ from .catalogs import CATALOG_NAMES, load_catalog
 from .featuremap import (
     STANDARD_CONSTANTS,
     FeatureMapSpec,
-    Monomial,
     PhysicalConstant,
     destandardize,
     enumerate_monomials,
@@ -69,7 +68,6 @@ __all__ = [
     "Feature",
     "FeatureMapSpec",
     "FeatureSchema",
-    "Monomial",
     "NoiseConfig",
     "PhysicalConstant",
     "PulsarRanges",

@@ -133,18 +133,6 @@ _PULSAR = {
 }
 
 
-def _pulsar_without_first() -> dict:
-    doc = copy.deepcopy(_PULSAR)
-    doc["name"] = "pulsar_no_pif1"
-    doc["monomials"] = doc["monomials"][1:]
-    doc["metadata"]["description"] = (
-        "The pulsar catalog with its exact spin-down term removed, for "
-        "ablation runs."
-    )
-    doc["metadata"]["known_inconsistent"] = ["pif_2", "pif_6"]
-    return doc
-
-
 _BINARY = {
     "name": "binary",
     "target_unit": "J",
@@ -210,7 +198,6 @@ _FLARE = {
 _CATALOGS: dict[str, dict] = {
     "bernoulli": _BERNOULLI,
     "pulsar": _PULSAR,
-    "pulsar_no_pif1": _pulsar_without_first(),
     "binary": _BINARY,
     "flare": _FLARE,
 }

@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalogs
 from .data import (
     Dataset,
     manifest_path_for,

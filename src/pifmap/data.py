@@ -27,7 +27,6 @@ __all__ = [
     "read_csv",
     "read_schema",
     "write_manifest",
-    "read_manifest",
     "manifest_path_for",
 ]
 
@@ -236,8 +235,3 @@ def write_manifest(provenance: Mapping, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         text = json.dumps(provenance, sort_keys=True, indent=2, allow_nan=False)
         fh.write(text + "\n")
-
-
-def read_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -12,18 +12,18 @@ the tag of each transformed ``(row, column)`` entry.  Every monomial must
 match the target exactly, which is checked at construction; a spec built
 with ``allow_inconsistent=True`` keeps the monomials that miss it and
 carries human-readable ``diagnostics`` for them instead of silently passing.
-:class:`Monomial` is the value type for building a spec by hand
-(:meth:`FeatureMapSpec.from_monomials`) and for reading one row back
-(:meth:`FeatureMapSpec.monomial`).
+The constructor is the one way to build a spec (:func:`spec_from_dict`
+reads a document into the same call), and :func:`monomial_dimension` reads
+one row's dimension back as an exact Fraction sum.
 
-Both checks work on one exact integer table: unit exponents scaled by the
-lcm of their denominators, one row ``D[i]`` per column or constant.  A
-spec's monomials are validated with one product ``E @ D == t`` over its
-exponent matrix ``E``; row ``i`` of ``E @ D`` over the lcm is monomial
-``i``'s dimension.  :func:`enumerate_monomials` returns the exponent matrix
-of every monomial of a given dimension within exponent bounds, found by a
-meet-in-the-middle search (Horowitz & Sahni, 1974): it lists the
-exponent rows of each half of the items and joins them on
+Validation and enumeration work on one exact integer table: unit exponents
+scaled by the lcm of their denominators, one row ``D[i]`` per column or
+constant.  A spec's monomials are validated with one product ``E @ D == t``
+over its exponent matrix ``E``; row ``i`` of ``E @ D`` over the lcm is
+monomial ``i``'s dimension.  :func:`enumerate_monomials` returns the
+exponent matrix of every monomial of a given dimension within exponent
+bounds, found by a meet-in-the-middle search (Horowitz & Sahni, 1974): it
+lists the exponent rows of each half of the items and joins them on
 ``t - left == right``.  The search is exhaustive within bounds, emits rows
 in lexicographic order, and raises :class:`~pifmap.errors.BudgetExceeded`,
 before allocating, when the half-grid rows plus join candidates exceed the
@@ -37,7 +37,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .errors import (
 __all__ = [
     "PhysicalConstant",
     "STANDARD_CONSTANTS",
-    "Monomial",
     "DerivedFeature",
     "FeatureMapSpec",
     "TRANSFORM_TAGS",
@@ -135,46 +134,6 @@ def _exact_floats(values, what: str) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class Monomial:
-    """Signed product of feature powers and constant powers."""
-
-    feature_exponents: tuple[int, ...]
-    constant_exponents: tuple[int, ...] = ()
-    sign: int = 1
-    transforms: tuple[tuple[int, str], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "feature_exponents", _exact_ints(self.feature_exponents, "exponents")
-        )
-        object.__setattr__(
-            self, "constant_exponents", _exact_ints(self.constant_exponents, "exponents")
-        )
-        object.__setattr__(
-            self,
-            "transforms",
-            tuple(sorted((int(i), str(t)) for i, t in self.transforms)),
-        )
-        (sign,) = _exact_ints((self.sign,), "signs")
-        if sign not in (-1, 1):
-            raise ValueError(f"sign must be -1 or +1, got {sign}")
-        object.__setattr__(self, "sign", sign)
-        if not any(self.feature_exponents):
-            raise ValueError("a monomial must use at least one feature")
-        for index, tag in self.transforms:
-            if tag not in TRANSFORM_TAGS:
-                raise ValueError(f"unknown transform tag {tag!r}")
-            if not 0 <= index < len(self.feature_exponents):
-                raise ValueError(f"transform index {index} out of range")
-
-    def transform_for(self, index: int) -> str:
-        for i, tag in self.transforms:
-            if i == index:
-                return tag
-        return "identity"
-
-
-@dataclass(frozen=True)
 class DerivedFeature:
     """A named non-monomial column computed from the raw features.
 
@@ -206,43 +165,22 @@ _DERIVED_KINDS: Mapping[str, Callable[[Sequence[np.ndarray]], np.ndarray]] = {
 _DERIVED_ARITY = {"reduced_mass": 2}
 
 
-def _check_lengths(monomial: Monomial, n_features: int, n_constants: int) -> None:
-    if len(monomial.feature_exponents) != n_features:
-        raise LengthMismatch(
-            f"{len(monomial.feature_exponents)} feature exponents for "
-            f"{n_features} features"
-        )
-    if len(monomial.constant_exponents) != n_constants:
-        raise LengthMismatch(
-            f"{len(monomial.constant_exponents)} constant exponents for "
-            f"{n_constants} constants"
-        )
+def monomial_dimension(spec: FeatureMapSpec, index: int) -> Dimension:
+    """Exact dimension of row ``index`` of ``spec``: the exponent-weighted sum.
 
-
-def monomial_dimension(
-    monomial: Monomial,
-    feature_dimensions: Sequence[Dimension],
-    constant_dimensions: Sequence[Dimension] = (),
-) -> Dimension:
-    """Exact dimension of a monomial: the exponent-weighted sum.
-
-    Features wrapped in a non-identity transform contribute a
-    dimensionless factor regardless of their own dimension.
+    Columns wrapped in a non-identity transform contribute a dimensionless
+    factor regardless of their own dimension.  The sum runs over each
+    item's Fraction exponents and shares no code with the integer lattice
+    that the constructor checks.
     """
-    _check_lengths(monomial, len(feature_dimensions), len(constant_dimensions))
+    index = range(len(spec))[index]
+    dimensions = (*spec.column_dimensions, *(c.dimension for c in spec.constants))
     total = DIMENSIONLESS
-    for index, (exponent, dimension) in enumerate(
-        zip(monomial.feature_exponents, feature_dimensions)
+    for position, (exponent, dimension) in enumerate(
+        zip(spec.exponents[index].tolist(), dimensions)
     ):
-        if exponent == 0:
-            continue
-        if monomial.transform_for(index) != "identity":
-            continue
-        total = total * dimension ** exponent
-    for exponent, dimension in zip(
-        monomial.constant_exponents, constant_dimensions
-    ):
-        if exponent != 0:
+        tag = spec.transforms.get((index, position), "identity")
+        if exponent != 0 and tag == "identity":
             total = total * dimension ** exponent
     return total
 
@@ -358,13 +296,14 @@ def _transform_map(
 ) -> dict[tuple[int, int], str]:
     checked = {}
     for (row, column), tag in transforms.items():
+        row, column = _exact_ints((row, column), "transform indices")
         if tag not in TRANSFORM_TAGS:
             raise ValueError(f"unknown transform tag {tag!r}")
         if not 0 <= column < n_columns:
             raise ValueError(f"transform index {column} out of range")
         if not 0 <= row < n_rows:
             raise ValueError(f"transform on monomial {row + 1} out of range")
-        checked[int(row), int(column)] = str(tag)
+        checked[row, column] = str(tag)
     return checked
 
 
@@ -396,26 +335,6 @@ class FeatureMapSpec:
     metadata: dict = field(default_factory=dict)
     # row -> dimension of each monomial that misses the target
     _mismatches: dict = field(init=False, repr=False, default_factory=dict)
-
-    @classmethod
-    def from_monomials(cls, monomials: Iterable[Monomial], **fields) -> FeatureMapSpec:
-        """Build a spec by hand from :class:`Monomial` values, one row each.
-
-        ``fields`` are the remaining constructor arguments.
-        """
-        monomials = tuple(monomials)
-        n_columns = len(fields["features"]) + len(fields.get("derived", ()))
-        for monomial in monomials:
-            _check_lengths(monomial, n_columns, len(fields["constants"]))
-        return cls(
-            exponents=[m.feature_exponents + m.constant_exponents for m in monomials],
-            signs=[m.sign for m in monomials],
-            transforms={
-                (row, column): tag
-                for row, m in enumerate(monomials) for column, tag in m.transforms
-            },
-            **fields,
-        )
 
     def __post_init__(self) -> None:
         names = [f.name for f in self.features] + [d.name for d in self.derived]
@@ -453,21 +372,6 @@ class FeatureMapSpec:
                 for index, actual in mismatches.items()
             )
         object.__setattr__(self, "_mismatches", mismatches)
-
-    def monomial(self, index: int) -> Monomial:
-        """Row ``index`` as a :class:`Monomial`, for inspection."""
-        index = range(len(self))[index]
-        n_columns = len(self.column_dimensions)
-        row = self.exponents[index].tolist()
-        return Monomial(
-            feature_exponents=tuple(row[:n_columns]),
-            constant_exponents=tuple(row[n_columns:]),
-            sign=int(self.signs[index]),
-            transforms=tuple(
-                (column, tag) for (i, column), tag in self.transforms.items()
-                if i == index
-            ),
-        )
 
     def _validate_derived(self, derived: DerivedFeature) -> None:
         if derived.kind not in _DERIVED_KINDS:

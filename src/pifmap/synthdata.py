@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -358,9 +358,8 @@ def test_criterion_08_enumeration_contains_catalog_and_matches_oracle():
         (tuple(row[:n_features]), tuple(row[n_features:]))
         for row in enumerated.tolist()
     }
-    for index in range(len(catalog)):
-        monomial = catalog.monomial(index)
-        key = (monomial.feature_exponents, monomial.constant_exponents)
+    for row in catalog.exponents.tolist():
+        key = (tuple(row[:n_features]), tuple(row[n_features:]))
         assert key in enumerated_keys, (
             f"catalog monomial {key} missing from the {len(enumerated_keys)} "
             "enumerated"

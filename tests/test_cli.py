@@ -25,7 +25,7 @@ from pifmap.cli import (
     EXIT_USAGE,
     main,
 )
-from pifmap.data import read_csv, read_manifest, write_csv
+from pifmap.data import read_csv, write_csv
 from pifmap.errors import DroppedColumnWarning, InvalidRange, PifmapError
 from pifmap.featuremap import spec_to_dict
 
@@ -58,7 +58,7 @@ class TestSynth:
                    "--out", str(out)) == EXIT_OK
         dataset = read_csv(out)
         assert dataset.n_rows == 50
-        manifest = read_manifest(tmp_path / "data.manifest.json")
+        manifest = json.loads((tmp_path / "data.manifest.json").read_text())
         assert manifest["generator"] == "pulsar"
         assert manifest["seed"] == 9
         assert manifest["noise"] is None
@@ -78,7 +78,7 @@ class TestSynth:
         run("synth", "bernoulli", "--n", "60", "--seed", "4", "--out", str(clean))
         assert run("synth", "bernoulli", "--n", "60", "--seed", "4",
                    "--noise", "0.3", "--out", str(noisy)) == EXIT_OK
-        manifest = read_manifest(tmp_path / "noisy.manifest.json")
+        manifest = json.loads((tmp_path / "noisy.manifest.json").read_text())
         assert manifest["noise"]["level"] == 0.3
         assert isinstance(manifest["noise"]["seed"], int)
         y_clean = read_csv(clean).y
@@ -92,7 +92,7 @@ class TestSynth:
         out = tmp_path / "n.csv"
         run("synth", "bernoulli", "--n", "30", "--seed", "1",
             "--noise", "0.1", "--noise-seed", "777", "--out", str(out))
-        manifest = read_manifest(tmp_path / "n.manifest.json")
+        manifest = json.loads((tmp_path / "n.manifest.json").read_text())
         assert manifest["noise"]["seed"] == 777
 
     def test_binary_refuses_noise(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Monomial feature maps: dimensions, enumeration, evaluation, round-trips."""
+"""Feature maps of monomials: dimensions, enumeration, evaluation, round-trips."""
 
 import itertools
 import json
@@ -27,7 +27,6 @@ from pifmap.featuremap import (
     STANDARD_CONSTANTS,
     DerivedFeature,
     FeatureMapSpec,
-    Monomial,
     PhysicalConstant,
     destandardize,
     enumerate_monomials,
@@ -45,21 +44,19 @@ M_PER_S = parse_unit("m/s")
 JOULE = parse_unit("J")
 
 
+def _mve_fields():
+    """A spec's fields over three features (mass, speed, energy), target J."""
+    return {
+        "name": "mve",
+        "features": tuple(schema_of([("m", "kg"), ("v", "m/s"), ("E", "J")]).features),
+        "constants": (),
+        "target_dimension": JOULE,
+    }
+
+
 def _mve_spec():
     """Three features (mass, speed, energy) and three energy monomials."""
-    features = tuple(schema_of([("m", "kg"), ("v", "m/s"), ("E", "J")]).features)
-    monomials = (
-        Monomial(feature_exponents=(1, 2, 0)),
-        Monomial(feature_exponents=(0, 0, 1)),
-        Monomial(feature_exponents=(2, 4, -1)),
-    )
-    return FeatureMapSpec.from_monomials(
-        name="mve",
-        features=features,
-        constants=(),
-        monomials=monomials,
-        target_dimension=JOULE,
-    )
+    return FeatureMapSpec(exponents=[(1, 2, 0), (0, 0, 1), (2, 4, -1)], **_mve_fields())
 
 
 def _mve_dataset(rows):
@@ -75,13 +72,16 @@ def _mve_dataset(rows):
 
 class TestMonomialValidation:
     def test_requires_a_feature_exponent(self):
-        with pytest.raises(ValueError):
-            Monomial(feature_exponents=(0, 0))
+        # a row of constants alone is refused too
+        fields = dict(_mve_fields(), constants=(STANDARD_CONSTANTS["g"],))
+        for row in ((0, 0, 0, 0), (0, 0, 0, 1)):
+            with pytest.raises(ValueError, match="monomial 2 uses no feature"):
+                FeatureMapSpec(exponents=[(0, 0, 1, 0), row], **fields)
 
     def test_float_exponents_rejected(self):
         for bad in (1.5, True, 2.0):
-            with pytest.raises(TypeError):
-                Monomial(feature_exponents=(bad, 0))
+            with pytest.raises(TypeError, match="exponents must be integers"):
+                FeatureMapSpec(exponents=[(0, 0, bad)], **_mve_fields())
             # a spec document is checked the same way, in either exponent list
             for key in ("feature_exponents", "constant_exponents"):
                 doc = spec_to_dict(load_catalog("bernoulli"))
@@ -99,8 +99,9 @@ class TestMonomialValidation:
             spec_from_dict(doc)
 
     def test_sign_must_be_unit(self):
-        with pytest.raises(ValueError):
-            Monomial(feature_exponents=(1,), sign=2)
+        for bad in (2, 0, -2):
+            with pytest.raises(ValueError, match=f"sign must be -1 or \\+1, got {bad}"):
+                FeatureMapSpec(exponents=[(0, 0, 1)], signs=[bad], **_mve_fields())
 
     def test_non_integer_signs_rejected(self):
         # a spec document's signs are checked like its exponents, not
@@ -117,22 +118,11 @@ class TestMonomialValidation:
         assert spec_from_dict(doc).signs[3] == -1
 
     @pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
-    def test_monomial_and_spec_check_a_sign_alike(self, bad):
-        # a Monomial with such a sign could not be put into a spec, so it
-        # cannot be built either, and both paths say the same thing
-        with pytest.raises(TypeError, match=f"signs must be integers, got {bad}"):
-            Monomial(feature_exponents=(1,), sign=bad)
-        fields = {
-            "name": "mve",
-            "features": _mve_spec().features,
-            "constants": (),
-            "target_dimension": JOULE,
-        }
+    def test_constructor_checks_a_sign_as_a_document_does(self, bad):
+        fields = _mve_fields()
         with pytest.raises(TypeError, match=f"signs must be integers, got {bad}"):
             FeatureMapSpec(exponents=[(0, 0, 1)], signs=[bad], **fields)
-        monomial = Monomial(feature_exponents=(0, 0, 1), sign=np.int64(-1))
-        assert type(monomial.sign) is int and monomial.sign == -1
-        spec = FeatureMapSpec.from_monomials([monomial], **fields)
+        spec = FeatureMapSpec(exponents=[(0, 0, 1)], signs=[np.int64(-1)], **fields)
         assert spec.signs.tolist() == [-1]
 
     @pytest.mark.parametrize("bad", [True, "9.8", None, [9.8]],
@@ -148,37 +138,61 @@ class TestMonomialValidation:
             assert type(value) is float and value == good
 
     def test_transform_tags_checked(self):
-        with pytest.raises(ValueError):
-            Monomial(feature_exponents=(1,), transforms=((0, "cube"),))
+        with pytest.raises(ValueError, match="unknown transform tag 'cube'"):
+            FeatureMapSpec(exponents=[(0, 0, 1)], transforms={(0, 2): "cube"},
+                           **_mve_fields())
+        doc = spec_to_dict(load_catalog("pulsar", allow_inconsistent=True))
+        doc["monomials"][0]["transforms"]["3"] = "cube"
+        with pytest.raises(ValueError, match="unknown transform tag 'cube'"):
+            spec_from_dict(doc, allow_inconsistent=True)
 
-    def test_transform_index_bounds(self):
-        with pytest.raises(ValueError):
-            Monomial(feature_exponents=(1,), transforms=((3, "sin2"),))
-
-    def test_transforms_sorted(self):
-        m = Monomial(feature_exponents=(1, 1), transforms=((1, "sin2"), (0, "sin2")))
-        assert m.transforms == ((0, "sin2"), (1, "sin2"))
+    @pytest.mark.parametrize("key, error, message", [
+        ((0, 8), ValueError, "transform index 8 out of range"),
+        ((0, -1), ValueError, "transform index -1 out of range"),
+        ((7, 3), ValueError, "transform on monomial 8 out of range"),
+        # an index is not truncated: 3.5 would name column 3, true row 1
+        ((0, 3.5), TypeError, "transform indices must be integers, got 3.5"),
+        ((True, 3), TypeError, "transform indices must be integers, got True"),
+        ((0, 3.0), TypeError, "transform indices must be integers, got 3.0"),
+    ], ids=["column-8", "column-minus-1", "row-8", "column-3.5", "row-true",
+            "column-3.0"])
+    def test_transform_index_bounds(self, key, error, message):
+        # the pulsar map: 7 monomials over 8 columns, alpha is column 3
+        spec = load_catalog("pulsar", allow_inconsistent=True)
+        fields = {name: getattr(spec, name) for name in (
+            "name", "features", "constants", "exponents", "target_dimension", "signs")}
+        with pytest.raises(error, match=message):
+            FeatureMapSpec(transforms={key: "sin2"}, allow_inconsistent=True, **fields)
 
 
 class TestMonomialDimension:
+    # each spec is built permissively with a dimensionless target, so the
+    # row's dimension comes from the sum alone, not from the target
+
     def test_product_of_feature_dimensions(self):
-        dims = (KG, M_PER_S, JOULE)
-        mono = Monomial(feature_exponents=(2, 4, -1))
-        result = monomial_dimension(mono, dims, ())
+        fields = dict(_mve_fields(), target_dimension=DIMENSIONLESS)
+        spec = FeatureMapSpec(exponents=[(0, 1, 0), (2, 4, -1)],
+                              allow_inconsistent=True, **fields)
         # kg^2 (m/s)^4 / J = kg^2 m^4 s^-4 / (kg m^2 s^-2) = kg m^2 s^-2 = J
-        assert result == JOULE
+        assert monomial_dimension(spec, 1) == JOULE
+        assert monomial_dimension(spec, -1) == JOULE
+        assert monomial_dimension(spec, 0) == M_PER_S
 
     def test_transformed_feature_contributes_nothing(self):
-        dims = (KG, parse_unit("rad"))
-        mono = Monomial(feature_exponents=(1, 2), transforms=((1, "sin2"),))
-        assert monomial_dimension(mono, dims, ()) == KG
+        # a transform drops the dimension even of a dimensioned column
+        features = tuple(schema_of([("m", "kg"), ("x", "m")]).features)
+        spec = FeatureMapSpec(name="t", features=features, constants=(),
+                              exponents=[(1, 2)], transforms={(0, 1): "sin2"},
+                              target_dimension=DIMENSIONLESS, allow_inconsistent=True)
+        assert monomial_dimension(spec, 0) == KG
 
     def test_constant_dimensions_enter(self):
         g = STANDARD_CONSTANTS["g"]
-        mono = Monomial(feature_exponents=(1,), constant_exponents=(1,))
-        assert monomial_dimension(mono, (KG,), (g.dimension,)) == parse_unit(
-            "kg*m/s^2"
-        )
+        features = tuple(schema_of([("m", "kg")]).features)
+        spec = FeatureMapSpec(name="mg", features=features, constants=(g,),
+                              exponents=[(1, 1)], target_dimension=DIMENSIONLESS,
+                              allow_inconsistent=True)
+        assert monomial_dimension(spec, 0) == parse_unit("kg*m/s^2")
 
 
 class TestPhysicalConstants:
@@ -208,14 +222,11 @@ class TestSpecValidation:
     def test_undeclared_mismatch_raises(self):
         features = tuple(schema_of([("m", "kg"), ("v", "m/s")]).features)
         with pytest.raises(DimensionMismatch) as info:
-            FeatureMapSpec.from_monomials(
+            FeatureMapSpec(
                 name="bad",
                 features=features,
                 constants=(),
-                monomials=(
-                    Monomial(feature_exponents=(1, 2)),
-                    Monomial(feature_exponents=(1, 0)),
-                ),
+                exponents=[(1, 2), (1, 0)],
                 target_dimension=JOULE,
             )
         # second monomial is kg, not J; entries carry 0-based indices
@@ -223,14 +234,11 @@ class TestSpecValidation:
 
     def test_declared_mismatch_tolerated(self):
         features = tuple(schema_of([("m", "kg"), ("v", "m/s")]).features)
-        spec = FeatureMapSpec.from_monomials(
+        spec = FeatureMapSpec(
             name="mixed",
             features=features,
             constants=(),
-            monomials=(
-                Monomial(feature_exponents=(1, 2)),
-                Monomial(feature_exponents=(1, 0)),
-            ),
+            exponents=[(1, 2), (1, 0)],
             target_dimension=JOULE,
             allow_inconsistent=True,
         )
@@ -245,18 +253,17 @@ class TestSpecValidation:
     def test_rows_read_back_as_the_monomials_they_were_built_from(self):
         spec = _mve_spec()
         assert spec.exponents.tolist() == [[1, 2, 0], [0, 0, 1], [2, 4, -1]]
-        assert spec.monomial(2) == Monomial(feature_exponents=(2, 4, -1))
-        assert spec.monomial(-1) == spec.monomial(2)
-        with pytest.raises(IndexError):
-            spec.monomial(3)
+        assert spec.signs.tolist() == [1, 1, 1]
+        assert spec.transforms == {}
 
     def test_monomial_of_the_wrong_length_rejected(self):
+        # a row spans the features, the derived features and the constants
         features = tuple(schema_of([("m", "kg"), ("v", "m/s")]).features)
-        with pytest.raises(LengthMismatch, match="2 feature exponents for 3"):
-            FeatureMapSpec.from_monomials(
+        with pytest.raises(LengthMismatch,
+                           match="monomial 1 has 3 exponents for 4 columns and constants"):
+            FeatureMapSpec(
                 name="short", features=features, constants=(STANDARD_CONSTANTS["g"],),
-                monomials=(Monomial(feature_exponents=(1, 2), constant_exponents=()),
-                           Monomial(feature_exponents=(1, 2, 0))),
+                exponents=[(1, 2, 0), (1, 2, 0, 0)],
                 target_dimension=JOULE,
                 derived=(DerivedFeature("mu", KG, "reduced_mass", ("m", "m")),),
             )
@@ -273,18 +280,13 @@ class TestRenderMonomial:
         features = tuple(
             schema_of([("r", "m"), ("alpha", "rad")]).features
         )
-        spec = FeatureMapSpec.from_monomials(
+        spec = FeatureMapSpec(
             name="t",
             features=features,
             constants=(STANDARD_CONSTANTS["c"],),
-            monomials=(
-                Monomial(
-                    feature_exponents=(1, 1),
-                    constant_exponents=(-1,),
-                    sign=-1,
-                    transforms=((1, "sin2"),),
-                ),
-            ),
+            exponents=[(1, 1, -1)],
+            signs=[-1],
+            transforms={(0, 1): "sin2"},
             target_dimension=parse_unit("s"),
         )
         assert render_monomial(spec, 0) == "-r*sin2(alpha)*c^-1"
@@ -293,44 +295,37 @@ class TestRenderMonomial:
 
 def _per_monomial_reference(spec, dataset):
     """Each monomial evaluated on its own, every factor recomputed."""
+    n_columns = len(spec.column_dimensions)
     out = np.empty((dataset.n_rows, len(spec)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(len(spec)):
-            monomial = spec.monomial(j)
+        for j, (row, sign) in enumerate(zip(spec.exponents.tolist(), spec.signs.tolist())):
             value = np.ones(dataset.n_rows)
-            for position, exponent in enumerate(monomial.feature_exponents):
+            for position, exponent in enumerate(row[:n_columns]):
                 if exponent:
                     transform = featuremap.TRANSFORM_TAGS[
-                        monomial.transform_for(position)]
+                        spec.transforms.get((j, position), "identity")]
                     value = value * transform(dataset.X[:, position]) ** exponent
             scale = 1.0
-            for constant, exponent in zip(spec.constants,
-                                          monomial.constant_exponents):
+            for constant, exponent in zip(spec.constants, row[n_columns:]):
                 if exponent:
                     scale *= constant.value ** exponent
-            out[:, j] = value * (monomial.sign * scale)
+            out[:, j] = value * (sign * scale)
     return out
 
 
 def _shared_power_case(tag, n=64):
     """Energy monomials m^a v^b E^c alpha^d sharing (column, exponent) pairs."""
     columns = [("m", "kg"), ("v", "m/s"), ("E", "J"), ("alpha", "rad")]
-    on_alpha = () if tag is None else ((3, tag),)
-    monomials = (
-        Monomial(feature_exponents=(1, 2, 0, 1), transforms=on_alpha),
-        Monomial(feature_exponents=(1, 2, 0, 1)),
-        Monomial(feature_exponents=(0, 0, 1, 2), sign=-1, transforms=on_alpha),
-        Monomial(feature_exponents=(2, 4, -1, 0)),
-        Monomial(feature_exponents=(1, 2, 0, -1), transforms=on_alpha),
-        Monomial(feature_exponents=(2, 4, -1, 1)),
-        Monomial(feature_exponents=(0, 0, 1, -1)),
-        Monomial(feature_exponents=(3, 6, -2, 2), transforms=on_alpha),
-    )
-    spec = FeatureMapSpec.from_monomials(
+    # rows 0, 2, 4 and 7 put alpha through the transform
+    on_alpha = {} if tag is None else {(row, 3): tag for row in (0, 2, 4, 7)}
+    spec = FeatureMapSpec(
         name="shared",
         features=tuple(schema_of(columns).features),
         constants=(),
-        monomials=monomials,
+        exponents=[(1, 2, 0, 1), (1, 2, 0, 1), (0, 0, 1, 2), (2, 4, -1, 0),
+                   (1, 2, 0, -1), (2, 4, -1, 1), (0, 0, 1, -1), (3, 6, -2, 2)],
+        signs=[1, 1, -1, 1, 1, 1, 1, 1],
+        transforms=on_alpha,
         target_dimension=JOULE,
     )
     rng = np.random.Generator(np.random.PCG64(31))
@@ -442,11 +437,12 @@ class TestEvaluateMap:
 
     def test_sign_flips_column(self):
         features = tuple(schema_of([("m", "kg")]).features)
-        spec = FeatureMapSpec.from_monomials(
+        spec = FeatureMapSpec(
             name="neg",
             features=features,
             constants=(),
-            monomials=(Monomial(feature_exponents=(1,), sign=-1),),
+            exponents=[(1,)],
+            signs=[-1],
             target_dimension=KG,
         )
         data = Dataset(
@@ -459,13 +455,12 @@ class TestEvaluateMap:
 
     def test_sin2_transform_applied(self):
         features = tuple(schema_of([("alpha", "rad")]).features)
-        spec = FeatureMapSpec.from_monomials(
+        spec = FeatureMapSpec(
             name="s2",
             features=features,
             constants=(),
-            monomials=(
-                Monomial(feature_exponents=(1,), transforms=((0, "sin2"),)),
-            ),
+            exponents=[(1,)],
+            transforms={(0, 0): "sin2"},
             target_dimension=DIMENSIONLESS,
         )
         data = Dataset(
@@ -480,13 +475,11 @@ class TestEvaluateMap:
     def test_constant_power_enters_value(self):
         features = tuple(schema_of([("h", "m")]).features)
         g = STANDARD_CONSTANTS["g"]
-        spec = FeatureMapSpec.from_monomials(
+        spec = FeatureMapSpec(
             name="gh",
             features=features,
             constants=(g,),
-            monomials=(
-                Monomial(feature_exponents=(1,), constant_exponents=(1,)),
-            ),
+            exponents=[(1, 1)],
             target_dimension=parse_unit("m^2/s^2"),
         )
         data = Dataset(
@@ -536,14 +529,11 @@ class TestDerivedFeatures:
     def _binary_like_spec(self):
         features = tuple(schema_of([("m1", "kg"), ("m2", "kg")]).features)
         derived = (DerivedFeature("mu_red", KG, "reduced_mass", ("m1", "m2")),)
-        monomials = (
-            Monomial(feature_exponents=(0, 0, 1)),
-        )
-        return FeatureMapSpec.from_monomials(
+        return FeatureMapSpec(
             name="red",
             features=features,
             constants=(),
-            monomials=monomials,
+            exponents=[(0, 0, 1)],
             target_dimension=KG,
             derived=derived,
         )
@@ -574,11 +564,11 @@ class TestDerivedFeatures:
         features = tuple(schema_of([("m1", "kg"), ("v", "m/s")]).features)
         derived = (DerivedFeature("mu_red", KG, "reduced_mass", ("m1", "v")),)
         with pytest.raises(DimensionMismatch):
-            FeatureMapSpec.from_monomials(
+            FeatureMapSpec(
                 name="bad_red",
                 features=features,
                 constants=(),
-                monomials=(Monomial(feature_exponents=(1, 0, 0)),),
+                exponents=[(1, 0, 0)],
                 target_dimension=KG,
                 derived=derived,
             )
@@ -593,8 +583,10 @@ class TestEnumerate:
         found = enumerate_monomials(schema, (), JOULE, 2, 1)
         exps = set(map(tuple, found.tolist()))
         assert (1,) in exps
-        assert all(monomial_dimension(Monomial(e), schema.dimensions, ()) == JOULE
-                   for e in exps)
+        spec = FeatureMapSpec(name="found", features=tuple(schema.features),
+                              constants=(), exponents=found,
+                              target_dimension=DIMENSIONLESS, allow_inconsistent=True)
+        assert all(monomial_dimension(spec, i) == JOULE for i in range(len(spec)))
 
     def test_lexicographic_output(self):
         schema = self._schema([("a", "m"), ("b", "m")])
@@ -732,22 +724,21 @@ def _validation_cases(draw):
     n_constants = draw(st.integers(0, 2))
     dims = draw(st.lists(_dimensions, min_size=n_features + n_constants,
                          max_size=n_features + n_constants))
-    monomials = []
-    for _ in range(draw(st.integers(0, 8))):
+    rows, transforms = [], {}
+    for row in range(draw(st.integers(0, 8))):
         features = draw(st.lists(st.integers(-3, 3), min_size=n_features,
                                  max_size=n_features))
         features[draw(st.integers(0, n_features - 1))] = draw(st.sampled_from([-1, 1]))
         sin2 = draw(st.sets(st.integers(0, n_features - 1)))
-        monomials.append(Monomial(
-            feature_exponents=tuple(features),
-            constant_exponents=tuple(draw(st.lists(
-                st.integers(-2, 2), min_size=n_constants, max_size=n_constants))),
-            transforms=tuple((i, "sin2") for i in sorted(sin2)),
-        ))
+        rows.append(features + draw(st.lists(
+            st.integers(-2, 2), min_size=n_constants, max_size=n_constants)))
+        transforms.update({(row, i): "sin2" for i in sorted(sin2)})
     target = draw(_dimensions)
-    if monomials and draw(st.booleans()):
-        target = monomial_dimension(monomials[0], dims[:n_features], dims[n_features:])
-    return dims, n_features, tuple(monomials), target, draw(st.booleans())
+    if rows and draw(st.booleans()):
+        # the first row's dimension, its transformed columns contributing none
+        target = Dimension(_product_dimension(dims, [
+            0 if (0, i) in transforms else e for i, e in enumerate(rows[0])]))
+    return dims, n_features, rows, transforms, target, draw(st.booleans())
 
 
 def _items(dims, n_features):
@@ -805,34 +796,32 @@ class TestLatticeOracles:
     @settings(max_examples=80)
     @given(case=_validation_cases())
     def test_lattice_check_flags_exactly_the_fraction_mismatches(self, case):
-        dims, n_features, monomials, target, permissive = case
+        dims, n_features, rows, transforms, target, permissive = case
         features, constants = _items(dims, n_features)
         fdims, cdims = dims[:n_features], dims[n_features:]
-        actual = [monomial_dimension(m, fdims, cdims) for m in monomials]
+        exponents = np.array(rows, dtype=np.int64).reshape(len(rows), len(dims))
+
+        def build(allow_inconsistent):
+            return FeatureMapSpec(
+                name="random", features=features, constants=constants,
+                exponents=exponents, transforms=transforms, target_dimension=target,
+                allow_inconsistent=allow_inconsistent,
+            )
+
+        oracle = build(True)
+        actual = [monomial_dimension(oracle, i) for i in range(len(rows))]
         expected = [i for i, d in enumerate(actual) if d != target]
-        exponents = np.array(
-            [m.feature_exponents + m.constant_exponents for m in monomials],
-            dtype=np.int64).reshape(len(monomials), len(dims))
-        transforms = {(i, j): tag for i, m in enumerate(monomials)
-                      for j, tag in m.transforms}
         assert featuremap._mismatched_rows(
             exponents, transforms, fdims, cdims, target) == {
                 i: actual[i] for i in expected}
 
-        def build():
-            return FeatureMapSpec.from_monomials(
-                name="random", features=features, constants=constants,
-                monomials=monomials, target_dimension=target,
-                allow_inconsistent=permissive,
-            )
-
         if expected and not permissive:
             with pytest.raises(DimensionMismatch) as info:
-                build()
+                build(permissive)
             assert info.value.entries == tuple(
                 (i, actual[i], target) for i in expected)
         else:
-            spec = build()
+            spec = build(permissive)
             assert spec.inconsistent_indices == tuple(expected)
             assert [note.split(" has dimension ")[1] for note in spec.diagnostics] == [
                 f"{format_unit(actual[i])}, declared target is {format_unit(target)}"
@@ -847,13 +836,14 @@ class TestLatticeOracles:
     ])
     def test_huge_exponents_do_not_wrap(self, exponent, unit_power):
         features = (Feature("x", Dimension.of(m=unit_power)),)
-        monomials = (Monomial(feature_exponents=(exponent,)),)
 
         def spec(target):
-            return FeatureMapSpec.from_monomials(name="huge", features=features, constants=(),
-                                  monomials=monomials, target_dimension=target)
+            return FeatureMapSpec(name="huge", features=features, constants=(),
+                                  exponents=[(exponent,)], target_dimension=target)
 
-        assert spec(Dimension.of(m=exponent * unit_power)).monomial(0) == monomials[0]
+        right = spec(Dimension.of(m=exponent * unit_power))
+        assert right.exponents.tolist() == [[exponent]]
+        assert monomial_dimension(right, 0) == right.target_dimension
         for wrong in (DIMENSIONLESS, Dimension.of(m=(exponent * unit_power) % 2**64),
                       Dimension.of(m=exponent * unit_power + 1)):
             if wrong.exponents[1] == exponent * unit_power:
@@ -866,25 +856,22 @@ class TestLatticeOracles:
         # an all-zero table has no reach; the exponent alone overflows int64
         features = (Feature("x", DIMENSIONLESS),)
         constants = (PhysicalConstant("k", 2.0, DIMENSIONLESS),)
-        monomials = (Monomial(feature_exponents=(exponent,),
-                              constant_exponents=(exponent,)),)
 
         def spec(target):
-            return FeatureMapSpec.from_monomials(name="huge", features=features,
-                                  constants=constants, monomials=monomials,
+            return FeatureMapSpec(name="huge", features=features, constants=constants,
+                                  exponents=[(exponent, exponent)],
                                   target_dimension=target)
 
-        assert spec(DIMENSIONLESS).monomial(0) == monomials[0]
+        assert spec(DIMENSIONLESS).exponents.tolist() == [[exponent, exponent]]
         with pytest.raises(DimensionMismatch):
             spec(Dimension.of(m=1))
 
     def test_huge_exponents_cancelling_in_int64_are_still_caught(self):
         # 2**62 * 2 + 2**62 * 2 is 2**64, which int64 would wrap to 0
         features = (Feature("a", Dimension.of(m=2)), Feature("b", Dimension.of(m=2)))
-        monomials = (Monomial(feature_exponents=(2**62, 2**62)),)
         with pytest.raises(DimensionMismatch):
-            FeatureMapSpec.from_monomials(name="wrap", features=features, constants=(),
-                           monomials=monomials, target_dimension=DIMENSIONLESS)
+            FeatureMapSpec(name="wrap", features=features, constants=(),
+                           exponents=[(2**62, 2**62)], target_dimension=DIMENSIONLESS)
 
     def test_search_refuses_a_table_int64_cannot_hold(self):
         features = (Feature("x", Dimension.of(m=2**62)), Feature("y", KG))
