@@ -1,9 +1,9 @@
 """Command-line surface: synth, enumerate, fit, rank, eval, reproduce.
 
-All outputs are byte-deterministic for fixed inputs and seeds: JSON with
-sorted keys, two-space indentation and a trailing newline, except that each
-monomial of a spec is one line; CSV with repr() floats and LF line endings,
-SVG from the fixed-geometry emitter.
+All outputs are byte-deterministic for fixed inputs and seeds: JSON, the
+manifest included, from ``_dump_json`` with sorted keys, two-space indents
+and a trailing newline, each monomial of a spec on one line; CSV with repr()
+floats and LF line endings, SVG from the fixed-geometry emitter.
 
 Exit codes: 0 success; 2 usage or invalid values, including a bad
 ``--target`` unit, a spec whose monomials miss its target, a dataset whose
@@ -37,7 +37,6 @@ from .data import (
     read_schema,
     schema_of,
     write_csv,
-    write_manifest,
 )
 from .dimension import parse_unit
 from .errors import (
@@ -103,65 +102,63 @@ def _fail(message: str) -> None:
     print(f"pifmap: error: {message}", file=sys.stderr)
 
 
-# Encodes a spec's monomial list compactly.  Without indentation the json
-# module uses its C encoder; with it, its pure-Python one.  A spec document
-# is a tree, so the encoder need not look for cycles.
+# Writes a spec's monomial list compactly, in one pass of the json module's C
+# encoder; a spec document is a tree, so it need not look for cycles.
 _LINE_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, check_circular=False)
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 def _dump_json(obj) -> str:
     """Sorted JSON indented by two spaces, each monomial of a spec on one line.
 
-    A spec's monomials are the list under a ``"monomials"`` key; each of its
-    elements is written compactly on a line of its own, and everything else
-    exactly as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it.  A
-    non-finite number is an :class:`InvalidRange`.
+    Every JSON artifact is written here, to the bytes of ``json.dumps(obj,
+    sort_keys=True, indent=2) + "\\n"`` except that each element of a
+    non-empty list under a ``"monomials"`` key is compact on a line of its
+    own.  A non-finite number is an :class:`InvalidRange`, a key that is not
+    a string a ``TypeError``.
     """
-    try:
-        return _json_text(obj, "\n") + "\n"
-    except ValueError as exc:
-        raise InvalidRange(str(exc)) from exc
+    return _json(obj, "\n") + "\n"
 
 
-def _holds_monomials(node) -> bool:
-    return isinstance(node, dict) and (
-        isinstance(node.get("monomials"), list)
-        or any(map(_holds_monomials, node.values()))
-    )
-
-
-def _json_text(node, newline: str) -> str:
+def _json(node, newline: str) -> str:
     """``node`` as indented JSON whose inner lines start with ``newline``."""
-    if not _holds_monomials(node):
-        text = json.dumps(node, sort_keys=True, indent=2, allow_nan=False)
-        return text.replace("\n", newline)
+    if isinstance(node, str):
+        return _encode_str(node)
+    if isinstance(node, float):
+        if not math.isfinite(node):
+            raise InvalidRange(f"Out of range float values are not JSON compliant: {node!r}")
+        return float.__repr__(node)
     inner = newline + "  "
-    items = []
-    for key, value in sorted(node.items()):
-        if key == "monomials" and isinstance(value, list) and value:
-            text = _monomial_lines(value, inner)
-        else:
-            text = _json_text(value, inner)
-        items.append(f"{inner}{json.dumps(key)}: {text}")
-    return "{" + ",".join(items) + newline + "}"
-
-
-def _monomial_lines(items: list, inner: str) -> str:
-    """``items`` as a JSON list, each element compact on a line of its own.
-
-    One encoder pass writes the whole list.  Spec monomials are objects, so
-    that text is their compact texts joined by ``"}, {"``; when the sequence
-    occurs nowhere else, a line break goes in at each occurrence.  Any other
-    list is encoded one element at a time, to the same bytes.
-    """
-    line = inner + "  "
-    text = _LINE_ENCODER.encode(items)[1:-1]
-    if (text.count("}, {") == len(items) - 1
-            and all(isinstance(item, dict) for item in items)):
-        body = text.replace("}, {", "}," + line + "{")
-    else:
-        body = ("," + line).join(map(_LINE_ENCODER.encode, items))
-    return "[" + line + body + inner + "]"
+    if isinstance(node, dict):
+        items = []
+        for key, value in sorted(node.items()):
+            if key == "monomials" and isinstance(value, list) and value:
+                # Spec monomials are objects, so the encoder's text is theirs
+                # joined by "}, {"; when that occurs nowhere else, a line
+                # break goes in at each, else each element is encoded alone.
+                line = inner + "  "
+                try:
+                    text = _LINE_ENCODER.encode(value)[1:-1]
+                    if (text.count("}, {") == len(value) - 1
+                            and all(isinstance(item, dict) for item in value)):
+                        text = text.replace("}, {", "}," + line + "{")
+                    else:
+                        text = ("," + line).join(map(_LINE_ENCODER.encode, value))
+                except ValueError as exc:
+                    raise InvalidRange(str(exc)) from exc
+                text = "[" + line + text + inner + "]"
+            else:
+                text = _json(value, inner)
+            items.append(f"{inner}{_encode_str(key)}: {text}")
+        return "{" + ",".join(items) + newline + "}" if items else "{}"
+    if isinstance(node, (list, tuple)):
+        items = [_json(value, inner) for value in node]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if node is None or node is True or node is False:
+        return "null" if node is None else "true" if node else "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -331,7 +328,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             provenance=provenance,
         )
     write_csv(dataset, args.out)
-    write_manifest(dataset.provenance, manifest_path_for(args.out))
+    _write_text(manifest_path_for(args.out), _dump_json(dataset.provenance))
     return EXIT_OK
 
 

@@ -9,7 +9,6 @@ Generator provenance travels in a JSON sidecar, not in the CSV.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -26,7 +25,6 @@ __all__ = [
     "write_csv",
     "read_csv",
     "read_schema",
-    "write_manifest",
     "manifest_path_for",
 ]
 
@@ -230,8 +228,3 @@ def manifest_path_for(csv_path) -> str:
         text = text[: -len(".csv")]
     return text + ".manifest.json"
 
-
-def write_manifest(provenance: Mapping, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        text = json.dumps(provenance, sort_keys=True, indent=2, allow_nan=False)
-        fh.write(text + "\n")

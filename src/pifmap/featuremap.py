@@ -891,6 +891,14 @@ def spec_to_dict(spec: FeatureMapSpec) -> dict:
     return document
 
 
+def _transform_column(key) -> int:
+    # the column's decimal index exactly as spec_to_dict writes it: int() also
+    # reads " 3", "+3", "03" and "\u0663" as 3, and two such keys lose a tag
+    if isinstance(key, str) and key.isdecimal() and str(int(key)) == key:
+        return int(key)
+    raise ValueError(f"transform key {key!r} is not a column index such as '3'")
+
+
 def spec_from_dict(document: Mapping, *, allow_inconsistent: bool = False) -> FeatureMapSpec:
     """Read a spec document; the :class:`FeatureMapSpec` it builds checks it."""
     features = tuple(
@@ -927,9 +935,9 @@ def spec_from_dict(document: Mapping, *, allow_inconsistent: bool = False) -> Fe
     ])
     signs = [entry.get("sign", 1) for entry in entries]
     transforms = {
-        (row, int(column)): tag
+        (row, _transform_column(key)): tag
         for row, entry in enumerate(entries)
-        for column, tag in entry.get("transforms", {}).items()
+        for key, tag in entry.get("transforms", {}).items()
     }
     return FeatureMapSpec(
         name=document.get("name", "unnamed"),

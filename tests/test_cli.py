@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process through main(argv)."""
 
+import ast
 import contextlib
 import io
 import json
@@ -27,7 +28,7 @@ from pifmap.cli import (
 )
 from pifmap.data import read_csv, write_csv
 from pifmap.errors import DroppedColumnWarning, InvalidRange, PifmapError
-from pifmap.featuremap import spec_to_dict
+from pifmap.featuremap import spec_from_dict, spec_to_dict
 
 
 def run(*argv):
@@ -116,6 +117,16 @@ class TestSynth:
 
     def test_unknown_generator_is_usage_error(self, tmp_path):
         assert run("synth", "tides", "--out", str(tmp_path / "x.csv")) == EXIT_USAGE
+
+    @pytest.mark.parametrize("noise", [(), ("--noise", "0.2")],
+                             ids=["clean", "noisy"])
+    def test_manifest_has_the_one_json_layout(self, noise, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run("synth", "bernoulli", "--n", "20", "--seed", "3", *noise,
+                   "--out", str(out)) == EXIT_OK
+        text = (tmp_path / "d.manifest.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        assert (json.loads(text)["noise"] is None) == (not noise)
 
 
 class TestEnumerate:
@@ -642,6 +653,31 @@ class TestMalformedDocuments:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"pifmap: error: malformed {kind} {path}: ")
+
+    @pytest.mark.parametrize("transforms", [
+        {" 3": "sin2"},
+        {"+3": "sin2"},
+        {"03": "sin2"},
+        {"\u0663": "sin2"},
+        {"3": "sin2", "03": "identity"},
+    ], ids=["space", "plus", "leading-zero", "arabic-indic-digit", "two-keys-one-column"])
+    def test_transform_key_must_be_the_column_index(self, transforms, tmp_path,
+                                                    capsys):
+        # the pulsar map's first monomial puts sin2 on column 3, alpha
+        document = spec_to_dict(load_catalog("pulsar", allow_inconsistent=True))
+        assert document["monomials"][0]["transforms"] == {"3": "sin2"}
+        document["monomials"][0]["transforms"] = transforms
+        with pytest.raises(ValueError, match="transform key '.*' is not a column index"):
+            spec_from_dict(document, allow_inconsistent=True)
+        data, spec = tmp_path / "p.csv", tmp_path / "spec.json"
+        assert run("synth", "pulsar", "--n", "40", "--out", str(data)) == EXIT_OK
+        spec.write_text(json.dumps(document), encoding="utf-8")
+        capsys.readouterr()
+        assert run("fit", "--data", str(data), "--spec", str(spec),
+                   "--allow-inconsistent", "--out", str(tmp_path / "m.json")) == EXIT_IO
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"pifmap: error: malformed spec {spec}: transform key ")
 
     def test_unparseable_csv_cell_exits_3(self, bernoulli_csv, tmp_path, capsys):
         lines = bernoulli_csv.read_text(encoding="utf-8").split("\n")
@@ -1248,6 +1284,54 @@ class TestReproduce:
 
     def test_unknown_experiment(self, tmp_path):
         assert run("reproduce", "tides", "--out", str(tmp_path)) == EXIT_USAGE
+
+
+def _json_trees():
+    keys = st.text().filter(lambda key: key != "monomials")
+    leaves = (st.none() | st.booleans() | st.text()
+              | st.floats(allow_nan=False, allow_infinity=False)
+              | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7])
+              | st.integers() | st.integers(min_value=2**63, max_value=2**80)
+              | st.integers(min_value=-2**80, max_value=-2**63 - 1))
+    return st.recursive(leaves, lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(keys, children, max_size=4)
+    ), max_leaves=20)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300)
+    @example({"": [], "a": {}, "b": (), "c": [-0.0, 5e-324, 1e16, 1e-7],
+              "d": [2**64, -2**70], "\u00e9\x00\n\u2028": "\x1f\u00fc\U0001f600",
+              "e": ([(1,), {"f": ()}],)})
+    @given(_json_trees())
+    def test_writes_what_json_dumps_writes(self, tree):
+        assert cli._dump_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [{1: 2}, {"a": {None: 1}}, {"a": 1j}, {"a": {1, 2}},
+                                       {"a": np.int64(1)}],
+                             ids=["int-key", "nested-none-key", "complex", "set", "np-int64"])
+    def test_refuses_what_it_cannot_write(self, value):
+        with pytest.raises(TypeError):
+            cli._dump_json(value)
+
+    def test_no_other_json_writer_in_the_package(self):
+        # every artifact goes out through cli._dump_json; its "monomials"
+        # branch owns the package's only encoder object, cli._LINE_ENCODER
+        writers = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            parents = {child: node for node in ast.walk(tree)
+                       for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1]
+                        in ("dumps", "dump", "JSONEncoder")):
+                    parent = parents[node]
+                    target = (ast.unparse(parent.targets[0])
+                              if isinstance(parent, ast.Assign) else None)
+                    writers.append((path.name, ast.unparse(node.func), target))
+        assert writers == [("cli.py", "json.JSONEncoder", "_LINE_ENCODER")]
 
 
 class TestTopLevel:

@@ -1,6 +1,4 @@
-"""Dataset container validation and exact CSV/manifest round-trips."""
-
-import json
+"""Dataset container validation, exact CSV round-trips and manifest paths."""
 
 import numpy as np
 import pytest
@@ -13,7 +11,6 @@ from pifmap.data import (
     read_csv,
     schema_of,
     write_csv,
-    write_manifest,
 )
 from pifmap.dimension import Dimension, parse_unit
 from pifmap.errors import (
@@ -142,19 +139,3 @@ class TestCsvRoundTrip:
 class TestManifest:
     def test_path_derivation(self):
         assert manifest_path_for("runs/x.csv") == "runs/x.manifest.json"
-
-    def test_round_trip_and_format(self, tmp_path):
-        path = tmp_path / "d.manifest.json"
-        provenance = {"seed": 3, "generator": "toy", "ranges": {"v": [0, 1]}}
-        write_manifest(provenance, path)
-        text = path.read_text(encoding="utf-8")
-        assert text.endswith("\n")
-        assert json.loads(text) == provenance
-        # keys are sorted for byte determinism
-        assert text.index('"generator"') < text.index('"ranges"') < text.index('"seed"')
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_value_is_not_written(self, tmp_path, value):
-        # strict JSON has no NaN or Infinity
-        with pytest.raises(ValueError):
-            write_manifest({"noise": {"level": value}}, tmp_path / "m.json")
