@@ -34,7 +34,6 @@ from .regression import (
     RidgeModel,
     classify,
     fit_standardized,
-    gram_matrix,
     ridge_fit,
     ridge_predict,
     select_lambda,
@@ -87,7 +86,6 @@ __all__ = [
     "gen_bernoulli",
     "gen_binary",
     "gen_pulsar",
-    "gram_matrix",
     "greedy_select",
     "load_catalog",
     "mae",

@@ -691,9 +691,9 @@ def _power(base: np.ndarray, exponent: int, monomial: int) -> np.ndarray:
     return base ** exponent
 
 
-# evaluate_map works through the table this many rows at a time, so that a
-# block's powers and its rows of the output stay in cache while its columns
-# are written.
+# evaluate_map works through the table this many rows at a time, so that no
+# cached power is longer than a block; each output column of a block is
+# contiguous, so a monomial is computed in place where it is stored.
 _BLOCK_ROWS = 8192
 
 
@@ -742,10 +742,10 @@ def _evaluate_rows(spec: FeatureMapSpec, plan, X: np.ndarray, out: np.ndarray) -
     # that uses it, so no zero is ever cached.
     powers: dict[_Factor, np.ndarray] = {}
     uses_left = Counter(uses)
-    value = np.empty(X.shape[0], dtype=float)  # one buffer, copied into each column
     # overflow is reported as NonFiniteResult below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for j, (row_factors, scale) in enumerate(zip(factors, scales)):
+            value = out[:, j]  # contiguous: out is Fortran-ordered
             value.fill(1.0)
             for key in row_factors:
                 power = powers.pop(key, None)
@@ -764,11 +764,10 @@ def _evaluate_rows(spec: FeatureMapSpec, plan, X: np.ndarray, out: np.ndarray) -
                     row=int(bad[0]),
                     monomial=j,
                 )
-            out[:, j] = value
 
 
 def evaluate_map(spec: FeatureMapSpec, dataset: Dataset) -> np.ndarray:
-    """Evaluate every monomial on every row; returns an ``n x p`` matrix.
+    """Evaluate every monomial on every row; an ``n x p`` array in Fortran order.
 
     Factors multiply in declared order (columns, then constants, then the
     sign) so results are bit-reproducible.  Zero raised to a negative
@@ -788,7 +787,7 @@ def evaluate_map(spec: FeatureMapSpec, dataset: Dataset) -> np.ndarray:
     """
     _check_schema(spec, dataset)
     n = dataset.n_rows
-    out = np.empty((n, len(spec)), dtype=float)
+    out = np.empty((n, len(spec)), dtype=float, order="F")
     plan = _factor_plan(spec)
     try:
         for start in range(0, n, _BLOCK_ROWS):

@@ -27,6 +27,15 @@ the cheapest call that gives the same bits: ``mean(y)`` is one pairwise
 sum and one division (``np.mean``'s own steps) and a vector norm is
 ``math.sqrt(v @ v)`` (``np.linalg.norm``'s, for a real vector).
 
+A fit's design stays column-major up to the Gram.  :func:`standardize_fit` centers
+into an array of its input's layout and scales a column-major one there,
+so the Fortran-ordered design that
+:func:`~pifmap.featuremap.evaluate_map` returns is standardized without a
+transposing copy; a row-major design is scaled into a new Fortran-ordered
+array.  Either way the means and scales equal ``X.mean(axis=0)`` and
+``X.std(axis=0)`` bit for bit for the array as passed, and ``Z`` never
+shares memory with it.
+
 :func:`select_lambda` forms the training Gram ``Z'Z``, the right-hand side
 and ``mean(y)`` once per grid and adds each ``lambda I`` to that one Gram,
 the same floating-point operations :func:`ridge_fit` runs on its own, so
@@ -66,7 +75,6 @@ __all__ = [
     "ridge_predict",
     "fit_standardized",
     "select_lambda",
-    "gram_matrix",
     "classify",
     "model_to_dict",
     "model_from_dict",
@@ -133,11 +141,15 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
     column whose values are too large for its variance to be finite raises
     :class:`~pifmap.errors.NonFiniteResult`.
 
-    The matrix is centered once.  The means are taken by the steps of
-    ``np.mean`` (sum over rows, divide by ``n``) and the scales from the
-    centered matrix by those of ``np.std`` (square, sum over rows, divide
-    by ``n``, square root), so they equal ``X.mean(axis=0)`` and
-    ``X.std(axis=0)`` bit for bit.
+    The matrix is centered once, into an array of the input's layout.  The
+    means are taken by the steps of ``np.mean`` (sum over rows, divide by
+    ``n``) and the scales from the centered matrix by those of ``np.std``
+    (square, sum over rows, divide by ``n``, square root), so they equal
+    ``X.mean(axis=0)`` and ``X.std(axis=0)`` bit for bit for the array as
+    passed.  ``Z`` is Fortran-ordered and never shares memory with ``X``:
+    a column-major design, such as :func:`~pifmap.featuremap.evaluate_map`
+    returns, is scaled in place in its centered copy, and a row-major one
+    is scaled into a new Fortran-ordered array.
     """
     X = _check_matrix(X)
     n = X.shape[0]
@@ -172,8 +184,9 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
     )
     # Z is Fortran-ordered, as the gather X[:, kept] returns it, because the
     # Gram, Z'y and the predictions round according to that layout
-    Z = np.divide(centered, scales, out=np.empty(centered.shape, order="F"))
-    return Z, params
+    out = (centered if centered.flags.f_contiguous
+           else np.empty(centered.shape, order="F"))
+    return np.divide(centered, scales, out=out), params
 
 
 def standardize_apply(X: np.ndarray, params: StandardizationParams) -> np.ndarray:
@@ -395,19 +408,6 @@ def select_lambda(
         if best_mse is None or mse < best_mse or (mse == best_mse and lam > best_lam):
             best_mse, best_lam = mse, lam
     return best_lam
-
-
-def gram_matrix(Phi: np.ndarray) -> np.ndarray:
-    """Inner-product (Gram) matrix ``Phi @ Phi.T``, exactly symmetric.
-
-    The strict upper triangle is computed once and mirrored, so
-    ``K == K.T`` holds bitwise.
-    """
-    Phi = _check_matrix(Phi, "Phi")
-    K = Phi @ Phi.T
-    i_lower = np.tril_indices(K.shape[0], k=-1)
-    K[i_lower] = K.T[i_lower]
-    return K
 
 
 def classify(scores: np.ndarray, threshold: float = 0.5) -> np.ndarray:

@@ -381,6 +381,7 @@ class TestEvaluateMap:
         # two and a half blocks: the last block is short
         spec, data = _shared_power_case(tag, n=5 * featuremap._BLOCK_ROWS // 2)
         Phi = evaluate_map(spec, data)
+        assert Phi.flags.f_contiguous
         assert Phi.tobytes() == _per_monomial_reference(spec, data).tobytes()
 
     def test_block_errors_name_the_first_failing_monomial_of_the_table(self):

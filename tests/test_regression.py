@@ -25,7 +25,6 @@ from pifmap.regression import (
     DEFAULT_LAMBDA_GRID,
     classify,
     fit_standardized,
-    gram_matrix,
     model_from_dict,
     model_to_dict,
     ridge_fit,
@@ -86,17 +85,26 @@ class TestStandardize:
         with pytest.raises(InsufficientData):
             standardize_fit(np.array([[1.0, 2.0]]))
 
-    @pytest.mark.parametrize("layout", ["C", "F", "column-view", "row-view"])
-    @pytest.mark.parametrize("constant_column", [None, 2])
-    def test_bitwise_equal_to_the_two_pass_formulas(self, layout,
-                                                    constant_column):
+    @staticmethod
+    def _design(layout, constant_column=None):
         rng = np.random.Generator(np.random.PCG64(17))
         X = (rng.standard_normal((2001, 6)) * [1e-3, 1.0, 7.0, 1e4, 0.3, 2e6]
              + [5.0, -2.0, 1e3, 0.0, 9.0, -4e6])
         if constant_column is not None:
             X[:, constant_column] = 3.25
-        X = {"C": X, "F": np.asfortranarray(X), "column-view": X[:, 1:],
-             "row-view": X[::3]}[layout]
+        # "F-row-slice" is what the fit path passes: the training rows of
+        # the Fortran-ordered design evaluate_map returns
+        return {"C": X, "F": np.asfortranarray(X), "column-view": X[:, 1:],
+                "row-view": X[::3],
+                "F-row-slice": np.asfortranarray(X)[:1500]}[layout]
+
+    LAYOUTS = ["C", "F", "column-view", "row-view", "F-row-slice"]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("constant_column", [None, 2])
+    def test_bitwise_equal_to_the_two_pass_formulas(self, layout,
+                                                    constant_column):
+        X = self._design(layout, constant_column)
         X_new = X[:700] * 1.5
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DroppedColumnWarning)
@@ -122,6 +130,21 @@ class TestStandardize:
         Z = standardize_apply(X, params)
         assert not np.shares_memory(Z, X)
         assert X.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("constant_column", [None, 2])
+    def test_never_changes_or_shares_the_callers_array(self, layout,
+                                                       constant_column):
+        X = self._design(layout, constant_column)
+        memory = X if X.base is None else X.base  # all of a view's array
+        before = memory.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DroppedColumnWarning)
+            Z, params = standardize_fit(X)
+        applied = standardize_apply(X, params)
+        for result in (Z, applied, params.means, params.scales):
+            assert not np.shares_memory(result, memory)
+        assert memory.tobytes() == before
 
     def test_overflowing_scale_is_a_numerical_error(self):
         X = np.column_stack([np.arange(10.0), np.arange(1.0, 11.0) * 1e200])
@@ -441,23 +464,6 @@ class TestSelectLambda:
     def test_no_columns_picks_the_largest_value(self):
         y = np.arange(10.0)
         assert select_lambda(np.empty((10, 0)), y, (1e-3, 1e-1, 1e-2)) == 1e-1
-
-
-class TestGram:
-    def test_matches_definition(self):
-        Phi = np.random.default_rng(2).random((6, 3))
-        G = gram_matrix(Phi)
-        np.testing.assert_allclose(G, Phi @ Phi.T, rtol=1e-12)
-
-    def test_bitwise_symmetric(self):
-        Phi = np.random.default_rng(4).random((40, 7))
-        G = gram_matrix(Phi)
-        assert np.array_equal(G, G.T)
-
-    def test_positive_semidefinite(self):
-        Phi = np.random.default_rng(6).random((15, 4))
-        eigenvalues = np.linalg.eigvalsh(gram_matrix(Phi))
-        assert eigenvalues.min() >= -1e-10 * max(eigenvalues.max(), 1.0)
 
 
 class TestClassify:
