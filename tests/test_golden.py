@@ -16,6 +16,18 @@ digit or byte fails here.  There are two exceptions:
   standardization.  The two fits agree in exact arithmetic; only values
   under ``coefficients`` and ``median_coefficients`` moved, by at most
   2.5e-13 relative, and every other key and file is unchanged.
+- The summation order of the column means and scales: the twelve files
+  under ``fit/``, ``rank/``, ``fit_wide/`` and the ``per_seed.csv`` and
+  ``report.json`` of ``reproduce/bernoulli``, ``reproduce/pulsar`` and
+  ``reproduce_order/bernoulli`` were re-pinned when ``evaluate_map``
+  began to return a Fortran-ordered design, whose column sums numpy takes
+  pairwise along each contiguous column rather than row by row.  Only
+  float values moved (means, scales, weights, coefficients, error-curve
+  and metric values): by at most 2.2e-10 relative, on near-cancelling
+  weights in ``fit/model.json`` and on the small residual errors of the
+  ``rank`` curve, and by at most 2.5e-13 relative in the ``reproduce``
+  reports.  Every lambda, column list, order, selection, ``report.md``
+  and every other file is unchanged.
 
 - ``reproduce all --seeds 1:3 --n 200 --csv-only``: the nine report files
   under ``golden/reproduce/<experiment>/``.
