@@ -27,14 +27,11 @@ the cheapest call that gives the same bits: ``mean(y)`` is one pairwise
 sum and one division (``np.mean``'s own steps) and a vector norm is
 ``math.sqrt(v @ v)`` (``np.linalg.norm``'s, for a real vector).
 
-A fit's design stays column-major up to the Gram.  :func:`standardize_fit` centers
-into an array of its input's layout and scales a column-major one there,
-so the Fortran-ordered design that
-:func:`~pifmap.featuremap.evaluate_map` returns is standardized without a
-transposing copy; a row-major design is scaled into a new Fortran-ordered
-array.  Either way the means and scales equal ``X.mean(axis=0)`` and
-``X.std(axis=0)`` bit for bit for the array as passed, and ``Z`` never
-shares memory with it.
+A fit's design stays column-major from
+:func:`~pifmap.featuremap.evaluate_map` to the Gram: :func:`standardize_fit`
+scales a Fortran-ordered design in its centered copy, with no transposing
+copy, and its means and scales equal ``X.mean(axis=0)`` and
+``X.std(axis=0)`` bit for bit for the array as passed.
 
 :func:`select_lambda` forms the training Gram ``Z'Z``, the right-hand side
 and ``mean(y)`` once per grid and adds each ``lambda I`` to that one Gram,
@@ -141,15 +138,14 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
     column whose values are too large for its variance to be finite raises
     :class:`~pifmap.errors.NonFiniteResult`.
 
-    The matrix is centered once, into an array of the input's layout.  The
-    means are taken by the steps of ``np.mean`` (sum over rows, divide by
-    ``n``) and the scales from the centered matrix by those of ``np.std``
-    (square, sum over rows, divide by ``n``, square root), so they equal
-    ``X.mean(axis=0)`` and ``X.std(axis=0)`` bit for bit for the array as
-    passed.  ``Z`` is Fortran-ordered and never shares memory with ``X``:
-    a column-major design, such as :func:`~pifmap.featuremap.evaluate_map`
-    returns, is scaled in place in its centered copy, and a row-major one
-    is scaled into a new Fortran-ordered array.
+    The matrix is centered once, into an array of the input's layout; a
+    column-major design is scaled in that array, with no transposing copy,
+    and a row-major one into a new Fortran-ordered ``Z``.  ``Z`` never
+    shares memory with ``X``.  The means are taken by the steps of
+    ``np.mean`` (sum over rows, divide by ``n``) and the scales from the
+    centered matrix by those of ``np.std`` (square, sum over rows, divide
+    by ``n``, square root), so they equal ``X.mean(axis=0)`` and
+    ``X.std(axis=0)`` bit for bit for the array as passed.
     """
     X = _check_matrix(X)
     n = X.shape[0]
