@@ -39,7 +39,8 @@ def test_identical_trees_print_nothing(tmp_path, capsys):
 
 
 def test_float_differences_are_listed_with_their_relative_change(tmp_path, capsys):
-    document = dict(OLD_JSON, weights=[1.25, -3.000000000003], nested={"0.1": {"x": 2.5}})
+    document = dict(OLD_JSON, weights=[1.25, -3.000000000003],
+                    nested={"0.1": {"x": 2.5}})
     status, lines = _run(tmp_path, capsys, document=document,
                          table="k,mae,label\n1,0.5,a\n2,2e-06,\n")
     assert status == 0
@@ -74,7 +75,8 @@ def test_json_layout_change_exits_1(tmp_path, capsys):
     new = _tree(tmp_path / "new")
     (new / "sub" / "model.json").write_text(json.dumps(OLD_JSON))
     assert _golden_diff().main([str(old), str(new)]) == 1
-    assert capsys.readouterr().out == "sub/model.json: layout differs outside the numbers\n"
+    out = capsys.readouterr().out
+    assert out == "sub/model.json: layout differs outside the numbers\n"
 
 
 def test_a_file_in_one_tree_only_exits_1(tmp_path, capsys):
