@@ -12,7 +12,9 @@ file that cannot be read or parsed (a bad unit, a repeated or invalid column
 or constant name, the wrong shape) and any output path that cannot be
 written; 4 enumeration budget exhausted; 5 numerical failure.  Each error
 class carries its code (``PifmapError.exit_code``), and every failure prints
-one ``pifmap: error:`` line.
+one ``pifmap: error:`` line.  Each distinct warning message prints one
+``pifmap: warning:`` line, whatever the warnings filters say, and leaves the
+exit code as it is.
 
 Environment override: ``PIFMAP_LAMBDA_GRID`` (comma-separated floats)
 replaces the default grid used by ``fit --select``.
@@ -26,6 +28,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -371,10 +374,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         budget=args.budget,
     )
     if not len(exponents):
-        print(
-            f"pifmap: warning: no combination of {list(schema.names)} reaches "
-            f"[{target}] within the bounds",
-            file=sys.stderr,
+        warnings.warn(
+            f"no combination of {list(schema.names)} reaches [{target}] within the bounds"
         )
     spec = FeatureMapSpec(
         name=args.name,
@@ -642,23 +643,28 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-        # looked up per call, not bound into the cached parser
-        return globals()[f"_cmd_{args.command}"](args)
-    except SystemExit as exc:  # argparse's --help
-        return int(exc.code or 0)
-    except PifmapError as exc:
-        _fail(str(exc))
-        return exc.exit_code
-    except OSError as exc:
-        # Every input file is read through _parse_input, so this is a write.
-        _fail(f"cannot write {exc.filename}: {exc.strerror}")
-        return EXIT_IO
-    except MemoryError as exc:
-        # a size too large to hold; numpy's message names the allocation
-        _fail(f"out of memory: {exc}" if str(exc) else "out of memory")
-        return EXIT_USAGE
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # an "error" filter would end in a traceback
+        try:
+            args = _parser().parse_args(argv)
+            # looked up per call, not bound into the cached parser
+            return globals()[f"_cmd_{args.command}"](args)
+        except SystemExit as exc:  # argparse's --help
+            return int(exc.code or 0)
+        except PifmapError as exc:
+            _fail(str(exc))
+            return exc.exit_code
+        except OSError as exc:
+            # Every input file is read through _parse_input, so this is a write.
+            _fail(f"cannot write {exc.filename}: {exc.strerror}")
+            return EXIT_IO
+        except MemoryError as exc:
+            # a size too large to hold; numpy's message names the allocation
+            _fail(f"out of memory: {exc}" if str(exc) else "out of memory")
+            return EXIT_USAGE
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"pifmap: warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

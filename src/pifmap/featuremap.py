@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -147,19 +146,17 @@ class DerivedFeature:
     args: tuple[str, ...]
 
 
-def _reduced_mass(columns: Sequence[np.ndarray]) -> np.ndarray:
+def _reduced_mass(columns: Sequence[np.ndarray], start: int) -> np.ndarray:
     a, b = columns
     total = a + b
     if not total.all():
-        zeros = np.flatnonzero(total == 0.0)
-        raise DivisionByZero(
-            f"reduced mass undefined at row {zeros[0]} (zero total)",
-            row=int(zeros[0]),
-        )
+        row = start + int(np.flatnonzero(total == 0.0)[0])
+        raise DivisionByZero(f"reduced mass undefined at row {row} (zero total)", row=row)
     return a * b / total
 
 
-_DERIVED_KINDS: Mapping[str, Callable[[Sequence[np.ndarray]], np.ndarray]] = {
+# kind -> f(a block's argument columns, the table row of the block's first row)
+_DERIVED_KINDS: Mapping[str, Callable[[Sequence[np.ndarray], int], np.ndarray]] = {
     "reduced_mass": _reduced_mass,
 }
 _DERIVED_ARITY = {"reduced_mass": 2}
@@ -669,30 +666,32 @@ def _check_schema(spec: FeatureMapSpec, dataset: Dataset) -> None:
             )
 
 
-def _extended_columns(spec: FeatureMapSpec, X: np.ndarray) -> list[np.ndarray]:
+def _extended_columns(spec: FeatureMapSpec, X: np.ndarray, start: int) -> list[np.ndarray]:
+    """The columns of ``X``, then the derived columns; ``X`` starts at table row ``start``."""
     columns = [X[:, j] for j in range(X.shape[1])]
     by_name = {f.name: c for f, c in zip(spec.features, columns)}
     for derived in spec.derived:
         compute = _DERIVED_KINDS[derived.kind]
-        columns.append(compute([by_name[a] for a in derived.args]))
+        columns.append(compute([by_name[a] for a in derived.args], start))
     return columns
 
 
-def _power(base: np.ndarray, exponent: int, monomial: int) -> np.ndarray:
-    """``base ** exponent``; a zero under a negative exponent names ``monomial``."""
+def _power(base: np.ndarray, exponent: int, monomial: int, start: int) -> np.ndarray:
+    """``base ** exponent``; a zero under a negative exponent names ``monomial``
+    and its table row, ``base[0]`` being table row ``start``."""
     if exponent < 0 and not base.all():
-        zeros = np.flatnonzero(base == 0.0)
+        row = start + int(np.flatnonzero(base == 0.0)[0])
         raise DivisionByZero(
-            f"monomial {monomial + 1} raises a zero value to power "
-            f"{exponent} at row {zeros[0]}",
-            row=int(zeros[0]),
+            f"monomial {monomial + 1} raises a zero value to power {exponent} at row {row}",
+            row=row,
             monomial=monomial,
         )
     return base ** exponent
 
 
-# evaluate_map works through the table this many rows at a time, so that no
-# cached power is longer than a block; each output column of a block is
+# evaluate_map works through the table this many rows at a time and
+# evaluates each block once, so that no cached power is longer than a block,
+# whether the evaluation passes or fails; each output column of a block is
 # contiguous, so a monomial is computed in place where it is stored.
 _BLOCK_ROWS = 8192
 
@@ -701,8 +700,10 @@ _BLOCK_ROWS = 8192
 _Factor = tuple[int, str, int]
 
 
-def _factor_plan(spec: FeatureMapSpec) -> tuple[list[list[_Factor]], Counter, list[float]]:
-    """Each monomial's factors in column order, their use counts, and its scale.
+def _factor_plan(
+    spec: FeatureMapSpec,
+) -> tuple[list[list[_Factor]], dict[_Factor, int], list[float]]:
+    """Each monomial's factors in column order, each factor's last user, and the scales.
 
     The factors are the nonzero entries of the column block of the exponent
     matrix; the scale is the sign times the product of the constant powers,
@@ -717,7 +718,7 @@ def _factor_plan(spec: FeatureMapSpec) -> tuple[list[list[_Factor]], Counter, li
     ):
         tag = spec.transforms.get((row, column), "identity")
         factors[row].append((column, tag, exponent))
-    uses = Counter(itertools.chain.from_iterable(factors))
+    last_user = {key: j for j, row_factors in enumerate(factors) for key in row_factors}
     scales = []
     for sign, powers in zip(spec.signs.tolist(), spec.exponents[:, n_columns:].tolist()):
         scale = 1.0
@@ -725,44 +726,40 @@ def _factor_plan(spec: FeatureMapSpec) -> tuple[list[list[_Factor]], Counter, li
             if exponent != 0:
                 scale *= constant.value ** exponent
         scales.append(sign * scale)
-    return factors, uses, scales
+    return factors, last_user, scales
 
 
-def _evaluate_rows(spec: FeatureMapSpec, plan, X: np.ndarray, out: np.ndarray) -> None:
-    """Write every monomial, evaluated on the rows of ``X``, into ``out``.
+def _evaluate_rows(plan, columns, out: np.ndarray, start: int, limit: int) -> None:
+    """Write monomials ``0 .. limit - 1``, evaluated on one block, into ``out``.
 
-    An error names the first monomial that fails on these rows and its
-    row, counted from the first row of ``X``.
+    ``columns`` are the block's extended columns, starting at table row
+    ``start``.  An error names the first of these monomials that fails on
+    the block, and its table row.
     """
-    columns = _extended_columns(spec, X)
-    factors, uses, scales = plan
+    factors, last_user, scales = plan
     # (column, transform tag, exponent) -> transform(column) ** exponent,
     # kept while a later monomial still uses it.  A zero under a negative
     # exponent raises on the triple's first use, by the first monomial
     # that uses it, so no zero is ever cached.
     powers: dict[_Factor, np.ndarray] = {}
-    uses_left = Counter(uses)
     # overflow is reported as NonFiniteResult below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, (row_factors, scale) in enumerate(zip(factors, scales)):
+        for j in range(limit):
             value = out[:, j]  # contiguous: out is Fortran-ordered
             value.fill(1.0)
-            for key in row_factors:
+            for key in factors[j]:
                 power = powers.pop(key, None)
                 if power is None:
                     position, tag, exponent = key
-                    power = _power(TRANSFORM_TAGS[tag](columns[position]), exponent, j)
-                uses_left[key] -= 1
-                if uses_left[key]:  # a later monomial uses it again
+                    power = _power(TRANSFORM_TAGS[tag](columns[position]), exponent, j, start)
+                if last_user[key] > j:  # a later monomial uses it again
                     powers[key] = power
                 value *= power
-            value *= scale
+            value *= scales[j]
             if not np.isfinite(value).all():
-                bad = np.flatnonzero(~np.isfinite(value))
+                row = start + int(np.flatnonzero(~np.isfinite(value))[0])
                 raise NonFiniteResult(
-                    f"monomial {j + 1} is non-finite at row {bad[0]}",
-                    row=int(bad[0]),
-                    monomial=j,
+                    f"monomial {j + 1} is non-finite at row {row}", row=row, monomial=j
                 )
 
 
@@ -771,41 +768,43 @@ def evaluate_map(spec: FeatureMapSpec, dataset: Dataset) -> np.ndarray:
 
     Factors multiply in declared order (columns, then constants, then the
     sign) so results are bit-reproducible.  Zero raised to a negative
-    power raises :class:`~pifmap.errors.DivisionByZero` naming the row and
-    the first monomial that does so; overflow to inf raises
-    :class:`~pifmap.errors.NonFiniteResult`.
+    power raises :class:`~pifmap.errors.DivisionByZero`; overflow to inf
+    raises :class:`~pifmap.errors.NonFiniteResult`.  Either error names
+    the first monomial that fails on any row, at its table row in the
+    first block of 8,192 rows where it fails: the row of its first factor
+    that meets a zero there, or else its first non-finite row.  A derived
+    column's error (a zero total mass) is raised from the first block where
+    it occurs, before any monomial's error.
 
-    The factors and their use counts are read once from the nonzero
-    entries of the exponent matrix.  The table is evaluated in blocks of
-    8,192 rows.  Within a block, each power ``transform(column) **
-    exponent`` is computed once per block and shared by every monomial
-    that uses that (column, transform, exponent) triple; a power is kept
-    only until the last monomial that uses it and never outlives its
-    block.  Beyond the output, memory is bounded by one block: at most one
-    block-sized array per distinct triple that occurs in more than one
-    monomial.
+    The factors and each one's last user are read once from the nonzero
+    entries of the exponent matrix.  Each block is evaluated once.  Within
+    a block, each power ``transform(column) ** exponent`` is computed once
+    and shared by every monomial that uses that (column, transform,
+    exponent) triple; a power is kept only until the last monomial that
+    uses it and never outlives its block.  After a block fails, later
+    blocks evaluate only the monomials before the failing one.  Beyond the
+    output, memory is bounded by one block, whether the evaluation passes
+    or fails: at most one block-sized array per distinct triple that occurs
+    in more than one monomial.
     """
     _check_schema(spec, dataset)
     n = dataset.n_rows
     out = np.empty((n, len(spec)), dtype=float, order="F")
     plan = _factor_plan(spec)
-    try:
-        for start in range(0, n, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            _evaluate_rows(spec, plan, dataset.X[rows], out[rows])
-    except (DivisionByZero, NonFiniteResult):
-        if n <= _BLOCK_ROWS:
-            raise
-        # A block's error names the first monomial that fails in that block,
-        # at a row of the block.  One pass over the whole table raises the
-        # error of the first monomial that fails on any row, at its row in
-        # the table.
-        _evaluate_rows(spec, plan, dataset.X, out)
-        raise
+    limit, error = len(spec), None
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        columns = _extended_columns(spec, dataset.X[rows], start)
+        try:
+            _evaluate_rows(plan, columns, out[rows], start, limit)
+        except (DivisionByZero, NonFiniteResult) as exc:
+            limit, error = exc.monomial, exc
+    if error is not None:
+        raise error
     return out
 
 
-def destandardize(model, spec: FeatureMapSpec | None = None):
+def destandardize(model):
     """Map weights fitted on standardized columns back to raw-column scale.
 
     For ``z = (phi - mu) / sigma`` and a fitted affine model
@@ -825,13 +824,6 @@ def destandardize(model, spec: FeatureMapSpec | None = None):
         )
     if np.any(scales <= 0.0):
         raise ZeroScale("standardization scales must be strictly positive")
-    if spec is not None:
-        known = set(spec.monomial_names)
-        missing = [n for n in model.feature_names if n not in known]
-        if missing:
-            raise SchemaMismatch(
-                f"model columns {missing} are not monomials of spec {spec.name!r}"
-            )
     coefficients = weights / scales
     intercept = float(model.intercept - np.sum(weights * means / scales))
     return coefficients, intercept

@@ -27,7 +27,7 @@ from pifmap.cli import (
     main,
 )
 from pifmap.data import read_csv, write_csv
-from pifmap.errors import DroppedColumnWarning, InvalidRange, PifmapError
+from pifmap.errors import InvalidRange, PifmapError
 from pifmap.featuremap import spec_from_dict, spec_to_dict
 
 
@@ -41,6 +41,16 @@ def bernoulli_csv(tmp_path):
     assert run("synth", "bernoulli", "--n", "200", "--seed", "3",
                "--out", str(path)) == EXIT_OK
     return path
+
+
+# the warning line for a bernoulli table whose column 6, h, is constant
+_DROPPED_H = "pifmap: warning: dropping constant columns [6] (zero variance)"
+
+
+def _hold_h_constant(path):
+    dataset = read_csv(path)
+    dataset.X[:, dataset.schema.index("h")] = 2.5
+    write_csv(dataset, path)
 
 
 @pytest.fixture()
@@ -189,7 +199,8 @@ class TestEnumerate:
         assert run("enumerate", "--schema", str(schema), "--target", "kg",
                    "--max-exponent", "2") == EXIT_OK
         captured = capsys.readouterr()
-        assert "warning" in captured.err
+        assert captured.err.splitlines() == [
+            "pifmap: warning: no combination of ['t'] reaches [kg] within the bounds"]
         assert json.loads(captured.out)["monomials"] == []
 
     def test_budget_exhaustion(self, tmp_path):
@@ -310,19 +321,25 @@ class TestFit:
         assert run("fit", "--data", str(bernoulli_csv), "--raw", "--select",
                    "--out", str(tmp_path / "m.json")) == EXIT_USAGE
 
-    def test_select_warns_once_about_a_dropped_column(self, bernoulli_csv, tmp_path):
-        dataset = read_csv(bernoulli_csv)
-        dataset.X[:, dataset.schema.index("h")] = 2.5
-        write_csv(dataset, bernoulli_csv)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert run("fit", "--data", str(bernoulli_csv), "--raw", "--select",
-                       "--out", str(tmp_path / "m.json")) == EXIT_OK
-        dropped = [w for w in caught if issubclass(w.category, DroppedColumnWarning)]
-        assert len(dropped) == 1
-        assert "[6]" in str(dropped[0].message)
+    def test_select_warns_once_about_a_dropped_column(self, bernoulli_csv, tmp_path,
+                                                      capsys):
+        _hold_h_constant(bernoulli_csv)
+        capsys.readouterr()
+        assert run("fit", "--data", str(bernoulli_csv), "--raw", "--select",
+                   "--out", str(tmp_path / "m.json")) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [_DROPPED_H]
         document = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
         assert document["dropped_columns"] == [6]
+
+    def test_a_warning_is_one_line_under_an_error_filter(self, bernoulli_csv, tmp_path,
+                                                         capsys):
+        _hold_h_constant(bernoulli_csv)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("fit", "--data", str(bernoulli_csv), "--raw",
+                       "--out", str(tmp_path / "m.json")) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [_DROPPED_H]
 
     def test_dimensionally_inconsistent_spec_is_usage_error(
             self, bernoulli_csv, bernoulli_spec, tmp_path, capsys):
@@ -1107,14 +1124,14 @@ class TestCorruptedInputs:
                 argv = [command, "--data", paths["dataset"], "--spec", paths["spec"],
                         "--out", os.path.join(base, "out.json")]
             stderr = io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+            with contextlib.redirect_stderr(stderr), \
                     contextlib.redirect_stdout(io.StringIO()):
-                warnings.simplefilter("ignore")
                 code = main(argv)
         err = stderr.getvalue()
         assert code in {EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERICAL}
         assert "Traceback" not in err
-        lines = err.splitlines()
+        lines = [line for line in err.splitlines()
+                 if not line.startswith("pifmap: warning: ")]
         assert len(lines) <= 1
         assert all(line.startswith("pifmap: error: ") for line in lines)
 
@@ -1225,16 +1242,17 @@ class TestNumericOptionValues:
             # one argument, so that a negative value is not taken for an option
             argv.append(f"{option}={text}")
             stderr = io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+            with contextlib.redirect_stderr(stderr), \
                     contextlib.redirect_stdout(io.StringIO()):
-                warnings.simplefilter("ignore", DroppedColumnWarning)
-                warnings.simplefilter("error", RuntimeWarning)  # from numpy
                 code = main(argv)
             wrote = os.path.exists(out)
+        # a dropped constant column is the one warning a value may cause
+        lines = [line for line in stderr.getvalue().splitlines()
+                 if not line.startswith("pifmap: warning: dropping constant columns ")]
         if expected is None:
-            assert (code, stderr.getvalue()) == (EXIT_OK, "")
+            assert (code, lines) == (EXIT_OK, [])
         else:
-            assert (code, stderr.getvalue().splitlines()) == (EXIT_USAGE, [expected])
+            assert (code, lines) == (EXIT_USAGE, [expected])
             assert not wrote
 
 

@@ -37,7 +37,7 @@ from pifmap.featuremap import (
     spec_to_dict,
 )
 from pifmap.regression import fit_standardized, ridge_predict, standardize_apply
-from pifmap.synthdata import gen_bernoulli, gen_pulsar
+from pifmap.synthdata import gen_bernoulli, gen_binary, gen_pulsar
 
 KG = parse_unit("kg")
 M_PER_S = parse_unit("m/s")
@@ -423,6 +423,46 @@ class TestEvaluateMap:
             tracemalloc.stop()
         assert Phi.nbytes == output_bytes
         assert peak < 1.1 * output_bytes
+
+    def test_a_failing_table_stays_within_one_block_of_memory(self):
+        # a zero omega in the last block fails monomial 7 (m r^2 omega^-3)
+        spec = load_catalog("pulsar", allow_inconsistent=True)
+        data = gen_pulsar(200_000, 5)
+        data.X[199_000, 2] = 0.0
+        output_bytes = data.n_rows * len(spec) * 8
+        tracemalloc.start()
+        try:
+            with pytest.raises(DivisionByZero) as info:
+                evaluate_map(spec, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (info.value.monomial, info.value.row) == (6, 199_000)
+        assert peak < 1.1 * output_bytes
+
+    def test_a_derived_column_error_in_a_later_block_comes_first(self):
+        # r = 0 fails monomial 2 (-G m1 m2 / r) in the first block; the zero
+        # total mass in the second block is the error raised
+        spec = load_catalog("binary")
+        data = gen_binary(2 * featuremap._BLOCK_ROWS, 1)
+        data.X[5, 3] = 0.0
+        row = featuremap._BLOCK_ROWS + 3
+        data.X[row, :2] = (1.0, -1.0)
+        with pytest.raises(DivisionByZero) as info:
+            evaluate_map(spec, data)
+        assert (info.value.monomial, info.value.row) == (None, row)
+        assert str(info.value) == f"reduced mass undefined at row {row} (zero total)"
+
+    def test_a_monomial_failing_two_ways_names_its_first_failing_block(self):
+        # monomial 4 (m^2 v^4 E^-1) overflows on a subnormal E in the first
+        # block and meets a zero E in the second; the first block's error
+        # is the one raised
+        spec, data = _shared_power_case(None, n=2 * featuremap._BLOCK_ROWS)
+        data.X[7, 2] = 1e-310
+        data.X[featuremap._BLOCK_ROWS + 5, 2] = 0.0
+        with pytest.raises(NonFiniteResult) as info:
+            evaluate_map(spec, data)
+        assert (info.value.monomial, info.value.row) == (3, 7)
 
     def test_hand_oracle_row(self):
         # m v^2, E, m^2 v^4 / E at (m, v, E) = (2, 3, 5)
@@ -964,14 +1004,6 @@ class TestDestandardize:
             model, standardize_apply(X, model.standardization)
         )
         np.testing.assert_allclose(direct, via_model, rtol=1e-10)
-
-    def test_spec_guard(self):
-        rng = np.random.Generator(np.random.PCG64(6))
-        X = rng.random((30, 2))
-        y = X[:, 0]
-        model, _ = fit_standardized(X, y, 1e-3, feature_names=["bogus", "pif_1"])
-        with pytest.raises(SchemaMismatch):
-            destandardize(model, _mve_spec())
 
 
 class TestSpecSerialization:
