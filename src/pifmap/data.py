@@ -5,6 +5,20 @@ header cells are ``name[unit]``; the label column is last and named
 ``label``.  Cell values are written with ``repr(float)``, which Python
 guarantees to round-trip bit-exactly, so write -> read is lossless.
 Generator provenance travels in a JSON sidecar, not in the CSV.
+
+Both directions move a block of ``_BLOCK_ROWS`` rows at a time, with no
+Python code run per cell.  :func:`write_csv` turns each block into a list
+of rows (``tolist``) and writes that block's text, so it never holds the
+whole file's text.  :func:`read_csv` checks each line's comma count, then
+parses a block's cells with ``float`` in one ``np.fromiter`` pass into a
+preallocated ``(n, k + 1)`` row-major array; beyond the file's text, its
+lines and that array it holds one block's cell strings, fewer bytes than
+a list of the whole table's rows.  A block that fails (a bad cell, a
+wrong cell count, or a PEP 515 underscore, which ``float`` would accept)
+is scanned again line by line only to name the file line and column of
+its first bad cell.  ``X`` and ``y`` are views of the row-major array and
+stay so: code that sums a column of ``X`` (the ``sf`` arm, ``fit --raw``)
+adds in the order this layout gives.
 """
 
 from __future__ import annotations
@@ -30,6 +44,8 @@ __all__ = [
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _HEADER_RE = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\[(?P<unit>[^\[\]]+)\]$")
+# Rows per block when writing and reading a CSV.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -142,13 +158,12 @@ def write_csv(dataset: Dataset, path) -> None:
         f"{f.name}[{format_unit(f.dimension)}]" for f in dataset.schema.features
     ]
     header.append(f"label[{format_unit(dataset.label_dimension)}]")
-    lines = [",".join(header)]
-    for i in range(dataset.n_rows):
-        cells = [repr(float(v)) for v in dataset.X[i]]
-        cells.append(repr(float(dataset.y[i])))
-        lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, dataset.n_rows, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            block = np.column_stack((dataset.X[rows], dataset.y[rows])).tolist()
+            fh.write("\n".join([",".join(map(repr, row)) for row in block]) + "\n")
 
 
 def _parse_header_cell(cell: str, position: int) -> tuple[str, Dimension]:
@@ -161,11 +176,12 @@ def _parse_header_cell(cell: str, position: int) -> tuple[str, Dimension]:
 
 
 def _is_number(cell: str) -> bool:
+    """Whether ``float`` parses ``cell`` without PEP 515 digit-group underscores."""
     try:
         float(cell)
     except ValueError:
         return False
-    return True
+    return "_" not in cell
 
 
 def _parse_header(path, line: str | None) -> tuple[FeatureSchema, Dimension]:
@@ -191,29 +207,66 @@ def read_schema(path) -> FeatureSchema:
     return _parse_header(path, header)[0]
 
 
-def read_csv(path) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [line for line in fh.read().split("\n") if line.strip()]
-    schema, label_dim = _parse_header(path, lines[0] if lines else None)
-    names = (*schema.names, "label")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+def _block_values(block: list[str], width: int) -> np.ndarray | None:
+    """The cells of ``block``'s lines as floats, or ``None`` if a line is malformed."""
+    if any(line.count(",") != width - 1 for line in block):
+        return None
+    try:
+        values = np.fromiter(
+            map(float, ",".join(block).split(",")), float, len(block) * width
+        )
+    except ValueError:
+        return None
+    return values.reshape(len(block), width)
+
+
+def _first_bad_line(path, names, lines: list[str], start: int) -> SchemaMismatch:
+    """The error for the first malformed line of ``lines``, which starts at
+    file line ``start + 1``."""
+    for lineno, line in enumerate(lines, start=start + 1):
+        if not line.strip():
+            continue
         values = line.split(",")
         if len(values) != len(names):
-            raise SchemaMismatch(
+            return SchemaMismatch(
                 f"{path}:{lineno}: expected {len(names)} cells, got {len(values)}"
             )
-        try:
-            rows.append([float(v) for v in values])
-        except ValueError:
-            column, cell = next(
-                (name, v) for name, v in zip(names, values) if not _is_number(v)
-            )
-            raise SchemaMismatch(
-                f"{path}:{lineno}: column {column!r} holds {cell!r}, "
-                f"which is not a number"
-            ) from None
-    data = np.asarray(rows, dtype=float).reshape(len(rows), len(names))
+        for name, cell in zip(names, values):
+            if not _is_number(cell):
+                return SchemaMismatch(
+                    f"{path}:{lineno}: column {name!r} holds {cell!r}, "
+                    f"which is not a number"
+                )
+    raise AssertionError("no malformed line in a block that failed to parse")
+
+
+def read_csv(path) -> Dataset:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    top = next((i for i, line in enumerate(lines) if line.strip()), None)
+    schema, label_dim = _parse_header(path, None if top is None else lines[top])
+    names = (*schema.names, "label")
+    # Every line before the header is blank, so the rows are the lines that
+    # are neither blank nor the header.
+    n = len(lines) - lines.count("") - sum(map(str.isspace, lines)) - 1
+    # ``float`` accepts PEP 515 digit groups ("1_0"); the body after the
+    # header must hold none, so the block with the first one fails.
+    body = sum(map(len, lines[: top + 1])) + top + 1
+    underscore = text.find("_", body)
+    bad = -1 if underscore < 0 else text.count("\n", 0, underscore)
+    data = np.empty((n, len(names)))
+    row = 0
+    for start in range(top + 1, len(lines), _BLOCK_ROWS):
+        chunk = lines[start:start + _BLOCK_ROWS]
+        block = list(filter(str.strip, chunk))
+        if (
+            start <= bad < start + _BLOCK_ROWS
+            or (values := _block_values(block, len(names))) is None
+        ):
+            raise _first_bad_line(path, names, chunk, start)
+        data[row:row + len(block)] = values
+        row += len(block)
     return Dataset(
         schema=schema,
         X=data[:, :-1],

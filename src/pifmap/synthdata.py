@@ -12,6 +12,12 @@ Labels come out noiseless and unscaled, in the unit the dataset declares;
 relative uniform noise is applied separately by :func:`add_noise` with its
 own seed so feature and noise streams never alias.  Classification labels
 are hard signs and are never noised.
+
+Each generator maps its uniform block to columns in :func:`_draw_columns`,
+which frees the block before labels are built, and fills its C-contiguous
+feature matrix a block of rows at a time in :func:`_stack_columns`: the
+same bits as ``np.column_stack`` of the columns, without its
+column-strided writes across the whole matrix.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ __all__ = [
 ]
 
 _RNG_NAME = "PCG64"
+# Rows per block when stacking generated columns into a feature matrix.
+_STACK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -131,11 +139,32 @@ class NoiseConfig:
             )
 
 
-def _uniform_block(seed: int, n: int, columns: int) -> np.ndarray:
+def _draw_columns(seed: int, n: int, *ranges: Range) -> list[np.ndarray]:
+    """One column per range, in order, mapped from one uniform ``(n, k)`` block.
+
+    The block is freed on return, before the caller builds its labels and
+    feature matrix.
+    """
     if n < 1:
         raise InvalidRange(f"n must be at least 1, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.random((n, columns))
+    u = rng.random((n, len(ranges)))
+    return [r.map_uniform(u[:, j]) for j, r in enumerate(ranges)]
+
+
+def _stack_columns(columns: list[np.ndarray]) -> np.ndarray:
+    """``np.column_stack(columns)`` of equal-length 1-d columns, bit for bit.
+
+    Each block of rows is written across every column before the next, so
+    the rows being written stay in cache.
+    """
+    n = columns[0].shape[0]
+    out = np.empty((n, len(columns)))
+    for start in range(0, n, _STACK_ROWS):
+        rows = slice(start, start + _STACK_ROWS)
+        for j, column in enumerate(columns):
+            out[rows, j] = column[rows]
+    return out
 
 
 @functools.cache
@@ -163,14 +192,9 @@ def gen_bernoulli(
     Feature draw order: p, rho, v, Q, A, mu, h.  Only the first three
     features and h enter the label; Q, A and mu are distractors.
     """
-    u = _uniform_block(seed, n, 7)
-    p = ranges.p.map_uniform(u[:, 0])
-    rho = ranges.rho.map_uniform(u[:, 1])
-    v = ranges.v.map_uniform(u[:, 2])
-    q = ranges.Q.map_uniform(u[:, 3])
-    a = ranges.A.map_uniform(u[:, 4])
-    mu = ranges.mu.map_uniform(u[:, 5])
-    h = ranges.h.map_uniform(u[:, 6])
+    p, rho, v, q, a, mu, h = _draw_columns(
+        seed, n, ranges.p, ranges.rho, ranges.v, ranges.Q, ranges.A, ranges.mu, ranges.h
+    )
     g = STANDARD_CONSTANTS["g"].value
     y = p + 0.5 * rho * v ** 2 + rho * g * h
     schema, label_dimension = _units((
@@ -184,7 +208,7 @@ def gen_bernoulli(
     ), "Pa")
     return Dataset(
         schema=schema,
-        X=np.column_stack([p, rho, v, q, a, mu, h]),
+        X=_stack_columns([p, rho, v, q, a, mu, h]),
         y=y,
         label_dimension=label_dimension,
         provenance={
@@ -210,12 +234,9 @@ def gen_pulsar(
     ``-2*pi*B^2*r^6*omega^4*sin(alpha)^2 / (3*mu0*c^3)`` in watts,
     unscaled.
     """
-    u = _uniform_block(seed, n, 5)
-    r = ranges.r.map_uniform(u[:, 0])
-    b = ranges.B.map_uniform(u[:, 1])
-    omega = ranges.omega.map_uniform(u[:, 2])
-    alpha = ranges.alpha.map_uniform(u[:, 3])
-    m = ranges.m.map_uniform(u[:, 4])
+    r, b, omega, alpha, m = _draw_columns(
+        seed, n, ranges.r, ranges.B, ranges.omega, ranges.alpha, ranges.m
+    )
     period = 2.0 * math.pi / omega
     inertia = 0.4 * m * r ** 2
     energy = 0.5 * inertia * omega ** 2
@@ -237,7 +258,7 @@ def gen_pulsar(
     ), "W")
     return Dataset(
         schema=schema,
-        X=np.column_stack([r, b, omega, alpha, period, m, inertia, energy]),
+        X=_stack_columns([r, b, omega, alpha, period, m, inertia, energy]),
         y=y,
         label_dimension=label_dimension,
         provenance={
@@ -261,11 +282,7 @@ def gen_binary(
     1 when E < 0 (bound), 0 otherwise, for every row.  Labels are exact
     signs and must never be noised.
     """
-    u = _uniform_block(seed, n, 4)
-    m1 = ranges.m1.map_uniform(u[:, 0])
-    m2 = ranges.m2.map_uniform(u[:, 1])
-    v = ranges.v.map_uniform(u[:, 2])
-    r = ranges.r.map_uniform(u[:, 3])
+    m1, m2, v, r = _draw_columns(seed, n, ranges.m1, ranges.m2, ranges.v, ranges.r)
     g_newton = STANDARD_CONSTANTS["G"].value
     energy = 0.5 * (m1 * m2 / (m1 + m2)) * v ** 2 - g_newton * m1 * m2 / r
     y = (energy < 0.0).astype(float)
@@ -285,7 +302,7 @@ def gen_binary(
     ), "1")
     return Dataset(
         schema=schema,
-        X=np.column_stack([m1, m2, v, r]),
+        X=_stack_columns([m1, m2, v, r]),
         y=y,
         label_dimension=label_dimension,
         provenance={

@@ -712,6 +712,20 @@ class TestMalformedDocuments:
             "column 'rho' holds 'abc', which is not a number"
         ]
 
+    def test_digit_group_underscore_cell_exits_3(self, bernoulli_csv, tmp_path, capsys):
+        lines = bernoulli_csv.read_text(encoding="utf-8").split("\n")
+        cells = lines[3].split(",")
+        cells[1] = "1_0"
+        lines[3] = ",".join(cells)
+        bernoulli_csv.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run("fit", "--data", str(bernoulli_csv), "--raw",
+                   "--out", str(tmp_path / "m.json")) == EXIT_IO
+        assert capsys.readouterr().err.splitlines() == [
+            f"pifmap: error: malformed dataset {bernoulli_csv}: {bernoulli_csv}:4: "
+            "column 'rho' holds '1_0', which is not a number"
+        ]
+
 
 def _enumerate_to_missing_dir(tmp_path, data, spec):
     return ("enumerate", "--schema", str(data), "--target", "Pa",

@@ -1,9 +1,16 @@
 """Dataset container validation, exact CSV round-trips and manifest paths."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pifmap.data import (
+    _BLOCK_ROWS,
     Dataset,
     Feature,
     FeatureSchema,
@@ -134,6 +141,207 @@ class TestCsvRoundTrip:
         path.write_text("v[m/s],label[Pa]\n", encoding="utf-8")
         with pytest.raises(EmptyInput):
             read_csv(path)
+
+
+def _table(n, columns=3, seed=7):
+    """An ``n``-row dataset with ``columns - 1`` features whose cells vary in length."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    scales = 10.0 ** rng.integers(-8, 9, (n, columns))
+    values = rng.standard_normal((n, columns)) * scales
+    schema = schema_of([(f"x_{j}", "m") for j in range(columns - 1)])
+    return Dataset(schema, values[:, :-1], values[:, -1], parse_unit("s"))
+
+
+def _oracle_text(dataset):
+    """The CSV text written one cell at a time with ``repr(float(v))``."""
+    header = [f"x_{j}[m]" for j in range(dataset.n_features)] + ["label[s]"]
+    lines = [",".join(header)]
+    for i in range(dataset.n_rows):
+        cells = [repr(float(v)) for v in dataset.X[i]]
+        cells.append(repr(float(dataset.y[i])))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+_EDGE_VALUES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+class TestCsvBlocks:
+    """Tables move through CSV a block of rows at a time, bit for bit."""
+
+    @settings(max_examples=40,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 4)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.array([_EDGE_VALUES]).reshape(3, 3))
+    def test_arbitrary_finite_values_round_trip_bit_for_bit(self, tmp_path, values):
+        schema = schema_of([(f"x_{j}", "m") for j in range(values.shape[1] - 1)])
+        dataset = Dataset(schema, values[:, :-1], values[:, -1], parse_unit("s"))
+        path = tmp_path / "t.csv"
+        write_csv(dataset, path)
+        assert path.read_text(encoding="utf-8") == _oracle_text(dataset)
+        back = read_csv(path)
+        assert np.array_equal(_bits(back.X), _bits(values[:, :-1]))
+        assert np.array_equal(_bits(back.y), _bits(values[:, -1]))
+
+    @pytest.mark.parametrize(
+        "n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
+    )
+    def test_tables_across_block_boundaries(self, tmp_path, n):
+        dataset = _table(n)
+        path = tmp_path / "t.csv"
+        write_csv(dataset, path)
+        assert path.read_bytes() == _oracle_text(dataset).encode("utf-8")
+        back = read_csv(path)
+        assert back.X.shape == dataset.X.shape
+        assert np.array_equal(_bits(back.X), _bits(dataset.X))
+        assert np.array_equal(_bits(back.y), _bits(dataset.y))
+
+    def test_read_keeps_the_row_major_layout(self, tmp_path):
+        dataset = _table(5)
+        path = tmp_path / "t.csv"
+        write_csv(dataset, path)
+        back = read_csv(path)
+        assert back.X.base is back.y.base
+        assert back.X.strides == (8 * 3, 8)
+
+    def _file_with_line(self, tmp_path, row, line):
+        """A blocked table with one blank line after the header and ``line``
+        replacing data row ``row``; returns its path and that line's number."""
+        lines = _oracle_text(_table(3 * _BLOCK_ROWS + 7)).split("\n")
+        lines[1 + row] = line
+        lines.insert(1, "")
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        return path, row + 3
+
+    def test_a_bad_cell_in_a_later_block_names_its_file_line(self, tmp_path):
+        row = 2 * _BLOCK_ROWS + 5
+        path, lineno = self._file_with_line(tmp_path, row, "1.0,2.5e3x,3.0")
+        with pytest.raises(SchemaMismatch) as err:
+            read_csv(path)
+        assert str(err.value) == (
+            f"{path}:{lineno}: column 'x_1' holds '2.5e3x', which is not a number"
+        )
+
+    def test_a_short_row_in_a_later_block_names_its_file_line(self, tmp_path):
+        row = 3 * _BLOCK_ROWS + 2
+        path, lineno = self._file_with_line(tmp_path, row, "1.0,2.0")
+        with pytest.raises(SchemaMismatch) as err:
+            read_csv(path)
+        assert str(err.value) == f"{path}:{lineno}: expected 3 cells, got 2"
+
+    def test_the_first_bad_line_of_a_block_wins(self, tmp_path):
+        lines = _oracle_text(_table(10)).split("\n")
+        lines[4] = "1.0,nope,3.0"
+        lines[3] = "1.0,2.0"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(SchemaMismatch, match=r":4: expected 3 cells, got 2$"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.0,x", "column 'label' holds 'x', which is not a number"),
+        ("1.0", "expected 2 cells, got 1"),
+    ])
+    def test_line_numbers_count_blank_lines(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"v[m/s],label[Pa]\n\n1.0,2.0\n{row}\n", encoding="utf-8")
+        with pytest.raises(SchemaMismatch) as err:
+            read_csv(path)
+        assert str(err.value) == f"{path}:4: {message}"
+
+    @pytest.mark.parametrize("cell", ["1_0", "1_000.5", "1e1_0"])
+    def test_digit_group_underscores_are_not_numbers(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"v_0[m/s],label[Pa]\n1.0,2.0\n3.0,{cell}\n",
+                        encoding="utf-8")
+        with pytest.raises(SchemaMismatch) as err:
+            read_csv(path)
+        assert str(err.value) == (
+            f"{path}:3: column 'label' holds '{cell}', which is not a number"
+        )
+
+    def test_an_underscore_after_a_bad_line_is_not_reported_first(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("v[m/s],label[Pa]\n1.0,oops\n1_0,2.0\n", encoding="utf-8")
+        with pytest.raises(SchemaMismatch, match=r":2: column 'label' holds 'oops'"):
+            read_csv(path)
+
+    def test_underscores_in_header_names_are_allowed(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text("v_0[m/s],label[Pa]\n1.0,2.0\n", encoding="utf-8")
+        assert read_csv(path).schema.names == ("v_0",)
+
+    def test_crlf_and_whitespace_only_lines(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(
+            b"\r\n  \nv[m/s],label[Pa]\r\n1.5,2.0\r\n\r\n \t \n-3.0,4e-3\r\n"
+        )
+        back = read_csv(path)
+        assert back.schema.names == ("v",)
+        assert back.X.tolist() == [[1.5], [-3.0]]
+        assert back.y.tolist() == [2.0, 4e-3]
+
+    def test_a_bad_crlf_line_is_numbered_by_the_file(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"v[m/s],label[Pa]\r\n\r\n1.5,2.0\r\n1.5,no\r\n")
+        with pytest.raises(SchemaMismatch) as err:
+            read_csv(path)
+        assert str(err.value) == (
+            f"{path}:4: column 'label' holds 'no\\r', which is not a number"
+        )
+
+    @pytest.mark.parametrize("text", [
+        "v[m/s],label[Pa]\n",
+        "v[m/s],label[Pa]",
+        "\n  \nv[m/s],label[Pa]\r\n\r\n \n",
+    ])
+    def test_a_header_only_file_is_empty_input(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(EmptyInput):
+            read_csv(path)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCsvMemory:
+    def test_write_holds_one_block_not_the_file(self, tmp_path):
+        dataset = _table(100_000)
+        path = tmp_path / "big.csv"
+        peak = _traced_peak(lambda: write_csv(dataset, path))
+        # The whole file's text is several MB; one block's text and rows
+        # are well under one.
+        assert path.stat().st_size > 5_000_000
+        assert peak < 1_500_000
+
+    def test_read_holds_one_block_beyond_text_lines_and_output(self, tmp_path):
+        dataset = _table(20_000, columns=8)
+        path = tmp_path / "big.csv"
+        write_csv(dataset, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        lines = text.split("\n")
+        held = (sys.getsizeof(text) + sys.getsizeof(lines)
+                + sum(map(sys.getsizeof, lines)) + dataset.X.nbytes + dataset.y.nbytes)
+        del text, lines
+        peak = _traced_peak(lambda: read_csv(path))
+        # One block's cell strings; a list of every row as floats, as a
+        # row-at-a-time reader builds, would be about 6 MB here.
+        assert peak - held < 1_500_000
 
 
 class TestManifest:
