@@ -11,8 +11,8 @@ positive definite.  A residual check guards against a factorization that
 silently lost accuracy: if the normal equations are not satisfied to 1e-8
 relative, the fit raises instead of returning garbage.  The solve, both
 checks and the finite-weights check live in one helper,
-:func:`_solve_normal_equations`, which both :func:`ridge_fit` and
-:func:`select_lambda` call.
+:func:`_solve_normal_equations`, which :func:`ridge_fit` calls and
+:func:`select_lambda` falls back to.
 
 Inputs are checked once each, by one helper per kind: ``_check_matrix``
 (2-d, every entry finite) for every design a public function takes,
@@ -33,10 +33,16 @@ scales a Fortran-ordered design in its centered copy, with no transposing
 copy, and its means and scales equal ``X.mean(axis=0)`` and
 ``X.std(axis=0)`` bit for bit for the array as passed.
 
-:func:`select_lambda` forms the training Gram ``Z'Z``, the right-hand side
-and ``mean(y)`` once per grid and adds each ``lambda I`` to that one Gram,
-the same floating-point operations :func:`ridge_fit` runs on its own, so
-the chosen lambda is the one a refit per grid value would choose.
+:func:`select_lambda` forms the training Gram ``G = Z'Z``, the right-hand
+side and ``mean(y)`` once per grid and eigendecomposes ``G`` once
+(``np.linalg.eigh``), the SVD route to ridge (Hoerl & Kennard 1970; Golub,
+Heath & Wahba 1979), so each grid value costs two ``p x p``
+matrix-vector products, not an ``O(p^3)`` factorization.  Each value's
+weights keep the finite check and the 1e-8 residual bound; a value that
+fails either, or lies at or below the Gram's rounding, is solved by
+:func:`_solve_normal_equations` instead.  Where ``p >= n_train``, or
+``lambda`` is near the Gram's rounding, the choice can differ from an LU
+refit per value.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -231,6 +237,25 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lam must be non-negative, got {lam}")
 
 
+def _gram_rounding(gram: np.ndarray) -> float:
+    """``p * eps`` times the largest diagonal entry of a ``p x p`` Gram.
+
+    A ridge strength at or below this does not lift the Gram above its own
+    rounding, so it does not make the system positive definite.
+    """
+    return len(gram) * _EPS * float(gram.diagonal().max())
+
+
+def _within_residual_bound(residual: np.ndarray, rhs: np.ndarray) -> bool:
+    """Whether a normal-equation residual is within 1e-8 of ``|rhs|``.
+
+    A non-finite residual is never within the bound.
+    """
+    # math.sqrt(v @ v) is what np.linalg.norm computes for a real vector
+    limit = 1e-8 * max(math.sqrt(rhs @ rhs), _TINY)
+    return math.sqrt(residual @ residual) <= limit
+
+
 def _solve_normal_equations(
     gram: np.ndarray, rhs: np.ndarray, lam: float
 ) -> np.ndarray:
@@ -251,12 +276,11 @@ def _solve_normal_equations(
     are not satisfied to 1e-8 relative.
     """
     p = len(gram)
-    tolerance = p * _EPS
     system = gram + lam * np.eye(p)
     try:
-        if lam <= tolerance * float(gram.diagonal().max()):
+        if lam <= _gram_rounding(gram):
             pivots = np.linalg.cholesky(system).diagonal() ** 2
-            if (pivots <= tolerance * system.diagonal()).any():
+            if (pivots <= p * _EPS * system.diagonal()).any():
                 raise SingularSystem(
                     "normal equations are singular: the Gram is not "
                     "numerically positive definite"
@@ -266,10 +290,7 @@ def _solve_normal_equations(
         raise SingularSystem(f"normal equations are singular: {exc}") from exc
     if not np.isfinite(weights).all():
         raise SingularSystem("solver produced non-finite weights")
-    residual = system @ weights - rhs
-    # math.sqrt(v @ v) is what np.linalg.norm computes for a real vector
-    limit = 1e-8 * max(math.sqrt(rhs @ rhs), _TINY)
-    if math.sqrt(residual @ residual) > limit:
+    if not _within_residual_bound(system @ weights - rhs, rhs):
         raise SingularSystem(
             "normal-equation residual exceeds 1e-8 relative; the system "
             "is too ill-conditioned to trust"
@@ -367,11 +388,18 @@ def select_lambda(
     larger (more regularized) candidate.
 
     Every grid value is checked (finite, non-negative) before any work.
-    The training Gram ``Z'Z``, the right-hand side and ``mean(y)`` are
-    formed once; each candidate solves ``Z'Z + lambda I`` through the same
-    LU solve, definiteness check and residual guard as :func:`ridge_fit`,
-    with the same floating-point operations, so the result equals a refit
-    per value.
+    The training Gram ``G = Z'Z``, the right-hand side and ``mean(y)`` are
+    formed once and ``G`` is eigendecomposed once; each candidate then
+    costs two ``p x p`` matrix-vector products, the weights
+    ``V (V'rhs / (s + lambda))`` and their normal-equation residual.
+    Weights that are non-finite or miss the 1e-8 residual bound, and every
+    value at or below the Gram's rounding (``p * eps * max diag G``, zero
+    included), are solved instead by the LU solve :func:`ridge_fit` uses,
+    with its definiteness check, residual guard and
+    :class:`~pifmap.errors.SingularSystem` errors.  The choice equals an LU
+    refit per value except where ``p >= n_train`` or ``lambda`` is near the
+    Gram's rounding, where both solves carry rounding amplified by
+    ``1/lambda`` and near-equal validation errors can swap.
     """
     Z = _check_matrix(Z, "Z")
     if not grid:
@@ -394,16 +422,44 @@ def select_lambda(
     rhs = Z_train.T @ (y_train - intercept)
     best_lam = None
     best_mse = None
-    for lam in grid:
-        weights = (
-            _solve_normal_equations(gram, rhs, lam)
-            if p else np.zeros(0)
-        )
+    for lam, weights in zip(grid, _grid_weights(gram, rhs, grid)):
         errors = Z_val @ weights + intercept - y_val
         mse = float(np.mean(errors ** 2))
         if best_mse is None or mse < best_mse or (mse == best_mse and lam > best_lam):
             best_mse, best_lam = mse, lam
     return best_lam
+
+
+def _grid_weights(
+    gram: np.ndarray, rhs: np.ndarray, grid: list[float]
+) -> Iterator[np.ndarray]:
+    """Yield the solution of ``(gram + lam*I) w = rhs`` for each grid value.
+
+    One ``np.linalg.eigh`` of ``gram`` serves every value above the Gram's
+    rounding; the rest, and any eigen-solution that is non-finite or misses
+    the residual bound, go through :func:`_solve_normal_equations`.
+    """
+    if not len(gram):
+        for _ in grid:
+            yield np.zeros(0)
+        return
+    rounding = _gram_rounding(gram)
+    try:
+        eigenvalues, vectors = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:
+        rounding = math.inf  # no decomposition: every value is solved by LU
+    else:
+        rotated = vectors.T @ rhs
+    for lam in grid:
+        if lam > rounding:
+            # a failed solution shows as inf or nan and is refused below
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                weights = vectors @ (rotated / (eigenvalues + lam))
+                residual = gram @ weights + lam * weights - rhs
+            if np.isfinite(weights).all() and _within_residual_bound(residual, rhs):
+                yield weights
+                continue
+        yield _solve_normal_equations(gram, rhs, lam)
 
 
 def classify(scores: np.ndarray, threshold: float = 0.5) -> np.ndarray:

@@ -34,6 +34,7 @@ from pifmap.regression import (
     fit_standardized,
     ridge_fit,
     ridge_predict,
+    select_lambda,
     standardize_apply,
 )
 
@@ -105,8 +106,33 @@ def _eliminate(matrix, rhs):
     return x
 
 
+def _oracle_lambda(Z, y, grid):
+    """The lambda ``select_lambda`` should pick, from ``_eliminate``'s weights.
+
+    Last 30% of the rows held out, smallest validation MSE, ties to the
+    larger lambda.
+    """
+    n_train = len(y) - math.ceil(0.3 * len(y))
+    Z_train, y_train = Z[:n_train], y[:n_train]
+    intercept = float(np.mean(y_train))
+    gram = Z_train.T @ Z_train
+    rhs = Z_train.T @ (y_train - intercept)
+    best = None
+    for lam in grid:
+        system = gram + lam * np.eye(len(gram))
+        weights = np.array(_eliminate(system.tolist(), rhs.tolist()))
+        errors = Z[n_train:] @ weights + intercept - y[n_train:]
+        key = (float(np.mean(errors ** 2)), -lam)
+        best = key if best is None or key < best else best
+    return -best[1]
+
+
 def test_criterion_01_ridge_matches_elimination_oracle():
-    """100 seeded instances, n <= 50, p <= 10, lambda in {0, 1e-3, 1}."""
+    """100 seeded instances, n <= 50, p <= 10, lambda in {0, 1e-3, 1}.
+
+    Then 30 more, n <= 60, p <= 10: ``select_lambda`` picks the lambda the
+    oracle's weights pick over a grid from ``logspace(-6, 2, 10)``.
+    """
     rng = np.random.Generator(np.random.PCG64(2024))
     lambdas = (0.0, 1e-3, 1.0)
     start = time.perf_counter()
@@ -125,9 +151,20 @@ def test_criterion_01_ridge_matches_elimination_oracle():
             err_msg=f"case {case}: n={n} p={p} lam={lam}",
         )
         assert model.intercept == pytest.approx(float(np.mean(y)))
+    pool = np.logspace(-6.0, 2.0, 10)
+    for case in range(30):
+        n = int(rng.integers(20, 61))
+        p = int(rng.integers(1, 11))
+        Z = rng.standard_normal((n, p))
+        y = Z @ rng.standard_normal(p) + rng.uniform(0.1, 2.0) * rng.standard_normal(n)
+        grid = tuple(float(lam) for lam in rng.choice(pool, size=5, replace=False))
+        assert select_lambda(Z, y, grid) == _oracle_lambda(Z, y, grid), (
+            f"selection case {case}: n={n} p={p} grid={grid}"
+        )
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"oracle comparison took {elapsed:.3f}s, budget 1s"
-    print(f"criterion 01 PASS: 100/100 oracle matches in {elapsed:.3f}s")
+    print(f"criterion 01 PASS: 100/100 oracle matches and 30/30 selections "
+          f"in {elapsed:.3f}s")
 
 
 # --------------------------------------------------------------------------

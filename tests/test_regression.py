@@ -432,6 +432,51 @@ class TestSelectLambda:
             grid = grid + grid[:2]  # duplicated values, out of order
         assert select_lambda(Z, y, grid) == self._refit_per_value(Z, y, grid)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_a_refit_on_standardized_designs(self, seed):
+        # wide standardized designs with n_train > p, one exact duplicate
+        # column (as an enumerated spec has) and one near-collinear pair
+        rng = np.random.Generator(np.random.PCG64(5000 + seed))
+        p = int(rng.integers(1, 61))
+        n = 2 * p + int(rng.integers(4, 60))
+        X = rng.standard_normal((n, p))
+        if p >= 3:
+            X[:, 1] = X[:, 0]
+            X[:, 2] = X[:, 0] + 10.0 ** -rng.uniform(2.0, 8.0) * rng.standard_normal(n)
+        y = X[:, :3].sum(axis=1) + rng.uniform(0.0, 2.0) * rng.standard_normal(n)
+        Z, _ = standardize_fit(X)
+        pool = np.logspace(-6.0, 2.0, 10)
+        grid = tuple(float(lam) for lam in rng.choice(pool, size=int(rng.integers(1, 12))))
+        grid = grid + grid[:2]  # duplicated values
+        assert select_lambda(Z, y, grid) == self._refit_per_value(Z, y, grid)
+
+    def test_one_eigendecomposition_and_lu_only_at_the_rounding(self, monkeypatch):
+        calls = {"eigh": 0, "lu": []}
+        eigh, solve = np.linalg.eigh, regression._solve_normal_equations
+
+        def count_eigh(a):
+            calls["eigh"] += 1
+            return eigh(a)
+
+        def count_solve(gram, rhs, lam):
+            calls["lu"].append(lam)
+            return solve(gram, rhs, lam)
+
+        monkeypatch.setattr(regression.np.linalg, "eigh", count_eigh)
+        monkeypatch.setattr(regression, "_solve_normal_equations", count_solve)
+        rng = np.random.Generator(np.random.PCG64(29))
+        X = rng.standard_normal((200, 12))
+        y = X @ rng.standard_normal(12) + 0.5 * rng.standard_normal(200)
+        Z, _ = standardize_fit(X)
+        select_lambda(Z, y)
+        assert calls == {"eigh": 1, "lu": []}
+        select_lambda(Z, y, (1e-3, 0.0, 1e-1))
+        assert calls == {"eigh": 2, "lu": [0.0]}
+        Z[:, 1] = Z[:, 0]  # rank-deficient: zero must still be refused
+        with pytest.raises(SingularSystem):
+            select_lambda(Z, y, (1e-3, 0.0))
+        assert calls["lu"] == [0.0, 0.0]
+
     def test_zero_lambda_on_rank_deficient_design_raises(self):
         Z = np.zeros((10, 2))
         Z[:, 0] = np.arange(1.0, 11.0)  # the second column is all zero
@@ -445,10 +490,11 @@ class TestSelectLambda:
     ])
     def test_bad_grid_value_rejected_before_any_solve(self, bad, error,
                                                       monkeypatch):
-        def no_solve(gram, rhs):
-            raise AssertionError("a solve ran before the grid was checked")
+        def no_factorization(*args):
+            raise AssertionError("a factorization ran before the grid was checked")
 
-        monkeypatch.setattr(regression, "_solve_normal_equations", no_solve)
+        monkeypatch.setattr(regression, "_solve_normal_equations", no_factorization)
+        monkeypatch.setattr(regression.np.linalg, "eigh", no_factorization)
         Z, y = _random_problem(23)
         with pytest.raises(error):
             select_lambda(Z, y, (1e-3, 1e-2, bad))
