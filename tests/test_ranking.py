@@ -1,6 +1,7 @@
 """Coefficient ranking and greedy prefix selection."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +12,15 @@ from pifmap.errors import (
     EmptyInput,
     InvalidRange,
     LengthMismatch,
+    NonFiniteInput,
+    PifmapError,
 )
 from pifmap.experiments import split_point
 from pifmap.featuremap import destandardize, evaluate_map
+from pifmap.metrics import mae, mse
 from pifmap.ranking import (
     _identical_column_groups,
+    _rank_design_columns,
     curve_to_csv,
     greedy_select,
     rank_and_refit,
@@ -24,6 +29,7 @@ from pifmap.ranking import (
 from pifmap.regression import (
     fit_standardized,
     ridge_fit,
+    ridge_predict,
     standardize_apply,
     standardize_fit,
 )
@@ -162,6 +168,144 @@ class TestGreedySelect:
         Z_tr, y_tr, Z_ev, y_ev = _planted_problem()
         result = greedy_select(Z_tr, y_tr, Z_ev, y_ev, lam=1e-6)
         assert result.selected == result.order[: result.selected_count]
+
+
+
+def _reference_greedy(Z_tr, y_tr, Z_ev, y_ev, lam, order, epsilon):
+    """The greedy rule with public ``ridge_fit``, ``ridge_predict``, ``mae``
+    and ``mse`` per prefix: order, selected count, curve and selected fit."""
+    p = Z_tr.shape[1]
+    if order is None:
+        order = _rank_design_columns(ridge_fit(Z_tr, y_tr, lam),
+                                     _identical_column_groups(Z_tr))
+    curve, fits, stop = [], [], None
+    for k in range(1, p + 1):
+        if stop is not None and k > stop + 1:
+            break
+        columns = list(order[:k])
+        fit = ridge_fit(Z_tr[:, columns], y_tr, lam)
+        predictions = ridge_predict(fit, Z_ev[:, columns])
+        curve.append((k, mae(y_ev, predictions), mse(y_ev, predictions)))
+        fits.append(fit)
+        if stop is None and k >= 2 and all(
+            previous == 0.0 or (previous - current) / previous < epsilon
+            for previous, current in zip(curve[-2][1:], curve[-1][1:])
+        ):
+            stop = k
+    count = stop - 1 if stop is not None else p
+    return tuple(order), count, curve, fits[count - 1]
+
+
+def _seeded_design(seed):
+    """Train and evaluation rows of a design with uneven column scales and
+    an offset label; odd seeds copy one column exactly, and the layout
+    alternates between row- and column-major."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    p = int(rng.integers(2, 9))
+    n_tr, n_ev = int(rng.integers(p + 12, 200)), int(rng.integers(5, 80))
+    X = rng.standard_normal((n_tr + n_ev, p)) * 10.0 ** rng.uniform(-2, 2, p)
+    if seed % 2 and p >= 3:
+        X[:, 2] = X[:, 0]
+    y = X @ rng.standard_normal(p) + 3.0 + 0.3 * rng.standard_normal(n_tr + n_ev)
+    if seed % 4 >= 2:
+        X = np.asfortranarray(X)
+    order = tuple(int(j) for j in rng.permutation(p))
+    return X[:n_tr], y[:n_tr], X[n_tr:], y[n_tr:], order
+
+
+def _hexes(curve):
+    return [(k, float(a).hex(), float(b).hex()) for k, a, b in curve]
+
+
+class TestGreedyMatchesPerPrefixRidgeFit:
+    """``greedy_select`` gives, bit for bit, what a loop of public fits gives."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    @pytest.mark.parametrize("epsilon", [0.01, 1.0, 1e-300])
+    @pytest.mark.parametrize("given_order", [False, True], ids=["ranked", "given"])
+    def test_bit_identical_to_the_reference_loop(self, seed, lam, epsilon,
+                                                 given_order):
+        Z_tr, y_tr, Z_ev, y_ev, order = _seeded_design(seed)
+        order = order if given_order else None
+        try:
+            expected = _reference_greedy(Z_tr, y_tr, Z_ev, y_ev, lam, order, epsilon)
+        except PifmapError as exc:
+            # a prefix holding both copies of a column is singular at lam=0
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                greedy_select(Z_tr, y_tr, Z_ev, y_ev, lam, order, epsilon)
+            return
+        result = greedy_select(Z_tr, y_tr, Z_ev, y_ev, lam, order, epsilon)
+        expected_order, count, curve, fit = expected
+        assert result.order == expected_order
+        assert result.selected_count == count
+        assert _hexes((pt.k, pt.mae, pt.mse) for pt in result.curve) == _hexes(curve)
+        selected = result.selected_fit
+        assert selected.weights.tobytes() == fit.weights.tobytes()
+        assert selected.intercept.hex() == fit.intercept.hex()
+        assert (selected.lam, selected.feature_names) == (fit.lam, fit.feature_names)
+        assert selected.standardization.kept == fit.standardization.kept
+        assert selected.standardization.means.tobytes() == fit.standardization.means.tobytes()
+        assert selected.standardization.scales.tobytes() == fit.standardization.scales.tobytes()
+
+
+class TestGreedyInputChecks:
+    """Labels and lambda are always checked; of the design, only the columns
+    of the prefixes the pass evaluates."""
+
+    ORDER = (4, 3, 2, 1, 0)
+
+    @staticmethod
+    def _problem():
+        Z_tr, y_tr, Z_ev, y_ev = _planted_problem(seed=4)
+        rng = np.random.Generator(np.random.PCG64(40))
+        return (Z_tr, y_tr + 0.5 * rng.standard_normal(y_tr.size), Z_ev,
+                y_ev + 0.5 * rng.standard_normal(y_ev.size))
+
+    def _stopped_early(self, order):
+        # epsilon 1.0 stops at k=2, so prefixes 1..3 are evaluated of 5
+        Z_tr, y_tr, Z_ev, y_ev = self._problem()
+        result = greedy_select(Z_tr, y_tr, Z_ev, y_ev, 1e-3, order, epsilon=1.0)
+        assert [point.k for point in result.curve] == [1, 2, 3]
+        return result
+
+    @pytest.mark.parametrize("side", ["train", "eval"])
+    @pytest.mark.parametrize("position", [0, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_in_an_evaluated_prefix_raises(self, side, position,
+                                                            value):
+        Z_tr, y_tr, Z_ev, y_ev = self._problem()
+        (Z_tr if side == "train" else Z_ev)[3, self.ORDER[position]] = value
+        with pytest.raises(NonFiniteInput):
+            greedy_select(Z_tr, y_tr, Z_ev, y_ev, 1e-3, self.ORDER, epsilon=1.0)
+
+    @pytest.mark.parametrize("side, given_order", [
+        ("train", True), ("eval", True), ("eval", False),
+    ])
+    def test_non_finite_entry_past_the_last_evaluated_prefix_is_not_read(
+            self, side, given_order):
+        clean = self._stopped_early(self.ORDER if given_order else None)
+        Z_tr, y_tr, Z_ev, y_ev = self._problem()
+        (Z_tr if side == "train" else Z_ev)[3, clean.order[4]] = np.nan
+        result = greedy_select(Z_tr, y_tr, Z_ev, y_ev, 1e-3,
+                               self.ORDER if given_order else None, epsilon=1.0)
+        assert result.curve == clean.curve
+        assert result.selected_fit.weights.tobytes() == clean.selected_fit.weights.tobytes()
+
+    @pytest.mark.parametrize("order", [None, ORDER], ids=["ranked", "given"])
+    @pytest.mark.parametrize("lam, error", [
+        (np.nan, InvalidRange), (-1e-3, ValueError),
+    ], ids=["nan", "negative"])
+    def test_bad_lambda_raises(self, order, lam, error):
+        Z_tr, y_tr, Z_ev, y_ev = self._problem()
+        with pytest.raises(error, match="lam must be"):
+            greedy_select(Z_tr, y_tr, Z_ev, y_ev, lam, order)
+
+    @pytest.mark.parametrize("order", [None, ORDER], ids=["ranked", "given"])
+    def test_wrong_length_labels_raise(self, order):
+        Z_tr, y_tr, Z_ev, y_ev = self._problem()
+        with pytest.raises(ValueError, match="does not match"):
+            greedy_select(Z_tr, y_tr[:-1], Z_ev, y_ev, 1e-3, order)
 
 
 class TestRankAndRefit:
