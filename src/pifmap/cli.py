@@ -91,8 +91,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_BUDGET = 4
-EXIT_NUMERICAL = 5
 
 
 class _InputFileError(PifmapError):

@@ -6,16 +6,19 @@ agree in every row to 1e-8 of their largest magnitude count as one column
 computed along different paths: their ridge weights are equal in exact
 arithmetic and differ only by rounding, so each takes the group's largest
 magnitude and the group ranks together, in index order: the order does
-not follow the solver's rounding.  The greedy pass refits the model on
-growing prefixes of that order and stops at the first size ``k >= 2``
-where the relative improvement of BOTH error metrics,
+not follow the solver's rounding.  The greedy pass fits growing prefixes
+of that order and stops at the first size ``k >= 2`` where the relative
+improvement of BOTH error metrics,
 ``(metric(k-1) - metric(k)) / metric(k-1)``, falls below ``epsilon``;
 the selected count is then ``k - 1``.  One extra prefix beyond the stop
 (capped at the column count) is always evaluated so the reported curve
 shows the plateau, and if no stop is ever triggered every column ends up
-selected.  :func:`rank_and_refit` runs the whole step on a design that
-is already standardized and fitted: rank by that fit and map the greedy
-pass's own fit of the selected prefix back to raw-column scale.
+selected.  The pass checks each input once, and each prefix is solved by
+:func:`~pifmap.regression.ridge_fit`'s own solve, so its weights equal a
+``ridge_fit`` of those columns bit for bit.  :func:`rank_and_refit` runs
+the whole step on a design that is already standardized and fitted: rank
+by that fit and map the greedy pass's own fit of the selected prefix back
+to raw-column scale.
 """
 
 from __future__ import annotations
@@ -30,8 +33,12 @@ from .metrics import mae, mse
 from .regression import (
     RidgeModel,
     StandardizationParams,
+    _centered_labels,
+    _check_lambda,
+    _check_matrix,
+    _ridge_weights,
+    identity_standardization,
     ridge_fit,
-    ridge_predict,
 )
 
 __all__ = [
@@ -149,9 +156,14 @@ def greedy_select(
 
     ``order`` defaults to the coefficient ranking of a full fit on the
     training data, with identical columns of ``Z_train`` ranked together.
-    Each prefix is refit from scratch with the same ``lam`` and scored on
-    the evaluation split with MAE and MSE; ``selected_fit`` is the fit of
-    the selected prefix.
+    ``y_train`` and ``lam`` are checked, and the labels centered, once per
+    pass; a column of ``Z_train`` or ``Z_eval`` is checked when it first
+    enters a prefix, so a non-finite entry past the last evaluated prefix
+    is never read.  Each prefix is solved with the same ``lam`` by
+    :func:`~pifmap.regression.ridge_fit`'s own solve, so its weights equal
+    a ``ridge_fit`` of those columns bit for bit, and scored on the
+    evaluation split with MAE and MSE; ``selected_fit`` is the fit of the
+    selected prefix.
     """
     Z_train = np.asarray(Z_train, dtype=float)
     Z_eval = np.asarray(Z_eval, dtype=float)
@@ -176,12 +188,24 @@ def greedy_select(
                 f"order must be a permutation of 0..{p - 1}, got {order}"
             )
 
+    n = Z_train.shape[0]
+    intercept, centered = _centered_labels(y_train, n)
+    _check_lambda(lam)
+
+    # Prefix k is the first k columns of these: one column is copied in per
+    # prefix, and each prefix is Fortran-ordered, as the gather
+    # Z[:, order[:k]] would return it, so its Gram rounds the same way.
+    train = np.empty((n, p), order="F")
+    evaluation = np.empty((Z_eval.shape[0], p), order="F")
     curve: list[CurvePoint] = []
     stop_k: int | None = None
     for k in range(1, p + 1):
-        columns = list(order[:k])
-        model = ridge_fit(Z_train[:, columns], y_train, lam)
-        predictions = ridge_predict(model, Z_eval[:, columns])
+        train[:, k - 1] = Z_train[:, order[k - 1]]
+        _check_matrix(train[:, k - 1:k], "Z")
+        weights = _ridge_weights(train[:, :k], centered, lam)
+        evaluation[:, k - 1] = Z_eval[:, order[k - 1]]
+        _check_matrix(evaluation[:, k - 1:k], "Z")
+        predictions = evaluation[:, :k] @ weights + intercept
         point = CurvePoint(
             k=k, mae=mae(y_eval, predictions), mse=mse(y_eval, predictions)
         )
@@ -193,11 +217,19 @@ def greedy_select(
             if saturated_mae and saturated_mse:
                 stop_k = k
         if stop_k is None:
-            selected_fit = model
+            selected_weights = weights
         if stop_k is not None and k >= min(p, stop_k + 1):
             break
 
     selected_count = (stop_k - 1) if stop_k is not None else p
+    # the model ridge_fit returns for the selected prefix
+    selected_fit = RidgeModel(
+        lam=float(lam),
+        weights=selected_weights,
+        intercept=intercept,
+        standardization=identity_standardization(selected_count),
+        feature_names=tuple(f"z{j}" for j in range(selected_count)),
+    )
     return RankingResult(
         order=order,
         selected_count=selected_count,
@@ -226,7 +258,9 @@ def rank_and_refit(
     together, and scored with :func:`greedy_select` at the model's
     ``lam``.  Standardization acts on each column alone, so the greedy
     fit of the selected prefix, mapped back with the model's means and
-    scales, is the refit of the selected raw columns.  Returns the
+    scales, is the refit of the selected raw columns.  The reported
+    coefficients are that fit at the ranking ``lam`` (``pifmap rank
+    --lam``, default 1e-3), so they carry its ridge shrinkage.  Returns the
     ranking result, whose indices count the columns kept by
     standardization, and a JSON-ready document that names every column by
     the model's feature names: ``epsilon``, ``order``, ``selected``,

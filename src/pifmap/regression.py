@@ -11,8 +11,10 @@ positive definite.  A residual check guards against a factorization that
 silently lost accuracy: if the normal equations are not satisfied to 1e-8
 relative, the fit raises instead of returning garbage.  The solve, both
 checks and the finite-weights check live in one helper,
-:func:`_solve_normal_equations`, which :func:`ridge_fit` calls and
-:func:`select_lambda` falls back to.
+:func:`_solve_normal_equations`.  :func:`ridge_fit` and each greedy prefix
+of :func:`~pifmap.ranking.greedy_select` reach it through
+``_ridge_weights``, which forms the Gram and right-hand side, and
+:func:`select_lambda` falls back to it.
 
 Inputs are checked once each, by one helper per kind: ``_check_matrix``
 (2-d, every entry finite) for every design a public function takes,
@@ -276,7 +278,10 @@ def _solve_normal_equations(
     are not satisfied to 1e-8 relative.
     """
     p = len(gram)
-    system = gram + lam * np.eye(p)
+    # gram + lam*I with no identity formed: a matmul sums from +0.0, so no
+    # Gram entry is -0.0 and adding lam*0.0 off the diagonal changes no bit
+    system = gram.copy()
+    system.ravel()[::p + 1] += lam
     try:
         if lam <= _gram_rounding(gram):
             pivots = np.linalg.cholesky(system).diagonal() ** 2
@@ -298,6 +303,27 @@ def _solve_normal_equations(
     return weights
 
 
+def _centered_labels(y: np.ndarray, n: int) -> tuple[float, np.ndarray]:
+    """Checked labels of an ``n``-row fit as ``mean(y)`` and ``y - mean(y)``."""
+    y = _check_labels(y, n)
+    if n == 0:
+        raise EmptyInput("cannot fit on zero rows")
+    # the steps of np.mean: one pairwise sum, one division
+    intercept = float(y.sum()) / n
+    return intercept, y - intercept
+
+
+def _ridge_weights(Z: np.ndarray, centered: np.ndarray, lam: float) -> np.ndarray:
+    """Solve ``(Z'Z + lam*I) b = Z'centered`` for a checked ``Z``.
+
+    The one solve of :func:`ridge_fit` and of each greedy prefix; a design
+    with no columns has no weights.
+    """
+    if not Z.shape[1]:
+        return np.zeros(0)
+    return _solve_normal_equations(Z.T @ Z, Z.T @ centered, lam)
+
+
 def ridge_fit(
     Z: np.ndarray,
     y: np.ndarray,
@@ -314,17 +340,10 @@ def ridge_fit(
     :class:`~pifmap.errors.SingularSystem`.
     """
     Z = _check_matrix(Z, "Z")
-    y = _check_labels(y, Z.shape[0])
-    if Z.shape[0] == 0:
-        raise EmptyInput("cannot fit on zero rows")
-    _check_lambda(lam)
     n, p = Z.shape
-    # the steps of np.mean: one pairwise sum, one division
-    intercept = float(y.sum()) / n
-    if p == 0:
-        weights = np.zeros(0)
-    else:
-        weights = _solve_normal_equations(Z.T @ Z, Z.T @ (y - intercept), lam)
+    intercept, centered = _centered_labels(y, n)
+    _check_lambda(lam)
+    weights = _ridge_weights(Z, centered, lam)
     names = (
         tuple(feature_names)
         if feature_names is not None

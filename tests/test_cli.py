@@ -18,16 +18,15 @@ from hypothesis import strategies as st
 
 from pifmap import cli
 from pifmap.catalogs import load_catalog
-from pifmap.cli import (
-    EXIT_BUDGET,
-    EXIT_IO,
-    EXIT_NUMERICAL,
-    EXIT_OK,
-    EXIT_USAGE,
-    main,
-)
+from pifmap.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from pifmap.data import read_csv, write_csv
-from pifmap.errors import InvalidRange, PifmapError
+from pifmap.errors import (
+    BudgetExceeded,
+    InvalidRange,
+    NonFiniteResult,
+    PifmapError,
+    SingularSystem,
+)
 from pifmap.featuremap import spec_from_dict, spec_to_dict
 
 
@@ -206,7 +205,7 @@ class TestEnumerate:
     def test_budget_exhaustion(self, tmp_path):
         schema = self._schema_file(tmp_path)
         assert run("enumerate", "--schema", str(schema), "--target", "Pa",
-                   "--constants", "g", "--budget", "3") == EXIT_BUDGET
+                   "--constants", "g", "--budget", "3") == BudgetExceeded.exit_code
 
     def test_unknown_constant(self, tmp_path):
         schema = self._schema_file(tmp_path)
@@ -399,7 +398,7 @@ class TestFit:
                    "--target", "m^4*s^-4", "--out", str(spec)) == EXIT_OK
         capsys.readouterr()
         assert run("fit", "--data", str(data), "--spec", str(spec),
-                   "--out", str(tmp_path / "m.json")) == EXIT_NUMERICAL
+                   "--out", str(tmp_path / "m.json")) == NonFiniteResult.exit_code
 
 
     @staticmethod
@@ -416,7 +415,7 @@ class TestFit:
             env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True, text=True,
         )
-        assert done.returncode == EXIT_NUMERICAL
+        assert done.returncode == NonFiniteResult.exit_code
         assert done.stderr.splitlines() == [
             "pifmap: error: column 0 is too large to standardize: its "
             "standard deviation overflows"
@@ -1058,14 +1057,14 @@ class TestExitCodeContract:
 
         codes = {cls.__name__: cls.exit_code
                  for cls in (PifmapError, *subclasses(PifmapError))}
-        assert set(codes.values()) <= {EXIT_USAGE, EXIT_IO, EXIT_BUDGET,
-                                        EXIT_NUMERICAL}
+        # README "Exit codes": 2 usage, 3 file, 4 budget, 5 numerical
+        assert set(codes.values()) <= {EXIT_USAGE, EXIT_IO, 4, 5}
         assert codes["PifmapError"] == EXIT_USAGE
         assert codes["_InputFileError"] == EXIT_IO
-        assert codes["BudgetExceeded"] == EXIT_BUDGET
+        assert codes["BudgetExceeded"] == 4
         for name in ("SingularSystem", "NonFiniteResult", "NonFiniteInput",
                      "DivisionByZero", "ZeroScale"):
-            assert codes[name] == EXIT_NUMERICAL
+            assert codes[name] == 5
 
 
 @pytest.fixture(scope="module")
@@ -1142,7 +1141,7 @@ class TestCorruptedInputs:
                     contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
         err = stderr.getvalue()
-        assert code in {EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERICAL}
+        assert code in {EXIT_OK, EXIT_USAGE, EXIT_IO, SingularSystem.exit_code}
         assert "Traceback" not in err
         lines = [line for line in err.splitlines()
                  if not line.startswith("pifmap: warning: ")]

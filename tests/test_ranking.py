@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from pifmap import ranking, regression
 from pifmap.catalogs import load_catalog
 from pifmap.errors import (
     DroppedColumnWarning,
@@ -247,6 +248,38 @@ class TestGreedyMatchesPerPrefixRidgeFit:
         assert selected.standardization.kept == fit.standardization.kept
         assert selected.standardization.means.tobytes() == fit.standardization.means.tobytes()
         assert selected.standardization.scales.tobytes() == fit.standardization.scales.tobytes()
+
+    @pytest.mark.parametrize("given_order", [False, True], ids=["ranked", "given"])
+    def test_one_shared_solve_per_curve_point(self, given_order, monkeypatch):
+        calls = {"ridge_fit": 0, "weights": [], "solve": []}
+        fit, weights, solve = (regression.ridge_fit, regression._ridge_weights,
+                               regression._solve_normal_equations)
+
+        def count_fit(*args, **kwargs):
+            calls["ridge_fit"] += 1
+            return fit(*args, **kwargs)
+
+        def count_weights(Z, centered, lam):
+            calls["weights"].append(Z.shape[1])
+            return weights(Z, centered, lam)
+
+        def count_solve(gram, rhs, lam):
+            calls["solve"].append(len(gram))
+            return solve(gram, rhs, lam)
+
+        monkeypatch.setattr(regression, "ridge_fit", count_fit)
+        monkeypatch.setattr(ranking, "ridge_fit", count_fit)
+        monkeypatch.setattr(ranking, "_ridge_weights", count_weights)
+        monkeypatch.setattr(regression, "_solve_normal_equations", count_solve)
+        Z_tr, y_tr, Z_ev, y_ev, order = _seeded_design(0)
+        p = Z_tr.shape[1]
+        result = greedy_select(Z_tr, y_tr, Z_ev, y_ev, 1e-3,
+                               order if given_order else None)
+        prefixes = [point.k for point in result.curve]
+        # public ridge_fit runs only for the ranking fit of all p columns
+        assert calls["ridge_fit"] == (0 if given_order else 1)
+        assert calls["weights"] == prefixes
+        assert calls["solve"] == (prefixes if given_order else [p] + prefixes)
 
 
 class TestGreedyInputChecks:
