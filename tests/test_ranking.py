@@ -309,7 +309,7 @@ class TestGreedyInputChecks:
                                                             value):
         Z_tr, y_tr, Z_ev, y_ev = self._problem()
         (Z_tr if side == "train" else Z_ev)[3, self.ORDER[position]] = value
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(NonFiniteInput, match="Z contains non-finite values"):
             greedy_select(Z_tr, y_tr, Z_ev, y_ev, 1e-3, self.ORDER, epsilon=1.0)
 
     @pytest.mark.parametrize("side, given_order", [
