@@ -153,6 +153,65 @@ class TestStandardize:
                 standardize_fit(X)
 
 
+class TestStandardizeErrors:
+    """Which error ``standardize_fit`` raises, and which comes first."""
+
+    @staticmethod
+    def _design(n, layout):
+        X = np.arange(1.0, 3 * n + 1.0).reshape(n, 3)
+        return np.asfortranarray(X) if layout == "F" else X
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (-1, 2), (-1, 1)])
+    def test_a_non_finite_entry_is_non_finite_input(self, layout, n, bad, where):
+        X = self._design(n, layout)
+        X[where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput, match="X contains non-finite values"):
+                standardize_fit(X)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_infinities_that_cancel_in_a_sum_are_non_finite_input(self, layout):
+        X = self._design(6, layout)
+        X[1, 1], X[4, 1] = np.inf, -np.inf
+        with pytest.raises(NonFiniteInput):
+            standardize_fit(X)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_a_non_finite_entry_comes_before_an_overflowing_column(self, layout):
+        # column 0's sum and variance overflow; column 2 holds a NaN
+        X = self._design(4, layout)
+        X[:, 0] = [1.7e308, 1.7e308, -1.7e308, 1.7e308]
+        X[3, 2] = np.nan
+        with pytest.raises(NonFiniteInput):
+            standardize_fit(X)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_a_finite_column_whose_variance_overflows_is_non_finite_result(
+            self, layout, column):
+        X = self._design(8, layout)
+        X[:, column] = np.linspace(-1e200, 1e200, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult, match=f"column {column} is too large"):
+                standardize_fit(X)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_a_finite_design_of_fewer_than_two_rows_is_insufficient(self, n):
+        with pytest.raises(InsufficientData):
+            standardize_fit(np.ones((n, 3)))
+
+    @pytest.mark.parametrize("X", [
+        np.arange(4.0), np.array([1.0, np.nan, 2.0]), np.ones((2, 2, 2)), np.float64(3.0),
+    ])
+    def test_a_design_that_is_not_2_d_is_a_value_error(self, X):
+        with pytest.raises(ValueError, match="X must be 2-d"):
+            standardize_fit(X)
+
 class TestRidgeFit:
     def test_intercept_is_label_mean(self):
         Z, y = _random_problem(1)

@@ -122,6 +122,76 @@ class TestFeatureMatrix:
         assert np.array_equal(X.view(np.uint64), oracle.view(np.uint64))
 
 
+
+def _one_block(seed, n, ranges):
+    """Every raw column, mapped from one uniform ``(n, k)`` block in C order."""
+    u = np.random.Generator(np.random.PCG64(seed)).random((n, len(ranges)))
+    return [r.map_uniform(u[:, j]) for j, r in enumerate(ranges)]
+
+
+def _bernoulli_oracle(n, seed):
+    ranges = BernoulliRanges()
+    p, rho, v, q, a, mu, h = _one_block(
+        seed, n, [ranges.p, ranges.rho, ranges.v, ranges.Q, ranges.A, ranges.mu, ranges.h])
+    y = p + 0.5 * rho * v ** 2 + rho * G_STANDARD * h
+    return [p, rho, v, q, a, mu, h], y, ranges, {}
+
+
+def _pulsar_oracle(n, seed):
+    ranges = PulsarRanges()
+    r, b, omega, alpha, m = _one_block(
+        seed, n, [ranges.r, ranges.B, ranges.omega, ranges.alpha, ranges.m])
+    period = 2.0 * math.pi / omega
+    inertia = 0.4 * m * r ** 2
+    energy = 0.5 * inertia * omega ** 2
+    y = (
+        -2.0 * math.pi * b ** 2 * r ** 6 * omega ** 4 * np.sin(alpha) ** 2
+        / (3.0 * MU0 * LIGHT_SPEED ** 3)
+    )
+    return [r, b, omega, alpha, period, m, inertia, energy], y, ranges, {}
+
+
+def _binary_oracle(n, seed):
+    ranges = BinaryRanges()
+    m1, m2, v, r = _one_block(seed, n, [ranges.m1, ranges.m2, ranges.v, ranges.r])
+    energy = 0.5 * (m1 * m2 / (m1 + m2)) * v ** 2 - GRAVITATIONAL * m1 * m2 / r
+    y = (energy < 0.0).astype(float)
+    counts = {"0": int(np.sum(y == 0.0)), "1": int(np.sum(y == 1.0))}
+    return [m1, m2, v, r], y, ranges, {"class_counts": counts}
+
+
+class TestAgainstOneBlockOracle:
+    """Each generator equals, bit for bit, the documented formulas applied to
+    one uniform ``(n, k)`` block and stacked with ``np.column_stack``."""
+
+    @pytest.mark.parametrize("generate, oracle, name", [
+        (gen_bernoulli, _bernoulli_oracle, "bernoulli"),
+        (gen_pulsar, _pulsar_oracle, "pulsar"),
+        (gen_binary, _binary_oracle, "binary"),
+    ])
+    @pytest.mark.parametrize("n", _ACROSS_BLOCKS)
+    def test_matches_the_formulas_on_one_block(self, generate, oracle, name, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateClassBalanceWarning)
+            ds = generate(n, 3)
+        columns, y, ranges, extra = oracle(n, 3)
+        X = np.column_stack(columns)
+        assert ds.X.flags.c_contiguous
+        assert ds.X.shape == X.shape
+        assert ds.X.tobytes() == X.tobytes()
+        assert ds.y.shape == y.shape
+        assert ds.y.tobytes() == y.tobytes()
+        assert ds.provenance == {
+            "generator": name,
+            "n": n,
+            "seed": 3,
+            "rng": "PCG64",
+            "ranges": {field: getattr(ranges, field).describe()
+                       for field in ranges.__dataclass_fields__},
+            "noise": None,
+            **extra,
+        }
+
 class TestBernoulli:
     def test_hand_computed_label(self):
         ranges = BernoulliRanges(
@@ -267,6 +337,23 @@ class TestNoise:
         assert np.array_equal(a, b)
         c = add_noise(y, NoiseConfig(level=0.2, seed=6))
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("y", [
+        np.array([-5.0, -0.0, 0.0, 1e-300, 3.5, 7e300]),
+        np.random.Generator(np.random.PCG64(4)).standard_normal(10_000) * 1e6,
+    ])
+    def test_level_zero_returns_the_labels_bit_for_bit(self, y):
+        out = add_noise(y, NoiseConfig(level=0.0, seed=42))
+        assert out.tobytes() == y.tobytes()
+        assert not np.shares_memory(out, y)
+
+    @pytest.mark.parametrize("level", [0.0, 0.3])
+    def test_leaves_the_input_labels_unchanged(self, level):
+        y = np.linspace(-5.0, 5.0, 1001)
+        before = y.tobytes()
+        out = add_noise(y, NoiseConfig(level=level, seed=7))
+        assert y.tobytes() == before
+        assert not np.shares_memory(out, y)
 
     def test_zero_label_stays_zero(self):
         out = add_noise(np.zeros(5), NoiseConfig(level=0.9, seed=1))
