@@ -1,9 +1,9 @@
 """Seeded synthetic datasets for the bundled experiments.
 
-Determinism contract: every generator draws from ``numpy``'s PCG64 via a
-single ``(n, k)`` uniform block filled in C (row-major) order, one column
-per raw feature in the documented order, then maps columns through fixed
-affine or exponential transforms.  Identical seeds therefore give
+Determinism contract: every generator reads one PCG64 stream, seeded by
+``seed``, in C (row-major) order: row after row, one uniform per raw
+feature in the documented order, then maps each column through a fixed
+affine or exponential transform.  Identical seeds therefore give
 bit-identical datasets on every platform, and the draw order never
 depends on the range configuration.
 
@@ -13,11 +13,13 @@ relative uniform noise is applied separately by :func:`add_noise` with its
 own seed so feature and noise streams never alias.  Classification labels
 are hard signs and are never noised.
 
-Each generator maps its uniform block to columns in :func:`_draw_columns`,
-which frees the block before labels are built, and fills its C-contiguous
-feature matrix a block of rows at a time in :func:`_stack_columns`: the
-same bits as ``np.column_stack`` of the columns, without its
-column-strided writes across the whole matrix.
+:func:`_generate` reads the stream a block of rows at a time, builds that
+block's columns and labels and writes them into the preallocated
+C-contiguous feature matrix and label vector.  The block's uniforms are
+the stream's next doubles in the same order as one ``(n, k)`` draw, and
+every column and label is computed elementwise, so the dataset equals, bit
+for bit, the formulas applied to one ``(n, k)`` block and stacked with
+``np.column_stack``; beyond its output a generator holds one block.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ __all__ = [
 ]
 
 _RNG_NAME = "PCG64"
-# Rows per block when stacking generated columns into a feature matrix.
-_STACK_ROWS = 4096
+# Rows per block when generating a dataset.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -139,32 +141,25 @@ class NoiseConfig:
             )
 
 
-def _draw_columns(seed: int, n: int, *ranges: Range) -> list[np.ndarray]:
-    """One column per range, in order, mapped from one uniform ``(n, k)`` block.
+def _generate(seed: int, n: int, width: int, rows, *ranges: Range) -> tuple[np.ndarray, np.ndarray]:
+    """The feature matrix and labels of ``n`` rows, a block of rows at a time.
 
-    The block is freed on return, before the caller builds its labels and
-    feature matrix.
+    Each block's uniforms are mapped to one column per range, in order, and
+    ``rows(*columns)`` returns the block's ``width`` feature columns and its
+    labels.  The matrix is C-contiguous.
     """
     if n < 1:
         raise InvalidRange(f"n must be at least 1, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random((n, len(ranges)))
-    return [r.map_uniform(u[:, j]) for j, r in enumerate(ranges)]
-
-
-def _stack_columns(columns: list[np.ndarray]) -> np.ndarray:
-    """``np.column_stack(columns)`` of equal-length 1-d columns, bit for bit.
-
-    Each block of rows is written across every column before the next, so
-    the rows being written stay in cache.
-    """
-    n = columns[0].shape[0]
-    out = np.empty((n, len(columns)))
-    for start in range(0, n, _STACK_ROWS):
-        rows = slice(start, start + _STACK_ROWS)
+    X = np.empty((n, width))
+    y = np.empty(n)
+    for start in range(0, n, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        u = rng.random((min(n - start, _BLOCK_ROWS), len(ranges)))
+        columns, y[block] = rows(*[r.map_uniform(u[:, j]) for j, r in enumerate(ranges)])
         for j, column in enumerate(columns):
-            out[rows, j] = column[rows]
-    return out
+            X[block, j] = column
+    return X, y
 
 
 @functools.cache
@@ -191,12 +186,16 @@ def gen_bernoulli(
 
     Feature draw order: p, rho, v, Q, A, mu, h.  Only the first three
     features and h enter the label; Q, A and mu are distractors.
+
+    Beyond ``X`` and ``y`` it holds one block of rows and the dataset's
+    one-byte-per-entry finite mask: its ``tracemalloc`` peak at 200,000
+    rows is under 1.15x ``X`` and ``y``.
     """
-    p, rho, v, q, a, mu, h = _draw_columns(
-        seed, n, ranges.p, ranges.rho, ranges.v, ranges.Q, ranges.A, ranges.mu, ranges.h
-    )
     g = STANDARD_CONSTANTS["g"].value
-    y = p + 0.5 * rho * v ** 2 + rho * g * h
+
+    def rows(p, rho, v, q, a, mu, h):
+        return (p, rho, v, q, a, mu, h), p + 0.5 * rho * v ** 2 + rho * g * h
+
     schema, label_dimension = _units((
         ("p", "kg/(m*s^2)"),
         ("rho", "kg/m^3"),
@@ -206,9 +205,13 @@ def gen_bernoulli(
         ("mu", "kg/(m*s)"),
         ("h", "m"),
     ), "Pa")
+    X, y = _generate(
+        seed, n, len(schema), rows,
+        ranges.p, ranges.rho, ranges.v, ranges.Q, ranges.A, ranges.mu, ranges.h,
+    )
     return Dataset(
         schema=schema,
-        X=_stack_columns([p, rho, v, q, a, mu, h]),
+        X=X,
         y=y,
         label_dimension=label_dimension,
         provenance={
@@ -233,19 +236,24 @@ def gen_pulsar(
     energy ``E = I*omega^2/2``.  The label is
     ``-2*pi*B^2*r^6*omega^4*sin(alpha)^2 / (3*mu0*c^3)`` in watts,
     unscaled.
+
+    Beyond ``X`` and ``y`` it holds one block of rows and the dataset's
+    one-byte-per-entry finite mask: its ``tracemalloc`` peak at 200,000
+    rows is under 1.15x ``X`` and ``y``.
     """
-    r, b, omega, alpha, m = _draw_columns(
-        seed, n, ranges.r, ranges.B, ranges.omega, ranges.alpha, ranges.m
-    )
-    period = 2.0 * math.pi / omega
-    inertia = 0.4 * m * r ** 2
-    energy = 0.5 * inertia * omega ** 2
     mu0 = STANDARD_CONSTANTS["mu0"].value
     c = STANDARD_CONSTANTS["c"].value
-    y = (
-        -2.0 * math.pi * b ** 2 * r ** 6 * omega ** 4 * np.sin(alpha) ** 2
-        / (3.0 * mu0 * c ** 3)
-    )
+
+    def rows(r, b, omega, alpha, m):
+        period = 2.0 * math.pi / omega
+        inertia = 0.4 * m * r ** 2
+        energy = 0.5 * inertia * omega ** 2
+        y = (
+            -2.0 * math.pi * b ** 2 * r ** 6 * omega ** 4 * np.sin(alpha) ** 2
+            / (3.0 * mu0 * c ** 3)
+        )
+        return (r, b, omega, alpha, period, m, inertia, energy), y
+
     schema, label_dimension = _units((
         ("r", "m"),
         ("B", "T"),
@@ -256,9 +264,12 @@ def gen_pulsar(
         ("I", "kg*m^2"),
         ("E", "kg*m^2/s^2"),
     ), "W")
+    X, y = _generate(
+        seed, n, len(schema), rows, ranges.r, ranges.B, ranges.omega, ranges.alpha, ranges.m
+    )
     return Dataset(
         schema=schema,
-        X=_stack_columns([r, b, omega, alpha, period, m, inertia, energy]),
+        X=X,
         y=y,
         label_dimension=label_dimension,
         provenance={
@@ -281,11 +292,24 @@ def gen_binary(
     ``E = 0.5*(m1*m2/(m1+m2))*v^2 - G*m1*m2/r`` decides the label:
     1 when E < 0 (bound), 0 otherwise, for every row.  Labels are exact
     signs and must never be noised.
+
+    Beyond ``X`` and ``y`` it holds one block of rows and the dataset's
+    one-byte-per-entry finite mask: its ``tracemalloc`` peak at 200,000
+    rows is under 1.15x ``X`` and ``y``.
     """
-    m1, m2, v, r = _draw_columns(seed, n, ranges.m1, ranges.m2, ranges.v, ranges.r)
     g_newton = STANDARD_CONSTANTS["G"].value
-    energy = 0.5 * (m1 * m2 / (m1 + m2)) * v ** 2 - g_newton * m1 * m2 / r
-    y = (energy < 0.0).astype(float)
+
+    def rows(m1, m2, v, r):
+        energy = 0.5 * (m1 * m2 / (m1 + m2)) * v ** 2 - g_newton * m1 * m2 / r
+        return (m1, m2, v, r), energy < 0.0
+
+    schema, label_dimension = _units((
+        ("m1", "kg"),
+        ("m2", "kg"),
+        ("v", "m/s"),
+        ("r", "m"),
+    ), "1")
+    X, y = _generate(seed, n, len(schema), rows, ranges.m1, ranges.m2, ranges.v, ranges.r)
     counts = (int(np.sum(y == 0.0)), int(np.sum(y == 1.0)))
     if 0 in counts:
         warnings.warn(
@@ -294,15 +318,9 @@ def gen_binary(
             DegenerateClassBalanceWarning,
             stacklevel=2,
         )
-    schema, label_dimension = _units((
-        ("m1", "kg"),
-        ("m2", "kg"),
-        ("v", "m/s"),
-        ("r", "m"),
-    ), "1")
     return Dataset(
         schema=schema,
-        X=_stack_columns([m1, m2, v, r]),
+        X=X,
         y=y,
         label_dimension=label_dimension,
         provenance={
@@ -321,9 +339,17 @@ def add_noise(y: np.ndarray, config: NoiseConfig) -> np.ndarray:
     """Multiply each label by ``1 + u_i`` with ``u_i ~ U(-level, level)``.
 
     The draw comes from a fresh PCG64 stream keyed by ``config.seed``;
-    with ``level == 0`` the output equals ``y`` exactly.
+    with ``level == 0`` the output equals ``y`` exactly.  ``y`` is never
+    changed: the output is the drawn array, which each step overwrites in
+    place, so beyond its output ``add_noise`` allocates nothing n-sized:
+    its ``tracemalloc`` peak at 200,000 rows is under 1.01x the output.
     """
     y = np.asarray(y, dtype=float)
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    u = (2.0 * rng.random(y.shape[0]) - 1.0) * config.level
-    return y * (1.0 + u)
+    # (2u - 1) * level, then 1 + that, then y times that: one array throughout
+    u = rng.random(y.shape[0])
+    u *= 2.0
+    u -= 1.0
+    u *= config.level
+    u += 1.0
+    return np.multiply(y, u, out=u)

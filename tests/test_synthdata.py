@@ -8,10 +8,9 @@ import pytest
 
 from pifmap.dimension import parse_unit
 from pifmap.errors import DegenerateClassBalanceWarning, InvalidNoiseLevel, InvalidRange
-from pifmap import synthdata
 from pifmap.featuremap import STANDARD_CONSTANTS
 from pifmap.synthdata import (
-    _STACK_ROWS,
+    _BLOCK_ROWS,
     BernoulliRanges,
     BinaryRanges,
     NoiseConfig,
@@ -103,24 +102,7 @@ class TestDeterminism:
             gen_bernoulli(0, seed=1)
 
 
-_ACROSS_BLOCKS = [1, _STACK_ROWS - 1, _STACK_ROWS, _STACK_ROWS + 1, 3 * _STACK_ROWS + 7]
-
-
-class TestFeatureMatrix:
-    """Generators stack their columns a block of rows at a time, bit for bit."""
-
-    @pytest.mark.parametrize("generate", [gen_bernoulli, gen_pulsar, gen_binary])
-    @pytest.mark.parametrize("n", _ACROSS_BLOCKS)
-    def test_equals_a_column_stack_of_the_same_columns(self, monkeypatch, generate, n):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateClassBalanceWarning)
-            X = generate(n, 3).X
-            monkeypatch.setattr(synthdata, "_stack_columns", np.column_stack)
-            oracle = generate(n, 3).X
-        assert X.flags.c_contiguous
-        assert X.shape == oracle.shape
-        assert np.array_equal(X.view(np.uint64), oracle.view(np.uint64))
-
+_ACROSS_BLOCKS = [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
 
 
 def _one_block(seed, n, ranges):
