@@ -100,6 +100,10 @@ _VALIDATION_FRACTION = 0.3
 # zero to within this relative tolerance of the mean magnitude.
 _ZERO_SCALE_RTOL = 1e-12
 
+# standardize_fit squares a column-major design's centered columns into a
+# buffer of at most this many bytes (or one column, if that is larger).
+_SQUARES_BYTES = 1 << 18
+
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
@@ -118,10 +122,15 @@ class StandardizationParams:
         return len(self.kept) + len(self.dropped)
 
 
-def _check_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
+def _as_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got shape {X.shape}")
+    return X
+
+
+def _check_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
+    X = _as_matrix(X, name)
     if not np.isfinite(X).all():
         raise NonFiniteInput(f"{name} contains non-finite values")
     return X
@@ -136,6 +145,31 @@ def _check_labels(y: np.ndarray, n: int) -> np.ndarray:
     return y
 
 
+def _column_sums_of_squares(centered: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(np.square(centered), axis=0)``, bit for bit.
+
+    A Fortran-ordered array larger than ``_SQUARES_BYTES`` is squared a few
+    columns at a time into one reused Fortran-ordered buffer of at most
+    that size or one column, and each column still sums pairwise down its
+    own contiguous run.  A C-ordered array is squared whole: a row-major
+    design holds two n-row copies at once in any case (see
+    :func:`standardize_fit`), and its columns sum row by row, which a
+    narrow block of columns would make several times slower.
+    """
+    n, p = centered.shape
+    width = _SQUARES_BYTES // (8 * n)
+    if width >= p or not centered.flags.f_contiguous:
+        return np.add.reduce(np.square(centered), axis=0)
+    width = max(width, 1)
+    squares = np.empty((n, width), order="F")
+    sums = np.empty(p)
+    for start in range(0, p, width):
+        block = centered[:, start:start + width]
+        np.add.reduce(np.square(block, out=squares[:, :block.shape[1]]), axis=0,
+                      out=sums[start:start + width])
+    return sums
+
+
 def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
     """Center and scale columns to zero mean and unit population variance.
 
@@ -143,8 +177,13 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
     mean magnitude) carry no information at this scale; they are dropped
     with a :class:`~pifmap.errors.DroppedColumnWarning` and recorded in
     ``params.dropped`` so later matrices can be sliced consistently.  A
-    column whose values are too large for its variance to be finite raises
-    :class:`~pifmap.errors.NonFiniteResult`.
+    non-finite entry raises :class:`~pifmap.errors.NonFiniteInput`, before
+    any other error but a design that is not 2-d; a finite column whose
+    values are too large for its variance to be finite raises
+    :class:`~pifmap.errors.NonFiniteResult`.  A NaN or infinite entry
+    makes its column's sum non-finite, so the entries are tested one by
+    one only when a column sum is not finite, or when there are fewer than
+    two rows.
 
     The matrix is centered once, into an array of the input's layout; a
     column-major design is scaled in that array, with no transposing copy,
@@ -153,18 +192,27 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
     ``np.mean`` (sum over rows, divide by ``n``) and the scales from the
     centered matrix by those of ``np.std`` (square, sum over rows, divide
     by ``n``, square root), so they equal ``X.mean(axis=0)`` and
-    ``X.std(axis=0)`` bit for bit for the array as passed.
+    ``X.std(axis=0)`` bit for bit for the array as passed.  The squares
+    are formed a few columns at a time (:func:`_column_sums_of_squares`),
+    so a column-major design with no dropped column needs, beyond ``Z``,
+    one buffer of at most 256 KiB or one column: its ``tracemalloc`` peak
+    at 200,000 rows and 9 columns is under 1.15x ``Z``.  A row-major design
+    also holds its centered copy, about 2x ``Z``.
     """
-    X = _check_matrix(X)
+    X = _as_matrix(X)
     n = X.shape[0]
     if n < 2:
+        _check_matrix(X)
         raise InsufficientData(f"standardization needs at least 2 rows, got {n}")
     # overflow is reported as NonFiniteResult below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         means = np.add.reduce(X, axis=0) / n
+        if not np.isfinite(means).all():
+            # a non-finite entry, or finite ones whose sum overflows
+            _check_matrix(X)
         centered = X - means
         # population (1/n) convention
-        scales = np.sqrt(np.add.reduce(np.square(centered), axis=0) / n)
+        scales = np.sqrt(_column_sums_of_squares(centered) / n)
     if not np.isfinite(scales).all():
         column = int(np.flatnonzero(~np.isfinite(scales))[0])
         raise NonFiniteResult(
