@@ -56,14 +56,22 @@ def _mean_error(total, y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return total / y_true.size
 
 
-def mae(y_true, y_pred) -> float:
+def _errors(y_true, y_pred, *terms) -> list[float]:
+    """The mean of each ``term(y_true - y_pred)``, in order.
+
+    The pair is checked, and the residual formed, once for all the terms.
+    """
     y_true, y_pred = _check_pair(y_true, y_pred)
-    return _mean_error(np.abs(y_true - y_pred).sum(), y_true, y_pred)
+    residual = y_true - y_pred
+    return [_mean_error(term(residual).sum(), y_true, y_pred) for term in terms]
+
+
+def mae(y_true, y_pred) -> float:
+    return _errors(y_true, y_pred, np.abs)[0]
 
 
 def mse(y_true, y_pred) -> float:
-    y_true, y_pred = _check_pair(y_true, y_pred)
-    return _mean_error(((y_true - y_pred) ** 2).sum(), y_true, y_pred)
+    return _errors(y_true, y_pred, np.square)[0]
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EmptyInput, InvalidRange, LengthMismatch
 from .featuremap import destandardize
-from .metrics import mae, mse
+from .metrics import _errors
 from .regression import (
     RidgeModel,
     StandardizationParams,
@@ -162,8 +162,8 @@ def greedy_select(
     is never read.  Each prefix is solved with the same ``lam`` by
     :func:`~pifmap.regression.ridge_fit`'s own solve, so its weights equal
     a ``ridge_fit`` of those columns bit for bit, and scored on the
-    evaluation split with MAE and MSE; ``selected_fit`` is the fit of the
-    selected prefix.
+    evaluation split with MAE and MSE, from one check of the pair and one
+    residual; ``selected_fit`` is the fit of the selected prefix.
     """
     Z_train = np.asarray(Z_train, dtype=float)
     Z_eval = np.asarray(Z_eval, dtype=float)
@@ -206,9 +206,7 @@ def greedy_select(
         evaluation[:, k - 1] = Z_eval[:, order[k - 1]]
         _check_matrix(evaluation[:, k - 1:k], "Z")
         predictions = evaluation[:, :k] @ weights + intercept
-        point = CurvePoint(
-            k=k, mae=mae(y_eval, predictions), mse=mse(y_eval, predictions)
-        )
+        point = CurvePoint(k, *_errors(y_eval, predictions, np.abs, np.square))
         curve.append(point)
         if stop_k is None and k >= 2:
             previous = curve[k - 2]
