@@ -21,7 +21,10 @@ Inputs are checked once each, by one helper per kind: ``_check_matrix``
 ``_check_labels`` (one finite label per row) for the labels and
 ``_check_lambda`` (finite, non-negative) for each ridge strength.  A
 non-finite entry raises :class:`~pifmap.errors.NonFiniteInput`, and
-finite entries pass however large their sum.
+finite entries pass however large their sum.  :func:`standardize_fit`
+sums every column anyway, and a column with a non-finite entry has a
+non-finite sum, so it runs ``_check_matrix``'s entry test only when a sum
+is not finite.
 
 Most fits in a run are small (hundreds of rows, a few columns), so their
 time is the fixed cost of each numpy call, not arithmetic.  The code takes
@@ -148,13 +151,10 @@ def _check_labels(y: np.ndarray, n: int) -> np.ndarray:
 def _column_sums_of_squares(centered: np.ndarray) -> np.ndarray:
     """``np.add.reduce(np.square(centered), axis=0)``, bit for bit.
 
-    A Fortran-ordered array larger than ``_SQUARES_BYTES`` is squared a few
-    columns at a time into one reused Fortran-ordered buffer of at most
-    that size or one column, and each column still sums pairwise down its
-    own contiguous run.  A C-ordered array is squared whole: a row-major
-    design holds two n-row copies at once in any case (see
-    :func:`standardize_fit`), and its columns sum row by row, which a
-    narrow block of columns would make several times slower.
+    A Fortran-ordered array over ``_SQUARES_BYTES`` is squared a few columns
+    at a time into one reused buffer, and each column still sums pairwise
+    down its contiguous run.  A C-ordered one is squared whole: its columns
+    sum row by row, several times slower over a narrow block.
     """
     n, p = centered.shape
     width = _SQUARES_BYTES // (8 * n)
@@ -180,10 +180,7 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
     non-finite entry raises :class:`~pifmap.errors.NonFiniteInput`, before
     any other error but a design that is not 2-d; a finite column whose
     values are too large for its variance to be finite raises
-    :class:`~pifmap.errors.NonFiniteResult`.  A NaN or infinite entry
-    makes its column's sum non-finite, so the entries are tested one by
-    one only when a column sum is not finite, or when there are fewer than
-    two rows.
+    :class:`~pifmap.errors.NonFiniteResult`.
 
     The matrix is centered once, into an array of the input's layout; a
     column-major design is scaled in that array, with no transposing copy,
@@ -192,11 +189,10 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
     ``np.mean`` (sum over rows, divide by ``n``) and the scales from the
     centered matrix by those of ``np.std`` (square, sum over rows, divide
     by ``n``, square root), so they equal ``X.mean(axis=0)`` and
-    ``X.std(axis=0)`` bit for bit for the array as passed.  The squares
-    are formed a few columns at a time (:func:`_column_sums_of_squares`),
-    so a column-major design with no dropped column needs, beyond ``Z``,
-    one buffer of at most 256 KiB or one column: its ``tracemalloc`` peak
-    at 200,000 rows and 9 columns is under 1.15x ``Z``.  A row-major design
+    ``X.std(axis=0)`` bit for bit for the array as passed.  Beyond ``Z``,
+    a column-major design with no dropped column needs one buffer of
+    squares, at most 256 KiB or one column: its ``tracemalloc`` peak at
+    200,000 rows and 9 columns is under 1.15x ``Z``.  A row-major design
     also holds its centered copy, about 2x ``Z``.
     """
     X = _as_matrix(X)

@@ -19,7 +19,8 @@ C-contiguous feature matrix and label vector.  The block's uniforms are
 the stream's next doubles in the same order as one ``(n, k)`` draw, and
 every column and label is computed elementwise, so the dataset equals, bit
 for bit, the formulas applied to one ``(n, k)`` block and stacked with
-``np.column_stack``; beyond its output a generator holds one block.
+``np.column_stack``.  Beyond its output a generator holds one block and
+the one-byte-per-entry mask of the dataset's finite check.
 """
 
 from __future__ import annotations
@@ -141,7 +142,9 @@ class NoiseConfig:
             )
 
 
-def _generate(seed: int, n: int, width: int, rows, *ranges: Range) -> tuple[np.ndarray, np.ndarray]:
+def _generate(
+    seed: int, n: int, width: int, rows, *ranges: Range
+) -> tuple[np.ndarray, np.ndarray]:
     """The feature matrix and labels of ``n`` rows, a block of rows at a time.
 
     Each block's uniforms are mapped to one column per range, in order, and
@@ -187,9 +190,7 @@ def gen_bernoulli(
     Feature draw order: p, rho, v, Q, A, mu, h.  Only the first three
     features and h enter the label; Q, A and mu are distractors.
 
-    Beyond ``X`` and ``y`` it holds one block of rows and the dataset's
-    one-byte-per-entry finite mask: its ``tracemalloc`` peak at 200,000
-    rows is under 1.15x ``X`` and ``y``.
+    Its ``tracemalloc`` peak at 200,000 rows is under 1.15x ``X`` and ``y``.
     """
     g = STANDARD_CONSTANTS["g"].value
 
@@ -237,9 +238,7 @@ def gen_pulsar(
     ``-2*pi*B^2*r^6*omega^4*sin(alpha)^2 / (3*mu0*c^3)`` in watts,
     unscaled.
 
-    Beyond ``X`` and ``y`` it holds one block of rows and the dataset's
-    one-byte-per-entry finite mask: its ``tracemalloc`` peak at 200,000
-    rows is under 1.15x ``X`` and ``y``.
+    Its ``tracemalloc`` peak at 200,000 rows is under 1.15x ``X`` and ``y``.
     """
     mu0 = STANDARD_CONSTANTS["mu0"].value
     c = STANDARD_CONSTANTS["c"].value
@@ -293,9 +292,7 @@ def gen_binary(
     1 when E < 0 (bound), 0 otherwise, for every row.  Labels are exact
     signs and must never be noised.
 
-    Beyond ``X`` and ``y`` it holds one block of rows and the dataset's
-    one-byte-per-entry finite mask: its ``tracemalloc`` peak at 200,000
-    rows is under 1.15x ``X`` and ``y``.
+    Its ``tracemalloc`` peak at 200,000 rows is under 1.15x ``X`` and ``y``.
     """
     g_newton = STANDARD_CONSTANTS["G"].value
 
