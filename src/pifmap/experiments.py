@@ -3,10 +3,13 @@
 Every experiment runs one pipeline per seed: generate a seeded dataset,
 split chronologically and standardize two designs on the training rows:
 the raw features (arm ``sf``) and the evaluated physics-informed
-monomials (arm ``spif``).  Each noise level then noises the labels and
-fits ridge models on those shared designs.  Regression experiments then
-greedy-rank the monomials and report the greedy pass's fit of the selected
-set; the classification experiment scores thresholded predictions.
+monomials (arm ``spif``).  Each noise level then noises the labels, and
+the levels' labels are fitted as one stack on those shared designs: one
+Gram and one stacked ridge solve per arm.  Regression experiments then
+greedy-rank the monomials with one lock-step pass over the levels and
+report the greedy pass's fit of the selected set; the classification
+experiment scores thresholded predictions.  Each level's numbers equal
+that level fitted, scored and ranked alone, bit for bit.
 What differs between experiments is one row of ``_EXPERIMENTS``.  The
 rotating-dipole experiment adds a third arm with its leading monomial
 removed (``spif_no_pif1``) to probe how much that single
@@ -27,14 +30,14 @@ from .catalogs import load_catalog
 from .data import Dataset
 from .errors import InsufficientData, InvalidRange
 from .featuremap import FeatureMapSpec, evaluate_map, render_monomial
-from .metrics import ConfusionMatrix, confusion, mae, mse, scores_to_dict
-from .ranking import _identical_column_groups, rank_and_refit
+from .metrics import ConfusionMatrix, _errors, confusion, scores_to_dict
+from .ranking import _identical_column_groups, _ranked_refits
 from .regression import (
     DEFAULT_LAMBDA,
     StandardizationParams,
+    _ridge_fits,
+    _ridge_predictions,
     classify,
-    ridge_fit,
-    ridge_predict,
     standardize_apply,
     standardize_fit,
 )
@@ -145,48 +148,19 @@ class _Design:
     names: tuple[str, ...]
 
 
-def _trial(experiment: _Experiment, designs: Mapping[str, _Design],
-           spif_groups: np.ndarray | None, y_clean: np.ndarray, k: int,
-           seed: int, level: float) -> dict:
-    """Fit every arm at one noise level; regression trials also rank ``spif``."""
-    y = _noisy_labels(y_clean, seed, level)
-    arms = {}
-    models = {}
-    for arm, design in designs.items():
-        model = models[arm] = ridge_fit(
-            design.Z_train, y[:k], DEFAULT_LAMBDA, feature_names=design.names,
-            standardization=design.standardization,
-        )
-        predictions = ridge_predict(model, design.Z_eval)
-        if experiment.classification:
-            labels = classify(predictions, _THRESHOLD)
-            arms[arm] = scores_to_dict(confusion(y[k:], labels))
-        else:
-            arms[arm] = {"mae": mae(y[k:], predictions),
-                         "mse": mse(y[k:], predictions)}
-    trial = {"seed": seed, "noise": level, "arms": arms}
-    if not experiment.classification:
-        spif = designs["spif"]
-        _, ranked = rank_and_refit(
-            models["spif"], spif_groups, spif.Z_train, y[:k], spif.Z_eval,
-            y[k:], _EPSILON,
-        )
-        trial["ranking"] = {
-            key: ranked[key] for key in ("order", "selected_count", "selected", "curve")
-        }
-        trial["coefficients"] = {**ranked["coefficients"],
-                                 "intercept": ranked["intercept"]}
-    return trial
-
-
 def _seed_trials(experiment: _Experiment, spec: FeatureMapSpec, seed: int,
                  noise_levels, settings: TrialSettings) -> list[dict]:
-    """One seed's trials, one per noise level.
+    """One seed's trials, one per noise level, fitted as one stack.
 
     The work that does not depend on the noise level is done once: generate
     the data, evaluate the map, standardize every arm's design on the
     training rows and group the identical ``spif`` columns for ranking.
-    Each level then only re-noises the labels and refits.
+    The levels' noisy labels are then stacked, one row per level, and
+    fitted together: each arm's Gram is formed once and one stacked solve
+    gives every level's weights, and regression experiments rank ``spif``
+    with one lock-step greedy pass over the levels.  Every item's numbers
+    equal a fit, prediction, score and rank of that level alone bit for
+    bit.
     """
     data = experiment.generator(settings.n, seed)
     k = split_point(data.n_rows, settings.split)
@@ -204,12 +178,38 @@ def _seed_trials(experiment: _Experiment, spec: FeatureMapSpec, seed: int,
             standardization=params,
             names=tuple(column_names[j] for j in params.kept),
         )
-    spif_groups = (None if experiment.classification
-                   else _identical_column_groups(designs["spif"].Z_train))
-    return [
-        _trial(experiment, designs, spif_groups, data.y, k, seed, level)
-        for level in noise_levels
-    ]
+    y = np.array([_noisy_labels(data.y, seed, level) for level in noise_levels])
+    stack = (len(noise_levels),)
+    trials = [{"seed": seed, "noise": level, "arms": {}} for level in noise_levels]
+    models = {}
+    for arm, design in designs.items():
+        models[arm] = _ridge_fits(
+            design.Z_train, y[:, :k], DEFAULT_LAMBDA, stack,
+            feature_names=design.names, standardization=design.standardization,
+        )
+        predictions = _ridge_predictions(models[arm], design.Z_eval)
+        if experiment.classification:
+            labels = classify(predictions, _THRESHOLD)
+            for trial, truth, row in zip(trials, y[:, k:], labels):
+                trial["arms"][arm] = scores_to_dict(confusion(truth, row))
+        else:
+            maes, mses = _errors(y[:, k:], predictions, np.abs, np.square, axis=-1)
+            for trial, mae, mse in zip(trials, maes.tolist(), mses.tolist()):
+                trial["arms"][arm] = {"mae": mae, "mse": mse}
+    if not experiment.classification:
+        spif = designs["spif"]
+        ranked = _ranked_refits(
+            models["spif"], _identical_column_groups(spif.Z_train), spif.Z_train,
+            y[:, :k], spif.Z_eval, y[:, k:], _EPSILON, stack,
+        )
+        for trial, (_, document) in zip(trials, ranked):
+            trial["ranking"] = {
+                key: document[key]
+                for key in ("order", "selected_count", "selected", "curve")
+            }
+            trial["coefficients"] = {**document["coefficients"],
+                                     "intercept": document["intercept"]}
+    return trials
 
 
 def _median(values) -> float:

@@ -40,38 +40,42 @@ def _check_pair(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     return y_true, y_pred
 
 
-def _mean_error(total, y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """``total / n``, np.mean's own steps, once the inputs are known finite.
+def _mean_error(total, y_true: np.ndarray, y_pred: np.ndarray, axis):
+    """``total`` over the entries it sums, np.mean's own steps, once the
+    inputs are known finite.
 
-    ``total`` sums one non-negative error term per entry.  A NaN or
-    infinite input makes its term, and so the sum, non-finite, so a finite
-    sum shows both inputs finite with no pass of its own; only a sum that
+    ``total`` sums one non-negative error term per entry: of all of them
+    (``axis`` None) or along ``axis``, one sum per item of a stack.  A NaN
+    or infinite input makes its term, and so the sum, non-finite, so finite
+    sums show the inputs finite with no pass of their own; only a sum that
     is not finite, which finite terms can also reach by overflowing, needs
     the elementwise test.
     """
-    total = float(total)
-    if not (math.isfinite(total)
+    if not (np.isfinite(total).all()
             or (np.isfinite(y_true).all() and np.isfinite(y_pred).all())):
         raise NonFiniteInput("metric inputs contain non-finite values")
-    return total / y_true.size
+    return total / (y_true.size if axis is None else y_true.shape[axis])
 
 
-def _errors(y_true, y_pred, *terms) -> list[float]:
+def _errors(y_true, y_pred, *terms, axis=None) -> list:
     """The mean of each ``term(y_true - y_pred)``, in order.
 
     The pair is checked, and the residual formed, once for all the terms.
+    With ``axis=-1`` a stack of pairs gives one mean per item, each the sum
+    of its contiguous row, the same sum a single pair gives.
     """
     y_true, y_pred = _check_pair(y_true, y_pred)
     residual = y_true - y_pred
-    return [_mean_error(term(residual).sum(), y_true, y_pred) for term in terms]
+    return [_mean_error(term(residual).sum(axis=axis), y_true, y_pred, axis)
+            for term in terms]
 
 
 def mae(y_true, y_pred) -> float:
-    return _errors(y_true, y_pred, np.abs)[0]
+    return float(_errors(y_true, y_pred, np.abs)[0])
 
 
 def mse(y_true, y_pred) -> float:
-    return _errors(y_true, y_pred, np.square)[0]
+    return float(_errors(y_true, y_pred, np.square)[0])
 
 
 @dataclass(frozen=True)

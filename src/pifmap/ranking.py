@@ -18,7 +18,10 @@ selected.  The pass checks each input once, and each prefix is solved by
 ``ridge_fit`` of those columns bit for bit.  :func:`rank_and_refit` runs
 the whole step on a design that is already standardized and fitted: rank
 by that fit and map the greedy pass's own fit of the selected prefix back
-to raw-column scale.
+to raw-column scale.  Several passes over one design, one per label
+vector, run in lock step as one stack (``_greedy_passes``), one stacked
+solve per prefix size; :func:`greedy_select` and :func:`rank_and_refit`
+are the one-pass case.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .regression import (
     _centered_labels,
     _check_lambda,
     _check_matrix,
+    _predict,
     _ridge_weights,
     identity_standardization,
     ridge_fit,
@@ -73,12 +77,14 @@ class RankingResult:
 
 def rank_by_coefficient(model: RidgeModel) -> tuple[int, ...]:
     """Column indices sorted by |weight| descending, index ascending on ties."""
-    weights = np.asarray(model.weights, dtype=float)
-    if weights.size == 0:
+    return _rank_magnitudes(np.abs(np.asarray(model.weights, dtype=float)))
+
+
+def _rank_magnitudes(magnitudes: np.ndarray) -> tuple[int, ...]:
+    if magnitudes.size == 0:
         raise EmptyInput("model has no weights to rank")
-    return tuple(
-        sorted(range(weights.size), key=lambda j: (-abs(weights[j]), j))
-    )
+    values = magnitudes.tolist()
+    return tuple(sorted(range(len(values)), key=lambda j: (-values[j], j)))
 
 
 # Columns whose rows differ by at most this share of their largest
@@ -133,7 +139,7 @@ def _rank_design_columns(model: RidgeModel, labels: np.ndarray) -> tuple[int, ..
     weights = np.abs(np.asarray(model.weights, dtype=float))
     shared = np.zeros(weights.size)
     np.maximum.at(shared, labels, weights)
-    return rank_by_coefficient(replace(model, weights=shared[labels]))
+    return _rank_magnitudes(shared[labels])
 
 
 def _relative_improvement(previous: float, current: float) -> float:
@@ -141,6 +147,131 @@ def _relative_improvement(previous: float, current: float) -> float:
     if previous == 0.0:
         return 0.0
     return (previous - current) / previous
+
+
+def _pass_inputs(Z_train, Z_eval, epsilon) -> tuple[np.ndarray, np.ndarray]:
+    """The designs of a greedy pass, checked for shape, and a checked ``epsilon``."""
+    Z_train = np.asarray(Z_train, dtype=float)
+    Z_eval = np.asarray(Z_eval, dtype=float)
+    if not np.isfinite(epsilon):
+        raise InvalidRange(f"epsilon must be finite, got {epsilon}")
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    p = Z_train.shape[1]
+    if p == 0:
+        raise EmptyInput("no columns to select from")
+    if Z_eval.shape[1] != p:
+        raise LengthMismatch(
+            f"evaluation matrix has {Z_eval.shape[1]} columns, training has {p}"
+        )
+    return Z_train, Z_eval
+
+
+def _greedy_passes(
+    Z_train: np.ndarray,
+    y_train: np.ndarray,
+    Z_eval: np.ndarray,
+    y_eval: np.ndarray,
+    lam: float,
+    orders: list[tuple[int, ...]],
+    epsilon: float,
+    stack: tuple[int, ...] = (),
+) -> list[RankingResult]:
+    """Greedy passes over one design pair in lock step, one per label vector.
+
+    ``y_train`` and ``y_eval`` have the shapes ``stack + (n,)`` and
+    ``stack + (m,)``, and ``orders`` holds one column order per item.
+    Each prefix size is one stacked solve of every item whose pass has not
+    ended; an item whose pass ends leaves the stack, so no item computes a
+    prefix its own pass would not.  Item ``i``'s prefix buffer is
+    Fortran-ordered, as the gather ``Z[:, order[:k]]`` would return it, and
+    its Gram, right-hand side, predictions and error sums are the arrays a
+    pass of that item alone forms, so its result equals that pass bit for
+    bit.  An error is raised at the first prefix size where any item
+    fails, as that item's own pass raises it.
+    """
+    n, p = Z_train.shape
+    m = Z_eval.shape[0]
+    for order in orders:
+        if sorted(order) != list(range(p)):
+            raise LengthMismatch(
+                f"order must be a permutation of 0..{p - 1}, got {order}"
+            )
+    intercepts, centered = _centered_labels(y_train, n, stack)
+    _check_lambda(lam)
+    y_eval = np.array(y_eval, dtype=float)
+    if y_eval.shape != (*stack, m):
+        raise LengthMismatch(f"shapes differ: {y_eval.shape} vs {(*stack, m)}")
+    items = len(orders)
+    intercept_values = intercepts.reshape(items).tolist()
+    # Per-item state, compacted in place as passes end: slot s holds item
+    # live_items[s], and row j of its buffers is column j of its prefix.
+    intercepts, centered, y_eval = (intercepts.reshape(items),
+                                    centered.reshape(items, n),
+                                    y_eval.reshape(items, m))
+    train = np.empty((items, p, n))
+    evaluation = np.empty((items, p, m))
+    live_items = list(range(items))
+    curves: list[list[CurvePoint]] = [[] for _ in orders]
+    stops: list[int | None] = [None] * items
+    selected_weights: list = [None] * items
+    for k in range(1, p + 1):
+        live = len(live_items)
+        entering = [orders[item][k - 1] for item in live_items]
+        for slot, j in enumerate(entering):
+            train[slot, k - 1] = Z_train[:, j]
+        _check_matrix(train[:live, k - 1], "Z")
+        weights = _ridge_weights(train[:live, :k].mT, centered[:live], lam)
+        for slot, j in enumerate(entering):
+            evaluation[slot, k - 1] = Z_eval[:, j]
+        _check_matrix(evaluation[:live, k - 1], "Z")
+        predictions = _predict(evaluation[:live, :k].mT, weights, intercepts[:live])
+        maes, mses = _errors(y_eval[:live], predictions, np.abs, np.square, axis=-1)
+        ended = []
+        for slot, (item, mae, mse) in enumerate(zip(live_items, maes.tolist(),
+                                                    mses.tolist())):
+            curve = curves[item]
+            point = CurvePoint(k, mae, mse)
+            curve.append(point)
+            if stops[item] is None and k >= 2:
+                previous = curve[k - 2]
+                saturated_mae = _relative_improvement(previous.mae, point.mae) < epsilon
+                saturated_mse = _relative_improvement(previous.mse, point.mse) < epsilon
+                if saturated_mae and saturated_mse:
+                    stops[item] = k
+            if stops[item] is None:
+                selected_weights[item] = weights[slot]
+            elif k >= min(p, stops[item] + 1):
+                ended.append(slot)
+        if ended:
+            kept = [slot for slot in range(live) if slot not in ended]
+            for new, old in enumerate(kept):
+                if new != old:
+                    for state in (train, evaluation, centered, intercepts, y_eval):
+                        state[new] = state[old]
+            live_items = [live_items[slot] for slot in kept]
+            if not live_items:
+                break
+
+    results = []
+    for item, order in enumerate(orders):
+        count = (stops[item] - 1) if stops[item] is not None else p
+        # the model ridge_fit returns for the selected prefix
+        selected_fit = RidgeModel(
+            lam=float(lam),
+            weights=selected_weights[item],
+            intercept=intercept_values[item],
+            standardization=identity_standardization(count),
+            feature_names=tuple(f"z{j}" for j in range(count)),
+        )
+        results.append(RankingResult(
+            order=order,
+            selected_count=count,
+            curve=tuple(curves[item]),
+            epsilon=float(epsilon),
+            selected_fit=selected_fit,
+        ))
+    return results
 
 
 def greedy_select(
@@ -163,78 +294,76 @@ def greedy_select(
     :func:`~pifmap.regression.ridge_fit`'s own solve, so its weights equal
     a ``ridge_fit`` of those columns bit for bit, and scored on the
     evaluation split with MAE and MSE, from one check of the pair and one
-    residual; ``selected_fit`` is the fit of the selected prefix.
+    residual; ``selected_fit`` is the fit of the selected prefix.  This is
+    the one-pass case of the lock-step passes :func:`rank_and_refit` and
+    the experiments run.
     """
-    Z_train = np.asarray(Z_train, dtype=float)
-    Z_eval = np.asarray(Z_eval, dtype=float)
-    if not np.isfinite(epsilon):
-        raise InvalidRange(f"epsilon must be finite, got {epsilon}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    p = Z_train.shape[1]
-    if p == 0:
-        raise EmptyInput("no columns to select from")
-    if Z_eval.shape[1] != p:
-        raise LengthMismatch(
-            f"evaluation matrix has {Z_eval.shape[1]} columns, training has {p}"
-        )
+    Z_train, Z_eval = _pass_inputs(Z_train, Z_eval, epsilon)
     if order is None:
         full_fit = ridge_fit(Z_train, y_train, lam)
         order = _rank_design_columns(full_fit, _identical_column_groups(Z_train))
     else:
         order = tuple(int(j) for j in order)
-        if sorted(order) != list(range(p)):
-            raise LengthMismatch(
-                f"order must be a permutation of 0..{p - 1}, got {order}"
-            )
+    return _greedy_passes(Z_train, y_train, Z_eval, y_eval, lam, [order], epsilon)[0]
 
-    n = Z_train.shape[0]
-    intercept, centered = _centered_labels(y_train, n)
-    _check_lambda(lam)
 
-    # Prefix k is the first k columns of these: one column is copied in per
-    # prefix, and each prefix is Fortran-ordered, as the gather
-    # Z[:, order[:k]] would return it, so its Gram rounds the same way.
-    train = np.empty((n, p), order="F")
-    evaluation = np.empty((Z_eval.shape[0], p), order="F")
-    curve: list[CurvePoint] = []
-    stop_k: int | None = None
-    for k in range(1, p + 1):
-        train[:, k - 1] = Z_train[:, order[k - 1]]
-        _check_matrix(train[:, k - 1:k], "Z")
-        weights = _ridge_weights(train[:, :k], centered, lam)
-        evaluation[:, k - 1] = Z_eval[:, order[k - 1]]
-        _check_matrix(evaluation[:, k - 1:k], "Z")
-        predictions = evaluation[:, :k] @ weights + intercept
-        point = CurvePoint(k, *_errors(y_eval, predictions, np.abs, np.square))
-        curve.append(point)
-        if stop_k is None and k >= 2:
-            previous = curve[k - 2]
-            saturated_mae = _relative_improvement(previous.mae, point.mae) < epsilon
-            saturated_mse = _relative_improvement(previous.mse, point.mse) < epsilon
-            if saturated_mae and saturated_mse:
-                stop_k = k
-        if stop_k is None:
-            selected_weights = weights
-        if stop_k is not None and k >= min(p, stop_k + 1):
-            break
+def _ranked_refits(
+    models: list[RidgeModel],
+    groups: np.ndarray,
+    Z_train: np.ndarray,
+    y_train: np.ndarray,
+    Z_eval: np.ndarray,
+    y_eval: np.ndarray,
+    epsilon: float,
+    stack: tuple[int, ...] = (),
+) -> list[tuple[RankingResult, dict]]:
+    """:func:`rank_and_refit` of one design for each label vector of a stack.
 
-    selected_count = (stop_k - 1) if stop_k is not None else p
-    # the model ridge_fit returns for the selected prefix
-    selected_fit = RidgeModel(
-        lam=float(lam),
-        weights=selected_weights,
-        intercept=intercept,
-        standardization=identity_standardization(selected_count),
-        feature_names=tuple(f"z{j}" for j in range(selected_count)),
-    )
-    return RankingResult(
-        order=order,
-        selected_count=selected_count,
-        curve=tuple(curve),
-        epsilon=float(epsilon),
-        selected_fit=selected_fit,
-    )
+    ``models`` holds one fit of the design per item, all at one ``lam``,
+    and ``y_train`` and ``y_eval`` have the shapes ``stack + (n,)`` and
+    ``stack + (m,)``.  The greedy passes run in lock step
+    (:func:`_greedy_passes`); each item's result equals its own
+    ``rank_and_refit`` bit for bit.
+
+    Beyond its inputs the rank holds, for ``L`` items and a ``p``-column
+    design of ``n`` training and ``m`` evaluation rows, one train and one
+    evaluation prefix buffer per item (``L * (n + m) * p`` doubles), the
+    centered training labels and a copy of the evaluation labels
+    (``L * (n + m)``), and per prefix size a few ``(L, m)`` temporaries:
+    ranking 200,000 ``pulsar`` rows at three noise levels, its
+    ``tracemalloc`` peak is under 1.15x those buffers and labels.
+    """
+    orders = [_rank_design_columns(model, groups) for model in models]
+    Z_train, Z_eval = _pass_inputs(Z_train, Z_eval, epsilon)
+    results = _greedy_passes(Z_train, y_train, Z_eval, y_eval, models[0].lam,
+                             orders, epsilon, stack)
+    return [(result, _refit_document(model, result))
+            for model, result in zip(models, results)]
+
+
+def _refit_document(model: RidgeModel, result: RankingResult) -> dict:
+    """The JSON-ready document of :func:`rank_and_refit` for one result."""
+    names = model.feature_names
+    selected = list(result.selected)
+    params = model.standardization
+    subset = StandardizationParams(params.means[selected], params.scales[selected],
+                                   kept=tuple(range(len(selected))))
+    fit = replace(result.selected_fit, standardization=subset)
+    coefficients, intercept = destandardize(fit)
+    return {
+        "epsilon": result.epsilon,
+        "order": [names[j] for j in result.order],
+        "selected": [names[j] for j in selected],
+        "selected_count": result.selected_count,
+        "curve": [
+            {"k": point.k, "mae": point.mae, "mse": point.mse}
+            for point in result.curve
+        ],
+        "coefficients": {
+            names[j]: float(value) for j, value in zip(selected, coefficients)
+        },
+        "intercept": intercept,
+    }
 
 
 def rank_and_refit(
@@ -265,32 +394,8 @@ def rank_and_refit(
     ``selected_count``, ``curve``, ``coefficients`` (one per selected
     column) and ``intercept``.
     """
-    result = greedy_select(
-        Z_train, y_train, Z_eval, y_eval, model.lam,
-        order=_rank_design_columns(model, groups), epsilon=epsilon,
-    )
-    names = model.feature_names
-    selected = list(result.selected)
-    params = model.standardization
-    subset = StandardizationParams(params.means[selected], params.scales[selected],
-                                   kept=tuple(range(len(selected))))
-    fit = replace(result.selected_fit, standardization=subset)
-    coefficients, intercept = destandardize(fit)
-    document = {
-        "epsilon": result.epsilon,
-        "order": [names[j] for j in result.order],
-        "selected": [names[j] for j in selected],
-        "selected_count": result.selected_count,
-        "curve": [
-            {"k": point.k, "mae": point.mae, "mse": point.mse}
-            for point in result.curve
-        ],
-        "coefficients": {
-            names[j]: float(value) for j, value in zip(selected, coefficients)
-        },
-        "intercept": intercept,
-    }
-    return result, document
+    return _ranked_refits([model], groups, Z_train, y_train, Z_eval, y_eval,
+                          epsilon)[0]
 
 
 def curve_to_csv(result: RankingResult) -> str:

@@ -11,14 +11,18 @@ positive definite.  A residual check guards against a factorization that
 silently lost accuracy: if the normal equations are not satisfied to 1e-8
 relative, the fit raises instead of returning garbage.  The solve, both
 checks and the finite-weights check live in one helper,
-:func:`_solve_normal_equations`.  :func:`ridge_fit` and each greedy prefix
-of :func:`~pifmap.ranking.greedy_select` reach it through
-``_ridge_weights``, which forms the Gram and right-hand side, and
-:func:`select_lambda` falls back to it.
+:func:`_solve_normal_equations`, which solves a stack of systems in one
+call and checks each item alone.  Every ridge fit and greedy prefix
+reaches it through ``_ridge_weights``, which forms the Gram and
+right-hand side, and :func:`select_lambda` falls back to it.
+``_ridge_fits`` fits one design to a stack of label vectors (the noise
+levels of one experiment seed) with one Gram and one stacked solve;
+:func:`ridge_fit` is its one-item case, and each item equals a
+``ridge_fit`` of its own labels bit for bit.
 
 Inputs are checked once each, by one helper per kind: ``_check_matrix``
 (2-d, every entry finite) for every design a public function takes,
-``_check_labels`` (one finite label per row) for the labels and
+``_check_labels`` (one finite label per row of each item) for the labels and
 ``_check_lambda`` (finite, non-negative) for each ridge strength.  A
 non-finite entry raises :class:`~pifmap.errors.NonFiniteInput`, and
 finite entries pass however large their sum.  :func:`standardize_fit`
@@ -139,9 +143,10 @@ def _check_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
     return X
 
 
-def _check_labels(y: np.ndarray, n: int) -> np.ndarray:
+def _check_labels(y: np.ndarray, n: int, stack: tuple[int, ...] = ()) -> np.ndarray:
+    """Labels of shape ``stack + (n,)``: one finite label per row of each item."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (n,):
+    if y.shape != (*stack, n):
         raise ValueError(f"y shape {y.shape} does not match {n} rows")
     if not np.isfinite(y).all():
         raise NonFiniteInput("y contains non-finite values")
@@ -283,23 +288,67 @@ def _check_lambda(lam: float) -> None:
         raise ValueError(f"lam must be non-negative, got {lam}")
 
 
-def _gram_rounding(gram: np.ndarray) -> float:
-    """``p * eps`` times the largest diagonal entry of a ``p x p`` Gram.
+def _gram_rounding(diagonal: np.ndarray) -> np.ndarray:
+    """``p * eps`` times the largest entry of each ``p x p`` Gram's diagonal.
 
     A ridge strength at or below this does not lift the Gram above its own
     rounding, so it does not make the system positive definite.
     """
-    return len(gram) * _EPS * float(gram.diagonal().max())
+    return diagonal.shape[-1] * _EPS * diagonal.max(axis=-1)
 
 
-def _within_residual_bound(residual: np.ndarray, rhs: np.ndarray) -> bool:
-    """Whether a normal-equation residual is within 1e-8 of ``|rhs|``.
+def _row_dots(v: np.ndarray) -> np.ndarray:
+    """``v @ v`` for each vector along the last axis of ``v``."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
-    A non-finite residual is never within the bound.
+
+def _within_residual_bound(residual: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Whether each normal-equation residual is within 1e-8 of its ``|rhs|``.
+
+    Vectors lie along the last axis; a non-finite residual is never within
+    the bound.
     """
-    # math.sqrt(v @ v) is what np.linalg.norm computes for a real vector
-    limit = 1e-8 * max(math.sqrt(rhs @ rhs), _TINY)
-    return math.sqrt(residual @ residual) <= limit
+    # the square root of v @ v is what np.linalg.norm computes for a real vector
+    limit = 1e-8 * np.maximum(np.sqrt(_row_dots(rhs)), _TINY)
+    return np.sqrt(_row_dots(residual)) <= limit
+
+
+def _checked_solve(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
+    """The solve and every check of :func:`_solve_normal_equations`.
+
+    Raises :class:`~pifmap.errors.SingularSystem` when any item fails.
+    """
+    p = gram.shape[-1]
+    # gram + lam*I with no identity formed: a matmul sums from +0.0, so no
+    # Gram entry is -0.0 and adding lam*0.0 off the diagonal changes no bit
+    system = gram.copy()
+    diagonal = system.reshape(*system.shape[:-2], p * p)[..., ::p + 1]
+    unlifted = lam <= _gram_rounding(diagonal)
+    diagonal += lam
+    try:
+        if unlifted.any():
+            checked = system[unlifted]
+            pivots = np.linalg.cholesky(checked).diagonal(axis1=-2, axis2=-1) ** 2
+            if (pivots <= p * _EPS * checked.diagonal(axis1=-2, axis2=-1)).any():
+                raise SingularSystem(
+                    "normal equations are singular: the Gram is not "
+                    "numerically positive definite"
+                )
+        solution = np.linalg.solve(system, rhs[..., None])
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"normal equations are singular: {exc}") from exc
+    weights = solution[..., 0]
+    # a non-finite weight makes every entry of its residual non-finite, so
+    # only a residual outside the bound needs the finite test
+    residual = (system @ solution)[..., 0] - rhs
+    if not _within_residual_bound(residual, rhs).all():
+        if not np.isfinite(weights).all():
+            raise SingularSystem("solver produced non-finite weights")
+        raise SingularSystem(
+            "normal-equation residual exceeds 1e-8 relative; the system "
+            "is too ill-conditioned to trust"
+        )
+    return weights
 
 
 def _solve_normal_equations(
@@ -307,9 +356,12 @@ def _solve_normal_equations(
 ) -> np.ndarray:
     """Solve ``(gram + lam*I) @ b = rhs`` by LU and check the residual.
 
-    ``np.linalg.solve`` (LAPACK ``gesv``) does the solve.  When ``lam`` is
-    at most ``p * eps`` times the largest diagonal entry of ``gram`` it
-    does not lift the system above rounding, so ``np.linalg.cholesky``
+    ``gram`` is ``(..., p, p)`` and ``rhs`` ``(..., p)``; their leading
+    axes broadcast, so one Gram may serve a stack of right-hand sides.
+    ``np.linalg.solve`` (LAPACK ``gesv``) solves every item alone, so each
+    item's weights equal its own solve bit for bit.  When ``lam`` is at
+    most ``p * eps`` times the largest diagonal entry of an item's ``gram``
+    it does not lift that system above rounding, so ``np.linalg.cholesky``
     first checks that ``gram + lam*I`` is numerically positive definite:
     each squared pivot over its diagonal entry, the share of that column's
     squared norm the earlier columns leave unexplained, must exceed
@@ -319,53 +371,106 @@ def _solve_normal_equations(
     depends on the LAPACK build.  A larger ``lam`` makes the system
     positive definite.  Raises :class:`~pifmap.errors.SingularSystem` when
     the check fails, the weights are non-finite, or the normal equations
-    are not satisfied to 1e-8 relative.
+    are not satisfied to 1e-8 relative.  When any item of a stack fails,
+    the items are solved again one at a time, in order, so the error
+    raised is the one the first failing item raises alone.
     """
-    p = len(gram)
-    # gram + lam*I with no identity formed: a matmul sums from +0.0, so no
-    # Gram entry is -0.0 and adding lam*0.0 off the diagonal changes no bit
-    system = gram.copy()
-    system.ravel()[::p + 1] += lam
     try:
-        if lam <= _gram_rounding(gram):
-            pivots = np.linalg.cholesky(system).diagonal() ** 2
-            if (pivots <= p * _EPS * system.diagonal()).any():
-                raise SingularSystem(
-                    "normal equations are singular: the Gram is not "
-                    "numerically positive definite"
-                )
-        weights = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"normal equations are singular: {exc}") from exc
-    if not np.isfinite(weights).all():
-        raise SingularSystem("solver produced non-finite weights")
-    if not _within_residual_bound(system @ weights - rhs, rhs):
-        raise SingularSystem(
-            "normal-equation residual exceeds 1e-8 relative; the system "
-            "is too ill-conditioned to trust"
-        )
-    return weights
+        return _checked_solve(gram, rhs, lam)
+    except SingularSystem:
+        batch = np.broadcast_shapes(gram.shape[:-2], rhs.shape[:-1])
+        if not batch:
+            raise
+    grams = np.broadcast_to(gram, batch + gram.shape[-2:])
+    rhss = np.broadcast_to(rhs, batch + rhs.shape[-1:])
+    return np.stack([
+        _checked_solve(grams[item], rhss[item], lam) for item in np.ndindex(batch)
+    ]).reshape(rhss.shape)
 
 
-def _centered_labels(y: np.ndarray, n: int) -> tuple[float, np.ndarray]:
-    """Checked labels of an ``n``-row fit as ``mean(y)`` and ``y - mean(y)``."""
-    y = _check_labels(y, n)
+def _centered_labels(
+    y: np.ndarray, n: int, stack: tuple[int, ...] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Checked labels of ``n``-row fits as ``mean(y)`` and ``y - mean(y)``.
+
+    ``y`` holds one label vector per item of ``stack``; the means have the
+    shape ``stack``.
+    """
+    y = _check_labels(y, n, stack)
     if n == 0:
         raise EmptyInput("cannot fit on zero rows")
     # the steps of np.mean: one pairwise sum, one division
-    intercept = float(y.sum()) / n
-    return intercept, y - intercept
+    intercepts = y.sum(axis=-1) / n
+    return intercepts, y - intercepts[..., None]
 
 
 def _ridge_weights(Z: np.ndarray, centered: np.ndarray, lam: float) -> np.ndarray:
     """Solve ``(Z'Z + lam*I) b = Z'centered`` for a checked ``Z``.
 
-    The one solve of :func:`ridge_fit` and of each greedy prefix; a design
-    with no columns has no weights.
+    The one solve of every ridge fit and greedy prefix.  ``Z`` is
+    ``(..., n, p)`` and ``centered`` ``(..., n)``: a 2-d ``Z`` forms its
+    Gram once for every label vector in ``centered``, and a stack of
+    designs forms one Gram per item, each the same array its own ``Z.T @
+    Z`` gives.  A design with no columns has no weights.
     """
-    if not Z.shape[1]:
-        return np.zeros(0)
-    return _solve_normal_equations(Z.T @ Z, Z.T @ centered, lam)
+    if not Z.shape[-1]:
+        return np.zeros(centered.shape[:-1] + (0,))
+    Zt = Z.mT
+    return _solve_normal_equations(Zt @ Z, (Zt @ centered[..., None])[..., 0], lam)
+
+
+def _predict(Z: np.ndarray, weights: np.ndarray, intercepts) -> np.ndarray:
+    """``Z @ weights + intercept`` for each item: ``(..., m, p)`` by ``(..., p)``."""
+    return (Z @ weights[..., None])[..., 0] + np.asarray(intercepts)[..., None]
+
+
+def _ridge_fits(
+    Z: np.ndarray,
+    y: np.ndarray,
+    lam: float,
+    stack: tuple[int, ...] = (),
+    *,
+    feature_names: Sequence[str] | None = None,
+    standardization: StandardizationParams | None = None,
+) -> list[RidgeModel]:
+    """:func:`ridge_fit` of one design to each label vector of a stack.
+
+    ``y`` has the shape ``stack + (n,)``.  ``Z`` and ``lam`` are checked
+    once and ``Z``'s Gram is formed once for the whole stack; each model
+    equals a ``ridge_fit`` of its own labels bit for bit.  Returns one model
+    per item, in order (one for an empty ``stack``).
+    """
+    Z = _check_matrix(Z, "Z")
+    n, p = Z.shape
+    intercepts, centered = _centered_labels(y, n, stack)
+    _check_lambda(lam)
+    intercepts = intercepts.reshape(-1).tolist()
+    weights = _ridge_weights(Z, centered, lam).reshape(len(intercepts), p)
+    names = (
+        tuple(feature_names)
+        if feature_names is not None
+        else tuple(f"z{j}" for j in range(p))
+    )
+    params = standardization if standardization is not None else identity_standardization(p)
+    return [
+        RidgeModel(lam=float(lam), weights=w, intercept=b, standardization=params,
+                   feature_names=names)
+        for w, b in zip(weights, intercepts)
+    ]
+
+
+def _ridge_predictions(models: Sequence[RidgeModel], Z: np.ndarray) -> np.ndarray:
+    """:func:`ridge_predict` of each model on one design, one row per model.
+
+    ``Z`` is checked once; every model has the same number of weights.
+    """
+    Z = _check_matrix(Z, "Z")
+    if Z.shape[1] != len(models[0].weights):
+        raise ColumnMismatch(
+            f"matrix has {Z.shape[1]} columns, model has {len(models[0].weights)} weights"
+        )
+    weights = np.array([model.weights for model in models])
+    return _predict(Z, weights, [model.intercept for model in models])
 
 
 def ridge_fit(
@@ -383,33 +488,12 @@ def ridge_fit(
     numerically unreliable system raises
     :class:`~pifmap.errors.SingularSystem`.
     """
-    Z = _check_matrix(Z, "Z")
-    n, p = Z.shape
-    intercept, centered = _centered_labels(y, n)
-    _check_lambda(lam)
-    weights = _ridge_weights(Z, centered, lam)
-    names = (
-        tuple(feature_names)
-        if feature_names is not None
-        else tuple(f"z{j}" for j in range(p))
-    )
-    params = standardization if standardization is not None else identity_standardization(p)
-    return RidgeModel(
-        lam=float(lam),
-        weights=weights,
-        intercept=intercept,
-        standardization=params,
-        feature_names=names,
-    )
+    return _ridge_fits(Z, y, lam, feature_names=feature_names,
+                       standardization=standardization)[0]
 
 
 def ridge_predict(model: RidgeModel, Z: np.ndarray) -> np.ndarray:
-    Z = _check_matrix(Z, "Z")
-    if Z.shape[1] != len(model.weights):
-        raise ColumnMismatch(
-            f"matrix has {Z.shape[1]} columns, model has {len(model.weights)} weights"
-        )
-    return Z @ model.weights + model.intercept
+    return _ridge_predictions([model], Z)[0]
 
 
 def fit_standardized(
@@ -506,7 +590,7 @@ def _grid_weights(
         for _ in grid:
             yield np.zeros(0)
         return
-    rounding = _gram_rounding(gram)
+    rounding = _gram_rounding(gram.diagonal())
     try:
         eigenvalues, vectors = np.linalg.eigh(gram)
     except np.linalg.LinAlgError:

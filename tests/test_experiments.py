@@ -204,7 +204,8 @@ class TestRunExperiment:
         assert len(report["trials"]) == 4
         assert loaded == ["pulsar"]
 
-    def test_each_seed_built_once_and_spif_fitted_once_per_trial(self, monkeypatch):
+    def test_each_seed_built_once_and_spif_fitted_once_per_seed_one_row_per_level(
+            self, monkeypatch):
         settings = TrialSettings()
         seeds, levels = (1, 2), (0.1, 0.3, 0.5)
         spec = load_catalog("bernoulli")
@@ -215,30 +216,39 @@ class TestRunExperiment:
         for seed in seeds:
             Phi_train = evaluate_map(spec, gen_bernoulli(settings.n, seed))[:k]
             full_designs += [Phi_train, standardize_fit(Phi_train)[0]]
-        calls = {"generator": 0, "evaluate_map": 0, "full spif fits": 0}
+        calls = {"generator": 0, "evaluate_map": 0, "full spif fits": []}
 
-        def count(module, name, key, applies=lambda *args: True):
+        def count(module, name, key):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[key] += bool(applies(*args))
+                calls[key] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
 
-        def is_full_spif(X, *rest):
-            return any(np.array_equal(X, full) for full in full_designs)
+        def count_full_spif_fits(module, name):
+            # one entry per fit call of a full spif design: its label rows
+            original = getattr(module, name)
+
+            def wrapper(X, y, *args, **kwargs):
+                if any(np.array_equal(X, full) for full in full_designs):
+                    calls["full spif fits"].append(np.shape(y)[:-1])
+                return original(X, y, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
 
         count(experiments, "gen_bernoulli", "generator")
         count(experiments, "evaluate_map", "evaluate_map")
         for module in (experiments, ranking):
-            for name in ("ridge_fit", "fit_standardized"):
+            for name in ("_ridge_fits", "ridge_fit", "fit_standardized"):
                 if hasattr(module, name):
-                    count(module, name, "full spif fits", is_full_spif)
+                    count_full_spif_fits(module, name)
         report = run_experiment("bernoulli", seeds=seeds, noise_levels=levels,
                                 settings=settings)
         assert len(report["trials"]) == 6
-        assert calls == {"generator": 2, "evaluate_map": 2, "full spif fits": 6}
+        assert calls == {"generator": 2, "evaluate_map": 2,
+                         "full spif fits": [(3,), (3,)]}
 
     @pytest.mark.parametrize("seeds", [(1,), (1, 2, 3)])
     @pytest.mark.parametrize("levels", [(0.1,), REGRESSION_NOISE_LEVELS])

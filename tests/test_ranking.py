@@ -259,12 +259,14 @@ class TestGreedyMatchesPerPrefixRidgeFit:
             calls["ridge_fit"] += 1
             return fit(*args, **kwargs)
 
+        # a pass solves a stack of one prefix design per size; the ranking
+        # fit is one 2-d design
         def count_weights(Z, centered, lam):
-            calls["weights"].append(Z.shape[1])
+            calls["weights"].append(Z.shape[-1])
             return weights(Z, centered, lam)
 
         def count_solve(gram, rhs, lam):
-            calls["solve"].append(len(gram))
+            calls["solve"].append(gram.shape[-1])
             return solve(gram, rhs, lam)
 
         monkeypatch.setattr(regression, "ridge_fit", count_fit)
