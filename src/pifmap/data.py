@@ -23,6 +23,7 @@ adds in the order this layout gives.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -138,7 +139,15 @@ class Dataset:
             )
         if self.X.shape[0] == 0:
             raise EmptyInput("dataset has no rows")
-        if not np.isfinite(self.X).all() or not np.isfinite(self.y).all():
+        # A non-finite entry makes the sum of its array non-finite, so finite
+        # sums show every entry finite with no n x k mask; only a sum that is
+        # not finite, which finite entries can also reach by overflowing,
+        # needs the elementwise test.  One sum over all of X reads a
+        # row-major table in its own order, unlike a sum per column.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = (float(self.X.sum()), float(self.y.sum()))
+        if not (all(map(math.isfinite, sums))
+                or (np.isfinite(self.X).all() and np.isfinite(self.y).all())):
             raise NonFiniteInput("dataset contains non-finite values")
 
     @property

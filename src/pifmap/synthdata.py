@@ -190,7 +190,7 @@ def gen_bernoulli(
     Feature draw order: p, rho, v, Q, A, mu, h.  Only the first three
     features and h enter the label; Q, A and mu are distractors.
 
-    Its ``tracemalloc`` peak at 200,000 rows is under 1.15x ``X`` and ``y``.
+    Its ``tracemalloc`` peak at 200,000 rows is under 1.07x ``X`` and ``y``.
     """
     g = STANDARD_CONSTANTS["g"].value
 
@@ -238,7 +238,7 @@ def gen_pulsar(
     ``-2*pi*B^2*r^6*omega^4*sin(alpha)^2 / (3*mu0*c^3)`` in watts,
     unscaled.
 
-    Its ``tracemalloc`` peak at 200,000 rows is under 1.15x ``X`` and ``y``.
+    Its ``tracemalloc`` peak at 200,000 rows is under 1.07x ``X`` and ``y``.
     """
     mu0 = STANDARD_CONSTANTS["mu0"].value
     c = STANDARD_CONSTANTS["c"].value
@@ -292,7 +292,7 @@ def gen_binary(
     1 when E < 0 (bound), 0 otherwise, for every row.  Labels are exact
     signs and must never be noised.
 
-    Its ``tracemalloc`` peak at 200,000 rows is under 1.15x ``X`` and ``y``.
+    Its ``tracemalloc`` peak at 200,000 rows is under 1.07x ``X`` and ``y``.
     """
     g_newton = STANDARD_CONSTANTS["G"].value
 
