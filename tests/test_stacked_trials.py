@@ -169,13 +169,22 @@ def test_a_failing_prefix_raises_the_error_of_its_own_pass(failing):
                        1e-300, (2,))
 
 
-@pytest.mark.parametrize("failing", [0, 1, 2])
-def test_a_failing_stacked_solve_raises_the_error_of_its_own_solve(failing):
+_INDEFINITE = [[1.0, 2.0], [2.0, 1.0]]  # no Cholesky factor
+_RANK_ONE = [[1.0, 1.0], [1.0, 1.0 + 4e-16]]  # a pivot within rounding
+
+
+@pytest.mark.parametrize("failures", [
+    {0: _INDEFINITE}, {1: _INDEFINITE}, {2: _INDEFINITE},
+    {0: _INDEFINITE, 2: _RANK_ONE}, {1: _RANK_ONE, 2: _INDEFINITE},
+])
+def test_a_failing_stacked_solve_raises_the_error_of_its_first_failing_item(failures):
     grams = np.stack([np.eye(2) * 4.0] * 3)
-    grams[failing] = [[1.0, 2.0], [2.0, 1.0]]  # indefinite: no Cholesky factor
+    for item, gram in failures.items():
+        grams[item] = gram
     rhs = np.arange(6.0).reshape(3, 2)
+    first = min(failures)
     with pytest.raises(SingularSystem) as single:
-        _solve_normal_equations(grams[failing], rhs[failing], 0.0)
+        _solve_normal_equations(grams[first], rhs[first], 0.0)
     with pytest.raises(SingularSystem, match=re.escape(str(single.value))):
         _solve_normal_equations(grams, rhs, 0.0)
 
