@@ -179,12 +179,11 @@ def _seed_trials(experiment: _Experiment, spec: FeatureMapSpec, seed: int,
             names=tuple(column_names[j] for j in params.kept),
         )
     y = np.array([_noisy_labels(data.y, seed, level) for level in noise_levels])
-    stack = (len(noise_levels),)
     trials = [{"seed": seed, "noise": level, "arms": {}} for level in noise_levels]
     models = {}
     for arm, design in designs.items():
         models[arm] = _ridge_fits(
-            design.Z_train, y[:, :k], DEFAULT_LAMBDA, stack,
+            design.Z_train, y[:, :k], DEFAULT_LAMBDA,
             feature_names=design.names, standardization=design.standardization,
         )
         predictions = _ridge_predictions(models[arm], design.Z_eval)
@@ -200,7 +199,7 @@ def _seed_trials(experiment: _Experiment, spec: FeatureMapSpec, seed: int,
         spif = designs["spif"]
         ranked = _ranked_refits(
             models["spif"], _identical_column_groups(spif.Z_train), spif.Z_train,
-            y[:, :k], spif.Z_eval, y[:, k:], _EPSILON, stack,
+            y[:, :k], spif.Z_eval, y[:, k:], _EPSILON,
         )
         for trial, (_, document) in zip(trials, ranked):
             trial["ranking"] = {

@@ -36,6 +36,7 @@ from .metrics import _errors
 from .regression import (
     RidgeModel,
     StandardizationParams,
+    _as_stack,
     _centered_labels,
     _check_lambda,
     _check_matrix,
@@ -175,12 +176,11 @@ def _greedy_passes(
     lam: float,
     orders: list[tuple[int, ...]],
     epsilon: float,
-    stack: tuple[int, ...] = (),
 ) -> list[RankingResult]:
     """Greedy passes over one design pair in lock step, one per label vector.
 
-    ``y_train`` and ``y_eval`` have the shapes ``stack + (n,)`` and
-    ``stack + (m,)``, and ``orders`` holds one column order per item.
+    ``y_train`` is ``(items, n)`` and ``y_eval`` ``(items, m)``, and
+    ``orders`` holds one column order per item.
     Each prefix size is one stacked solve of every item whose pass has not
     ended; an item whose pass ends leaves the stack, so no item computes a
     prefix its own pass would not.  Item ``i``'s prefix buffer is
@@ -197,18 +197,15 @@ def _greedy_passes(
             raise LengthMismatch(
                 f"order must be a permutation of 0..{p - 1}, got {order}"
             )
-    intercepts, centered = _centered_labels(y_train, n, stack)
+    intercepts, centered = _centered_labels(y_train, n)
     _check_lambda(lam)
     y_eval = np.array(y_eval, dtype=float)
-    if y_eval.shape != (*stack, m):
-        raise LengthMismatch(f"shapes differ: {y_eval.shape} vs {(*stack, m)}")
     items = len(orders)
-    intercept_values = intercepts.reshape(items).tolist()
+    if y_eval.shape != (items, m):
+        raise LengthMismatch(f"shapes differ: {y_eval.shape[1:]} vs {(m,)}")
+    intercept_values = intercepts.tolist()
     # Per-item state, compacted in place as passes end: slot s holds item
     # live_items[s], and row j of its buffers is column j of its prefix.
-    intercepts, centered, y_eval = (intercepts.reshape(items),
-                                    centered.reshape(items, n),
-                                    y_eval.reshape(items, m))
     train = np.empty((items, p, n))
     evaluation = np.empty((items, p, m))
     live_items = list(range(items))
@@ -221,11 +218,13 @@ def _greedy_passes(
         for slot, j in enumerate(entering):
             train[slot, k - 1] = Z_train[:, j]
         _check_matrix(train[:live, k - 1], "Z")
-        weights = _ridge_weights(train[:live, :k].mT, centered[:live], lam)
+        weights = _ridge_weights(np.swapaxes(train[:live, :k], 1, 2),
+                                 centered[:live], lam)
         for slot, j in enumerate(entering):
             evaluation[slot, k - 1] = Z_eval[:, j]
         _check_matrix(evaluation[:live, k - 1], "Z")
-        predictions = _predict(evaluation[:live, :k].mT, weights, intercepts[:live])
+        predictions = _predict(np.swapaxes(evaluation[:live, :k], 1, 2), weights,
+                               intercepts[:live])
         maes, mses = _errors(y_eval[:live], predictions, np.abs, np.square, axis=-1)
         ended = []
         for slot, (item, mae, mse) in enumerate(zip(live_items, maes.tolist(),
@@ -304,7 +303,8 @@ def greedy_select(
         order = _rank_design_columns(full_fit, _identical_column_groups(Z_train))
     else:
         order = tuple(int(j) for j in order)
-    return _greedy_passes(Z_train, y_train, Z_eval, y_eval, lam, [order], epsilon)[0]
+    return _greedy_passes(Z_train, _as_stack(y_train), Z_eval, _as_stack(y_eval),
+                          lam, [order], epsilon)[0]
 
 
 def _ranked_refits(
@@ -315,15 +315,13 @@ def _ranked_refits(
     Z_eval: np.ndarray,
     y_eval: np.ndarray,
     epsilon: float,
-    stack: tuple[int, ...] = (),
 ) -> list[tuple[RankingResult, dict]]:
     """:func:`rank_and_refit` of one design for each label vector of a stack.
 
     ``models`` holds one fit of the design per item, all at one ``lam``,
-    and ``y_train`` and ``y_eval`` have the shapes ``stack + (n,)`` and
-    ``stack + (m,)``.  The greedy passes run in lock step
-    (:func:`_greedy_passes`); each item's result equals its own
-    ``rank_and_refit`` bit for bit.
+    ``y_train`` is ``(items, n)`` and ``y_eval`` ``(items, m)``.  The
+    greedy passes run in lock step (:func:`_greedy_passes`); each item's
+    result equals its own ``rank_and_refit`` bit for bit.
 
     Beyond its inputs the rank holds, for ``L`` items and a ``p``-column
     design of ``n`` training and ``m`` evaluation rows, one train and one
@@ -336,7 +334,7 @@ def _ranked_refits(
     orders = [_rank_design_columns(model, groups) for model in models]
     Z_train, Z_eval = _pass_inputs(Z_train, Z_eval, epsilon)
     results = _greedy_passes(Z_train, y_train, Z_eval, y_eval, models[0].lam,
-                             orders, epsilon, stack)
+                             orders, epsilon)
     return [(result, _refit_document(model, result))
             for model, result in zip(models, results)]
 
@@ -394,8 +392,8 @@ def rank_and_refit(
     ``selected_count``, ``curve``, ``coefficients`` (one per selected
     column) and ``intercept``.
     """
-    return _ranked_refits([model], groups, Z_train, y_train, Z_eval, y_eval,
-                          epsilon)[0]
+    return _ranked_refits([model], groups, Z_train, _as_stack(y_train), Z_eval,
+                          _as_stack(y_eval), epsilon)[0]
 
 
 def curve_to_csv(result: RankingResult) -> str:

@@ -143,11 +143,20 @@ def _check_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
     return X
 
 
-def _check_labels(y: np.ndarray, n: int, stack: tuple[int, ...] = ()) -> np.ndarray:
-    """Labels of shape ``stack + (n,)``: one finite label per row of each item."""
+def _as_stack(y) -> np.ndarray:
+    """One label vector as a stack of one, ``(1, ...)``."""
+    return np.asarray(y, dtype=float)[None]
+
+
+def _check_labels(y: np.ndarray, n: int) -> np.ndarray:
+    """A stack of label vectors ``(items, n)``: one finite label per row of each.
+
+    A one-item caller passes :func:`_as_stack` of its labels; the message
+    names the shape of one item's labels.
+    """
     y = np.asarray(y, dtype=float)
-    if y.shape != (*stack, n):
-        raise ValueError(f"y shape {y.shape} does not match {n} rows")
+    if y.ndim != 2 or y.shape[1] != n:
+        raise ValueError(f"y shape {y.shape[1:]} does not match {n} rows")
     if not np.isfinite(y).all():
         raise NonFiniteInput("y contains non-finite values")
     return y
@@ -310,7 +319,9 @@ def _within_residual_bound(residual: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     # the square root of v @ v is what np.linalg.norm computes for a real vector
     limit = 1e-8 * np.maximum(np.sqrt(_row_dots(rhs)), _TINY)
-    return np.sqrt(_row_dots(residual)) <= limit
+    norm = np.sqrt(_row_dots(residual))
+    # an overflowing rhs @ rhs makes the limit inf, which an inf norm meets
+    return np.isfinite(norm) & (norm <= limit)
 
 
 def _checked_solve(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
@@ -356,8 +367,8 @@ def _solve_normal_equations(
 ) -> np.ndarray:
     """Solve ``(gram + lam*I) @ b = rhs`` by LU and check the residual.
 
-    ``gram`` is ``(..., p, p)`` and ``rhs`` ``(..., p)``; their leading
-    axes broadcast, so one Gram may serve a stack of right-hand sides.
+    ``rhs`` is one right-hand side ``(p,)`` or a stack ``(items, p)``, and
+    ``gram`` one ``(p, p)`` Gram, which serves every item, or one per item.
     ``np.linalg.solve`` (LAPACK ``gesv``) solves every item alone, so each
     item's weights equal its own solve bit for bit.  When ``lam`` is at
     most ``p * eps`` times the largest diagonal entry of an item's ``gram``
@@ -378,74 +389,68 @@ def _solve_normal_equations(
     try:
         return _checked_solve(gram, rhs, lam)
     except SingularSystem:
-        batch = np.broadcast_shapes(gram.shape[:-2], rhs.shape[:-1])
-        if not batch:
+        if rhs.ndim == 1:
             raise
-    grams = np.broadcast_to(gram, batch + gram.shape[-2:])
-    rhss = np.broadcast_to(rhs, batch + rhs.shape[-1:])
-    return np.stack([
-        _checked_solve(grams[item], rhss[item], lam) for item in np.ndindex(batch)
-    ]).reshape(rhss.shape)
+    grams = np.broadcast_to(gram, rhs.shape[:1] + gram.shape[-2:])
+    return np.stack([_checked_solve(grams[item], rhs[item], lam)
+                     for item in range(len(rhs))])
 
 
-def _centered_labels(
-    y: np.ndarray, n: int, stack: tuple[int, ...] = ()
-) -> tuple[np.ndarray, np.ndarray]:
+def _centered_labels(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Checked labels of ``n``-row fits as ``mean(y)`` and ``y - mean(y)``.
 
-    ``y`` holds one label vector per item of ``stack``; the means have the
-    shape ``stack``.
+    ``y`` is ``(items, n)``, one label vector per fit; there is one mean
+    per item.
     """
-    y = _check_labels(y, n, stack)
+    y = _check_labels(y, n)
     if n == 0:
         raise EmptyInput("cannot fit on zero rows")
     # the steps of np.mean: one pairwise sum, one division
-    intercepts = y.sum(axis=-1) / n
-    return intercepts, y - intercepts[..., None]
+    intercepts = y.sum(axis=1) / n
+    return intercepts, y - intercepts[:, None]
 
 
 def _ridge_weights(Z: np.ndarray, centered: np.ndarray, lam: float) -> np.ndarray:
     """Solve ``(Z'Z + lam*I) b = Z'centered`` for a checked ``Z``.
 
-    The one solve of every ridge fit and greedy prefix.  ``Z`` is
-    ``(..., n, p)`` and ``centered`` ``(..., n)``: a 2-d ``Z`` forms its
-    Gram once for every label vector in ``centered``, and a stack of
-    designs forms one Gram per item, each the same array its own ``Z.T @
-    Z`` gives.  A design with no columns has no weights.
+    The one solve of every ridge fit and greedy prefix.  ``centered`` is
+    ``(items, n)``, and ``Z`` one ``(n, p)`` design, whose Gram is formed
+    once for every item, or one design per item, ``(items, n, p)``, with
+    one Gram per item, each the same array its own ``Z.T @ Z`` gives.  A
+    design with no columns has no weights.
     """
     if not Z.shape[-1]:
-        return np.zeros(centered.shape[:-1] + (0,))
-    Zt = Z.mT
-    return _solve_normal_equations(Zt @ Z, (Zt @ centered[..., None])[..., 0], lam)
+        return np.zeros((len(centered), 0))
+    Zt = np.swapaxes(Z, -1, -2)
+    return _solve_normal_equations(Zt @ Z, (Zt @ centered[:, :, None])[:, :, 0], lam)
 
 
 def _predict(Z: np.ndarray, weights: np.ndarray, intercepts) -> np.ndarray:
-    """``Z @ weights + intercept`` for each item: ``(..., m, p)`` by ``(..., p)``."""
-    return (Z @ weights[..., None])[..., 0] + np.asarray(intercepts)[..., None]
+    """``Z @ weights + intercept`` for each item: ``(m, p)`` or ``(items, m, p)``
+    by ``(items, p)``."""
+    return (Z @ weights[:, :, None])[:, :, 0] + np.asarray(intercepts)[:, None]
 
 
 def _ridge_fits(
     Z: np.ndarray,
     y: np.ndarray,
     lam: float,
-    stack: tuple[int, ...] = (),
     *,
     feature_names: Sequence[str] | None = None,
     standardization: StandardizationParams | None = None,
 ) -> list[RidgeModel]:
     """:func:`ridge_fit` of one design to each label vector of a stack.
 
-    ``y`` has the shape ``stack + (n,)``.  ``Z`` and ``lam`` are checked
-    once and ``Z``'s Gram is formed once for the whole stack; each model
-    equals a ``ridge_fit`` of its own labels bit for bit.  Returns one model
-    per item, in order (one for an empty ``stack``).
+    ``y`` is ``(items, n)``.  ``Z`` and ``lam`` are checked once and
+    ``Z``'s Gram is formed once for the whole stack; each model equals a
+    ``ridge_fit`` of its own labels bit for bit.  Returns one model per
+    item, in order.
     """
     Z = _check_matrix(Z, "Z")
     n, p = Z.shape
-    intercepts, centered = _centered_labels(y, n, stack)
+    intercepts, centered = _centered_labels(y, n)
     _check_lambda(lam)
-    intercepts = intercepts.reshape(-1).tolist()
-    weights = _ridge_weights(Z, centered, lam).reshape(len(intercepts), p)
+    weights = _ridge_weights(Z, centered, lam)
     names = (
         tuple(feature_names)
         if feature_names is not None
@@ -455,7 +460,7 @@ def _ridge_fits(
     return [
         RidgeModel(lam=float(lam), weights=w, intercept=b, standardization=params,
                    feature_names=names)
-        for w, b in zip(weights, intercepts)
+        for w, b in zip(weights, intercepts.tolist())
     ]
 
 
@@ -488,7 +493,7 @@ def ridge_fit(
     numerically unreliable system raises
     :class:`~pifmap.errors.SingularSystem`.
     """
-    return _ridge_fits(Z, y, lam, feature_names=feature_names,
+    return _ridge_fits(Z, _as_stack(y), lam, feature_names=feature_names,
                        standardization=standardization)[0]
 
 
@@ -561,7 +566,7 @@ def select_lambda(
         raise InsufficientData(
             f"cannot split {n} rows into a usable train/validation pair"
         )
-    y = _check_labels(y, n)
+    y = _check_labels(_as_stack(y), n)[0]
     Z_train, Z_val = Z[:n_train], Z[n_train:]
     y_train, y_val = y[:n_train], y[n_train:]
     intercept = float(y_train.sum()) / n_train

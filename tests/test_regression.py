@@ -342,7 +342,12 @@ class TestRidgeFit:
         # 1e100 by 1e-300
         ([[1e-200], [-1e-200], [2e-200]], [1e300, -1e300, 0.0], 1e-300,
          "solver produced non-finite weights"),
-    ], ids=["zero-pivot", "overflowing-gram", "overflowing-weights"])
+        # a right-hand side whose square overflows: the residual bound is
+        # inf too, which an inf residual must not meet
+        ([[1e-90], [-1e-90], [2e-90]], [1e300, -1e300, 0.0], 1e-100,
+         "solver produced non-finite weights"),
+    ], ids=["zero-pivot", "overflowing-gram", "overflowing-weights",
+            "overflowing-rhs"])
     def test_each_singular_system_check_is_reachable(self, Z, y, lam, message):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SingularSystem, match=message):

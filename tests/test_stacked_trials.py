@@ -130,11 +130,10 @@ def _planted_stack():
 def test_lock_step_passes_that_stop_at_different_sizes_equal_single_passes():
     Z_train, Z_eval, params, y_train, y_eval = _planted_stack()
     names = tuple(f"x{j}" for j in range(Z_train.shape[1]))
-    models = _ridge_fits(Z_train, y_train, 1e-3, (3,), feature_names=names,
+    models = _ridge_fits(Z_train, y_train, 1e-3, feature_names=names,
                          standardization=params)
     groups = _identical_column_groups(Z_train)
-    stacked = _ranked_refits(models, groups, Z_train, y_train, Z_eval, y_eval,
-                             0.01, (3,))
+    stacked = _ranked_refits(models, groups, Z_train, y_train, Z_eval, y_eval, 0.01)
     assert len({len(result.curve) for result, _ in stacked}) == 3
     for item, (result, document) in enumerate(stacked):
         model = ridge_fit(Z_train, y_train[item], 1e-3, feature_names=names,
@@ -165,8 +164,7 @@ def test_a_failing_prefix_raises_the_error_of_its_own_pass(failing):
                              Z_eval[:, [1, 0, 3]], y_eval[1 - failing], 0.0,
                              epsilon=1e-300).curve) == 3
     with pytest.raises(SingularSystem, match=re.escape(str(single.value))):
-        _greedy_passes(Z_train, y_train[:2], Z_eval, y_eval[:2], 0.0, orders,
-                       1e-300, (2,))
+        _greedy_passes(Z_train, y_train[:2], Z_eval, y_eval[:2], 0.0, orders, 1e-300)
 
 
 _INDEFINITE = [[1.0, 2.0], [2.0, 1.0]]  # no Cholesky factor
