@@ -18,10 +18,12 @@ selected.  The pass checks each input once, and each prefix is solved by
 ``ridge_fit`` of those columns bit for bit.  :func:`rank_and_refit` runs
 the whole step on a design that is already standardized and fitted: rank
 by that fit and map the greedy pass's own fit of the selected prefix back
-to raw-column scale.  Several passes over one design, one per label
-vector, run in lock step as one stack (``_greedy_passes``), one stacked
-solve per prefix size; :func:`greedy_select` and :func:`rank_and_refit`
-are the one-pass case.
+to raw-column scale.  Several passes, one per label vector, run in lock
+step as one stack (``_greedy_passes``), one stacked solve per prefix
+size; each design of a stack of designs serves consecutive label vectors
+(an experiment's seeds, each with its noise levels), and
+:func:`greedy_select` and :func:`rank_and_refit` are the one-design,
+one-pass case.
 """
 
 from __future__ import annotations
@@ -151,19 +153,20 @@ def _relative_improvement(previous: float, current: float) -> float:
 
 
 def _pass_inputs(Z_train, Z_eval, epsilon) -> tuple[np.ndarray, np.ndarray]:
-    """The designs of a greedy pass, checked for shape, and a checked ``epsilon``."""
+    """The designs of a greedy pass, or stacks of them, checked for their
+    column counts, and a checked ``epsilon``."""
     Z_train = np.asarray(Z_train, dtype=float)
     Z_eval = np.asarray(Z_eval, dtype=float)
     if not np.isfinite(epsilon):
         raise InvalidRange(f"epsilon must be finite, got {epsilon}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    p = Z_train.shape[1]
+    p = Z_train.shape[-1]
     if p == 0:
         raise EmptyInput("no columns to select from")
-    if Z_eval.shape[1] != p:
+    if Z_eval.shape[-1] != p:
         raise LengthMismatch(
-            f"evaluation matrix has {Z_eval.shape[1]} columns, training has {p}"
+            f"evaluation matrix has {Z_eval.shape[-1]} columns, training has {p}"
         )
     return Z_train, Z_eval
 
@@ -177,21 +180,25 @@ def _greedy_passes(
     orders: list[tuple[int, ...]],
     epsilon: float,
 ) -> list[RankingResult]:
-    """Greedy passes over one design pair in lock step, one per label vector.
+    """Greedy passes in lock step, one per label vector, over a stack of designs.
 
+    ``Z_train`` is ``(designs, n, p)`` and ``Z_eval`` ``(designs, m, p)``,
     ``y_train`` is ``(items, n)`` and ``y_eval`` ``(items, m)``, and
-    ``orders`` holds one column order per item.
+    ``orders`` holds one column order per item.  ``items`` is a multiple
+    of ``designs``: consecutive items share a design, ``items // designs``
+    each (an experiment's seeds, each with its noise levels), and a
+    one-design caller passes ``Z[None]``, a view.
     Each prefix size is one stacked solve of every item whose pass has not
     ended; an item whose pass ends leaves the stack, so no item computes a
     prefix its own pass would not.  Item ``i``'s prefix buffer is
-    Fortran-ordered, as the gather ``Z[:, order[:k]]`` would return it, and
-    its Gram, right-hand side, predictions and error sums are the arrays a
-    pass of that item alone forms, so its result equals that pass bit for
-    bit.  An error is raised at the first prefix size where any item
-    fails, as that item's own pass raises it.
+    Fortran-ordered, as the gather ``Z[:, order[:k]]`` of its design would
+    return it, and its Gram, right-hand side, predictions and error sums
+    are the arrays a pass of that item alone forms, so its result equals
+    that pass bit for bit.  An error is raised at the first prefix size
+    where any item fails, as that item's own pass raises it.
     """
-    n, p = Z_train.shape
-    m = Z_eval.shape[0]
+    designs, n, p = Z_train.shape
+    m = Z_eval.shape[1]
     for order in orders:
         if sorted(order) != list(range(p)):
             raise LengthMismatch(
@@ -204,6 +211,8 @@ def _greedy_passes(
     if y_eval.shape != (items, m):
         raise LengthMismatch(f"shapes differ: {y_eval.shape[1:]} vs {(m,)}")
     intercept_values = intercepts.tolist()
+    per_design = items // designs
+    train_designs, eval_designs = list(Z_train), list(Z_eval)
     # Per-item state, compacted in place as passes end: slot s holds item
     # live_items[s], and row j of its buffers is column j of its prefix.
     train = np.empty((items, p, n))
@@ -214,14 +223,14 @@ def _greedy_passes(
     selected_weights: list = [None] * items
     for k in range(1, p + 1):
         live = len(live_items)
-        entering = [orders[item][k - 1] for item in live_items]
-        for slot, j in enumerate(entering):
-            train[slot, k - 1] = Z_train[:, j]
+        entering = [(item // per_design, orders[item][k - 1]) for item in live_items]
+        for slot, (design, j) in enumerate(entering):
+            train[slot, k - 1] = train_designs[design][:, j]
         _check_matrix(train[:live, k - 1], "Z")
         weights = _ridge_weights(np.swapaxes(train[:live, :k], 1, 2),
                                  centered[:live], lam)
-        for slot, j in enumerate(entering):
-            evaluation[slot, k - 1] = Z_eval[:, j]
+        for slot, (design, j) in enumerate(entering):
+            evaluation[slot, k - 1] = eval_designs[design][:, j]
         _check_matrix(evaluation[:live, k - 1], "Z")
         predictions = _predict(np.swapaxes(evaluation[:live, :k], 1, 2), weights,
                                intercepts[:live])
@@ -303,35 +312,40 @@ def greedy_select(
         order = _rank_design_columns(full_fit, _identical_column_groups(Z_train))
     else:
         order = tuple(int(j) for j in order)
-    return _greedy_passes(Z_train, _as_stack(y_train), Z_eval, _as_stack(y_eval),
-                          lam, [order], epsilon)[0]
+    return _greedy_passes(Z_train[None], _as_stack(y_train), Z_eval[None],
+                          _as_stack(y_eval), lam, [order], epsilon)[0]
 
 
 def _ranked_refits(
     models: list[RidgeModel],
-    groups: np.ndarray,
+    groups: list[np.ndarray],
     Z_train: np.ndarray,
     y_train: np.ndarray,
     Z_eval: np.ndarray,
     y_eval: np.ndarray,
     epsilon: float,
 ) -> list[tuple[RankingResult, dict]]:
-    """:func:`rank_and_refit` of one design for each label vector of a stack.
+    """:func:`rank_and_refit` of each design of a stack for each of its label vectors.
 
-    ``models`` holds one fit of the design per item, all at one ``lam``,
-    ``y_train`` is ``(items, n)`` and ``y_eval`` ``(items, m)``.  The
-    greedy passes run in lock step (:func:`_greedy_passes`); each item's
-    result equals its own ``rank_and_refit`` bit for bit.
+    ``Z_train`` is ``(designs, n, p)`` and ``Z_eval`` ``(designs, m, p)``,
+    and ``groups`` holds each design's :func:`_identical_column_groups`.
+    ``models`` holds one fit per item, all at one ``lam``, ``y_train`` is
+    ``(items, n)`` and ``y_eval`` ``(items, m)``; consecutive items share a
+    design as in :func:`_greedy_passes`, whose lock-step passes rank them.
+    Each item's result equals its own ``rank_and_refit`` bit for bit.
 
-    Beyond its inputs the rank holds, for ``L`` items and a ``p``-column
-    design of ``n`` training and ``m`` evaluation rows, one train and one
-    evaluation prefix buffer per item (``L * (n + m) * p`` doubles), the
-    centered training labels and a copy of the evaluation labels
-    (``L * (n + m)``), and per prefix size a few ``(L, m)`` temporaries:
-    ranking 200,000 ``pulsar`` rows at three noise levels, its
-    ``tracemalloc`` peak is under 1.15x those buffers and labels.
+    Beyond its inputs the rank holds, for ``L`` items (seeds times noise
+    levels in an experiment) and ``p``-column designs of ``n`` training
+    and ``m`` evaluation rows, one train and one evaluation prefix buffer
+    per item (``L * (n + m) * p`` doubles), the centered training labels
+    and a copy of the evaluation labels (``L * (n + m)``), and per prefix
+    size a few ``(L, m)`` temporaries: ranking 200,000 ``pulsar`` rows at
+    three noise levels, its ``tracemalloc`` peak is under 1.15x those
+    buffers and labels.
     """
-    orders = [_rank_design_columns(model, groups) for model in models]
+    per_design = len(models) // len(groups)
+    orders = [_rank_design_columns(model, groups[item // per_design])
+              for item, model in enumerate(models)]
     Z_train, Z_eval = _pass_inputs(Z_train, Z_eval, epsilon)
     results = _greedy_passes(Z_train, y_train, Z_eval, y_eval, models[0].lam,
                              orders, epsilon)
@@ -392,7 +406,8 @@ def rank_and_refit(
     ``selected_count``, ``curve``, ``coefficients`` (one per selected
     column) and ``intercept``.
     """
-    return _ranked_refits([model], groups, Z_train, _as_stack(y_train), Z_eval,
+    return _ranked_refits([model], [groups], np.asarray(Z_train, dtype=float)[None],
+                          _as_stack(y_train), np.asarray(Z_eval, dtype=float)[None],
                           _as_stack(y_eval), epsilon)[0]
 
 

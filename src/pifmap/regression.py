@@ -15,15 +15,17 @@ checks and the finite-weights check live in one helper,
 call and checks each item alone.  Every ridge fit and greedy prefix
 reaches it through ``_ridge_weights``, which forms the Gram and
 right-hand side, and :func:`select_lambda` falls back to it.
-``_ridge_fits`` fits one design to a stack of label vectors (the noise
-levels of one experiment seed) with one Gram and one stacked solve;
-:func:`ridge_fit` is its one-item case, and each item equals a
-``ridge_fit`` of its own labels bit for bit.
+``_ridge_fits`` fits a stack of designs, each to its own stack of label
+vectors (an experiment's seeds, each with its noise levels), with one
+Gram per design and one stacked solve; :func:`ridge_fit` is its
+one-design, one-item case, and each item equals a ``ridge_fit`` of its
+own design and labels bit for bit.
 
 Inputs are checked once each, by one helper per kind: ``_check_matrix``
 (2-d, every entry finite) for every design a public function takes,
-``_check_labels`` (one finite label per row of each item) for the labels and
-``_check_lambda`` (finite, non-negative) for each ridge strength.  A
+``_check_finite`` for a stack of designs the private stacked calls take,
+``_check_labels`` (one finite label per row of each item) for the labels
+and ``_check_lambda`` (finite, non-negative) for each ridge strength.  A
 non-finite entry raises :class:`~pifmap.errors.NonFiniteInput`, and
 finite entries pass however large their sum.  :func:`standardize_fit`
 sums every column anyway, and a column with a non-finite entry has a
@@ -39,7 +41,8 @@ sum and one division (``np.mean``'s own steps) and a vector norm is
 A fit's design stays column-major from
 :func:`~pifmap.featuremap.evaluate_map` to the Gram: :func:`standardize_fit`
 scales a Fortran-ordered design in its centered copy, with no transposing
-copy, and its means and scales equal ``X.mean(axis=0)`` and
+copy, and writes a row-major one's ``Z`` column-major with no centered
+copy; its means and scales equal ``X.mean(axis=0)`` and
 ``X.std(axis=0)`` bit for bit for the array as passed.
 
 :func:`select_lambda` forms the training Gram ``G = Z'Z``, the right-hand
@@ -136,11 +139,14 @@ def _as_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
     return X
 
 
-def _check_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
-    X = _as_matrix(X, name)
+def _check_finite(X: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(X).all():
         raise NonFiniteInput(f"{name} contains non-finite values")
     return X
+
+
+def _check_matrix(X: np.ndarray, name: str = "X") -> np.ndarray:
+    return _check_finite(_as_matrix(X, name), name)
 
 
 def _as_stack(y) -> np.ndarray:
@@ -167,8 +173,9 @@ def _column_sums_of_squares(centered: np.ndarray) -> np.ndarray:
 
     A Fortran-ordered array over ``_SQUARES_BYTES`` is squared a few columns
     at a time into one reused buffer, and each column still sums pairwise
-    down its contiguous run.  A C-ordered one is squared whole: its columns
-    sum row by row, several times slower over a narrow block.
+    down its contiguous run.  Any other layout (what a row-major ``X`` that
+    is not contiguous centers to) is squared whole: its columns sum row by
+    row, several times slower over a narrow block of columns.
     """
     n, p = centered.shape
     width = _SQUARES_BYTES // (8 * n)
@@ -184,6 +191,29 @@ def _column_sums_of_squares(centered: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _row_major_sums_of_squares(X: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(np.square(X - means), axis=0)`` for a row-major ``X``,
+    bit for bit, with no ``n x p`` centered copy.
+
+    Over a C-ordered array that sum adds the rows in order, so a block of
+    rows at a time is centered and squared into rows ``1:`` of one reused
+    C-ordered buffer of at most ``_SQUARES_BYTES`` (or two rows), whose
+    row 0 carries the running column sums: reducing the buffer goes on
+    with each column's sum in the same order.
+    """
+    n, p = X.shape
+    rows = min(max(_SQUARES_BYTES // (8 * p) - 1, 1), n)
+    buffer = np.zeros((rows + 1, p))
+    sums = np.empty(p)
+    for start in range(0, n, rows):
+        block = X[start:start + rows]
+        squares = buffer[1:len(block) + 1]
+        np.square(np.subtract(block, means, out=squares), out=squares)
+        np.add.reduce(buffer[:len(block) + 1], axis=0, out=sums)
+        buffer[0] = sums
+    return sums
+
+
 def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
     """Center and scale columns to zero mean and unit population variance.
 
@@ -196,18 +226,20 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
     values are too large for its variance to be finite raises
     :class:`~pifmap.errors.NonFiniteResult`.
 
-    The matrix is centered once, into an array of the input's layout; a
-    column-major design is scaled in that array, with no transposing copy,
-    and a row-major one into a new Fortran-ordered ``Z``.  ``Z`` never
-    shares memory with ``X``.  The means are taken by the steps of
-    ``np.mean`` (sum over rows, divide by ``n``) and the scales from the
-    centered matrix by those of ``np.std`` (square, sum over rows, divide
-    by ``n``, square root), so they equal ``X.mean(axis=0)`` and
-    ``X.std(axis=0)`` bit for bit for the array as passed.  Beyond ``Z``,
-    a column-major design with no dropped column needs one buffer of
-    squares, at most 256 KiB or one column: its ``tracemalloc`` peak at
-    200,000 rows and 9 columns is under 1.15x ``Z``.  A row-major design
-    also holds its centered copy, about 2x ``Z``.
+    A column-major design is centered once, into a Fortran-ordered array,
+    and scaled in that array, with no transposing copy.  A row-major
+    (C-contiguous) one is centered a block of rows at a time to sum its
+    squares, then centered again straight into a new Fortran-ordered
+    ``Z``.  ``Z`` never shares memory with ``X``.  The means are taken by
+    the steps of ``np.mean`` (sum over rows, divide by ``n``) and the
+    scales from the centered matrix by those of ``np.std`` (square, sum
+    over rows, divide by ``n``, square root), so they equal
+    ``X.mean(axis=0)`` and ``X.std(axis=0)`` bit for bit for the array as
+    passed.  Beyond ``Z``, a design with no dropped column needs one
+    buffer of squares, at most 256 KiB or one column (two rows if
+    row-major): at 200,000 rows and 9 columns, the ``tracemalloc`` peak
+    of a column-major design is under 1.15x ``Z`` and of a row-major one
+    under 1.05x ``Z``.  A dropped column costs a copy of the kept ones.
     """
     X = _as_matrix(X)
     n = X.shape[0]
@@ -220,9 +252,14 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
         if not np.isfinite(means).all():
             # a non-finite entry, or finite ones whose sum overflows
             _check_matrix(X)
-        centered = X - means
+        if X.flags.c_contiguous and not X.flags.f_contiguous:
+            centered = None
+            sums = _row_major_sums_of_squares(X, means)
+        else:
+            centered = X - means
+            sums = _column_sums_of_squares(centered)
         # population (1/n) convention
-        scales = np.sqrt(_column_sums_of_squares(centered) / n)
+        scales = np.sqrt(sums / n)
     if not np.isfinite(scales).all():
         column = int(np.flatnonzero(~np.isfinite(scales))[0])
         raise NonFiniteResult(
@@ -238,12 +275,18 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
             DroppedColumnWarning,
             stacklevel=2,
         )
-        means, scales, centered = means[kept], scales[kept], centered[:, kept]
+        means, scales = means[kept], scales[kept]
+        if centered is None:
+            X = X[:, kept]
+        else:
+            centered = centered[:, kept]
     else:
         kept, dropped = range(X.shape[1]), ()
     params = StandardizationParams(
         means=means, scales=scales, kept=tuple(kept), dropped=tuple(dropped)
     )
+    if centered is None:
+        centered = np.subtract(X, means, out=np.empty(X.shape, order="F"))
     # Z is Fortran-ordered, as the gather X[:, kept] returns it, because the
     # Gram, Z'y and the predictions round according to that layout
     out = (centered if centered.flags.f_contiguous
@@ -367,8 +410,9 @@ def _solve_normal_equations(
 ) -> np.ndarray:
     """Solve ``(gram + lam*I) @ b = rhs`` by LU and check the residual.
 
-    ``rhs`` is one right-hand side ``(p,)`` or a stack ``(items, p)``, and
-    ``gram`` one ``(p, p)`` Gram, which serves every item, or one per item.
+    ``rhs`` is one right-hand side ``(p,)`` or a stack ``(..., p)``, and
+    ``gram`` one ``(p, p)`` Gram or a stack ``(..., p, p)`` whose leading
+    axes broadcast against ``rhs``'s, so one Gram can serve many items.
     ``np.linalg.solve`` (LAPACK ``gesv``) solves every item alone, so each
     item's weights equal its own solve bit for bit.  When ``lam`` is at
     most ``p * eps`` times the largest diagonal entry of an item's ``gram``
@@ -383,17 +427,20 @@ def _solve_normal_equations(
     positive definite.  Raises :class:`~pifmap.errors.SingularSystem` when
     the check fails, the weights are non-finite, or the normal equations
     are not satisfied to 1e-8 relative.  When any item of a stack fails,
-    the items are solved again one at a time, in order, so the error
-    raised is the one the first failing item raises alone.
+    the items are solved again one at a time, in the C order of their
+    leading axes, so the error raised is the one the first failing item
+    raises alone.
     """
     try:
         return _checked_solve(gram, rhs, lam)
     except SingularSystem:
         if rhs.ndim == 1:
             raise
-    grams = np.broadcast_to(gram, rhs.shape[:1] + gram.shape[-2:])
-    return np.stack([_checked_solve(grams[item], rhs[item], lam)
-                     for item in range(len(rhs))])
+    p = rhs.shape[-1]
+    grams = np.broadcast_to(gram, rhs.shape[:-1] + (p, p)).reshape(-1, p, p)
+    return np.stack([_checked_solve(one_gram, one_rhs, lam)
+                     for one_gram, one_rhs in zip(grams, rhs.reshape(-1, p))]
+                    ).reshape(rhs.shape)
 
 
 def _centered_labels(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -411,24 +458,31 @@ def _centered_labels(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ridge_weights(Z: np.ndarray, centered: np.ndarray, lam: float) -> np.ndarray:
-    """Solve ``(Z'Z + lam*I) b = Z'centered`` for a checked ``Z``.
+    """Solve ``(Z'Z + lam*I) b = Z'centered`` for each item of a checked stack.
 
-    The one solve of every ridge fit and greedy prefix.  ``centered`` is
-    ``(items, n)``, and ``Z`` one ``(n, p)`` design, whose Gram is formed
-    once for every item, or one design per item, ``(items, n, p)``, with
-    one Gram per item, each the same array its own ``Z.T @ Z`` gives.  A
-    design with no columns has no weights.
+    The one solve of every ridge fit and greedy prefix.  ``Z`` is a stack
+    of designs ``(designs, n, p)`` and ``centered`` ``(items, n)``, where
+    ``items`` is a multiple of ``designs`` and consecutive items share a
+    design, ``items // designs`` each.  Each design's Gram is formed once,
+    the same array its own ``Z.T @ Z`` gives, and ``np.linalg.solve``
+    broadcasts it over that design's items.  A design with no columns has
+    no weights.  Returns ``(items, p)``.
     """
-    if not Z.shape[-1]:
+    designs, n, p = Z.shape
+    if not p:
         return np.zeros((len(centered), 0))
     Zt = np.swapaxes(Z, -1, -2)
-    return _solve_normal_equations(Zt @ Z, (Zt @ centered[:, :, None])[:, :, 0], lam)
+    rhs = (Zt[:, None] @ centered.reshape(designs, -1, n, 1))[..., 0]
+    return _solve_normal_equations((Zt @ Z)[:, None], rhs, lam).reshape(-1, p)
 
 
 def _predict(Z: np.ndarray, weights: np.ndarray, intercepts) -> np.ndarray:
-    """``Z @ weights + intercept`` for each item: ``(m, p)`` or ``(items, m, p)``
-    by ``(items, p)``."""
-    return (Z @ weights[:, :, None])[:, :, 0] + np.asarray(intercepts)[:, None]
+    """``Z @ weights + intercept`` for each item: ``Z`` is ``(designs, m, p)``
+    and ``weights`` ``(items, p)``, consecutive items sharing a design as in
+    :func:`_ridge_weights`.  Returns ``(items, m)``."""
+    designs, m, p = Z.shape
+    products = Z[:, None] @ weights.reshape(designs, len(weights) // designs, p, 1)
+    return products.reshape(len(weights), m) + np.asarray(intercepts)[:, None]
 
 
 def _ridge_fits(
@@ -436,43 +490,49 @@ def _ridge_fits(
     y: np.ndarray,
     lam: float,
     *,
-    feature_names: Sequence[str] | None = None,
-    standardization: StandardizationParams | None = None,
+    feature_names: Sequence[Sequence[str]] | None = None,
+    standardizations: Sequence[StandardizationParams] | None = None,
 ) -> list[RidgeModel]:
-    """:func:`ridge_fit` of one design to each label vector of a stack.
+    """:func:`ridge_fit` of each design of a stack to each of its label vectors.
 
-    ``y`` is ``(items, n)``.  ``Z`` and ``lam`` are checked once and
-    ``Z``'s Gram is formed once for the whole stack; each model equals a
-    ``ridge_fit`` of its own labels bit for bit.  Returns one model per
-    item, in order.
+    ``Z`` is ``(designs, n, p)`` and ``y`` ``(items, n)``; consecutive
+    items share a design, ``items // designs`` each, and
+    ``feature_names`` and ``standardizations`` hold one entry per design.
+    ``Z`` and ``lam`` are checked once for the whole stack and each
+    design's Gram is formed once; each model equals a ``ridge_fit`` of its
+    own design and labels bit for bit.  Returns one model per item, in
+    order.
     """
-    Z = _check_matrix(Z, "Z")
-    n, p = Z.shape
+    Z = _check_finite(Z, "Z")
+    designs, n, p = Z.shape
     intercepts, centered = _centered_labels(y, n)
     _check_lambda(lam)
     weights = _ridge_weights(Z, centered, lam)
-    names = (
-        tuple(feature_names)
-        if feature_names is not None
-        else tuple(f"z{j}" for j in range(p))
-    )
-    params = standardization if standardization is not None else identity_standardization(p)
+    names = ([tuple(column_names) for column_names in feature_names]
+             if feature_names is not None
+             else [tuple(f"z{j}" for j in range(p))] * designs)
+    params = (standardizations if standardizations is not None
+              else [identity_standardization(p)] * designs)
+    per_design = len(weights) // designs
     return [
-        RidgeModel(lam=float(lam), weights=w, intercept=b, standardization=params,
-                   feature_names=names)
-        for w, b in zip(weights, intercepts.tolist())
+        RidgeModel(lam=float(lam), weights=w, intercept=b,
+                   standardization=params[item // per_design],
+                   feature_names=names[item // per_design])
+        for item, (w, b) in enumerate(zip(weights, intercepts.tolist()))
     ]
 
 
 def _ridge_predictions(models: Sequence[RidgeModel], Z: np.ndarray) -> np.ndarray:
-    """:func:`ridge_predict` of each model on one design, one row per model.
+    """:func:`ridge_predict` of each model on its design, one row per model.
 
-    ``Z`` is checked once; every model has the same number of weights.
+    ``Z`` is a stack ``(designs, m, p)`` shared by consecutive models as in
+    :func:`_ridge_fits`, and is checked once; every model has ``p``
+    weights.
     """
-    Z = _check_matrix(Z, "Z")
-    if Z.shape[1] != len(models[0].weights):
+    Z = _check_finite(Z, "Z")
+    if Z.shape[-1] != len(models[0].weights):
         raise ColumnMismatch(
-            f"matrix has {Z.shape[1]} columns, model has {len(models[0].weights)} weights"
+            f"matrix has {Z.shape[-1]} columns, model has {len(models[0].weights)} weights"
         )
     weights = np.array([model.weights for model in models])
     return _predict(Z, weights, [model.intercept for model in models])
@@ -493,12 +553,15 @@ def ridge_fit(
     numerically unreliable system raises
     :class:`~pifmap.errors.SingularSystem`.
     """
-    return _ridge_fits(Z, _as_stack(y), lam, feature_names=feature_names,
-                       standardization=standardization)[0]
+    return _ridge_fits(
+        _as_matrix(Z, "Z")[None], _as_stack(y), lam,
+        feature_names=None if feature_names is None else [feature_names],
+        standardizations=None if standardization is None else [standardization],
+    )[0]
 
 
 def ridge_predict(model: RidgeModel, Z: np.ndarray) -> np.ndarray:
-    return _ridge_predictions([model], Z)[0]
+    return _ridge_predictions([model], _as_matrix(Z, "Z")[None])[0]
 
 
 def fit_standardized(

@@ -204,8 +204,7 @@ class TestRunExperiment:
         assert len(report["trials"]) == 4
         assert loaded == ["pulsar"]
 
-    def test_each_seed_built_once_and_spif_fitted_once_per_seed_one_row_per_level(
-            self, monkeypatch):
+    def test_each_seed_built_once_and_spif_fitted_once_per_chunk(self, monkeypatch):
         settings = TrialSettings()
         seeds, levels = (1, 2), (0.1, 0.3, 0.5)
         spec = load_catalog("bernoulli")
@@ -228,12 +227,15 @@ class TestRunExperiment:
             monkeypatch.setattr(module, name, wrapper)
 
         def count_full_spif_fits(module, name):
-            # one entry per fit call of a full spif design: its label rows
+            # one entry per fit call of full spif designs (one design, or a
+            # stack of them): the number of designs and the label rows
             original = getattr(module, name)
 
             def wrapper(X, y, *args, **kwargs):
-                if any(np.array_equal(X, full) for full in full_designs):
-                    calls["full spif fits"].append(np.shape(y)[:-1])
+                designs = X if np.ndim(X) == 3 else [X]
+                if all(any(np.array_equal(Z, full) for full in full_designs)
+                       for Z in designs):
+                    calls["full spif fits"].append((len(designs), np.shape(y)[:-1]))
                 return original(X, y, *args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
@@ -247,8 +249,9 @@ class TestRunExperiment:
         report = run_experiment("bernoulli", seeds=seeds, noise_levels=levels,
                                 settings=settings)
         assert len(report["trials"]) == 6
+        # both seeds in one stacked fit, one label row per (seed, level)
         assert calls == {"generator": 2, "evaluate_map": 2,
-                         "full spif fits": [(3,), (3,)]}
+                         "full spif fits": [(2, (6,))]}
 
     @pytest.mark.parametrize("seeds", [(1,), (1, 2, 3)])
     @pytest.mark.parametrize("levels", [(0.1,), REGRESSION_NOISE_LEVELS])

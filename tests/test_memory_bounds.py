@@ -3,8 +3,9 @@
 Every row runs one layer on 200,000 rows and checks its peak against the
 bound the function's docstring states, so a bound cannot move in one
 place only.  The stacked rank's bound is over the prefix buffers and
-labels it holds, not over its output.  ``evaluate_map``'s bounds are
-checked in ``test_featuremap``.
+labels it holds, not over its output, and a three-seed experiment's is
+over the peak of the same experiment on one seed.  ``evaluate_map``'s
+bounds are checked in ``test_featuremap``.
 """
 
 import tracemalloc
@@ -12,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pifmap import experiments
 from pifmap.catalogs import load_catalog
 from pifmap.featuremap import evaluate_map
 from pifmap.ranking import _identical_column_groups, _ranked_refits
@@ -38,6 +40,31 @@ def _column_major_standardize():
     return lambda: standardize_fit(X), lambda result: result[0].nbytes
 
 
+def _row_major_standardize():
+    rng = np.random.Generator(np.random.PCG64(7))
+    X = np.ascontiguousarray(rng.standard_normal((_ROWS, 9)) * np.arange(1.0, 10.0))
+    return lambda: standardize_fit(X), lambda result: result[0].nbytes
+
+
+def _three_seed_experiment():
+    # each seed's designs (8 + 7 + 6 columns) take more than one chunk's
+    # bytes, so the seeds are fitted one at a time
+    settings = experiments.TrialSettings(n=40_000)
+    assert settings.n * 21 * 8 > experiments._CHUNK_BYTES
+
+    def run(seeds):
+        return experiments.run_experiment("pulsar", seeds=seeds, settings=settings)
+
+    run((1,))  # load the catalog before measuring
+    tracemalloc.start()
+    try:
+        run((1,))
+        _, one_seed = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return lambda: run((1, 2, 3)), lambda result: one_seed
+
+
 def _stacked_rank():
     # three noise levels of one seed, ranked in lock step on a 0.7 split
     data = gen_pulsar(_ROWS, 5)
@@ -47,11 +74,11 @@ def _stacked_rank():
     Z_eval = standardize_apply(Phi[k:], params)
     y = np.stack([add_noise(data.y, NoiseConfig(level=level, seed=6))
                   for level in (0.1, 0.3, 0.5)])
-    models = _ridge_fits(Z_train, y[:, :k], 1e-3)
+    models = _ridge_fits(Z_train[None], y[:, :k], 1e-3)
     groups = _identical_column_groups(Z_train)
     held = len(y) * _ROWS * (Z_train.shape[1] + 1) * 8
-    return (lambda: _ranked_refits(models, groups, Z_train, y[:, :k], Z_eval,
-                                   y[:, k:], 0.01),
+    return (lambda: _ranked_refits(models, [groups], Z_train[None], y[:, :k],
+                                   Z_eval[None], y[:, k:], 0.01),
             lambda result: held)
 
 
@@ -61,9 +88,12 @@ def _stacked_rank():
     (gen_binary, _generate(gen_binary), 1.07),
     (add_noise, _noise, 1.01),
     (standardize_fit, _column_major_standardize, 1.15),
+    (standardize_fit, _row_major_standardize, 1.05),
     (_ranked_refits, _stacked_rank, 1.15),
+    (experiments.run_experiment, _three_seed_experiment, 1.02),
 ], ids=["gen_pulsar", "gen_bernoulli", "gen_binary", "add_noise",
-        "standardize_fit-column-major", "stacked-rank"])
+        "standardize_fit-column-major", "standardize_fit-row-major",
+        "stacked-rank", "run_experiment-chunked"])
 def test_peak_over_output_is_within_the_documented_bound(function, prepare, bound):
     assert f"under {bound}x" in " ".join(function.__doc__.split())
     call, output_bytes = prepare()

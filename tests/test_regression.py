@@ -123,6 +123,25 @@ class TestStandardize:
         assert applied.tobytes(order="A") == expected.tobytes(order="A")
         assert applied.flags.f_contiguous
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("constant_column", [None, 2])
+    def test_bitwise_equal_to_the_two_pass_formulas_over_many_blocks(
+            self, layout, constant_column, monkeypatch):
+        # an 8-row buffer: a row-major design's squares are summed 7 rows at
+        # a time after the running sums, 286 blocks with a short last one
+        monkeypatch.setattr(regression, "_SQUARES_BYTES", 8 * 6 * 8)
+        X = self._design(layout, constant_column)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DroppedColumnWarning)
+            Z, params = standardize_fit(X)
+        means, scales = X.mean(axis=0), X.std(axis=0)
+        kept = list(params.kept)
+        assert params.means.tobytes() == means[kept].tobytes()
+        assert params.scales.tobytes() == scales[kept].tobytes()
+        expected = (X[:, kept] - means[kept]) / scales[kept]
+        assert Z.tobytes(order="A") == expected.tobytes(order="A")
+        assert Z.flags.f_contiguous
+
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("constant_column", [None, 2])
     def test_never_changes_or_shares_the_callers_array(self, layout,

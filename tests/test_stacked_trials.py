@@ -1,10 +1,11 @@
-"""The stacked fit and rank of a seed's noise levels against one-level calls.
+"""The stacked fit and rank of a chunk of seeds against one-level calls.
 
-``run_experiment`` fits every noise level of a seed as one stack: one
-stacked ridge solve per arm and one lock-step greedy pass over the levels.
-The reference here rebuilds each trial with the public one-item calls
-(``ridge_fit``, ``ridge_predict``, ``mae``/``mse`` and ``rank_and_refit``),
-one level at a time, and the reports must agree to the byte.
+``run_experiment`` fits every (seed, level) item of a chunk of seeds as
+one stack: one stacked ridge solve per arm, one Gram per seed, and one
+lock-step greedy pass over the items.  The reference here rebuilds each
+trial with the public one-item calls (``ridge_fit``, ``ridge_predict``,
+``mae``/``mse`` and ``rank_and_refit``), seed by seed and one level at a
+time, and the reports, or the errors raised, must agree to the byte.
 """
 
 import re
@@ -15,7 +16,13 @@ import pytest
 
 from pifmap import experiments
 from pifmap.cli import _dump_json
-from pifmap.errors import DroppedColumnWarning, SingularSystem
+from pifmap.errors import (
+    DivisionByZero,
+    DroppedColumnWarning,
+    InsufficientData,
+    NonFiniteInput,
+    SingularSystem,
+)
 from pifmap.featuremap import evaluate_map
 from pifmap.metrics import confusion, mae, mse, scores_to_dict
 from pifmap.ranking import (
@@ -81,20 +88,139 @@ def _one_level_seed_trials(experiment, spec, seed, noise_levels, settings):
     return trials
 
 
+def _one_level_trials_by_seed(experiment, spec, seeds, noise_levels, settings):
+    """Every seed's trials, seed by seed, each level on its own."""
+    return [_one_level_seed_trials(experiment, spec, seed, noise_levels, settings)
+            for seed in seeds]
+
+
 def _reports(name, monkeypatch, **kwargs):
     """The stacked report's JSON and the one-level reference's."""
     stacked = _dump_json(experiments.run_experiment(name, **kwargs))
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "_seed_trials", _one_level_seed_trials)
+        patch.setattr(experiments, "_trials_by_seed", _one_level_trials_by_seed)
         reference = _dump_json(experiments.run_experiment(name, **kwargs))
     return stacked, reference
 
 
+def _record_chunks(monkeypatch):
+    """The seeds of every chunk ``run_experiment`` fits, in order."""
+    chunks = []
+    original = experiments._chunk_trials
+
+    def recorded(experiment, chunk, noise_levels):
+        chunks.append([prepared.seed for prepared in chunk])
+        return original(experiment, chunk, noise_levels)
+
+    monkeypatch.setattr(experiments, "_chunk_trials", recorded)
+    return chunks
+
+
 @pytest.mark.parametrize("name", ["bernoulli", "pulsar", "binary"])
 def test_report_bytes_equal_one_level_calls(name, monkeypatch):
+    chunks = _record_chunks(monkeypatch)
     stacked, reference = _reports(name, monkeypatch, seeds=(1, 2, 3),
                                   noise_levels=(0.0, 0.1, 0.5))
     assert stacked == reference
+    assert chunks == [[1, 2, 3]]
+
+
+def test_report_bytes_equal_one_level_calls_at_an_odd_row_count(monkeypatch):
+    # 211 training and 90 evaluation rows: the stacked designs' items start
+    # at addresses only 8-byte aligned
+    stacked, reference = _reports("pulsar", monkeypatch, seeds=(4, 5, 6, 7),
+                                  noise_levels=(0.1, 0.3),
+                                  settings=experiments.TrialSettings(n=301))
+    assert stacked == reference
+
+
+@pytest.mark.parametrize("name", ["bernoulli", "pulsar", "binary"])
+def test_every_default_run_is_one_chunk(name, monkeypatch):
+    chunks = _record_chunks(monkeypatch)
+    experiments.run_experiment(name)
+    assert chunks == [list(experiments.DEFAULT_SEEDS)]
+
+
+@pytest.mark.parametrize("seeds_per_chunk, expected", [
+    (1, [[1], [2], [3], [4], [5]]),
+    (2, [[1, 2], [3, 4], [5]]),
+])
+def test_report_bytes_equal_one_level_calls_in_bounded_chunks(
+        seeds_per_chunk, expected, monkeypatch):
+    settings = experiments.TrialSettings(n=200)
+    experiment = experiments._EXPERIMENTS["pulsar"]
+    spec = experiments.load_catalog("pulsar", allow_inconsistent=True)
+    one_seed = experiments._prepared_seed(experiment, spec, 1, (0.1,), settings).nbytes
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", seeds_per_chunk * one_seed + 1)
+    chunks = _record_chunks(monkeypatch)
+    stacked, reference = _reports("pulsar", monkeypatch, seeds=(1, 2, 3, 4, 5),
+                                  noise_levels=(0.1, 0.5), settings=settings)
+    assert stacked == reference
+    assert chunks == expected
+
+
+def test_a_seed_with_a_dropped_column_splits_the_chunk(monkeypatch):
+    # only seed 2's h is constant, so its sf design has one column less
+    bernoulli = experiments._EXPERIMENTS["bernoulli"]
+
+    def constant_h_for_seed_2(n, seed):
+        data = gen_bernoulli(n, seed)
+        if seed == 2:
+            data.X[:, data.schema.index("h")] = 2.5
+        return data
+
+    monkeypatch.setitem(experiments._EXPERIMENTS, "bernoulli",
+                        replace(bernoulli, generator=constant_h_for_seed_2))
+    chunks = _record_chunks(monkeypatch)
+    with pytest.warns(DroppedColumnWarning):
+        stacked, reference = _reports("bernoulli", monkeypatch, seeds=(1, 3, 2, 4, 5),
+                                      noise_levels=(0.1, 0.3))
+    assert stacked == reference
+    assert chunks == [[1, 3], [2], [4, 5]]
+
+
+def _failing_bernoulli(failures):
+    """bernoulli data that fails for some seeds: ``failures`` maps a seed to
+    how its data or labels fail."""
+    def generate(n, seed):
+        failure = failures.get(seed)
+        if failure == "generate":
+            raise InsufficientData(f"no rows for seed {seed}")
+        data = gen_bernoulli(n, seed)
+        if failure == "evaluate":
+            data.X[5, data.schema.index("A")] = 0.0  # a zero raised to power -1
+        elif failure == "train label":
+            data.y[3] = np.nan
+        elif failure == "eval label":
+            data.y[-3] = np.nan
+        return data
+    return generate
+
+
+@pytest.mark.parametrize("failures, error", [
+    ({2: "generate"}, InsufficientData),
+    ({2: "evaluate"}, DivisionByZero),
+    ({3: "train label"}, NonFiniteInput),
+    # a fit of seed 1 fails before seed 2's data
+    ({1: "train label", 2: "generate"}, NonFiniteInput),
+    # seed 1 fails when scored, after its fit; seed 2 when fitted: a chunk
+    # that fitted both before scoring would raise seed 2's error
+    ({1: "eval label", 2: "train label"}, NonFiniteInput),
+], ids=["generate", "evaluate", "fit", "fit-before-later-data",
+        "score-before-later-fit"])
+def test_a_failing_seed_raises_the_error_of_the_seed_by_seed_loop(
+        failures, error, monkeypatch):
+    bernoulli = experiments._EXPERIMENTS["bernoulli"]
+    monkeypatch.setitem(experiments._EXPERIMENTS, "bernoulli",
+                        replace(bernoulli, generator=_failing_bernoulli(failures)))
+    kwargs = dict(seeds=(1, 2, 3, 4), noise_levels=(0.0, 0.1),
+                  settings=experiments.TrialSettings(n=120))
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_trials_by_seed", _one_level_trials_by_seed)
+        with pytest.raises(error) as reference:
+            experiments.run_experiment("bernoulli", **kwargs)
+    with pytest.raises(error, match=f"^{re.escape(str(reference.value))}$"):
+        experiments.run_experiment("bernoulli", **kwargs)
 
 
 def test_report_bytes_equal_one_level_calls_with_a_dropped_column(monkeypatch):
@@ -130,10 +256,11 @@ def _planted_stack():
 def test_lock_step_passes_that_stop_at_different_sizes_equal_single_passes():
     Z_train, Z_eval, params, y_train, y_eval = _planted_stack()
     names = tuple(f"x{j}" for j in range(Z_train.shape[1]))
-    models = _ridge_fits(Z_train, y_train, 1e-3, feature_names=names,
-                         standardization=params)
+    models = _ridge_fits(Z_train[None], y_train, 1e-3, feature_names=[names],
+                         standardizations=[params])
     groups = _identical_column_groups(Z_train)
-    stacked = _ranked_refits(models, groups, Z_train, y_train, Z_eval, y_eval, 0.01)
+    stacked = _ranked_refits(models, [groups], Z_train[None], y_train, Z_eval[None],
+                             y_eval, 0.01)
     assert len({len(result.curve) for result, _ in stacked}) == 3
     for item, (result, document) in enumerate(stacked):
         model = ridge_fit(Z_train, y_train[item], 1e-3, feature_names=names,
@@ -164,7 +291,8 @@ def test_a_failing_prefix_raises_the_error_of_its_own_pass(failing):
                              Z_eval[:, [1, 0, 3]], y_eval[1 - failing], 0.0,
                              epsilon=1e-300).curve) == 3
     with pytest.raises(SingularSystem, match=re.escape(str(single.value))):
-        _greedy_passes(Z_train, y_train[:2], Z_eval, y_eval[:2], 0.0, orders, 1e-300)
+        _greedy_passes(Z_train[None], y_train[:2], Z_eval[None], y_eval[:2], 0.0,
+                       orders, 1e-300)
 
 
 _INDEFINITE = [[1.0, 2.0], [2.0, 1.0]]  # no Cholesky factor
