@@ -31,6 +31,9 @@ digit or byte fails here.  There are two exceptions:
 
 - ``reproduce all --seeds 1:3 --n 200 --csv-only``: the nine report files
   under ``golden/reproduce/<experiment>/``.
+- ``reproduce all --seeds 1:3 --n 200``: the seventeen SVG box plots of
+  ``<experiment>/plots/``, under ``golden/reproduce_plots/<experiment>/``;
+  the reports written beside them equal the ``--csv-only`` ones.
 - ``fit --spec <bernoulli catalog> --select`` on the table written by
   ``synth bernoulli --n 400 --seed 5``: the model JSON and the metrics
   printed on stdout, under ``golden/fit/``.
@@ -81,6 +84,12 @@ def _files_under(root: Path) -> dict[str, bytes]:
 def write_reproduce(out: Path) -> dict[str, bytes]:
     assert main(["reproduce", "all", "--seeds", "1:3", "--n", "200",
                  "--csv-only", "--out", str(out)]) == EXIT_OK
+    return _files_under(out)
+
+
+def write_reproduce_plots(out: Path) -> dict[str, bytes]:
+    assert main(["reproduce", "all", "--seeds", "1:3", "--n", "200",
+                 "--out", str(out)]) == EXIT_OK
     return _files_under(out)
 
 
@@ -179,6 +188,21 @@ def test_reproduce_all_matches_golden_reports(tmp_path):
     assert sorted(produced) == sorted(expected)
     for name, data in expected.items():
         assert produced[name] == data, name
+
+
+def test_reproduce_all_matches_golden_plots(tmp_path):
+    produced = write_reproduce_plots(tmp_path / "reports")
+    expected = {
+        name.replace("/", "/plots/", 1): data
+        for name, data in _golden("reproduce_plots").items()
+    }
+    assert len(expected) == 17
+    reports = {name: data for name, data in produced.items() if "/plots/" not in name}
+    assert reports == _golden("reproduce")
+    plots = {name: data for name, data in produced.items() if "/plots/" in name}
+    assert sorted(plots) == sorted(expected)
+    for name, data in expected.items():
+        assert plots[name] == data, name
 
 
 def test_fit_and_rank_match_golden_outputs(tmp_path, capsys):
