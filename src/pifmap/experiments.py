@@ -1,20 +1,21 @@
 """End-to-end experiment trials: raw-feature vs mapped-feature arms.
 
-Every experiment prepares each seed alone: generate a seeded dataset,
-split chronologically, standardize two designs on the training rows (the
-raw features, arm ``sf``, and the evaluated physics-informed monomials,
-arm ``spif``) and noise the labels at each noise level.  The seeds are
-then fitted in chunks, every (seed, level) item of a chunk as one stack:
-per arm one Gram per seed, shared by its levels, and one stacked ridge
-solve.  Regression experiments then greedy-rank the monomials with one
-lock-step pass over the chunk's items and report the greedy pass's fit
-of the selected set; the classification experiment scores thresholded
-predictions.  A chunk ends before its designs would pass a fixed byte
-bound (``_CHUNK_BYTES``: every default run is one chunk per experiment,
-and where one seed's designs pass it, each chunk is one seed) or where a
-seed's arm shapes differ (a dropped constant column).  Each item's
-numbers equal that seed and level fitted, scored and ranked alone, bit
-for bit, and an error is the one a seed-by-seed loop raises.
+Every experiment prepares and fits its seeds in chunks, each as one
+stack.  Each seed's dataset is generated from its own stream and its
+labels noised at each level alone; the chunk's rows are concatenated,
+the physics-informed monomials evaluated once over them, and each arm's
+design (the raw features, arm ``sf``, and the monomials, arm ``spif``)
+standardized on every seed's chronological training rows as one
+``(seeds, rows, p)`` stack, the one the fit takes.  Each arm is fitted to
+every (seed, level) item with one Gram per seed, shared by its levels,
+and one stacked ridge solve.  Regression experiments then greedy-rank the
+monomials with one lock-step pass over the items and report the greedy
+pass's fit of the selected set; the classification experiment scores
+thresholded predictions.  A chunk holds the seeds whose designs fit in
+``_CHUNK_BYTES``, and at least one; a chunk of several that raises, or
+where a seed drops a constant column, is done again one seed at a time.
+Each item's numbers equal that seed and level done alone, bit for bit,
+and an error is the one a seed-by-seed loop raises.
 What differs between experiments is one row of ``_EXPERIMENTS``.  The
 rotating-dipole experiment adds a third arm with its leading monomial
 removed (``spif_no_pif1``) to probe how much that single
@@ -26,7 +27,7 @@ byte-identically; medians are taken over seeds per noise level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -39,12 +40,10 @@ from .metrics import ConfusionMatrix, _errors, confusion, scores_to_dict
 from .ranking import _identical_column_groups, _ranked_refits
 from .regression import (
     DEFAULT_LAMBDA,
-    StandardizationParams,
     _ridge_fits,
     _ridge_predictions,
+    _standardized,
     classify,
-    standardize_apply,
-    standardize_fit,
 )
 from .synthdata import NoiseConfig, add_noise, gen_bernoulli, gen_binary, gen_pulsar
 
@@ -70,8 +69,9 @@ _SCORE_FIELDS = ("sensitivity", "specificity", "accuracy", "tss", "hss")
 _EPSILON = 0.01
 _THRESHOLD = 0.5
 
-# A chunk of seeds is fitted as one stack while its designs take at most
-# this many bytes: every default run is one chunk per experiment.
+# A chunk of seeds is prepared and fitted as one stack while its designs
+# take at most this many bytes: every default run is one chunk per
+# experiment.
 _CHUNK_BYTES = 1 << 22
 
 
@@ -147,93 +147,71 @@ def _noisy_labels(y: np.ndarray, seed: int, level: float) -> np.ndarray:
     return add_noise(y, NoiseConfig(level=level, seed=derive_noise_seed(seed, level)))
 
 
-@dataclass(frozen=True)
-class _Design:
-    """One arm's design, standardized on the training rows of one seed."""
-
-    Z_train: np.ndarray
-    Z_eval: np.ndarray
-    standardization: StandardizationParams
-    names: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class _Seed:
-    """One seed's standardized designs and noisy labels, one row per level."""
-
-    seed: int
-    split: int
-    designs: Mapping[str, _Design]
-    y: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return sum(d.Z_train.nbytes + d.Z_eval.nbytes for d in self.designs.values())
-
-    @property
-    def shapes(self) -> list:
-        return [(d.Z_train.shape, d.Z_eval.shape) for d in self.designs.values()]
+def _design_width(experiment: _Experiment, spec: FeatureMapSpec) -> int:
+    """The columns of one seed's designs over every arm, before any is
+    dropped: the raw features, the monomials and each ablation's share."""
+    monomials = range(len(spec))
+    return len(spec.features) + sum(
+        len(monomials[columns])
+        for columns in (slice(None), *experiment.ablations.values())
+    )
 
 
-def _prepared_seed(experiment: _Experiment, spec: FeatureMapSpec, seed: int,
-                   noise_levels, settings: TrialSettings) -> _Seed:
-    """Generate one seed's data, evaluate the map, standardize every arm's
-    design on the training rows and noise the labels at every level."""
-    data = experiment.generator(settings.n, seed)
-    k = split_point(data.n_rows, settings.split)
-    Phi = evaluate_map(spec, data)
+def _prepared_chunk(experiment: _Experiment, spec: FeatureMapSpec,
+                    tables: list[Dataset], k: int) -> dict:
+    """Per arm, the training and evaluation stacks of a chunk's tables,
+    standardized on each seed's first ``k`` rows, with each seed's
+    parameters and kept column names.
+
+    The map is evaluated once over the concatenated rows (a chunk of one
+    is not copied): its entries are elementwise, so each seed's equal its
+    own evaluation's.  The generators' row-major tables concatenate to a
+    row-major table, so each seed's ``sf`` sums run as its own would.
+    """
+    n = tables[0].n_rows
+    table = tables[0] if len(tables) == 1 else replace(
+        tables[0], X=np.concatenate([t.X for t in tables]),
+        y=np.concatenate([t.y for t in tables]))
+    Phi = evaluate_map(spec, table)
     names = spec.monomial_names
-    raw = {"sf": (data.X, data.schema.names), "spif": (Phi, names)}
+    # one (seeds, n, p) view per arm: row-major raw features, column-major map
+    monomials = Phi.T.reshape(len(spec), len(tables), n).transpose(1, 2, 0)
+    raw = {"sf": (table.X.reshape(len(tables), n, -1), table.schema.names),
+           "spif": (monomials, names)}
     for arm, columns in experiment.ablations.items():
-        raw[arm] = (Phi[:, columns], names[columns])
+        raw[arm] = (monomials[:, :, columns], names[columns])
     designs = {}
     for arm, (X, column_names) in raw.items():
-        Z_train, params = standardize_fit(X[:k])
-        designs[arm] = _Design(
-            Z_train=Z_train,
-            Z_eval=standardize_apply(X[k:], params),
-            standardization=params,
-            names=tuple(column_names[j] for j in params.kept),
-        )
-    y = np.array([_noisy_labels(data.y, seed, level) for level in noise_levels])
-    return _Seed(seed, k, designs, y)
+        Z_train, Z_eval, params = _standardized(X, k)
+        designs[arm] = (Z_train, Z_eval, params,
+                        [tuple(column_names[j] for j in p.kept) for p in params])
+    return designs
 
 
-def _stack(designs: list[np.ndarray]) -> np.ndarray:
-    """Fortran-ordered ``(n, p)`` designs as one ``(designs, n, p)`` stack
-    whose items keep that layout; a stack of one is a view."""
-    if len(designs) == 1:
-        return designs[0][None]
-    return np.stack([Z.T for Z in designs]).transpose(0, 2, 1)
+def _chunk_trials(experiment: _Experiment, spec: FeatureMapSpec, seeds: list[int],
+                  tables: list[Dataset], noise_levels,
+                  split: float) -> list[list[dict]]:
+    """A chunk of seeds' trials, one list per seed, as one stack.
 
-
-def _chunk_trials(experiment: _Experiment, chunk: list[_Seed],
-                  noise_levels) -> list[list[dict]]:
-    """A chunk of seeds' trials, one list per seed, fitted as one stack.
-
-    The items of the stack are the chunk's (seed, level) pairs, seed-major.
-    Each arm is fitted to every item by one stacked solve, each seed's Gram
-    formed once and shared by its levels, and predicted and scored by one
-    call each; regression experiments then rank ``spif`` with one
-    lock-step greedy pass over every item.  Every item's numbers equal a
-    fit, prediction, score and rank of that seed and level alone, bit for
-    bit.
+    The items of the stack are the chunk's (seed, level) pairs,
+    seed-major.  Each arm is fitted, predicted and scored for every item by
+    one call each; regression experiments then rank ``spif`` with one
+    lock-step greedy pass over every item.
     """
-    k = chunk[0].split
-    y = chunk[0].y if len(chunk) == 1 else np.concatenate([s.y for s in chunk])
+    k = split_point(tables[0].n_rows, split)
+    designs = _prepared_chunk(experiment, spec, tables, k)
+    y = np.array([_noisy_labels(table.y, seed, level)
+                  for seed, table in zip(seeds, tables) for level in noise_levels])
     y_train, y_eval = y[:, :k], y[:, k:]
-    trials = [{"seed": s.seed, "noise": level, "arms": {}}
-              for s in chunk for level in noise_levels]
+    trials = [{"seed": seed, "noise": level, "arms": {}}
+              for seed in seeds for level in noise_levels]
     models = {}
-    for arm in chunk[0].designs:
-        designs = [s.designs[arm] for s in chunk]
-        Z_train = _stack([d.Z_train for d in designs])
-        Z_eval = _stack([d.Z_eval for d in designs])
-        models[arm] = _ridge_fits(
-            Z_train, y_train, DEFAULT_LAMBDA,
-            feature_names=[d.names for d in designs],
-            standardizations=[d.standardization for d in designs],
-        )
+    spif_stacks = designs["spif"][:2]
+    for arm in list(designs):
+        # an arm's stacks are let go once it is scored; the rank keeps spif's
+        Z_train, Z_eval, params, names = designs.pop(arm)
+        models[arm] = _ridge_fits(Z_train, y_train, DEFAULT_LAMBDA,
+                                  feature_names=names, standardizations=params)
         predictions = _ridge_predictions(models[arm], Z_eval)
         if experiment.classification:
             labels = classify(predictions, _THRESHOLD)
@@ -243,11 +221,9 @@ def _chunk_trials(experiment: _Experiment, chunk: list[_Seed],
             maes, mses = _errors(y_eval, predictions, np.abs, np.square, axis=-1)
             for trial, mae, mse in zip(trials, maes.tolist(), mses.tolist()):
                 trial["arms"][arm] = {"mae": mae, "mse": mse}
-        if arm == "spif":
-            spif_stacks = Z_train, Z_eval
     if not experiment.classification:
         Z_train, Z_eval = spif_stacks
-        groups = [_identical_column_groups(s.designs["spif"].Z_train) for s in chunk]
+        groups = [_identical_column_groups(Z) for Z in Z_train]
         ranked = _ranked_refits(models["spif"], groups, Z_train, y_train, Z_eval,
                                 y_eval, _EPSILON)
         for trial, (_, document) in zip(trials, ranked):
@@ -261,53 +237,50 @@ def _chunk_trials(experiment: _Experiment, chunk: list[_Seed],
     return [trials[start:start + levels] for start in range(0, len(trials), levels)]
 
 
-def _fitted_chunk(experiment: _Experiment, chunk: list[_Seed],
-                  noise_levels) -> list[list[dict]]:
-    """:func:`_chunk_trials`, and if a chunk of several seeds raises, the
-    same one seed at a time, so the error is the first seed's own."""
+def _fitted_chunk(experiment: _Experiment, spec: FeatureMapSpec, seeds: list[int],
+                  noise_levels, settings: TrialSettings) -> list[list[dict]]:
+    """Generate a chunk of seeds' tables and :func:`_chunk_trials` them.
+
+    A chunk of several seeds that raises, or where a seed drops a constant
+    column, is done again one seed at a time from the tables generated so
+    far, so an error is the first seed's own and no generator runs twice.
+    """
+    tables = []
     try:
-        return _chunk_trials(experiment, chunk, noise_levels)
+        for seed in seeds:
+            tables.append(experiment.generator(settings.n, seed))
+        return _chunk_trials(experiment, spec, seeds, tables, noise_levels,
+                             settings.split)
     except Exception:
-        if len(chunk) == 1:
+        if len(seeds) == 1:
             raise
-    return [trials for prepared in chunk
-            for trials in _chunk_trials(experiment, [prepared], noise_levels)]
+    by_seed = []
+    for i, seed in enumerate(seeds):
+        table = tables[i] if i < len(tables) else experiment.generator(settings.n, seed)
+        by_seed += _chunk_trials(experiment, spec, [seed], [table], noise_levels,
+                                 settings.split)
+    return by_seed
 
 
 def _trials_by_seed(experiment: _Experiment, spec: FeatureMapSpec, seeds,
                     noise_levels, settings: TrialSettings) -> list[list[dict]]:
-    """Every seed's trials, one list per seed in the order given.
-
-    The seeds are prepared one at a time and fitted in chunks
-    (:func:`_chunk_trials`).  A chunk ends before a seed that would take
-    its designs over ``_CHUNK_BYTES``, or whose arms' shapes differ from
-    its first seed's (a dropped constant column); it always holds at least
-    one seed.  Errors come in the order a seed-by-seed loop raises them: a
-    seed that fails to prepare first lets the seeds before it be fitted,
-    and a chunk of several seeds that fails is fitted again one seed at a
-    time.
-    """
-    by_seed: list[list[dict]] = []
-    chunk: list[_Seed] = []
-    for seed in seeds:
-        if chunk and (len(chunk) + 1) * chunk[0].nbytes > _CHUNK_BYTES:
-            by_seed += _fitted_chunk(experiment, chunk, noise_levels)
-            chunk = []
-        try:
-            chunk.append(_prepared_seed(experiment, spec, seed, noise_levels,
-                                        settings))
-        except Exception:
-            if chunk:  # an error of an earlier seed comes first
-                _fitted_chunk(experiment, chunk, noise_levels)
-            raise
-        if chunk[-1].shapes != chunk[0].shapes:
-            by_seed += _fitted_chunk(experiment, chunk[:-1], noise_levels)
-            chunk = chunk[-1:]
-    return by_seed + _fitted_chunk(experiment, chunk, noise_levels)
+    """Every seed's trials, one list per seed in the order given, in
+    chunks of as many seeds as fit their designs (``n`` rows of every
+    arm's columns, 8 bytes each) in ``_CHUNK_BYTES``, and at least one."""
+    size = max(1, _CHUNK_BYTES // (8 * settings.n * _design_width(experiment, spec)))
+    return [trials for start in range(0, len(seeds), size)
+            for trials in _fitted_chunk(experiment, spec, seeds[start:start + size],
+                                        noise_levels, settings)]
 
 
 def _median(values) -> float:
-    return float(np.median(np.asarray(values, dtype=float)))
+    """``np.median`` of a non-empty list, bit for bit: the mean of its
+    middle one or two values, a sum from 0.0 over their count."""
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return 0.0 + ordered[middle]
+    return (0.0 + ordered[middle - 1] + ordered[middle]) / 2
 
 
 def _noise_key(level: float) -> str:
@@ -377,15 +350,23 @@ def run_experiment(
 ) -> dict:
     """Run one experiment end to end and return its JSON-ready report.
 
-    The catalog is loaded once and shared by every trial, and each seed's
-    standardized designs are built once and shared by its noise levels.
-    The seeds are fitted in chunks whose designs take at most 4 MiB
-    (``_CHUNK_BYTES``), or one seed if a seed's take more, so memory does
-    not grow with the seeds: where each seed's designs take more, the
-    ``tracemalloc`` peak over three seeds is under 1.02x one seed's.  The
-    classification experiment ignores ``noise_levels``: its labels are
-    exact signs of a conserved quantity, so a multiplicative noise arm
-    would reproduce the noiseless one.
+    The catalog is loaded once and shared by every trial.  The seeds are
+    taken in chunks whose designs take at most 4 MiB (``_CHUNK_BYTES``),
+    or one seed if a seed's take more.  Each chunk's map is evaluated once
+    over its concatenated rows and each arm is standardized once, as one
+    stack of its seeds shared by their noise levels; the concatenated
+    table and map live only until the stacks are written.  A chunk of
+    several seeds that raises, or where a seed drops a constant column, is
+    prepared and fitted again one seed at a time from the tables already
+    generated, so each generator runs once per seed and each warning is
+    issued once per seed, in seed order (a chunk's generator warnings
+    come before its dropped-column warnings).  Memory does not grow with
+    the seeds: where each seed's designs take more than a chunk, the
+    ``tracemalloc`` peak over three seeds is under 1.02x one seed's, and
+    a default chunk of ten pulsar seeds peaks under 2.4x the stacks of its
+    standardized designs.  The classification experiment ignores
+    ``noise_levels``: its labels are exact signs of a conserved quantity,
+    so a multiplicative noise arm would reproduce the noiseless one.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -403,9 +384,7 @@ def run_experiment(
         task_setting = {"threshold": _THRESHOLD}
     else:
         task_setting = {"epsilon": _EPSILON}
-    # Computed in chunks of seeds whose designs take at most _CHUNK_BYTES
-    # (one seed if a seed's take more), and reported level-major with the
-    # seeds in the order given.
+    # one list of trials per seed, reported level-major with the seeds as given
     by_seed = _trials_by_seed(experiment, spec, seeds, noise_levels, settings)
     trials = [trial for by_level in zip(*by_seed) for trial in by_level]
     report = {

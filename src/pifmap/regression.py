@@ -39,11 +39,12 @@ sum and one division (``np.mean``'s own steps) and a vector norm is
 ``math.sqrt(v @ v)`` (``np.linalg.norm``'s, for a real vector).
 
 A fit's design stays column-major from
-:func:`~pifmap.featuremap.evaluate_map` to the Gram: :func:`standardize_fit`
-scales a Fortran-ordered design in its centered copy, with no transposing
-copy, and writes a row-major one's ``Z`` column-major with no centered
-copy; its means and scales equal ``X.mean(axis=0)`` and
-``X.std(axis=0)`` bit for bit for the array as passed.
+:func:`~pifmap.featuremap.evaluate_map` to the Gram: ``_standardized``
+standardizes a stack of designs (an experiment's seeds) on their first
+rows, scaling a column-major design in its centered copy and writing a
+row-major one's ``Z`` column-major with no centered copy, each with the
+bits of ``X.mean(axis=0)`` and ``X.std(axis=0)`` for the layout passed;
+:func:`standardize_fit` is its one-design case.
 
 :func:`select_lambda` forms the training Gram ``G = Z'Z``, the right-hand
 side and ``mean(y)`` once per grid and eigendecomposes ``G`` once
@@ -110,8 +111,9 @@ _VALIDATION_FRACTION = 0.3
 # zero to within this relative tolerance of the mean magnitude.
 _ZERO_SCALE_RTOL = 1e-12
 
-# standardize_fit squares a column-major design's centered columns into a
-# buffer of at most this many bytes (or one column, if that is larger).
+# Standardization squares a column-major stack's centered columns, or a
+# row-major stack's centered rows, into a buffer of at most this many bytes
+# (or one column or two rows per design, if that is larger).
 _SQUARES_BYTES = 1 << 18
 
 _EPS = float(np.finfo(float).eps)
@@ -169,17 +171,16 @@ def _check_labels(y: np.ndarray, n: int) -> np.ndarray:
 
 
 def _column_sums_of_squares(centered: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(np.square(centered), axis=0)``, bit for bit.
+    """``np.add.reduce(np.square(centered), axis=0)`` for a Fortran-ordered
+    ``centered``, bit for bit.
 
-    A Fortran-ordered array over ``_SQUARES_BYTES`` is squared a few columns
-    at a time into one reused buffer, and each column still sums pairwise
-    down its contiguous run.  Any other layout (what a row-major ``X`` that
-    is not contiguous centers to) is squared whole: its columns sum row by
-    row, several times slower over a narrow block of columns.
+    An array over ``_SQUARES_BYTES`` is squared a few columns at a time
+    into one reused buffer, and each column still sums pairwise down its
+    contiguous run.
     """
     n, p = centered.shape
     width = _SQUARES_BYTES // (8 * n)
-    if width >= p or not centered.flags.f_contiguous:
+    if width >= p:
         return np.add.reduce(np.square(centered), axis=0)
     width = max(width, 1)
     squares = np.empty((n, width), order="F")
@@ -192,26 +193,100 @@ def _column_sums_of_squares(centered: np.ndarray) -> np.ndarray:
 
 
 def _row_major_sums_of_squares(X: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(np.square(X - means), axis=0)`` for a row-major ``X``,
-    bit for bit, with no ``n x p`` centered copy.
+    """``np.add.reduce(np.square(X - means[:, None]), axis=1)`` for a stack
+    of row-major designs ``(designs, n, p)``, bit for bit, with no centered
+    copy.
 
-    Over a C-ordered array that sum adds the rows in order, so a block of
-    rows at a time is centered and squared into rows ``1:`` of one reused
-    C-ordered buffer of at most ``_SQUARES_BYTES`` (or two rows), whose
-    row 0 carries the running column sums: reducing the buffer goes on
-    with each column's sum in the same order.
+    That sum adds each design's rows in order, so a block of rows at a time
+    is centered and squared into rows ``1:`` of one reused C-ordered buffer
+    of at most ``_SQUARES_BYTES`` (or two rows per design), whose row 0
+    carries the running column sums: reducing the buffer goes on with each
+    column's sum in the same order.
     """
-    n, p = X.shape
-    rows = min(max(_SQUARES_BYTES // (8 * p) - 1, 1), n)
-    buffer = np.zeros((rows + 1, p))
-    sums = np.empty(p)
+    designs, n, p = X.shape
+    rows = min(max(_SQUARES_BYTES // (8 * designs * p) - 1, 1), n)
+    buffer = np.zeros((designs, rows + 1, p))
+    sums = np.empty((designs, p))
     for start in range(0, n, rows):
-        block = X[start:start + rows]
-        squares = buffer[1:len(block) + 1]
-        np.square(np.subtract(block, means, out=squares), out=squares)
-        np.add.reduce(buffer[:len(block) + 1], axis=0, out=sums)
-        buffer[0] = sums
+        block = X[:, start:start + rows]
+        squares = buffer[:, 1:block.shape[1] + 1]
+        np.square(np.subtract(block, means[:, None], out=squares), out=squares)
+        np.add.reduce(buffer[:, :block.shape[1] + 1], axis=1, out=sums)
+        buffer[:, 0] = sums
     return sums
+
+
+def _centered(X: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """``X - means[:, None]`` for a stack ``(designs, rows, p)``, stored as
+    ``(designs, p, rows)``: transposed back, each item is Fortran-ordered,
+    as the gather ``X[:, kept]`` returns a design, because the Gram, Z'y
+    and the predictions round according to that layout."""
+    out = np.empty((X.shape[0], X.shape[2], X.shape[1]))
+    np.subtract(X, means[:, None], out=out.transpose(0, 2, 1))
+    return out
+
+
+def _standardized(
+    X: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, list[StandardizationParams]]:
+    """:func:`standardize_fit` of each design of a stack ``(designs, n, p)``
+    on its first ``k >= 2`` rows, and :func:`standardize_apply` of the
+    fitted parameters to its other rows, bit for bit.
+
+    Returns the training stack ``(designs, k, p)`` and the evaluation stack
+    ``(designs, n - k, p)``, new arrays whose items are Fortran-ordered, and
+    each design's parameters.  A stack of several designs with a constant
+    column raises :class:`~pifmap.errors.ColumnMismatch` and warns nothing,
+    since its designs would keep different columns.  The evaluation rows
+    are not checked: a non-finite one standardizes to a non-finite row.
+    """
+    designs, n, p = X.shape
+    # overflow is reported as NonFiniteResult below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.add.reduce(X[:, :k], axis=1) / k
+        if not np.isfinite(means).all():
+            # a non-finite entry, or finite ones whose sum overflows
+            _check_finite(X[:, :k], "X")
+        centered = None
+        if p > 1 and abs(X.strides[2]) < abs(X.strides[1]):
+            # row-major: centered into Z once the kept columns are known
+            sums = _row_major_sums_of_squares(X[:, :k], means)
+        else:
+            # column-major: the centered columns become Z in place
+            centered = _centered(X[:, :k], means)
+            sums = _column_sums_of_squares(centered.reshape(-1, k).T)
+            sums = sums.reshape(designs, p)
+        # population (1/n) convention
+        scales = np.sqrt(sums / k)
+    if not np.isfinite(scales).all():
+        column = int(np.argwhere(~np.isfinite(scales))[0][1])
+        raise NonFiniteResult(
+            f"column {column} is too large to standardize: its standard "
+            "deviation overflows"
+        )
+    constant = scales <= _ZERO_SCALE_RTOL * np.abs(means)
+    kept, dropped = range(p), ()
+    if constant.any():
+        if designs > 1:
+            raise ColumnMismatch("the designs of a stack drop constant columns")
+        kept = np.flatnonzero(~constant[0]).tolist()
+        dropped = np.flatnonzero(constant[0]).tolist()
+        warnings.warn(
+            f"dropping constant columns {dropped} (zero variance)",
+            DroppedColumnWarning,
+            stacklevel=3,
+        )
+        means, scales = means[:, kept], scales[:, kept]
+        X, centered = X[:, :, kept], None
+    if centered is None:
+        centered = _centered(X[:, :k], means)
+    Z_train = np.divide(centered, scales[:, :, None], out=centered)
+    Z_eval = _centered(X[:, k:], means)
+    np.divide(Z_eval, scales[:, :, None], out=Z_eval)
+    params = [StandardizationParams(means=m, scales=s, kept=tuple(kept),
+                                    dropped=tuple(dropped))
+              for m, s in zip(means, scales)]
+    return Z_train.transpose(0, 2, 1), Z_eval.transpose(0, 2, 1), params
 
 
 def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
@@ -226,16 +301,15 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
     values are too large for its variance to be finite raises
     :class:`~pifmap.errors.NonFiniteResult`.
 
-    A column-major design is centered once, into a Fortran-ordered array,
-    and scaled in that array, with no transposing copy.  A row-major
-    (C-contiguous) one is centered a block of rows at a time to sum its
-    squares, then centered again straight into a new Fortran-ordered
-    ``Z``.  ``Z`` never shares memory with ``X``.  The means are taken by
-    the steps of ``np.mean`` (sum over rows, divide by ``n``) and the
-    scales from the centered matrix by those of ``np.std`` (square, sum
-    over rows, divide by ``n``, square root), so they equal
-    ``X.mean(axis=0)`` and ``X.std(axis=0)`` bit for bit for the array as
-    passed.  Beyond ``Z``, a design with no dropped column needs one
+    A column-major design is centered once, into a Fortran-ordered ``Z``,
+    and scaled in place, with no transposing copy.  A row-major one is
+    centered a block of rows at a time to sum its squares, then centered
+    again straight into a new Fortran-ordered ``Z``.  ``Z`` never shares
+    memory with ``X``.  The means are taken by the steps of ``np.mean``
+    (sum over rows, divide by ``n``) and the scales from the centered
+    matrix by those of ``np.std`` (square, sum over rows, divide by ``n``,
+    square root), so they equal ``X.mean(axis=0)`` and ``X.std(axis=0)``
+    bit for bit for the array as passed.  Beyond ``Z``, a design with no dropped column needs one
     buffer of squares, at most 256 KiB or one column (two rows if
     row-major): at 200,000 rows and 9 columns, the ``tracemalloc`` peak
     of a column-major design is under 1.15x ``Z`` and of a row-major one
@@ -246,52 +320,8 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
     if n < 2:
         _check_matrix(X)
         raise InsufficientData(f"standardization needs at least 2 rows, got {n}")
-    # overflow is reported as NonFiniteResult below, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = np.add.reduce(X, axis=0) / n
-        if not np.isfinite(means).all():
-            # a non-finite entry, or finite ones whose sum overflows
-            _check_matrix(X)
-        if X.flags.c_contiguous and not X.flags.f_contiguous:
-            centered = None
-            sums = _row_major_sums_of_squares(X, means)
-        else:
-            centered = X - means
-            sums = _column_sums_of_squares(centered)
-        # population (1/n) convention
-        scales = np.sqrt(sums / n)
-    if not np.isfinite(scales).all():
-        column = int(np.flatnonzero(~np.isfinite(scales))[0])
-        raise NonFiniteResult(
-            f"column {column} is too large to standardize: its standard "
-            "deviation overflows"
-        )
-    constant = scales <= _ZERO_SCALE_RTOL * np.abs(means)
-    if constant.any():
-        kept = np.flatnonzero(~constant).tolist()
-        dropped = np.flatnonzero(constant).tolist()
-        warnings.warn(
-            f"dropping constant columns {dropped} (zero variance)",
-            DroppedColumnWarning,
-            stacklevel=2,
-        )
-        means, scales = means[kept], scales[kept]
-        if centered is None:
-            X = X[:, kept]
-        else:
-            centered = centered[:, kept]
-    else:
-        kept, dropped = range(X.shape[1]), ()
-    params = StandardizationParams(
-        means=means, scales=scales, kept=tuple(kept), dropped=tuple(dropped)
-    )
-    if centered is None:
-        centered = np.subtract(X, means, out=np.empty(X.shape, order="F"))
-    # Z is Fortran-ordered, as the gather X[:, kept] returns it, because the
-    # Gram, Z'y and the predictions round according to that layout
-    out = (centered if centered.flags.f_contiguous
-           else np.empty(centered.shape, order="F"))
-    return np.divide(centered, scales, out=out), params
+    Z, _, (params,) = _standardized(X[None], n)
+    return Z[0], params
 
 
 def standardize_apply(X: np.ndarray, params: StandardizationParams) -> np.ndarray:

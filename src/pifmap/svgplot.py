@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
-import numpy as np
-
 from .errors import EmptyInput
 
 __all__ = ["box_stats", "render_boxplot"]
@@ -31,14 +29,26 @@ _LOG_SWITCH_RATIO = 50.0
 
 
 def box_stats(values) -> tuple[float, float, float]:
-    """First quartile, median, third quartile (linear interpolation)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
+    """First quartile, median, third quartile (linear interpolation).
+
+    The steps of ``np.percentile(values, [25, 50, 75])`` in Python floats
+    over a sorted list, so the bits are numpy's, except for the sign of a
+    zero quartile where both 0.0 and -0.0 occur (numpy's partition leaves
+    them in no set order).
+    """
+    values = sorted(float(v) for v in values)
+    if not values:
         raise EmptyInput("box plot group has no values")
-    if not np.isfinite(arr).all():
+    if not all(map(math.isfinite, values)):
         raise ValueError("box plot values must all be finite")
-    q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-    return float(q1), float(med), float(q3)
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    quartiles = []
+    for q in (0.25, 0.5, 0.75):
+        i, t = divmod(q * (len(values) - 1), 1.0)
+        a, b = values[int(i)], values[int(i) + 1]
+        quartiles.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return tuple(quartiles)
 
 
 def _fmt(x: float) -> str:

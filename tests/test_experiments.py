@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pifmap import dimension, experiments, ranking, regression
 from pifmap.catalogs import load_catalog
@@ -204,7 +206,8 @@ class TestRunExperiment:
         assert len(report["trials"]) == 4
         assert loaded == ["pulsar"]
 
-    def test_each_seed_built_once_and_spif_fitted_once_per_chunk(self, monkeypatch):
+    def test_each_seed_generated_once_and_map_and_spif_fit_once_per_chunk(
+            self, monkeypatch):
         settings = TrialSettings()
         seeds, levels = (1, 2), (0.1, 0.3, 0.5)
         spec = load_catalog("bernoulli")
@@ -249,18 +252,21 @@ class TestRunExperiment:
         report = run_experiment("bernoulli", seeds=seeds, noise_levels=levels,
                                 settings=settings)
         assert len(report["trials"]) == 6
-        # both seeds in one stacked fit, one label row per (seed, level)
-        assert calls == {"generator": 2, "evaluate_map": 2,
+        # both seeds' map evaluated once and fitted by one stacked fit, one
+        # label row per (seed, level)
+        assert calls == {"generator": 2, "evaluate_map": 1,
                          "full spif fits": [(2, (6,))]}
 
     @pytest.mark.parametrize("seeds", [(1,), (1, 2, 3)])
     @pytest.mark.parametrize("levels", [(0.1,), REGRESSION_NOISE_LEVELS])
-    def test_designs_standardized_and_grouped_once_per_seed(self, seeds, levels,
-                                                            monkeypatch):
-        # counts calls, times nothing: each arm is standardized once per seed
-        # and the spif design's identical columns are found once per seed,
-        # whatever the number of noise levels; nothing standardizes afresh
+    def test_designs_standardized_once_per_chunk_and_grouped_once_per_seed(
+            self, seeds, levels, monkeypatch):
+        # counts calls, times nothing: each arm is standardized once per
+        # chunk, as one stack of its seeds, and the spif design's identical
+        # columns are found once per seed, whatever the number of noise
+        # levels; nothing standardizes afresh
         originals = {
+            "stacked": regression._standardized,
             "standardize_fit": regression.standardize_fit,
             "fit_standardized": regression.fit_standardized,
             "groups": ranking._identical_column_groups,
@@ -278,7 +284,7 @@ class TestRunExperiment:
                             monkeypatch.setattr(module, attr, counted)
         report = run_experiment("bernoulli", seeds=seeds, noise_levels=levels)
         assert len(report["trials"]) == len(seeds) * len(levels)
-        assert calls == {"standardize_fit": 2 * len(seeds), "fit_standardized": 0,
+        assert calls == {"stacked": 2, "standardize_fit": 0, "fit_standardized": 0,
                          "groups": len(seeds)}
 
     def test_unknown_name_rejected(self):
@@ -312,6 +318,22 @@ class TestRunExperiment:
     def test_report_json_serializable(self, bernoulli_report, binary_report):
         json.dumps(bernoulli_report)
         json.dumps(binary_report)
+
+
+class TestMedian:
+    @settings(max_examples=400)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=8).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)))
+    @example([-0.0])
+    @example([-0.0, -0.0])
+    @example([1e308, 1e308])
+    def test_equals_numpy_median_bit_for_bit(self, values):
+        with np.errstate(over="ignore"):
+            expected = float(np.median(np.array(values)))
+        median = experiments._median(values)
+        assert type(median) is float
+        assert median.hex() == expected.hex()
 
 
 class TestRendering:

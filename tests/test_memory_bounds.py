@@ -3,8 +3,9 @@
 Every row runs one layer on 200,000 rows and checks its peak against the
 bound the function's docstring states, so a bound cannot move in one
 place only.  The stacked rank's bound is over the prefix buffers and
-labels it holds, not over its output, and a three-seed experiment's is
-over the peak of the same experiment on one seed.  ``evaluate_map``'s
+labels it holds, not over its output; a three-seed experiment's is over
+the peak of the same experiment on one seed, and a default chunk's over
+the stacks of its standardized designs.  ``evaluate_map``'s
 bounds are checked in ``test_featuremap``.
 """
 
@@ -65,6 +66,17 @@ def _three_seed_experiment():
     return lambda: run((1, 2, 3)), lambda result: one_seed
 
 
+def _default_chunk():
+    # ten pulsar seeds at the default n=1000 are one chunk, whose stacks
+    # hold every seed's designs of every arm (8 + 7 + 6 columns)
+    seeds = tuple(range(1, 11))
+    stacks = len(seeds) * experiments.TrialSettings().n * 21 * 8
+    assert stacks <= experiments._CHUNK_BYTES
+    experiments.run_experiment("pulsar", seeds=seeds[:1])  # load the catalog
+    return (lambda: experiments.run_experiment("pulsar", seeds=seeds),
+            lambda result: stacks)
+
+
 def _stacked_rank():
     # three noise levels of one seed, ranked in lock step on a 0.7 split
     data = gen_pulsar(_ROWS, 5)
@@ -91,9 +103,10 @@ def _stacked_rank():
     (standardize_fit, _row_major_standardize, 1.05),
     (_ranked_refits, _stacked_rank, 1.15),
     (experiments.run_experiment, _three_seed_experiment, 1.02),
+    (experiments.run_experiment, _default_chunk, 2.4),
 ], ids=["gen_pulsar", "gen_bernoulli", "gen_binary", "add_noise",
         "standardize_fit-column-major", "standardize_fit-row-major",
-        "stacked-rank", "run_experiment-chunked"])
+        "stacked-rank", "run_experiment-chunked", "run_experiment-default-chunk"])
 def test_peak_over_output_is_within_the_documented_bound(function, prepare, bound):
     assert f"under {bound}x" in " ".join(function.__doc__.split())
     call, output_bytes = prepare()

@@ -1,14 +1,19 @@
-"""The stacked fit and rank of a chunk of seeds against one-level calls.
+"""The stacked preparation, fit and rank of a chunk of seeds against
+one-level calls.
 
-``run_experiment`` fits every (seed, level) item of a chunk of seeds as
-one stack: one stacked ridge solve per arm, one Gram per seed, and one
-lock-step greedy pass over the items.  The reference here rebuilds each
-trial with the public one-item calls (``ridge_fit``, ``ridge_predict``,
-``mae``/``mse`` and ``rank_and_refit``), seed by seed and one level at a
-time, and the reports, or the errors raised, must agree to the byte.
+``run_experiment`` prepares a chunk of seeds as one stack (one map
+evaluation over the chunk's rows, one standardization per arm) and fits
+every (seed, level) item of it as one stack: one stacked ridge solve per
+arm, one Gram per seed, and one lock-step greedy pass over the items.  The
+reference here rebuilds each trial with the public one-item calls
+(``evaluate_map`` and ``standardize_fit``/``standardize_apply`` per seed,
+``ridge_fit``, ``ridge_predict``, ``mae``/``mse`` and ``rank_and_refit``),
+seed by seed and one level at a time, and the reports, the errors raised
+and the warnings issued must agree to the byte.
 """
 
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +40,7 @@ from pifmap.ranking import (
 from pifmap.regression import (
     _ridge_fits,
     _solve_normal_equations,
+    _standardized,
     classify,
     ridge_fit,
     ridge_predict,
@@ -104,13 +110,14 @@ def _reports(name, monkeypatch, **kwargs):
 
 
 def _record_chunks(monkeypatch):
-    """The seeds of every chunk ``run_experiment`` fits, in order."""
+    """The seeds of every chunk ``run_experiment`` prepares and fits, in
+    order; a retried chunk is followed by each of its seeds alone."""
     chunks = []
     original = experiments._chunk_trials
 
-    def recorded(experiment, chunk, noise_levels):
-        chunks.append([prepared.seed for prepared in chunk])
-        return original(experiment, chunk, noise_levels)
+    def recorded(experiment, spec, seeds, tables, noise_levels, split):
+        chunks.append(list(seeds))
+        return original(experiment, spec, seeds, tables, noise_levels, split)
 
     monkeypatch.setattr(experiments, "_chunk_trials", recorded)
     return chunks
@@ -141,17 +148,29 @@ def test_every_default_run_is_one_chunk(name, monkeypatch):
     assert chunks == [list(experiments.DEFAULT_SEEDS)]
 
 
-@pytest.mark.parametrize("seeds_per_chunk, expected", [
-    (1, [[1], [2], [3], [4], [5]]),
-    (2, [[1, 2], [3, 4], [5]]),
-])
+def _one_seed_bytes(name, settings):
+    """The bytes one seed's designs take in the chunk plan."""
+    experiment = experiments._EXPERIMENTS[name]
+    spec = experiments.load_catalog(experiment.catalog,
+                                    allow_inconsistent=experiment.allow_inconsistent)
+    return 8 * settings.n * experiments._design_width(experiment, spec)
+
+
+@pytest.mark.parametrize("chunk_bytes, expected", [
+    # one seed's bytes, one byte short of two, exactly two, one short of three
+    ((1, 0), [[1], [2], [3], [4], [5]]),
+    ((2, -1), [[1], [2], [3], [4], [5]]),
+    ((2, 0), [[1, 2], [3, 4], [5]]),
+    ((3, -1), [[1, 2], [3, 4], [5]]),
+], ids=["one-seed", "below-two-seeds", "two-seeds", "below-three-seeds"])
 def test_report_bytes_equal_one_level_calls_in_bounded_chunks(
-        seeds_per_chunk, expected, monkeypatch):
+        chunk_bytes, expected, monkeypatch):
     settings = experiments.TrialSettings(n=200)
-    experiment = experiments._EXPERIMENTS["pulsar"]
-    spec = experiments.load_catalog("pulsar", allow_inconsistent=True)
-    one_seed = experiments._prepared_seed(experiment, spec, 1, (0.1,), settings).nbytes
-    monkeypatch.setattr(experiments, "_CHUNK_BYTES", seeds_per_chunk * one_seed + 1)
+    # pulsar's designs: 8 raw features, 7 monomials and 6 in the ablation
+    assert _one_seed_bytes("pulsar", settings) == 8 * 200 * (8 + 7 + 6)
+    seeds, extra = chunk_bytes
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES",
+                        seeds * _one_seed_bytes("pulsar", settings) + extra)
     chunks = _record_chunks(monkeypatch)
     stacked, reference = _reports("pulsar", monkeypatch, seeds=(1, 2, 3, 4, 5),
                                   noise_levels=(0.1, 0.5), settings=settings)
@@ -159,24 +178,79 @@ def test_report_bytes_equal_one_level_calls_in_bounded_chunks(
     assert chunks == expected
 
 
-def test_a_seed_with_a_dropped_column_splits_the_chunk(monkeypatch):
-    # only seed 2's h is constant, so its sf design has one column less
-    bernoulli = experiments._EXPERIMENTS["bernoulli"]
-
-    def constant_h_for_seed_2(n, seed):
+def _constant_h(seeds):
+    """bernoulli data whose ``h`` is constant for the given seeds, so their
+    raw-feature designs drop that column."""
+    def generate(n, seed):
         data = gen_bernoulli(n, seed)
-        if seed == 2:
+        if seed in seeds:
             data.X[:, data.schema.index("h")] = 2.5
         return data
+    return generate
 
+
+def _recorded_warnings(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def test_a_seed_with_a_dropped_column_retries_its_chunk_one_seed_at_a_time(
+        monkeypatch):
+    # only the middle seed's h is constant, so its sf design has one
+    # column less and the chunk cannot be one stack
+    bernoulli = experiments._EXPERIMENTS["bernoulli"]
     monkeypatch.setitem(experiments._EXPERIMENTS, "bernoulli",
-                        replace(bernoulli, generator=constant_h_for_seed_2))
+                        replace(bernoulli, generator=_constant_h({2})))
     chunks = _record_chunks(monkeypatch)
     with pytest.warns(DroppedColumnWarning):
         stacked, reference = _reports("bernoulli", monkeypatch, seeds=(1, 3, 2, 4, 5),
                                       noise_levels=(0.1, 0.3))
     assert stacked == reference
-    assert chunks == [[1, 3], [2], [4, 5]]
+    assert chunks == [[1, 3, 2, 4, 5], [1], [3], [2], [4], [5]]
+
+
+def test_a_retried_chunk_warns_once_per_seed_in_seed_order(monkeypatch):
+    bernoulli = experiments._EXPERIMENTS["bernoulli"]
+    generated = []
+
+    def counted(n, seed):
+        generated.append(seed)
+        return _constant_h({2, 4})(n, seed)
+
+    monkeypatch.setitem(experiments._EXPERIMENTS, "bernoulli",
+                        replace(bernoulli, generator=counted))
+    kwargs = dict(seeds=(4, 1, 2, 3), noise_levels=(0.1, 0.3),
+                  settings=experiments.TrialSettings(n=120))
+    chunks = _record_chunks(monkeypatch)
+    stacked, caught = _recorded_warnings(
+        lambda: _dump_json(experiments.run_experiment("bernoulli", **kwargs)))
+    # each table is generated once: the retry reuses the chunk's tables
+    assert generated == [4, 1, 2, 3]
+    assert chunks == [[4, 1, 2, 3], [4], [1], [2], [3]]
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_trials_by_seed", _one_level_trials_by_seed)
+        reference, expected = _recorded_warnings(
+            lambda: _dump_json(experiments.run_experiment("bernoulli", **kwargs)))
+    assert stacked == reference
+    assert [category for category, _ in caught] == [DroppedColumnWarning] * 2
+    assert caught == expected
+
+
+def test_a_failing_map_names_the_row_of_its_own_seed(monkeypatch):
+    # seed 3's sixth row fails the map: row 5 of its own table, row 245 of
+    # the chunk's concatenated one
+    bernoulli = experiments._EXPERIMENTS["bernoulli"]
+    failing = _failing_bernoulli({3: "evaluate"})
+    monkeypatch.setitem(experiments._EXPERIMENTS, "bernoulli",
+                        replace(bernoulli, generator=failing))
+    chunks = _record_chunks(monkeypatch)
+    with pytest.raises(DivisionByZero, match="^monomial 4 raises a zero value to "
+                                             "power -1 at row 5$"):
+        experiments.run_experiment("bernoulli", seeds=(1, 2, 3, 4),
+                                   settings=experiments.TrialSettings(n=120))
+    assert chunks == [[1, 2, 3, 4], [1], [2], [3]]
 
 
 def _failing_bernoulli(failures):
@@ -240,6 +314,32 @@ def test_report_bytes_equal_one_level_calls_with_a_dropped_column(monkeypatch):
                                       noise_levels=(0.1, 0.5, 0.1))
     assert stacked == reference
     assert '"sf": {' in stacked
+
+
+@pytest.mark.parametrize("layout", ["row-major", "column-major"])
+@pytest.mark.parametrize("n, k", [(301, 211), (20_000, 14_000)],
+                         ids=["odd-rows", "many-blocks"])
+def test_a_stacked_standardization_equals_each_design_alone(layout, n, k):
+    # three designs' rows concatenated as a chunk's are: a row-major table,
+    # whose items sum row by row, or a column-major map, whose items sum
+    # each column pairwise; an offset mean makes the order show
+    rng = np.random.Generator(np.random.PCG64(11))
+    designs = rng.standard_normal((3, n, 5)) * np.logspace(-3, 3, 5) + 1e3
+    rows = np.concatenate(list(designs))
+    if layout == "row-major":
+        X, alone = rows.reshape(3, n, 5), [np.ascontiguousarray(d) for d in designs]
+    else:
+        X = np.asfortranarray(rows).T.reshape(5, 3, n).transpose(1, 2, 0)
+        alone = [np.asfortranarray(d) for d in designs]
+    Z_train, Z_eval, params = _standardized(X, k)
+    for item, design in enumerate(alone):
+        Z, expected = standardize_fit(design[:k])
+        assert params[item].means.tobytes() == expected.means.tobytes()
+        assert params[item].scales.tobytes() == expected.scales.tobytes()
+        assert Z_train[item].flags.f_contiguous and Z_eval[item].flags.f_contiguous
+        assert Z_train[item].tobytes() == Z.tobytes()
+        Z_apply = standardize_apply(design[k:], expected)
+        assert Z_eval[item].tobytes() == Z_apply.tobytes()
 
 
 def _planted_stack():

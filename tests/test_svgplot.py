@@ -4,9 +4,21 @@ import xml.dom.minidom
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pifmap.errors import EmptyInput
 from pifmap.svgplot import box_stats, render_boxplot
+
+# lists of 1 to 40 finite values drawn from a pool of at most 8, so values
+# repeat, at any magnitude
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_LISTS = st.lists(_FLOATS, min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
 
 
 class TestBoxStats:
@@ -30,6 +42,22 @@ class TestBoxStats:
     def test_non_finite(self):
         with pytest.raises(ValueError):
             box_stats([1.0, float("nan")])
+
+    @settings(max_examples=400)
+    @given(_LISTS)
+    @example([-0.0])
+    @example([1e308, -1e308, 1e308])
+    @example([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    def test_equals_numpy_percentile_bit_for_bit(self, values):
+        # numpy's partition leaves 0.0 and -0.0 in no set order
+        signs = {np.copysign(1.0, v) for v in values if v == 0.0}
+        if len(signs) == 2:
+            values = [abs(v) if v == 0.0 else v for v in values]
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.percentile(np.array(values), [25.0, 50.0, 75.0])
+        quartiles = box_stats(values)
+        assert all(type(q) is float for q in quartiles)
+        assert _bits(quartiles) == _bits(expected)
 
 
 class TestRenderBoxplot:
