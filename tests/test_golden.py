@@ -54,6 +54,10 @@ digit or byte fails here.  There are two exceptions:
   --out`` over the schema ``{"features": PULSAR_SCHEMA}`` below (131
   monomials; a dimensionless column, constants and units that no item
   uses): the spec JSON, under ``golden/enumerate/``.
+- ``synth bernoulli --n 5 --seed 3 --noise 0.1``, ``synth pulsar --n 5
+  --seed 3 --noise 0.1`` and ``synth binary --n 5 --seed 3``: each table
+  and its manifest (the sampling ranges, seeds and class counts), under
+  ``golden/synth/``.
 """
 
 import json
@@ -172,6 +176,20 @@ def write_enumerate(work: Path) -> dict[str, bytes]:
     return {"spec.json": spec.read_bytes()}
 
 
+SYNTH_CASES = [
+    ["bernoulli", "--noise", "0.1"],
+    ["pulsar", "--noise", "0.1"],
+    ["binary"],
+]
+
+
+def write_synth(work: Path) -> dict[str, bytes]:
+    for generator, *noise in SYNTH_CASES:
+        assert main(["synth", generator, "--n", "5", "--seed", "3", *noise,
+                     "--out", str(work / f"{generator}.csv")]) == EXIT_OK
+    return _files_under(work)
+
+
 def _golden(subdir: str) -> dict[str, bytes]:
     return _files_under(GOLDEN / subdir)
 
@@ -245,6 +263,15 @@ def test_fit_on_a_wide_enumerated_spec_matches_golden_outputs(tmp_path, capsys):
 def test_enumerate_matches_golden_spec(tmp_path):
     produced = write_enumerate(tmp_path)
     expected = _golden("enumerate")
+    assert sorted(produced) == sorted(expected)
+    for name, data in expected.items():
+        assert produced[name] == data, name
+
+
+def test_synth_matches_golden_tables_and_manifests(tmp_path):
+    produced = write_synth(tmp_path)
+    expected = _golden("synth")
+    assert len(expected) == 6
     assert sorted(produced) == sorted(expected)
     for name, data in expected.items():
         assert produced[name] == data, name
