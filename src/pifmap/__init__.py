@@ -40,17 +40,7 @@ from .regression import (
     standardize_apply,
     standardize_fit,
 )
-from .synthdata import (
-    BernoulliRanges,
-    BinaryRanges,
-    NoiseConfig,
-    PulsarRanges,
-    Range,
-    add_noise,
-    gen_bernoulli,
-    gen_binary,
-    gen_pulsar,
-)
+from .synthdata import NoiseConfig, add_noise, gen_bernoulli, gen_binary, gen_pulsar
 
 __version__ = "0.1.0"
 
@@ -59,8 +49,6 @@ __all__ = [
     "CATALOG_NAMES",
     "DEFAULT_LAMBDA",
     "DIMENSIONLESS",
-    "BernoulliRanges",
-    "BinaryRanges",
     "ConfusionMatrix",
     "Dataset",
     "Dimension",
@@ -69,8 +57,6 @@ __all__ = [
     "FeatureSchema",
     "NoiseConfig",
     "PhysicalConstant",
-    "PulsarRanges",
-    "Range",
     "RankingResult",
     "RidgeModel",
     "STANDARD_CONSTANTS",

@@ -45,7 +45,14 @@ from .regression import (
     _standardized,
     classify,
 )
-from .synthdata import NoiseConfig, add_noise, gen_bernoulli, gen_binary, gen_pulsar
+from .synthdata import (
+    NoiseConfig,
+    _check_seed,
+    add_noise,
+    gen_bernoulli,
+    gen_binary,
+    gen_pulsar,
+)
 
 __all__ = [
     "REGRESSION_NOISE_LEVELS",
@@ -366,9 +373,11 @@ def run_experiment(
     a default chunk of ten pulsar seeds peaks under 2.4x the stacks of its
     standardized designs.  The classification experiment ignores
     ``noise_levels``: its labels are exact signs of a conserved quantity,
-    so a multiplicative noise arm would reproduce the noiseless one.
+    so a multiplicative noise arm would reproduce the noiseless one.  A
+    seed that is not a non-negative integer raises
+    :class:`~pifmap.errors.InvalidRange` before any seed runs.
     """
-    seeds = [int(s) for s in seeds]
+    seeds = [_check_seed(s) for s in seeds]
     if not seeds:
         raise ValueError("at least one seed is required")
     if name not in _EXPERIMENTS:

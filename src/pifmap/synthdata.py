@@ -4,23 +4,24 @@ Determinism contract: every generator reads one PCG64 stream, seeded by
 ``seed``, in C (row-major) order: row after row, one uniform per raw
 feature in the documented order, then maps each column through a fixed
 affine or exponential transform.  Identical seeds therefore give
-bit-identical datasets on every platform, and the draw order never
-depends on the range configuration.
+bit-identical datasets on every platform.
 
-Each generator takes only ``n``, ``seed`` and its sampling ranges.
+Each generator takes only ``n`` and ``seed``; its sampling ranges are the
+module's constants, and every dataset's provenance records them.
 Labels come out noiseless and unscaled, in the unit the dataset declares;
 relative uniform noise is applied separately by :func:`add_noise` with its
 own seed so feature and noise streams never alias.  Classification labels
 are hard signs and are never noised.
 
 :func:`_generate` reads the stream a block of rows at a time, builds that
-block's columns and labels and writes them into the preallocated
-C-contiguous feature matrix and label vector.  The block's uniforms are
-the stream's next doubles in the same order as one ``(n, k)`` draw, and
-every column and label is computed elementwise, so the dataset equals, bit
-for bit, the formulas applied to one ``(n, k)`` block and stacked with
-``np.column_stack``.  Beyond its output a generator holds one block and
-the one-byte-per-entry mask of the dataset's finite check.
+block's columns and labels with the generator's row formula and writes
+them into the preallocated C-contiguous feature matrix and label vector.
+The block's uniforms are the stream's next doubles in the same order as
+one ``(n, k)`` draw, and every column and label is computed elementwise,
+so the dataset equals, bit for bit, the formulas applied to one ``(n, k)``
+block and stacked with ``np.column_stack``.  Beyond its output a
+generator holds one block: the dataset's finite check sums ``X`` and
+``y`` and builds no mask unless a sum is not finite.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ from .errors import (
 from .featuremap import STANDARD_CONSTANTS
 
 __all__ = [
-    "Range",
-    "BernoulliRanges",
-    "PulsarRanges",
-    "BinaryRanges",
     "NoiseConfig",
     "gen_bernoulli",
     "gen_pulsar",
@@ -57,75 +54,47 @@ _RNG_NAME = "PCG64"
 # Rows per block when generating a dataset.
 _BLOCK_ROWS = 4096
 
+# Each generator's sampling ranges in its draw order:
+# feature -> (low, high, log-uniform).
+_BERNOULLI_RANGES = {
+    "p": (5e4, 2e5, False),
+    "rho": (1.0, 1.2e3, False),
+    "v": (0.5, 20.0, False),
+    "Q": (1e-4, 1e-1, False),
+    "A": (1e-4, 1e-1, False),
+    "mu": (1e-5, 1e-1, False),
+    "h": (0.1, 50.0, False),
+}
+_PULSAR_RANGES = {
+    "r": (1e4, 2e4, False),
+    "B": (1e4, 1e9, True),
+    "omega": (0.1, 500.0, False),
+    "alpha": (0.0, math.pi / 2, False),
+    "m": (2e30, 4e30, False),
+}
+# These keep both classes populated AND keep the evaluated energy monomials
+# within a few decades; wider (or log-uniform) mass and velocity spans make
+# the least-squares class scores collapse toward the prior for the bulk of
+# rows and the mapped arm loses its edge.
+_BINARY_RANGES = {
+    "m1": (1e30, 5e30, False),
+    "m2": (1e30, 5e30, False),
+    "v": (1e4, 1e5, False),
+    "r": (1e10, 1e13, True),
+}
 
-@dataclass(frozen=True)
-class Range:
-    """Closed sampling interval; ``log=True`` samples log-uniformly."""
-
-    low: float
-    high: float
-    log: bool = False
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.low) and math.isfinite(self.high)):
-            raise InvalidRange(f"range bounds must be finite: {self}")
-        if self.low > self.high:
-            raise InvalidRange(f"range is reversed: {self}")
-        if self.log and self.low <= 0.0:
-            raise InvalidRange(f"log-uniform range needs a positive lower bound: {self}")
-
-    def map_uniform(self, u: np.ndarray) -> np.ndarray:
-        if self.log:
-            lo, hi = math.log(self.low), math.log(self.high)
-            return np.exp(lo + (hi - lo) * u)
-        return self.low + (self.high - self.low) * u
-
-    def describe(self) -> dict:
-        return {
-            "low": self.low,
-            "high": self.high,
-            "sampling": "log-uniform" if self.log else "uniform",
-        }
-
-
-@dataclass(frozen=True)
-class BernoulliRanges:
-    """Sampling bounds for the viscous pipe-flow testbed."""
-
-    p: Range = Range(5e4, 2e5)
-    rho: Range = Range(1.0, 1.2e3)
-    v: Range = Range(0.5, 20.0)
-    Q: Range = Range(1e-4, 1e-1)
-    A: Range = Range(1e-4, 1e-1)
-    mu: Range = Range(1e-5, 1e-1)
-    h: Range = Range(0.1, 50.0)
+_G = STANDARD_CONSTANTS["g"].value
+_MU0 = STANDARD_CONSTANTS["mu0"].value
+_C = STANDARD_CONSTANTS["c"].value
+_G_NEWTON = STANDARD_CONSTANTS["G"].value
 
 
-@dataclass(frozen=True)
-class PulsarRanges:
-    """Sampling bounds for the rotating-dipole testbed (raw features only)."""
-
-    r: Range = Range(1e4, 2e4)
-    B: Range = Range(1e4, 1e9, log=True)
-    omega: Range = Range(0.1, 500.0)
-    alpha: Range = Range(0.0, math.pi / 2)
-    m: Range = Range(2e30, 4e30)
-
-
-@dataclass(frozen=True)
-class BinaryRanges:
-    """Sampling bounds for the two-body binding testbed.
-
-    Defaults keep both classes populated AND keep the evaluated energy
-    monomials within a few decades; wider (or log-uniform) mass and
-    velocity spans make the least-squares class scores collapse toward
-    the prior for the bulk of rows and the mapped arm loses its edge.
-    """
-
-    m1: Range = Range(1e30, 5e30)
-    m2: Range = Range(1e30, 5e30)
-    v: Range = Range(1e4, 1e5)
-    r: Range = Range(1e10, 1e13, log=True)
+def _check_seed(seed) -> int:
+    """``seed`` as an int; :class:`InvalidRange` unless it is a non-negative
+    integer (a NumPy integer is one, a bool is not)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidRange(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -140,51 +109,78 @@ class NoiseConfig:
             raise InvalidNoiseLevel(
                 f"noise level must satisfy 0 <= level < 1, got {self.level}"
             )
+        _check_seed(self.seed)
 
 
-def _generate(
-    seed: int, n: int, width: int, rows, *ranges: Range
-) -> tuple[np.ndarray, np.ndarray]:
-    """The feature matrix and labels of ``n`` rows, a block of rows at a time.
-
-    Each block's uniforms are mapped to one column per range, in order, and
-    ``rows(*columns)`` returns the block's ``width`` feature columns and its
-    labels.  The matrix is C-contiguous.
-    """
-    if n < 1:
-        raise InvalidRange(f"n must be at least 1, got {n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    X = np.empty((n, width))
-    y = np.empty(n)
-    for start in range(0, n, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        u = rng.random((min(n - start, _BLOCK_ROWS), len(ranges)))
-        columns, y[block] = rows(*[r.map_uniform(u[:, j]) for j, r in enumerate(ranges)])
-        for j, column in enumerate(columns):
-            X[block, j] = column
-    return X, y
+def _map_uniform(u: np.ndarray, low: float, high: float, log: bool) -> np.ndarray:
+    if log:
+        lo, hi = math.log(low), math.log(high)
+        return np.exp(lo + (hi - lo) * u)
+    return low + (high - low) * u
 
 
 @functools.cache
 def _units(
     features: tuple[tuple[str, str], ...], label_unit: str
 ) -> tuple[FeatureSchema, Dimension]:
-    # Each generator passes the same literal units on every call, so this
-    # parses them once per process and holds one entry per generator; the
-    # schema and dimension are frozen, so every dataset can share them.
+    # Each generator passes the same units on every call, so this parses
+    # them once per process and holds one entry per generator; the schema
+    # and dimension are frozen, so every dataset can share them.
     return schema_of(features), parse_unit(label_unit)
 
 
-def _ranges_provenance(ranges) -> dict:
-    described = {}
-    for name in ranges.__dataclass_fields__:
-        described[name] = getattr(ranges, name).describe()
-    return described
-
-
-def gen_bernoulli(
-    n: int, seed: int, ranges: BernoulliRanges = BernoulliRanges()
+def _generate(
+    name: str, n: int, seed: int, ranges: dict, rows,
+    features: tuple[tuple[str, str], ...], label_unit: str,
 ) -> Dataset:
+    """The ``name`` dataset of ``n`` rows, a block of rows at a time.
+
+    Each block's uniforms are mapped to one column per entry of ``ranges``,
+    in order, and ``rows(*columns)`` returns the block's feature columns
+    and its labels.  The matrix is C-contiguous.
+    """
+    if n < 1:
+        raise InvalidRange(f"n must be at least 1, got {n}")
+    _check_seed(seed)
+    schema, label_dimension = _units(features, label_unit)
+    bounds = list(ranges.values())
+    rng = np.random.Generator(np.random.PCG64(seed))
+    X = np.empty((n, len(schema)))
+    y = np.empty(n)
+    for start in range(0, n, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        u = rng.random((min(n - start, _BLOCK_ROWS), len(bounds)))
+        columns, y[block] = rows(*[_map_uniform(u[:, j], *b) for j, b in enumerate(bounds)])
+        for j, column in enumerate(columns):
+            X[block, j] = column
+    return Dataset(
+        schema=schema,
+        X=X,
+        y=y,
+        label_dimension=label_dimension,
+        provenance={
+            "generator": name,
+            "n": n,
+            "seed": seed,
+            "rng": _RNG_NAME,
+            "ranges": {
+                feature: {
+                    "low": low,
+                    "high": high,
+                    "sampling": "log-uniform" if log else "uniform",
+                }
+                for feature, (low, high, log) in ranges.items()
+            },
+            "noise": None,
+        },
+    )
+
+
+def _bernoulli_rows(p, rho, v, q, a, mu, h):
+    return (p, rho, v, q, a, mu, h), p + 0.5 * rho * v ** 2 + rho * _G * h
+
+
+def gen_bernoulli(n: int, seed: int) -> Dataset:
     """Viscous pipe flow: ``y = p + 0.5*rho*v^2 + rho*g*h`` in Pa.
 
     Feature draw order: p, rho, v, Q, A, mu, h.  Only the first three
@@ -192,12 +188,7 @@ def gen_bernoulli(
 
     Its ``tracemalloc`` peak at 200,000 rows is under 1.07x ``X`` and ``y``.
     """
-    g = STANDARD_CONSTANTS["g"].value
-
-    def rows(p, rho, v, q, a, mu, h):
-        return (p, rho, v, q, a, mu, h), p + 0.5 * rho * v ** 2 + rho * g * h
-
-    schema, label_dimension = _units((
+    return _generate("bernoulli", n, seed, _BERNOULLI_RANGES, _bernoulli_rows, (
         ("p", "kg/(m*s^2)"),
         ("rho", "kg/m^3"),
         ("v", "m/s"),
@@ -206,29 +197,20 @@ def gen_bernoulli(
         ("mu", "kg/(m*s)"),
         ("h", "m"),
     ), "Pa")
-    X, y = _generate(
-        seed, n, len(schema), rows,
-        ranges.p, ranges.rho, ranges.v, ranges.Q, ranges.A, ranges.mu, ranges.h,
-    )
-    return Dataset(
-        schema=schema,
-        X=X,
-        y=y,
-        label_dimension=label_dimension,
-        provenance={
-            "generator": "bernoulli",
-            "n": n,
-            "seed": seed,
-            "rng": _RNG_NAME,
-            "ranges": _ranges_provenance(ranges),
-            "noise": None,
-        },
-    )
 
 
-def gen_pulsar(
-    n: int, seed: int, ranges: PulsarRanges = PulsarRanges()
-) -> Dataset:
+def _pulsar_rows(r, b, omega, alpha, m):
+    period = 2.0 * math.pi / omega
+    inertia = 0.4 * m * r ** 2
+    energy = 0.5 * inertia * omega ** 2
+    y = (
+        -2.0 * math.pi * b ** 2 * r ** 6 * omega ** 4 * np.sin(alpha) ** 2
+        / (3.0 * _MU0 * _C ** 3)
+    )
+    return (r, b, omega, alpha, period, m, inertia, energy), y
+
+
+def gen_pulsar(n: int, seed: int) -> Dataset:
     """Rotating magnetic dipole in vacuum: radiated power as the label.
 
     Raw draw order: r, B, omega, alpha, m.  Three derived columns are
@@ -240,20 +222,7 @@ def gen_pulsar(
 
     Its ``tracemalloc`` peak at 200,000 rows is under 1.07x ``X`` and ``y``.
     """
-    mu0 = STANDARD_CONSTANTS["mu0"].value
-    c = STANDARD_CONSTANTS["c"].value
-
-    def rows(r, b, omega, alpha, m):
-        period = 2.0 * math.pi / omega
-        inertia = 0.4 * m * r ** 2
-        energy = 0.5 * inertia * omega ** 2
-        y = (
-            -2.0 * math.pi * b ** 2 * r ** 6 * omega ** 4 * np.sin(alpha) ** 2
-            / (3.0 * mu0 * c ** 3)
-        )
-        return (r, b, omega, alpha, period, m, inertia, energy), y
-
-    schema, label_dimension = _units((
+    return _generate("pulsar", n, seed, _PULSAR_RANGES, _pulsar_rows, (
         ("r", "m"),
         ("B", "T"),
         ("omega", "1/s"),
@@ -263,73 +232,39 @@ def gen_pulsar(
         ("I", "kg*m^2"),
         ("E", "kg*m^2/s^2"),
     ), "W")
-    X, y = _generate(
-        seed, n, len(schema), rows, ranges.r, ranges.B, ranges.omega, ranges.alpha, ranges.m
-    )
-    return Dataset(
-        schema=schema,
-        X=X,
-        y=y,
-        label_dimension=label_dimension,
-        provenance={
-            "generator": "pulsar",
-            "n": n,
-            "seed": seed,
-            "rng": _RNG_NAME,
-            "ranges": _ranges_provenance(ranges),
-            "noise": None,
-        },
-    )
 
 
-def gen_binary(
-    n: int, seed: int, ranges: BinaryRanges = BinaryRanges()
-) -> Dataset:
+def _binary_rows(m1, m2, v, r):
+    energy = 0.5 * (m1 * m2 / (m1 + m2)) * v ** 2 - _G_NEWTON * m1 * m2 / r
+    return (m1, m2, v, r), energy < 0.0
+
+
+def gen_binary(n: int, seed: int) -> Dataset:
     """Two-body systems labeled 1 when gravitationally bound.
 
     Raw draw order: m1, m2, v, r.  The total energy
     ``E = 0.5*(m1*m2/(m1+m2))*v^2 - G*m1*m2/r`` decides the label:
     1 when E < 0 (bound), 0 otherwise, for every row.  Labels are exact
-    signs and must never be noised.
+    signs and must never be noised.  A dataset with one class warns
+    :class:`~pifmap.errors.DegenerateClassBalanceWarning`.
 
     Its ``tracemalloc`` peak at 200,000 rows is under 1.07x ``X`` and ``y``.
     """
-    g_newton = STANDARD_CONSTANTS["G"].value
-
-    def rows(m1, m2, v, r):
-        energy = 0.5 * (m1 * m2 / (m1 + m2)) * v ** 2 - g_newton * m1 * m2 / r
-        return (m1, m2, v, r), energy < 0.0
-
-    schema, label_dimension = _units((
+    dataset = _generate("binary", n, seed, _BINARY_RANGES, _binary_rows, (
         ("m1", "kg"),
         ("m2", "kg"),
         ("v", "m/s"),
         ("r", "m"),
     ), "1")
-    X, y = _generate(seed, n, len(schema), rows, ranges.m1, ranges.m2, ranges.v, ranges.r)
-    counts = (int(np.sum(y == 0.0)), int(np.sum(y == 1.0)))
+    counts = (int(np.sum(dataset.y == 0.0)), int(np.sum(dataset.y == 1.0)))
     if 0 in counts:
         warnings.warn(
-            f"generated a single-class dataset (counts {counts}); widen the "
-            "sampling ranges if both classes are needed",
+            f"generated a single-class dataset (counts {counts})",
             DegenerateClassBalanceWarning,
             stacklevel=2,
         )
-    return Dataset(
-        schema=schema,
-        X=X,
-        y=y,
-        label_dimension=label_dimension,
-        provenance={
-            "generator": "binary",
-            "n": n,
-            "seed": seed,
-            "rng": _RNG_NAME,
-            "ranges": _ranges_provenance(ranges),
-            "class_counts": {"0": counts[0], "1": counts[1]},
-            "noise": None,
-        },
-    )
+    dataset.provenance["class_counts"] = {"0": counts[0], "1": counts[1]}
+    return dataset
 
 
 def add_noise(y: np.ndarray, config: NoiseConfig) -> np.ndarray:

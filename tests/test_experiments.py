@@ -66,6 +66,14 @@ class TestDefaults:
         with pytest.raises(InvalidRange):
             TrialSettings(split=1.0)
 
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(InvalidRange, match="seed must be a non-negative integer, got 1.5"):
+            run_experiment("bernoulli", seeds=[1.5])
+
+    def test_bool_seed_rejected(self):
+        with pytest.raises(InvalidRange, match="got True"):
+            run_experiment("bernoulli", seeds=[True])
+
 
 class TestSplitPoint:
     def test_round_not_floor(self):

@@ -11,11 +11,10 @@ from pifmap.errors import DegenerateClassBalanceWarning, InvalidNoiseLevel, Inva
 from pifmap.featuremap import STANDARD_CONSTANTS
 from pifmap.synthdata import (
     _BLOCK_ROWS,
-    BernoulliRanges,
-    BinaryRanges,
     NoiseConfig,
-    PulsarRanges,
-    Range,
+    _bernoulli_rows,
+    _binary_rows,
+    _pulsar_rows,
     add_noise,
     gen_bernoulli,
     gen_binary,
@@ -26,44 +25,6 @@ G_STANDARD = STANDARD_CONSTANTS["g"].value
 MU0 = STANDARD_CONSTANTS["mu0"].value
 LIGHT_SPEED = STANDARD_CONSTANTS["c"].value
 GRAVITATIONAL = STANDARD_CONSTANTS["G"].value
-
-
-def _point(value):
-    """Degenerate interval that pins a sampled column to one value."""
-    return Range(value, value)
-
-
-class TestRange:
-    def test_linear_endpoints(self):
-        r = Range(2.0, 10.0)
-        np.testing.assert_allclose(
-            r.map_uniform(np.array([0.0, 0.5, 1.0])), [2.0, 6.0, 10.0]
-        )
-
-    def test_log_endpoints_and_midpoint(self):
-        r = Range(1e2, 1e6, log=True)
-        mapped = r.map_uniform(np.array([0.0, 0.5, 1.0]))
-        np.testing.assert_allclose(mapped, [1e2, 1e4, 1e6], rtol=1e-12)
-
-    def test_describe(self):
-        assert Range(1.0, 2.0).describe() == {
-            "low": 1.0, "high": 2.0, "sampling": "uniform",
-        }
-        assert Range(1.0, 2.0, log=True).describe()["sampling"] == "log-uniform"
-
-    def test_reversed_rejected(self):
-        with pytest.raises(InvalidRange):
-            Range(2.0, 1.0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidRange):
-            Range(0.0, math.inf)
-
-    def test_log_needs_positive_low(self):
-        with pytest.raises(InvalidRange):
-            Range(0.0, 1.0, log=True)
-        with pytest.raises(InvalidRange):
-            Range(-1.0, 1.0, log=True)
 
 
 class TestDeterminism:
@@ -101,28 +62,64 @@ class TestDeterminism:
         with pytest.raises(InvalidRange):
             gen_bernoulli(0, seed=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidRange, match="seed must be a non-negative integer, got -1"):
+            gen_bernoulli(10, -1)
+
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(InvalidRange, match="got 1.5"):
+            gen_pulsar(10, 1.5)
+
+    def test_bool_seed_rejected(self):
+        with pytest.raises(InvalidRange, match="got True"):
+            gen_binary(10, True)
+
+    def test_numpy_integer_seed_accepted(self):
+        ds = gen_bernoulli(8, np.uint64(7))
+        assert ds.X.tobytes() == gen_bernoulli(8, 7).X.tobytes()
+
 
 _ACROSS_BLOCKS = [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7]
+
+
+# The documented sampling ranges, feature -> (low, high, log-uniform),
+# written out here so that the oracle does not read the module's own.
+_BERNOULLI_RANGES = {
+    "p": (5e4, 2e5, False), "rho": (1.0, 1.2e3, False), "v": (0.5, 20.0, False),
+    "Q": (1e-4, 1e-1, False), "A": (1e-4, 1e-1, False), "mu": (1e-5, 1e-1, False),
+    "h": (0.1, 50.0, False),
+}
+_PULSAR_RANGES = {
+    "r": (1e4, 2e4, False), "B": (1e4, 1e9, True), "omega": (0.1, 500.0, False),
+    "alpha": (0.0, math.pi / 2, False), "m": (2e30, 4e30, False),
+}
+_BINARY_RANGES = {
+    "m1": (1e30, 5e30, False), "m2": (1e30, 5e30, False), "v": (1e4, 1e5, False),
+    "r": (1e10, 1e13, True),
+}
 
 
 def _one_block(seed, n, ranges):
     """Every raw column, mapped from one uniform ``(n, k)`` block in C order."""
     u = np.random.Generator(np.random.PCG64(seed)).random((n, len(ranges)))
-    return [r.map_uniform(u[:, j]) for j, r in enumerate(ranges)]
+    columns = []
+    for j, (low, high, log) in enumerate(ranges.values()):
+        if log:
+            lo, hi = math.log(low), math.log(high)
+            columns.append(np.exp(lo + (hi - lo) * u[:, j]))
+        else:
+            columns.append(low + (high - low) * u[:, j])
+    return columns
 
 
 def _bernoulli_oracle(n, seed):
-    ranges = BernoulliRanges()
-    p, rho, v, q, a, mu, h = _one_block(
-        seed, n, [ranges.p, ranges.rho, ranges.v, ranges.Q, ranges.A, ranges.mu, ranges.h])
+    p, rho, v, q, a, mu, h = _one_block(seed, n, _BERNOULLI_RANGES)
     y = p + 0.5 * rho * v ** 2 + rho * G_STANDARD * h
-    return [p, rho, v, q, a, mu, h], y, ranges, {}
+    return [p, rho, v, q, a, mu, h], y, _BERNOULLI_RANGES, {}
 
 
 def _pulsar_oracle(n, seed):
-    ranges = PulsarRanges()
-    r, b, omega, alpha, m = _one_block(
-        seed, n, [ranges.r, ranges.B, ranges.omega, ranges.alpha, ranges.m])
+    r, b, omega, alpha, m = _one_block(seed, n, _PULSAR_RANGES)
     period = 2.0 * math.pi / omega
     inertia = 0.4 * m * r ** 2
     energy = 0.5 * inertia * omega ** 2
@@ -130,16 +127,15 @@ def _pulsar_oracle(n, seed):
         -2.0 * math.pi * b ** 2 * r ** 6 * omega ** 4 * np.sin(alpha) ** 2
         / (3.0 * MU0 * LIGHT_SPEED ** 3)
     )
-    return [r, b, omega, alpha, period, m, inertia, energy], y, ranges, {}
+    return [r, b, omega, alpha, period, m, inertia, energy], y, _PULSAR_RANGES, {}
 
 
 def _binary_oracle(n, seed):
-    ranges = BinaryRanges()
-    m1, m2, v, r = _one_block(seed, n, [ranges.m1, ranges.m2, ranges.v, ranges.r])
+    m1, m2, v, r = _one_block(seed, n, _BINARY_RANGES)
     energy = 0.5 * (m1 * m2 / (m1 + m2)) * v ** 2 - GRAVITATIONAL * m1 * m2 / r
     y = (energy < 0.0).astype(float)
     counts = {"0": int(np.sum(y == 0.0)), "1": int(np.sum(y == 1.0))}
-    return [m1, m2, v, r], y, ranges, {"class_counts": counts}
+    return [m1, m2, v, r], y, _BINARY_RANGES, {"class_counts": counts}
 
 
 class TestAgainstOneBlockOracle:
@@ -168,21 +164,24 @@ class TestAgainstOneBlockOracle:
             "n": n,
             "seed": 3,
             "rng": "PCG64",
-            "ranges": {field: getattr(ranges, field).describe()
-                       for field in ranges.__dataclass_fields__},
+            "ranges": {
+                name: {"low": low, "high": high,
+                       "sampling": "log-uniform" if log else "uniform"}
+                for name, (low, high, log) in ranges.items()
+            },
             "noise": None,
             **extra,
         }
 
 class TestBernoulli:
     def test_hand_computed_label(self):
-        ranges = BernoulliRanges(
-            p=_point(1e5), rho=_point(1000.0), v=_point(2.0), h=_point(1.0)
-        )
-        ds = gen_bernoulli(4, seed=0, ranges=ranges)
+        p, rho, v, q, a, mu, h = (
+            np.full(4, x) for x in (1e5, 1000.0, 2.0, 1e-2, 1e-2, 1e-3, 1.0))
+        columns, y = _bernoulli_rows(p, rho, v, q, a, mu, h)
+        assert all(c is x for c, x in zip(columns, (p, rho, v, q, a, mu, h)))
         # p + rho*v^2/2 + rho*g*h = 1e5 + 2000 + 9806.65
         expected = 1e5 + 0.5 * 1000.0 * 4.0 + 1000.0 * G_STANDARD * 1.0
-        np.testing.assert_allclose(ds.y, expected, rtol=1e-12)
+        np.testing.assert_allclose(y, expected, rtol=1e-12)
         assert expected == pytest.approx(111806.65)
 
     def test_label_formula_on_random_draws(self):
@@ -202,20 +201,20 @@ class TestBernoulli:
         assert ds.schema.dimensions[ds.schema.index("Q")] == parse_unit("m^3/s")
         assert ds.label_dimension == parse_unit("Pa")
 
-    def test_columns_within_ranges(self):
+    def test_columns_within_recorded_ranges(self):
         ds = gen_bernoulli(500, seed=3)
-        defaults = BernoulliRanges()
         for name in ds.schema.names:
-            bounds = getattr(defaults, name)
+            bounds = ds.provenance["ranges"][name]
             column = ds.column(name)
-            assert column.min() >= bounds.low
-            assert column.max() <= bounds.high
+            assert column.min() >= bounds["low"]
+            assert column.max() <= bounds["high"]
 
 
 class TestPulsar:
     def test_aligned_rotator_emits_nothing(self):
-        ds = gen_pulsar(4, seed=0, ranges=PulsarRanges(alpha=_point(0.0)))
-        np.testing.assert_allclose(ds.y, 0.0, atol=1e-30)
+        r, b, omega, m = (np.full(4, x) for x in (1.5e4, 1e8, 100.0, 3e30))
+        _, y = _pulsar_rows(r, b, omega, np.zeros(4), m)
+        np.testing.assert_allclose(y, 0.0, atol=1e-30)
 
     def test_period_and_inertia_identities(self):
         ds = gen_pulsar(200, seed=5)
@@ -251,23 +250,20 @@ class TestPulsar:
 
 class TestBinary:
     def test_hand_sign_case(self):
-        ranges = BinaryRanges(
-            m1=_point(2e30), m2=_point(2e30), v=_point(3e4), r=_point(1.5e11)
-        )
-        with pytest.warns(DegenerateClassBalanceWarning):
-            ds = gen_binary(3, seed=0, ranges=ranges)
+        _, y = _binary_rows(*(np.full(3, x) for x in (2e30, 2e30, 3e4, 1.5e11)))
         kinetic = 0.5 * 1e30 * (3e4) ** 2
         potential = GRAVITATIONAL * 4e60 / 1.5e11
         assert kinetic < potential  # bound orbit
-        np.testing.assert_array_equal(ds.y, 1.0)
+        np.testing.assert_array_equal(y, True)
 
     def test_unbound_case(self):
-        ranges = BinaryRanges(
-            m1=_point(2e30), m2=_point(2e30), v=_point(3e5), r=_point(1e13)
-        )
+        _, y = _binary_rows(*(np.full(3, x) for x in (2e30, 2e30, 3e5, 1e13)))
+        np.testing.assert_array_equal(y, False)
+
+    def test_one_row_is_one_class_and_warns(self):
         with pytest.warns(DegenerateClassBalanceWarning):
-            ds = gen_binary(3, seed=0, ranges=ranges)
-        np.testing.assert_array_equal(ds.y, 0.0)
+            ds = gen_binary(1, seed=0)
+        assert sorted(ds.provenance["class_counts"].values()) == [0, 1]
 
     def test_label_matches_energy_sign(self):
         ds = gen_binary(400, seed=21)
@@ -345,3 +341,7 @@ class TestNoise:
     def test_invalid_levels(self, level):
         with pytest.raises(InvalidNoiseLevel):
             NoiseConfig(level=level, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidRange, match="seed must be a non-negative integer, got -3"):
+            NoiseConfig(level=0.1, seed=-3)
