@@ -45,14 +45,7 @@ from .regression import (
     _standardized,
     classify,
 )
-from .synthdata import (
-    NoiseConfig,
-    _check_seed,
-    add_noise,
-    gen_bernoulli,
-    gen_binary,
-    gen_pulsar,
-)
+from .synthdata import NoiseConfig, _check_seed, add_noise, gen_bernoulli, gen_binary, gen_pulsar
 
 __all__ = [
     "REGRESSION_NOISE_LEVELS",

@@ -62,17 +62,12 @@ class TestDeterminism:
         with pytest.raises(InvalidRange):
             gen_bernoulli(0, seed=1)
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(InvalidRange, match="seed must be a non-negative integer, got -1"):
-            gen_bernoulli(10, -1)
-
-    def test_fractional_seed_rejected(self):
-        with pytest.raises(InvalidRange, match="got 1.5"):
-            gen_pulsar(10, 1.5)
-
-    def test_bool_seed_rejected(self):
-        with pytest.raises(InvalidRange, match="got True"):
-            gen_binary(10, True)
+    @pytest.mark.parametrize("generate, seed", [
+        (gen_bernoulli, -1), (gen_pulsar, 1.5), (gen_binary, True),
+    ])
+    def test_seed_must_be_a_non_negative_integer(self, generate, seed):
+        with pytest.raises(InvalidRange, match=f"seed must be a non-negative integer, got {seed}"):
+            generate(10, seed)
 
     def test_numpy_integer_seed_accepted(self):
         ds = gen_bernoulli(8, np.uint64(7))
