@@ -58,8 +58,15 @@ digit or byte fails here.  There are two exceptions:
   --seed 3 --noise 0.1`` and ``synth binary --n 5 --seed 3``: each table
   and its manifest (the sampling ranges, seeds and class counts), under
   ``golden/synth/``.
+- The tall in-process path on ``gen_pulsar(20_000, 3)`` with noise 0.1
+  (seed 4) and a 0.7 split, whose rows cross ``evaluate_map``'s 8,192-row
+  blocks: the sha256 of the evaluated map's bytes, the identical-column
+  labels of the standardized training design, ``select_lambda``'s lambda
+  and ``greedy_select``'s order, count and curve as float ``repr``
+  strings, under ``golden/tall/``.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -68,7 +75,15 @@ import pytest
 from pifmap.catalogs import load_catalog
 from pifmap.cli import EXIT_OK, main
 from pifmap.data import read_csv, write_csv
-from pifmap.featuremap import spec_to_dict
+from pifmap.featuremap import evaluate_map, spec_to_dict
+from pifmap.ranking import _identical_column_groups, greedy_select
+from pifmap.regression import (
+    fit_standardized,
+    select_lambda,
+    standardize_apply,
+    standardize_fit,
+)
+from pifmap.synthdata import NoiseConfig, add_noise, gen_pulsar
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -190,6 +205,31 @@ def write_synth(work: Path) -> dict[str, bytes]:
     return _files_under(work)
 
 
+def write_tall() -> dict[str, bytes]:
+    spec = load_catalog("pulsar", allow_inconsistent=True)
+    data = gen_pulsar(20_000, 3)
+    y = add_noise(data.y, NoiseConfig(level=0.1, seed=4))
+    Phi = evaluate_map(spec, data)
+    k = int(round(20_000 * 0.7))
+    Z_select, _ = standardize_fit(Phi[:k])
+    lam = select_lambda(Z_select, y[:k])
+    model, Z_train = fit_standardized(Phi[:k], y[:k], lam,
+                                      feature_names=spec.monomial_names)
+    Z_test = standardize_apply(Phi[k:], model.standardization)
+    ranking = greedy_select(Z_train, y[:k], Z_test, y[k:], lam)
+    pins = {
+        "evaluate_map_sha256": hashlib.sha256(Phi.tobytes(order="A")).hexdigest(),
+        "groups": _identical_column_groups(Z_train).tolist(),
+        "lambda": repr(lam),
+        "order": list(ranking.order),
+        "selected_count": ranking.selected_count,
+        "curve": [[point.k, repr(point.mae), repr(point.mse)]
+                  for point in ranking.curve],
+    }
+    lines = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in pins.items()]
+    return {"pins.json": ("{\n" + ",\n".join(lines) + "\n}\n").encode("utf-8")}
+
+
 def _golden(subdir: str) -> dict[str, bytes]:
     return _files_under(GOLDEN / subdir)
 
@@ -275,3 +315,7 @@ def test_synth_matches_golden_tables_and_manifests(tmp_path):
     assert sorted(produced) == sorted(expected)
     for name, data in expected.items():
         assert produced[name] == data, name
+
+
+def test_tall_path_matches_golden_pins():
+    assert write_tall() == _golden("tall")
