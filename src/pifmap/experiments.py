@@ -45,7 +45,15 @@ from .regression import (
     _standardized,
     classify,
 )
-from .synthdata import NoiseConfig, _check_seed, add_noise, gen_bernoulli, gen_binary, gen_pulsar
+from .synthdata import (
+    NoiseConfig,
+    _check_rows,
+    _check_seed,
+    add_noise,
+    gen_bernoulli,
+    gen_binary,
+    gen_pulsar,
+)
 
 __all__ = [
     "REGRESSION_NOISE_LEVELS",
@@ -115,6 +123,7 @@ class TrialSettings:
     split: float = 0.7
 
     def __post_init__(self) -> None:
+        _check_rows(self.n)
         if not 0.0 < self.split < 1.0:
             raise InvalidRange(f"split must be in (0, 1), got {self.split}")
 

@@ -636,7 +636,9 @@ def select_lambda(
     The training Gram ``G = Z'Z``, the right-hand side and ``mean(y)`` are
     formed once and ``G`` is eigendecomposed once; each candidate then
     costs two ``p x p`` matrix-vector products, the weights
-    ``V (V'rhs / (s + lambda))`` and their normal-equation residual.
+    ``V (V'rhs / (s + lambda))`` and their normal-equation residual, and
+    its validation errors, formed and squared in one validation-sized
+    buffer that every candidate reuses.
     Weights that are non-finite or miss the 1e-8 residual bound, and every
     value at or below the Gram's rounding (``p * eps * max diag G``, zero
     included), are solved instead by the LU solve :func:`ridge_fit` uses,
@@ -667,9 +669,13 @@ def select_lambda(
     rhs = Z_train.T @ (y_train - intercept)
     best_lam = None
     best_mse = None
+    errors = np.empty(n_val)
     for lam, weights in zip(grid, _grid_weights(gram, rhs, grid)):
-        errors = Z_val @ weights + intercept - y_val
-        mse = float(np.mean(errors ** 2))
+        # Z_val @ weights + intercept - y_val, squared, in one buffer
+        np.matmul(Z_val, weights, out=errors)
+        errors += intercept
+        errors -= y_val
+        mse = float(np.mean(np.square(errors, out=errors)))
         if best_mse is None or mse < best_mse or (mse == best_mse and lam > best_lam):
             best_mse, best_lam = mse, lam
     return best_lam

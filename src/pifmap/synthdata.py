@@ -97,6 +97,14 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
+def _check_rows(n) -> int:
+    """``n`` as an int; :class:`InvalidRange` unless it is a positive
+    integer (a NumPy integer is one, a bool or float is not)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidRange(f"n must be a positive integer, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Relative uniform label noise: ``y * (1 + U(-level, level))``."""
@@ -139,8 +147,7 @@ def _generate(
     in order, and ``rows(*columns)`` returns the block's feature columns
     and its labels.  The matrix is C-contiguous.
     """
-    if n < 1:
-        raise InvalidRange(f"n must be at least 1, got {n}")
+    n = _check_rows(n)
     _check_seed(seed)
     schema, label_dimension = _units(features, label_unit)
     bounds = list(ranges.values())

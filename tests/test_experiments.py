@@ -60,6 +60,21 @@ class TestDefaults:
         assert s.n == 1000
         assert s.split == 0.7
 
+    def test_float_n_rejected(self):
+        with pytest.raises(InvalidRange, match="n must be a positive integer, got 2.5"):
+            TrialSettings(n=2.5)
+
+    def test_zero_n_rejected(self):
+        with pytest.raises(InvalidRange, match="n must be a positive integer, got 0"):
+            TrialSettings(n=0)
+
+    def test_bool_n_rejected(self):
+        with pytest.raises(InvalidRange, match="n must be a positive integer, got True"):
+            TrialSettings(n=True)
+
+    def test_numpy_integer_n_accepted(self):
+        assert TrialSettings(n=np.int32(80)).n == 80
+
     def test_split_validated(self):
         with pytest.raises(InvalidRange):
             TrialSettings(split=0.0)

@@ -4,9 +4,10 @@ Every row runs one layer on 200,000 rows and checks its peak against the
 bound the function's docstring states, so a bound cannot move in one
 place only.  The stacked rank's bound is over the prefix buffers and
 labels it holds, not over its output; a three-seed experiment's is over
-the peak of the same experiment on one seed, and a default chunk's over
-the stacks of its standardized designs.  ``evaluate_map``'s
-bounds are checked in ``test_featuremap``.
+the peak of the same experiment on one seed, a default chunk's over the
+stacks of its standardized designs, and the column grouping's over one
+column of its design.  ``evaluate_map``'s bounds are checked in
+``test_featuremap``.
 """
 
 import tracemalloc
@@ -94,6 +95,16 @@ def _stacked_rank():
             lambda result: held)
 
 
+def _column_groups():
+    # nine standardized-like columns; 3, 5 and 8 are identical, 6 is 3 flipped
+    rng = np.random.Generator(np.random.PCG64(8))
+    Z = np.asfortranarray(rng.standard_normal((_ROWS, 9)))
+    Z[:, 5] = Z[:, 8] = Z[:, 3]
+    Z[:, 6] = -Z[:, 3]
+    assert _identical_column_groups(Z).tolist() == [0, 1, 2, 3, 4, 3, 6, 7, 3]
+    return lambda: _identical_column_groups(Z), lambda labels: _ROWS * 8
+
+
 @pytest.mark.parametrize("function, prepare, bound", [
     (gen_pulsar, _generate(gen_pulsar), 1.07),
     (gen_bernoulli, _generate(gen_bernoulli), 1.07),
@@ -104,9 +115,11 @@ def _stacked_rank():
     (_ranked_refits, _stacked_rank, 1.15),
     (experiments.run_experiment, _three_seed_experiment, 1.02),
     (experiments.run_experiment, _default_chunk, 2.4),
+    (_identical_column_groups, _column_groups, 1.1),
 ], ids=["gen_pulsar", "gen_bernoulli", "gen_binary", "add_noise",
         "standardize_fit-column-major", "standardize_fit-row-major",
-        "stacked-rank", "run_experiment-chunked", "run_experiment-default-chunk"])
+        "stacked-rank", "run_experiment-chunked", "run_experiment-default-chunk",
+        "identical_column_groups"])
 def test_peak_over_output_is_within_the_documented_bound(function, prepare, bound):
     assert f"under {bound}x" in " ".join(function.__doc__.split())
     call, output_bytes = prepare()

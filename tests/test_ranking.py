@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pifmap import ranking, regression
 from pifmap.catalogs import load_catalog
@@ -459,6 +461,106 @@ class TestIdenticalColumns:
         order = self._order(X, y, model, Z_train, Z_eval,
                             [w[0], w[1], w[2], w[1] * (1 + 1e-9)])
         assert order.index(3) < order.index(1)
+
+
+def _reference_identical_column_groups(Z):
+    """The grouping as first written, the oracle of the one in ``ranking``:
+    ``max|Z|`` from two global passes, each magnitude from an ``np.abs``
+    copy of its column and each pair compared through two fresh n-row
+    temporaries."""
+    largest = max(float(Z.max(initial=0.0)), -float(Z.min(initial=0.0)))
+    head = Z[:len(ranking._PROBE)]
+    v = ranking._PROBE[:len(head)]
+    projection = v @ head
+    reach = ranking._IDENTICAL_RTOL * largest * float(np.abs(v).sum())
+    labels = np.arange(Z.shape[1])
+    magnitudes = {}
+
+    def magnitude(j):
+        if j not in magnitudes:
+            magnitudes[j] = float(np.abs(Z[:, j]).max(initial=0.0))
+        return magnitudes[j]
+
+    by_projection = np.argsort(projection, kind="stable")
+    for a, j in enumerate(by_projection):
+        for k in by_projection[a + 1:]:
+            if projection[k] - projection[j] > reach:
+                break
+            if labels[j] == labels[k]:
+                continue
+            limit = ranking._IDENTICAL_RTOL * max(magnitude(j), magnitude(k))
+            if np.abs(Z[:, j] - Z[:, k]).max(initial=0.0) <= limit:
+                low = min(labels[j], labels[k])
+                labels[(labels == labels[j]) | (labels == labels[k])] = low
+    return labels
+
+
+# How a planted column is made from an earlier one; "near" moves one row of
+# a copy by a share of the copy's magnitude, on either side of the 1e-8
+# tolerance.
+_PLANTS = ("fresh", "identical", "scaled", "flipped", "zero", "near")
+_NEAR_SHARES = (0.5e-8, 0.999e-8, 1e-8, 1.001e-8, 2e-8, 1e-6)
+
+
+def _planted_design(n, seed, plants, fortran):
+    rng = np.random.default_rng(seed)
+    columns = []
+    for kind, source, share in plants:
+        base = columns[source % len(columns)] if columns else None
+        if base is None or kind == "fresh":
+            column = rng.standard_normal(n) * 10.0 ** int(rng.integers(-3, 4))
+        elif kind == "identical":
+            column = base.copy()
+        elif kind == "scaled":
+            column = base * (1.0 + share if rng.random() < 0.5 else 3.0)
+        elif kind == "flipped":
+            column = -base
+        elif kind == "zero":
+            column = np.zeros(n)
+        else:
+            column = base.copy()
+            column[rng.integers(n)] += rng.choice([-1.0, 1.0]) * share * np.abs(base).max()
+        columns.append(column)
+    Z = np.column_stack(columns)
+    return np.asfortranarray(Z) if fortran else np.ascontiguousarray(Z)
+
+
+class TestIdenticalColumnGroupsOracle:
+    """The grouping's labels equal the first-written grouping's."""
+
+    @settings(max_examples=300)
+    @given(
+        n=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+        plants=st.lists(
+            st.tuples(st.sampled_from(_PLANTS), st.integers(0, 8),
+                      st.sampled_from(_NEAR_SHARES)),
+            min_size=1, max_size=9,
+        ),
+        fortran=st.booleans(),
+    )
+    @example(n=64, seed=1, fortran=False, plants=[
+        ("fresh", 0, 1e-8), ("near", 0, 0.999e-8), ("near", 0, 1.001e-8),
+        ("identical", 1, 1e-8), ("zero", 0, 1e-8), ("zero", 0, 1e-8),
+    ])
+    @example(n=200, seed=2, fortran=True, plants=[
+        ("fresh", 0, 1e-8), ("scaled", 0, 0.5e-8), ("flipped", 0, 1e-8),
+        ("identical", 2, 1e-8), ("fresh", 0, 1e-8), ("near", 4, 2e-8),
+    ])
+    def test_labels_match_the_reference(self, n, seed, plants, fortran):
+        Z = _planted_design(n, seed, plants, fortran)
+        expected = _reference_identical_column_groups(Z)
+        np.testing.assert_array_equal(_identical_column_groups(Z), expected)
+
+    def test_planted_groups_are_found(self):
+        Z = _planted_design(100, 3, [
+            ("fresh", 0, 1e-8), ("identical", 0, 1e-8), ("flipped", 0, 1e-8),
+            ("zero", 0, 1e-8), ("zero", 0, 1e-8), ("near", 0, 0.5e-8),
+            ("near", 0, 2e-8),
+        ], fortran=False)
+        expected = [0, 0, 2, 3, 3, 0, 6]
+        np.testing.assert_array_equal(_reference_identical_column_groups(Z), expected)
+        np.testing.assert_array_equal(_identical_column_groups(Z), expected)
 
 
 class TestSerialization:

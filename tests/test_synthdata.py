@@ -59,8 +59,21 @@ class TestDeterminism:
         assert ds.provenance["ranges"]["v"]["sampling"] == "uniform"
 
     def test_n_must_be_positive(self):
-        with pytest.raises(InvalidRange):
+        with pytest.raises(InvalidRange, match="n must be a positive integer, got 0"):
             gen_bernoulli(0, seed=1)
+
+    def test_float_n_rejected(self):
+        with pytest.raises(InvalidRange, match="n must be a positive integer, got 2.5"):
+            gen_bernoulli(2.5, 1)
+
+    def test_bool_n_rejected(self):
+        with pytest.raises(InvalidRange, match="n must be a positive integer, got True"):
+            gen_bernoulli(True, 1)
+
+    def test_numpy_integer_n_accepted(self):
+        ds = gen_pulsar(np.int64(8), 7)
+        assert ds.provenance["n"] == 8 and type(ds.provenance["n"]) is int
+        assert ds.X.tobytes() == gen_pulsar(8, 7).X.tobytes()
 
     @pytest.mark.parametrize("generate, seed", [
         (gen_bernoulli, -1), (gen_pulsar, 1.5), (gen_binary, True),
