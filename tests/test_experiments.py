@@ -60,17 +60,10 @@ class TestDefaults:
         assert s.n == 1000
         assert s.split == 0.7
 
-    def test_float_n_rejected(self):
-        with pytest.raises(InvalidRange, match="n must be a positive integer, got 2.5"):
-            TrialSettings(n=2.5)
-
-    def test_zero_n_rejected(self):
-        with pytest.raises(InvalidRange, match="n must be a positive integer, got 0"):
-            TrialSettings(n=0)
-
-    def test_bool_n_rejected(self):
-        with pytest.raises(InvalidRange, match="n must be a positive integer, got True"):
-            TrialSettings(n=True)
+    @pytest.mark.parametrize("n", [2.5, 0, True])
+    def test_n_must_be_a_positive_integer(self, n):
+        with pytest.raises(InvalidRange, match=f"n must be a positive integer, got {n}"):
+            TrialSettings(n=n)
 
     def test_numpy_integer_n_accepted(self):
         assert TrialSettings(n=np.int32(80)).n == 80

@@ -58,17 +58,10 @@ class TestDeterminism:
         assert ds.provenance["noise"] is None
         assert ds.provenance["ranges"]["v"]["sampling"] == "uniform"
 
-    def test_n_must_be_positive(self):
-        with pytest.raises(InvalidRange, match="n must be a positive integer, got 0"):
-            gen_bernoulli(0, seed=1)
-
-    def test_float_n_rejected(self):
-        with pytest.raises(InvalidRange, match="n must be a positive integer, got 2.5"):
-            gen_bernoulli(2.5, 1)
-
-    def test_bool_n_rejected(self):
-        with pytest.raises(InvalidRange, match="n must be a positive integer, got True"):
-            gen_bernoulli(True, 1)
+    @pytest.mark.parametrize("n", [0, 2.5, True])
+    def test_n_must_be_a_positive_integer(self, n):
+        with pytest.raises(InvalidRange, match=f"n must be a positive integer, got {n}"):
+            gen_bernoulli(n, 1)
 
     def test_numpy_integer_n_accepted(self):
         ds = gen_pulsar(np.int64(8), 7)
