@@ -28,7 +28,7 @@ from .featuremap import (
     spec_to_dict,
 )
 from .metrics import ConfusionMatrix, SkillScores, confusion, mae, mse, skill_scores
-from .ranking import RankingResult, greedy_select, rank_by_coefficient
+from .ranking import RankingResult, greedy_select
 from .regression import (
     DEFAULT_LAMBDA,
     RidgeModel,
@@ -78,7 +78,6 @@ __all__ = [
     "monomial_dimension",
     "mse",
     "parse_unit",
-    "rank_by_coefficient",
     "read_csv",
     "render_monomial",
     "ridge_fit",

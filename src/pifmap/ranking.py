@@ -51,7 +51,6 @@ from .regression import (
 __all__ = [
     "CurvePoint",
     "RankingResult",
-    "rank_by_coefficient",
     "greedy_select",
     "rank_and_refit",
     "curve_to_csv",
@@ -76,18 +75,6 @@ class RankingResult:
     @property
     def selected(self) -> tuple[int, ...]:
         return self.order[: self.selected_count]
-
-
-def rank_by_coefficient(model: RidgeModel) -> tuple[int, ...]:
-    """Column indices sorted by |weight| descending, index ascending on ties."""
-    return _rank_magnitudes(np.abs(np.asarray(model.weights, dtype=float)))
-
-
-def _rank_magnitudes(magnitudes: np.ndarray) -> tuple[int, ...]:
-    if magnitudes.size == 0:
-        raise EmptyInput("model has no weights to rank")
-    values = magnitudes.tolist()
-    return tuple(sorted(range(len(values)), key=lambda j: (-values[j], j)))
 
 
 # Columns whose rows differ by at most this share of their largest
@@ -136,15 +123,18 @@ def _identical_column_groups(Z: np.ndarray) -> np.ndarray:
 
 
 def _rank_design_columns(model: RidgeModel, labels: np.ndarray) -> tuple[int, ...]:
-    """:func:`rank_by_coefficient` with identical columns ranked together.
+    """Column indices by |weight| descending, index ascending on ties.
 
     Each column takes the largest |weight| of its ``labels`` group (see
     :func:`_identical_column_groups`), so a group ranks as one, in index order.
     """
     weights = np.abs(np.asarray(model.weights, dtype=float))
+    if weights.size == 0:
+        raise EmptyInput("model has no weights to rank")
     shared = np.zeros(weights.size)
     np.maximum.at(shared, labels, weights)
-    return _rank_magnitudes(shared[labels])
+    values = shared[labels].tolist()
+    return tuple(sorted(range(len(values)), key=lambda j: (-values[j], j)))
 
 
 def _relative_improvement(previous: float, current: float) -> float:
@@ -197,7 +187,10 @@ def _greedy_passes(
     return it, and its Gram, right-hand side, predictions and error sums
     are the arrays a pass of that item alone forms, so its result equals
     that pass bit for bit.  An error is raised at the first prefix size
-    where any item fails, as that item's own pass raises it.
+    where any item fails, by that size's one stacked solve, as
+    :func:`~pifmap.regression._solve_normal_equations` orders its checks:
+    where ``lam`` lifts every Gram, as in the experiments, it is the
+    error the first failing item's own pass raises.
     """
     designs, n, p = Z_train.shape
     m = Z_eval.shape[1]

@@ -12,9 +12,11 @@ silently lost accuracy: if the normal equations are not satisfied to 1e-8
 relative, the fit raises instead of returning garbage.  The solve, both
 checks and the finite-weights check live in one helper,
 :func:`_solve_normal_equations`, which solves a stack of systems in one
-call and checks each item alone.  Every ridge fit and greedy prefix
-reaches it through ``_ridge_weights``, which forms the Gram and
-right-hand side, and :func:`select_lambda` falls back to it.
+call, failing or not; each check raises the error of its first failing
+item, and an overflow is reported by the check it fails, not warned of.
+Every ridge fit and greedy prefix reaches it through ``_ridge_weights``,
+which forms the Gram and right-hand side, and :func:`select_lambda`
+falls back to it.
 ``_ridge_fits`` fits a stack of designs, each to its own stack of label
 vectors (an experiment's seeds, each with its noise levels), with one
 Gram per design and one stacked solve; :func:`ridge_fit` is its
@@ -397,44 +399,6 @@ def _within_residual_bound(residual: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.isfinite(norm) & (norm <= limit)
 
 
-def _checked_solve(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
-    """The solve and every check of :func:`_solve_normal_equations`.
-
-    Raises :class:`~pifmap.errors.SingularSystem` when any item fails.
-    """
-    p = gram.shape[-1]
-    # gram + lam*I with no identity formed: a matmul sums from +0.0, so no
-    # Gram entry is -0.0 and adding lam*0.0 off the diagonal changes no bit
-    system = gram.copy()
-    diagonal = system.reshape(*system.shape[:-2], p * p)[..., ::p + 1]
-    unlifted = lam <= _gram_rounding(diagonal)
-    diagonal += lam
-    try:
-        if unlifted.any():
-            checked = system[unlifted]
-            pivots = np.linalg.cholesky(checked).diagonal(axis1=-2, axis2=-1) ** 2
-            if (pivots <= p * _EPS * checked.diagonal(axis1=-2, axis2=-1)).any():
-                raise SingularSystem(
-                    "normal equations are singular: the Gram is not "
-                    "numerically positive definite"
-                )
-        solution = np.linalg.solve(system, rhs[..., None])
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"normal equations are singular: {exc}") from exc
-    weights = solution[..., 0]
-    # a non-finite weight makes every entry of its residual non-finite, so
-    # only a residual outside the bound needs the finite test
-    residual = (system @ solution)[..., 0] - rhs
-    if not _within_residual_bound(residual, rhs).all():
-        if not np.isfinite(weights).all():
-            raise SingularSystem("solver produced non-finite weights")
-        raise SingularSystem(
-            "normal-equation residual exceeds 1e-8 relative; the system "
-            "is too ill-conditioned to trust"
-        )
-    return weights
-
-
 def _solve_normal_equations(
     gram: np.ndarray, rhs: np.ndarray, lam: float
 ) -> np.ndarray:
@@ -454,23 +418,51 @@ def _solve_normal_equations(
     column so column scale does not matter).  A rank-deficient Gram leaves
     rounding there, not zero, and whether rounding comes out positive
     depends on the LAPACK build.  A larger ``lam`` makes the system
-    positive definite.  Raises :class:`~pifmap.errors.SingularSystem` when
-    the check fails, the weights are non-finite, or the normal equations
-    are not satisfied to 1e-8 relative.  When any item of a stack fails,
-    the items are solved again one at a time, in the C order of their
-    leading axes, so the error raised is the one the first failing item
-    raises alone.
+    positive definite.
+
+    Raises :class:`~pifmap.errors.SingularSystem`.  The stack is solved
+    at most once, failing or not, and each check in turn raises for its
+    first failing item in the C order of the leading axes: the
+    definiteness check; the solve, whose exactly singular system names no
+    item; and the 1e-8 residual bound, whose first failing item raises
+    "non-finite weights" if its weights are non-finite and "residual
+    exceeds" otherwise.  Where ``lam`` lifts every Gram, the error is the
+    one the first failing item raises alone.
     """
+    p = gram.shape[-1]
+    # gram + lam*I with no identity formed: a matmul sums from +0.0, so no
+    # Gram entry is -0.0 and adding lam*0.0 off the diagonal changes no bit
+    system = gram.copy()
+    diagonal = system.reshape(*system.shape[:-2], p * p)[..., ::p + 1]
+    unlifted = lam <= _gram_rounding(diagonal)
+    diagonal += lam
     try:
-        return _checked_solve(gram, rhs, lam)
-    except SingularSystem:
-        if rhs.ndim == 1:
-            raise
-    p = rhs.shape[-1]
-    grams = np.broadcast_to(gram, rhs.shape[:-1] + (p, p)).reshape(-1, p, p)
-    return np.stack([_checked_solve(one_gram, one_rhs, lam)
-                     for one_gram, one_rhs in zip(grams, rhs.reshape(-1, p))]
-                    ).reshape(rhs.shape)
+        if unlifted.any():
+            for checked in system[unlifted]:
+                pivots = np.linalg.cholesky(checked).diagonal() ** 2
+                if (pivots <= p * _EPS * checked.diagonal()).any():
+                    raise SingularSystem(
+                        "normal equations are singular: the Gram is not "
+                        "numerically positive definite"
+                    )
+        solution = np.linalg.solve(system, rhs[..., None])
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"normal equations are singular: {exc}") from exc
+    weights = solution[..., 0]
+    # an overflow fails the bound below, which reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        within = _within_residual_bound((system @ solution)[..., 0] - rhs, rhs)
+    if not within.all():
+        # a non-finite weight makes every entry of its residual non-finite,
+        # so only an item outside the bound needs the finite test
+        first = np.unravel_index(np.argmin(within), within.shape)
+        if not np.isfinite(weights[first]).all():
+            raise SingularSystem("solver produced non-finite weights")
+        raise SingularSystem(
+            "normal-equation residual exceeds 1e-8 relative; the system "
+            "is too ill-conditioned to trust"
+        )
+    return weights
 
 
 def _centered_labels(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -502,8 +494,11 @@ def _ridge_weights(Z: np.ndarray, centered: np.ndarray, lam: float) -> np.ndarra
     if not p:
         return np.zeros((len(centered), 0))
     Zt = np.swapaxes(Z, -1, -2)
-    rhs = (Zt[:, None] @ centered.reshape(designs, -1, n, 1))[..., 0]
-    return _solve_normal_equations((Zt @ Z)[:, None], rhs, lam).reshape(-1, p)
+    # an overflow fails a check of the solve, which reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = (Zt[:, None] @ centered.reshape(designs, -1, n, 1))[..., 0]
+        gram = Zt @ Z
+    return _solve_normal_equations(gram[:, None], rhs, lam).reshape(-1, p)
 
 
 def _predict(Z: np.ndarray, weights: np.ndarray, intercepts) -> np.ndarray:
@@ -665,19 +660,21 @@ def select_lambda(
     Z_train, Z_val = Z[:n_train], Z[n_train:]
     y_train, y_val = y[:n_train], y[n_train:]
     intercept = float(y_train.sum()) / n_train
-    gram = Z_train.T @ Z_train
-    rhs = Z_train.T @ (y_train - intercept)
     best_lam = None
     best_mse = None
     errors = np.empty(n_val)
-    for lam, weights in zip(grid, _grid_weights(gram, rhs, grid)):
-        # Z_val @ weights + intercept - y_val, squared, in one buffer
-        np.matmul(Z_val, weights, out=errors)
-        errors += intercept
-        errors -= y_val
-        mse = float(np.mean(np.square(errors, out=errors)))
-        if best_mse is None or mse < best_mse or (mse == best_mse and lam > best_lam):
-            best_mse, best_lam = mse, lam
+    # an overflow fails a check of the solve or makes an error inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = Z_train.T @ Z_train
+        rhs = Z_train.T @ (y_train - intercept)
+        for lam, weights in zip(grid, _grid_weights(gram, rhs, grid)):
+            # Z_val @ weights + intercept - y_val, squared, in one buffer
+            np.matmul(Z_val, weights, out=errors)
+            errors += intercept
+            errors -= y_val
+            mse = float(np.mean(np.square(errors, out=errors)))
+            if best_mse is None or mse < best_mse or (mse == best_mse and lam > best_lam):
+                best_mse, best_lam = mse, lam
     return best_lam
 
 
@@ -707,7 +704,8 @@ def _grid_weights(
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 weights = vectors @ (rotated / (eigenvalues + lam))
                 residual = gram @ weights + lam * weights - rhs
-            if np.isfinite(weights).all() and _within_residual_bound(residual, rhs):
+                within = _within_residual_bound(residual, rhs)
+            if np.isfinite(weights).all() and within:
                 yield weights
                 continue
         yield _solve_normal_equations(gram, rhs, lam)

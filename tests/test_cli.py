@@ -432,6 +432,25 @@ class TestFit:
         # standardization must not print an overflow warning of their own
         self._fit_raw_on_column_of(1e307, tmp_path)
 
+    @pytest.mark.parametrize("select", [[], ["--select"]], ids=["lam", "select"])
+    def test_an_overflowing_solve_is_one_error_line(self, select, tmp_path, capsys):
+        # labels near 1e307 overflow the right-hand side and the residual;
+        # the solve's error reports that, and numpy warns of nothing
+        data = tmp_path / "huge.csv"
+        rows = ["a[1],b[1],label[1]"]
+        for i in range(1, 14):
+            rows.append(f"{float(i)!r},{float(i * i % 7)!r},"
+                        f"{(1 + i / 10) * 1e307 * (-1) ** i!r}")
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("fit", "--raw", *select, "--data", str(data),
+                   "--out", str(tmp_path / "m.json")) == SingularSystem.exit_code
+        assert capsys.readouterr().err.splitlines() == [
+            "pifmap: error: normal-equation residual exceeds 1e-8 relative; "
+            "the system is too ill-conditioned to trust"
+        ]
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestRank:
     def test_rank_json_and_curve(self, bernoulli_csv, bernoulli_spec, tmp_path):

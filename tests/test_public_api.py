@@ -13,7 +13,7 @@ MODULES = ["pifmap"] + [
 
 # Names removed from the package; see README "Removed names".
 REMOVED = ["Range", "BernoulliRanges", "PulsarRanges", "BinaryRanges", "Monomial",
-           "gram_matrix"]
+           "gram_matrix", "rank_by_coefficient"]
 REMOVED_RANGES = REMOVED[:4]
 
 

@@ -27,7 +27,6 @@ from pifmap.ranking import (
     curve_to_csv,
     greedy_select,
     rank_and_refit,
-    rank_by_coefficient,
 )
 from pifmap.regression import (
     fit_standardized,
@@ -55,7 +54,7 @@ class TestRankByCoefficient:
         Z -= Z.mean(axis=0)
         y = Z @ np.array([0.5, -3.0, 1.5])
         model = ridge_fit(Z, y, 1e-6)
-        assert rank_by_coefficient(model) == (1, 2, 0)
+        assert _rank_design_columns(model, _identical_column_groups(Z)) == (1, 2, 0)
 
     def test_tie_goes_to_lower_index(self):
         from pifmap.regression import RidgeModel, identity_standardization
@@ -67,12 +66,12 @@ class TestRankByCoefficient:
             standardization=identity_standardization(3),
             feature_names=("a", "b", "c"),
         )
-        assert rank_by_coefficient(model) == (0, 1, 2)
+        assert _rank_design_columns(model, np.arange(3)) == (0, 1, 2)
 
     def test_empty_model(self):
         model = ridge_fit(np.empty((4, 0)), np.arange(4.0), 1e-3)
-        with pytest.raises(EmptyInput):
-            rank_by_coefficient(model)
+        with pytest.raises(EmptyInput, match="model has no weights to rank"):
+            _rank_design_columns(model, np.arange(0))
 
 
 class TestGreedySelect:
@@ -383,7 +382,8 @@ class TestRankAndRefit:
             model, _identical_column_groups(Z_train), Z_train, y[:k], Z_eval,
             y[k:], 0.01,
         )
-        assert result.order == rank_by_coefficient(model)
+        # by |weight|: b, then a, then c, which y does not depend on
+        assert result.order == (1, 0, 2)
         assert document["order"] == [model.feature_names[j] for j in result.order]
         assert "const" not in document["order"]
         assert document["selected"][:2] == ["b", "a"]

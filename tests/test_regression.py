@@ -391,6 +391,17 @@ class TestRidgeFit:
                 assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
         assert guarded > 0
 
+    def test_an_overflowing_right_hand_side_raises_and_warns_of_nothing(self):
+        # labels near 1e307 overflow Z'y and the residual: the residual
+        # check reports the failure, and numpy's overflow warnings stay in
+        Z = np.column_stack([np.arange(1.0, 11.0), np.arange(1, 11) ** 2 % 7.0])
+        Z = (Z - Z.mean(axis=0)) / Z.std(axis=0)
+        y = np.array([(1 + i / 10) * 1e307 * (-1) ** i for i in range(1, 11)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem, match="residual exceeds"):
+                ridge_fit(Z, y)
+
     def test_finite_values_whose_sums_overflow_are_not_non_finite_input(self):
         # the Gram of such a design overflows, which the solve reports as
         # a numerical failure of its own

@@ -415,6 +415,62 @@ def test_a_failing_stacked_solve_raises_the_error_of_its_first_failing_item(fail
         _solve_normal_equations(grams, rhs, 0.0)
 
 
+_ILL_CONDITIONED = ([[1.0, 1.0], [1.0, 1.0 + 1e-15]], [1.0, -1.0])  # misses the bound
+_OVERFLOWING = ([[1e-300, 0.0], [0.0, 1.0]], [1e300, 1.0])  # weights of 1e315
+
+
+@pytest.mark.parametrize("failures, message", [
+    ({0: _ILL_CONDITIONED}, "residual exceeds"),
+    ({2: _ILL_CONDITIONED}, "residual exceeds"),
+    ({1: _OVERFLOWING}, "non-finite weights"),
+    ({0: _ILL_CONDITIONED, 1: _OVERFLOWING}, "residual exceeds"),
+    ({1: _OVERFLOWING, 2: _ILL_CONDITIONED}, "non-finite weights"),
+], ids=["residual-first", "residual-last", "non-finite", "residual-then-non-finite",
+        "non-finite-then-residual"])
+def test_a_failing_stacked_solve_raises_the_residual_error_of_its_first_failing_item(
+        failures, message):
+    # lam = 1e-15 lifts every Gram, so no item takes the definiteness check
+    grams = np.stack([np.eye(2) * 4.0] * 3)
+    rhs = np.arange(6.0).reshape(3, 2)
+    for item, (gram, right) in failures.items():
+        grams[item], rhs[item] = gram, right
+    first = min(failures)
+    with pytest.raises(SingularSystem, match=message) as single:
+        _solve_normal_equations(grams[first], rhs[first], 1e-15)
+    with pytest.raises(SingularSystem, match=re.escape(str(single.value))):
+        _solve_normal_equations(grams, rhs, 1e-15)
+
+
+@pytest.mark.parametrize("failing, message", [
+    ([[1.0, -1.0], [1e300, -1e300]], "residual exceeds"),
+    ([[1e300, -1e300], [1.0, -1.0]], "non-finite weights"),
+], ids=["residual-first", "non-finite-first"])
+def test_a_shared_gram_raises_the_error_of_its_first_failing_right_hand_side(
+        failing, message):
+    # design 0's Gram serves three passing items, design 1's one passing
+    # item and then two failing ones
+    grams = np.stack([np.eye(2) * 4.0, _ILL_CONDITIONED[0]])[:, None]
+    rhs = np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+                    [[1.0, 1.0], *failing]])
+    with pytest.raises(SingularSystem, match=message):
+        _solve_normal_equations(grams[1, 0], rhs[1, 1], 1e-15)
+    with pytest.raises(SingularSystem, match=message):
+        _solve_normal_equations(grams, rhs, 1e-15)
+
+
+@pytest.mark.parametrize("items", [1, 4])
+def test_a_failing_stack_is_solved_once(items, monkeypatch):
+    solve, calls = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *args: calls.append(args) or solve(*args))
+    # shaped as a ridge fit's solve: one design, its items, p = 2
+    gram = np.array(_ILL_CONDITIONED[0])[None, None]
+    rhs = np.tile(_ILL_CONDITIONED[1], (1, items, 1))
+    with pytest.raises(SingularSystem, match="residual exceeds"):
+        _solve_normal_equations(gram, rhs, 1e-15)
+    assert len(calls) == 1
+
+
 def test_one_gram_serves_a_stack_of_right_hand_sides():
     rng = np.random.Generator(np.random.PCG64(3))
     Z = np.asfortranarray(rng.standard_normal((50, 4)))
