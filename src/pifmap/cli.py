@@ -69,20 +69,19 @@ from .featuremap import (
     spec_to_dict,
 )
 from .metrics import confusion, mae, mse, scores_to_dict
-from .ranking import _identical_column_groups, curve_to_csv, rank_and_refit
+from .ranking import curve_to_csv, rank_and_refit
 from .regression import (
     DEFAULT_LAMBDA,
     DEFAULT_LAMBDA_GRID,
     RidgeModel,
+    _standardized,
     classify,
-    fit_standardized,
     model_from_dict,
     model_to_dict,
     ridge_fit,
     ridge_predict,
     select_lambda,
     standardize_apply,
-    standardize_fit,
 )
 from .synthdata import NoiseConfig, add_noise, gen_bernoulli, gen_binary, gen_pulsar
 
@@ -406,33 +405,40 @@ def _design_matrix(dataset: Dataset, spec: FeatureMapSpec | None):
     return evaluate_map(spec, dataset), list(spec.monomial_names)
 
 
+def _split_fit(X: np.ndarray, y: np.ndarray, names, split: float, lam: float,
+               grid=None) -> tuple[int, RidgeModel, np.ndarray, np.ndarray]:
+    """Split at ``--split``, standardize both parts by the training rows, pick
+    ``lam`` from ``grid`` if given and fit: the split index, the model of the
+    kept columns and the standardized training and test designs."""
+    k = _split_rows(len(X), split)
+    (Z_train,), (Z_test,), (params,) = _standardized(X[None], k)
+    if grid is not None:
+        lam = select_lambda(Z_train, y[:k], grid)
+    model = ridge_fit(Z_train, y[:k], lam, feature_names=[names[j] for j in params.kept],
+                      standardization=params)
+    return k, model, Z_train, Z_test
+
+
 def _cmd_fit(args: argparse.Namespace) -> int:
     dataset = _parse_input("dataset", args.data, read_csv)
     spec = None
     if args.spec is not None:
         spec = _load_spec_file(args.spec, args.allow_inconsistent)
     X, names = _design_matrix(dataset, spec)
-    k = _split_rows(dataset.n_rows, args.split)
     y = dataset.y
     grid = _env_lambda_grid() if args.select else None
-    Z_train, params = standardize_fit(X[:k])
-    lam = select_lambda(Z_train, y[:k], grid) if args.select else args.lam
-    model = ridge_fit(
-        Z_train, y[:k], lam, feature_names=[names[j] for j in params.kept],
-        standardization=params,
-    )
+    k, model, Z_train, Z_test = _split_fit(X, y, names, args.split, args.lam, grid)
     document = model_to_dict(model)
     document["design"] = {
         "kind": "raw" if spec is None else "spec",
         "spec": None if spec is None else spec_to_dict(spec),
     }
     _write_text(args.out, _dump_json(document))
-    Z_test = standardize_apply(X[k:], model.standardization)
     pred_train = ridge_predict(model, Z_train)
     pred_test = ridge_predict(model, Z_test)
     metrics = {
         "arm": "raw" if spec is None else spec.name,
-        "lambda": lam,
+        "lambda": model.lam,
         "n_train": k,
         "n_test": dataset.n_rows - k,
         "train": {"mae": mae(y[:k], pred_train), "mse": mse(y[:k], pred_train)},
@@ -448,16 +454,10 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     dataset = _parse_input("dataset", args.data, read_csv)
     spec = _load_spec_file(args.spec, args.allow_inconsistent)
     Phi = evaluate_map(spec, dataset)
-    k = _split_rows(dataset.n_rows, args.split)
     y = dataset.y
-    model, Z_train = fit_standardized(
-        Phi[:k], y[:k], args.lam, feature_names=spec.monomial_names
-    )
-    Z_eval = standardize_apply(Phi[k:], model.standardization)
-    result, ranked = rank_and_refit(
-        model, _identical_column_groups(Z_train), Z_train, y[:k], Z_eval,
-        y[k:], args.epsilon,
-    )
+    k, model, Z_train, Z_eval = _split_fit(Phi, y, spec.monomial_names, args.split,
+                                           args.lam)
+    result, ranked = rank_and_refit(model, Z_train, y[:k], Z_eval, y[k:], args.epsilon)
     text = _dump_json({"spec": spec.name, **ranked})
     if args.out:
         _write_text(args.out, text)

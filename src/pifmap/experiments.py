@@ -37,7 +37,7 @@ from .data import Dataset
 from .errors import InsufficientData, InvalidRange
 from .featuremap import FeatureMapSpec, evaluate_map, render_monomial
 from .metrics import ConfusionMatrix, _errors, confusion, scores_to_dict
-from .ranking import _identical_column_groups, _ranked_refits
+from .ranking import _ranked_refits
 from .regression import (
     DEFAULT_LAMBDA,
     _ridge_fits,
@@ -232,9 +232,8 @@ def _chunk_trials(experiment: _Experiment, spec: FeatureMapSpec, seeds: list[int
                 trial["arms"][arm] = {"mae": mae, "mse": mse}
     if not experiment.classification:
         Z_train, Z_eval = spif_stacks
-        groups = [_identical_column_groups(Z) for Z in Z_train]
-        ranked = _ranked_refits(models["spif"], groups, Z_train, y_train, Z_eval,
-                                y_eval, _EPSILON)
+        ranked = _ranked_refits(models["spif"], Z_train, y_train, Z_eval, y_eval,
+                                _EPSILON)
         for trial, (_, document) in zip(trials, ranked):
             trial["ranking"] = {
                 key: document[key]

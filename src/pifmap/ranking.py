@@ -313,7 +313,6 @@ def greedy_select(
 
 def _ranked_refits(
     models: list[RidgeModel],
-    groups: list[np.ndarray],
     Z_train: np.ndarray,
     y_train: np.ndarray,
     Z_eval: np.ndarray,
@@ -323,25 +322,27 @@ def _ranked_refits(
     """:func:`rank_and_refit` of each design of a stack for each of its label vectors.
 
     ``Z_train`` is ``(designs, n, p)`` and ``Z_eval`` ``(designs, m, p)``,
-    and ``groups`` holds each design's :func:`_identical_column_groups`.
-    ``models`` holds one fit per item, all at one ``lam``, ``y_train`` is
-    ``(items, n)`` and ``y_eval`` ``(items, m)``; consecutive items share a
-    design as in :func:`_greedy_passes`, whose lock-step passes rank them.
-    Each item's result equals its own ``rank_and_refit`` bit for bit.
+    each grouped once by :func:`_identical_column_groups`.  ``models``
+    holds one fit per item, all at one ``lam``, ``y_train`` is ``(items,
+    n)`` and ``y_eval`` ``(items, m)``; consecutive items share a design as
+    in :func:`_greedy_passes`, whose lock-step passes rank them.  Each
+    item's result equals its own ``rank_and_refit`` bit for bit.
 
-    Beyond its inputs the rank holds, for ``L`` items (seeds times noise
-    levels in an experiment) and ``p``-column designs of ``n`` training
-    and ``m`` evaluation rows, one train and one evaluation prefix buffer
-    per item (``L * (n + m) * p`` doubles), the centered training labels
-    and a copy of the evaluation labels (``L * (n + m)``), and per prefix
-    size a few ``(L, m)`` temporaries: ranking 200,000 ``pulsar`` rows at
-    three noise levels, its ``tracemalloc`` peak is under 1.15x those
-    buffers and labels.
+    Beyond its inputs (and the grouping's n-row buffer, let go before the
+    passes) the rank holds, for ``L`` items (seeds times noise levels in an
+    experiment) and ``p``-column designs of ``n`` training and ``m``
+    evaluation rows, one train and one evaluation prefix buffer per item
+    (``L * (n + m) * p`` doubles), the centered training labels and a copy
+    of the evaluation labels (``L * (n + m)``), and per prefix size a few
+    ``(L, m)`` temporaries: ranking 200,000 ``pulsar`` rows at three noise
+    levels, its ``tracemalloc`` peak is under 1.15x those buffers and
+    labels.
     """
+    Z_train, Z_eval = _pass_inputs(Z_train, Z_eval, epsilon)
+    groups = [_identical_column_groups(Z) for Z in Z_train]
     per_design = len(models) // len(groups)
     orders = [_rank_design_columns(model, groups[item // per_design])
               for item, model in enumerate(models)]
-    Z_train, Z_eval = _pass_inputs(Z_train, Z_eval, epsilon)
     results = _greedy_passes(Z_train, y_train, Z_eval, y_eval, models[0].lam,
                              orders, epsilon)
     return [(result, _refit_document(model, result))
@@ -375,7 +376,6 @@ def _refit_document(model: RidgeModel, result: RankingResult) -> dict:
 
 def rank_and_refit(
     model: RidgeModel,
-    groups: np.ndarray,
     Z_train: np.ndarray,
     y_train: np.ndarray,
     Z_eval: np.ndarray,
@@ -386,13 +386,12 @@ def rank_and_refit(
 
     ``model`` is the ridge fit of the standardized training design
     ``Z_train`` (as :func:`~pifmap.regression.fit_standardized` returns
-    it), ``groups`` the :func:`_identical_column_groups` of ``Z_train`` and
-    ``Z_eval`` the evaluation rows under the same standardization.  The
-    columns are ranked by the model's own weights, identical columns
-    together, and scored with :func:`greedy_select` at the model's
-    ``lam``.  Standardization acts on each column alone, so the greedy
-    fit of the selected prefix, mapped back with the model's means and
-    scales, is the refit of the selected raw columns.  The reported
+    it) and ``Z_eval`` the evaluation rows under the same standardization.
+    The columns are ranked by the model's own weights, identical columns
+    of ``Z_train`` together, and scored with :func:`greedy_select` at the
+    model's ``lam``.  Standardization acts on each column alone, so the
+    greedy fit of the selected prefix, mapped back with the model's means
+    and scales, is the refit of the selected raw columns.  The reported
     coefficients are that fit at the ranking ``lam`` (``pifmap rank
     --lam``, default 1e-3), so they carry its ridge shrinkage.  Returns the
     ranking result, whose indices count the columns kept by
@@ -401,7 +400,7 @@ def rank_and_refit(
     ``selected_count``, ``curve``, ``coefficients`` (one per selected
     column) and ``intercept``.
     """
-    return _ranked_refits([model], [groups], np.asarray(Z_train, dtype=float)[None],
+    return _ranked_refits([model], np.asarray(Z_train, dtype=float)[None],
                           _as_stack(y_train), np.asarray(Z_eval, dtype=float)[None],
                           _as_stack(y_eval), epsilon)[0]
 

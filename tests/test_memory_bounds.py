@@ -88,10 +88,9 @@ def _stacked_rank():
     y = np.stack([add_noise(data.y, NoiseConfig(level=level, seed=6))
                   for level in (0.1, 0.3, 0.5)])
     models = _ridge_fits(Z_train[None], y[:, :k], 1e-3)
-    groups = _identical_column_groups(Z_train)
     held = len(y) * _ROWS * (Z_train.shape[1] + 1) * 8
-    return (lambda: _ranked_refits(models, [groups], Z_train[None], y[:, :k],
-                                   Z_eval[None], y[:, k:], 0.01),
+    return (lambda: _ranked_refits(models, Z_train[None], y[:, :k], Z_eval[None],
+                                   y[:, k:], 0.01),
             lambda result: held)
 
 

@@ -378,10 +378,7 @@ class TestRankAndRefit:
     def test_ranks_by_the_given_fit_and_refits_the_raw_columns(self):
         X, y, k, names = self._problem()
         model, Z_train, Z_eval = self._fitted(X, y, k, names)
-        result, document = rank_and_refit(
-            model, _identical_column_groups(Z_train), Z_train, y[:k], Z_eval,
-            y[k:], 0.01,
-        )
+        result, document = rank_and_refit(model, Z_train, y[:k], Z_eval, y[k:], 0.01)
         # by |weight|: b, then a, then c, which y does not depend on
         assert result.order == (1, 0, 2)
         assert document["order"] == [model.feature_names[j] for j in result.order]
@@ -403,13 +400,12 @@ class TestRankAndRefit:
             Z_train, params = standardize_fit(Phi[:k])
             Z_eval = standardize_apply(Phi[k:], params)
             kept_names = [spec.monomial_names[j] for j in params.kept]
-            groups = _identical_column_groups(Z_train)
             for level in (0.1, 0.5):
                 y = add_noise(data.y, NoiseConfig(level=level, seed=seed))
                 model = ridge_fit(Z_train, y[:k], 1e-3, feature_names=kept_names,
                                   standardization=params)
                 result, document = rank_and_refit(
-                    model, groups, Z_train, y[:k], Z_eval, y[k:], 0.01
+                    model, Z_train, y[:k], Z_eval, y[k:], 0.01
                 )
                 fit = ridge_fit(Z_train[:, list(result.selected)], y[:k], 1e-3)
                 assert result.selected_fit.weights.tobytes() == fit.weights.tobytes()
@@ -435,10 +431,7 @@ class TestIdenticalColumns:
     @staticmethod
     def _order(X, y, model, Z_train, Z_eval, weights):
         nudged = dataclasses.replace(model, weights=np.array(weights))
-        result, _ = rank_and_refit(
-            nudged, _identical_column_groups(Z_train), Z_train, y[:40], Z_eval,
-            y[40:], 0.01,
-        )
+        result, _ = rank_and_refit(nudged, Z_train, y[:40], Z_eval, y[40:], 0.01)
         return result.order
 
     def test_order_does_not_follow_rounding_of_the_weights(self):
@@ -568,9 +561,7 @@ class TestSerialization:
         X_tr, y_tr, X_ev, y_ev = _planted_problem()
         model, Z_tr = fit_standardized(X_tr, y_tr, 1e-6)
         Z_ev = standardize_apply(X_ev, model.standardization)
-        result, document = rank_and_refit(
-            model, _identical_column_groups(Z_tr), Z_tr, y_tr, Z_ev, y_ev, 0.01
-        )
+        result, document = rank_and_refit(model, Z_tr, y_tr, Z_ev, y_ev, 0.01)
         assert document["selected_count"] == result.selected_count
         assert document["order"] == [model.feature_names[j] for j in result.order]
         assert document["epsilon"] == result.epsilon

@@ -32,7 +32,6 @@ from pifmap.featuremap import evaluate_map
 from pifmap.metrics import confusion, mae, mse, scores_to_dict
 from pifmap.ranking import (
     _greedy_passes,
-    _identical_column_groups,
     _ranked_refits,
     greedy_select,
     rank_and_refit,
@@ -82,10 +81,8 @@ def _one_level_seed_trials(experiment, spec, seed, noise_levels, settings):
         trial = {"seed": seed, "noise": level, "arms": arms}
         if not experiment.classification:
             Z_train, Z_eval = designs["spif"][:2]
-            _, ranked = rank_and_refit(
-                models["spif"], _identical_column_groups(Z_train), Z_train, y[:k],
-                Z_eval, y[k:], experiments._EPSILON,
-            )
+            _, ranked = rank_and_refit(models["spif"], Z_train, y[:k], Z_eval, y[k:],
+                                       experiments._EPSILON)
             trial["ranking"] = {key: ranked[key] for key in
                                 ("order", "selected_count", "selected", "curve")}
             trial["coefficients"] = {**ranked["coefficients"],
@@ -358,17 +355,14 @@ def test_lock_step_passes_that_stop_at_different_sizes_equal_single_passes():
     names = tuple(f"x{j}" for j in range(Z_train.shape[1]))
     models = _ridge_fits(Z_train[None], y_train, 1e-3, feature_names=[names],
                          standardizations=[params])
-    groups = _identical_column_groups(Z_train)
-    stacked = _ranked_refits(models, [groups], Z_train[None], y_train, Z_eval[None],
-                             y_eval, 0.01)
+    stacked = _ranked_refits(models, Z_train[None], y_train, Z_eval[None], y_eval, 0.01)
     assert len({len(result.curve) for result, _ in stacked}) == 3
     for item, (result, document) in enumerate(stacked):
         model = ridge_fit(Z_train, y_train[item], 1e-3, feature_names=names,
                           standardization=params)
         assert model.weights.tobytes() == models[item].weights.tobytes()
         assert model.intercept.hex() == models[item].intercept.hex()
-        single, single_document = rank_and_refit(model, groups, Z_train,
-                                                 y_train[item], Z_eval,
+        single, single_document = rank_and_refit(model, Z_train, y_train[item], Z_eval,
                                                  y_eval[item], 0.01)
         assert _dump_json(document) == _dump_json(single_document)
         assert result.curve == single.curve
