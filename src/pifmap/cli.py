@@ -428,12 +428,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     y = dataset.y
     grid = _env_lambda_grid() if args.select else None
     k, model, Z_train, Z_test = _split_fit(X, y, names, args.split, args.lam, grid)
-    document = model_to_dict(model)
-    document["design"] = {
-        "kind": "raw" if spec is None else "spec",
-        "spec": None if spec is None else spec_to_dict(spec),
-    }
-    _write_text(args.out, _dump_json(document))
+    # scored before the model is written, so a failing score leaves no file
     pred_train = ridge_predict(model, Z_train)
     pred_test = ridge_predict(model, Z_test)
     metrics = {
@@ -446,7 +441,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     }
     if grid is not None:
         metrics["lambda_grid"] = list(grid)
-    sys.stdout.write(_dump_json(metrics))
+    text = _dump_json(metrics)
+    document = model_to_dict(model)
+    document["design"] = {
+        "kind": "raw" if spec is None else "spec",
+        "spec": None if spec is None else spec_to_dict(spec),
+    }
+    _write_text(args.out, _dump_json(document))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -154,10 +154,6 @@ class Dataset:
     def n_rows(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
-
     def column(self, name: str) -> np.ndarray:
         return self.X[:, self.schema.index(name)]
 

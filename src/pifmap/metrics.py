@@ -3,8 +3,10 @@
 Skill scores are computed in exact rational arithmetic (the confusion
 counts are integers) and promoted to float only at the end, so identical
 matrices always give bit-identical scores.  A score whose denominator is
-zero is undefined: it is reported as NaN and named in ``undefined``
-rather than being silently clamped to 0.
+zero is undefined: it is NaN in :class:`SkillScores` and ``null`` in the
+JSON of :func:`scores_to_dict`, and is named in ``undefined`` rather than
+being silently clamped to 0.  An MAE or MSE that overflows on finite
+inputs raises :class:`~pifmap.errors.NonFiniteResult`, and warns of nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, NonBinaryLabel, NonFiniteInput
+from .errors import (
+    EmptyInput,
+    LengthMismatch,
+    NonBinaryLabel,
+    NonFiniteInput,
+    NonFiniteResult,
+)
 
 __all__ = [
     "mae",
@@ -42,18 +50,20 @@ def _check_pair(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
 
 def _mean_error(total, y_true: np.ndarray, y_pred: np.ndarray, axis):
     """``total`` over the entries it sums, np.mean's own steps, once the
-    inputs are known finite.
+    sums are known finite.
 
     ``total`` sums one non-negative error term per entry: of all of them
     (``axis`` None) or along ``axis``, one sum per item of a stack.  A NaN
     or infinite input makes its term, and so the sum, non-finite, so finite
     sums show the inputs finite with no pass of their own; only a sum that
-    is not finite, which finite terms can also reach by overflowing, needs
-    the elementwise test.
+    is not finite needs the elementwise test, which tells a non-finite
+    input (:class:`~pifmap.errors.NonFiniteInput`) from finite terms that
+    overflow (:class:`~pifmap.errors.NonFiniteResult`).
     """
-    if not (np.isfinite(total).all()
-            or (np.isfinite(y_true).all() and np.isfinite(y_pred).all())):
-        raise NonFiniteInput("metric inputs contain non-finite values")
+    if not np.isfinite(total).all():
+        if not (np.isfinite(y_true).all() and np.isfinite(y_pred).all()):
+            raise NonFiniteInput("metric inputs contain non-finite values")
+        raise NonFiniteResult("the error of finite values overflows")
     return total / (y_true.size if axis is None else y_true.shape[axis])
 
 
@@ -65,9 +75,11 @@ def _errors(y_true, y_pred, *terms, axis=None) -> list:
     of its contiguous row, the same sum a single pair gives.
     """
     y_true, y_pred = _check_pair(y_true, y_pred)
-    residual = y_true - y_pred
-    return [_mean_error(term(residual).sum(axis=axis), y_true, y_pred, axis)
-            for term in terms]
+    # an overflow is raised by _mean_error, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = y_true - y_pred
+        totals = [term(residual).sum(axis=axis) for term in terms]
+    return [_mean_error(total, y_true, y_pred, axis) for total in totals]
 
 
 def mae(y_true, y_pred) -> float:
@@ -80,7 +92,8 @@ def mse(y_true, y_pred) -> float:
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Binary confusion counts; entry (1,1) holds the true positives."""
+    """Binary confusion counts; :func:`scores_to_dict` writes them as
+    ``[[tp, fp], [fn, tn]]``."""
 
     tp: int
     fp: int
@@ -99,10 +112,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
-
-    @property
-    def as_rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.tp, self.fp), (self.fn, self.tn))
 
 
 def confusion(y_true, y_pred) -> ConfusionMatrix:

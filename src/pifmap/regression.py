@@ -176,15 +176,12 @@ def _column_sums_of_squares(centered: np.ndarray) -> np.ndarray:
     """``np.add.reduce(np.square(centered), axis=0)`` for a Fortran-ordered
     ``centered``, bit for bit.
 
-    An array over ``_SQUARES_BYTES`` is squared a few columns at a time
-    into one reused buffer, and each column still sums pairwise down its
-    contiguous run.
+    The columns are squared a few at a time into one reused buffer of at
+    most ``_SQUARES_BYTES`` (or one column), and each column sums pairwise
+    down its contiguous run.
     """
     n, p = centered.shape
-    width = _SQUARES_BYTES // (8 * n)
-    if width >= p:
-        return np.add.reduce(np.square(centered), axis=0)
-    width = max(width, 1)
+    width = max(min(_SQUARES_BYTES // (8 * n), p), 1)
     squares = np.empty((n, width), order="F")
     sums = np.empty(p)
     for start in range(0, p, width):

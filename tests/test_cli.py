@@ -451,6 +451,27 @@ class TestFit:
         ]
         assert not (tmp_path / "m.json").exists()
 
+    def test_an_overflowing_error_is_one_error_line_and_writes_no_model(
+            self, tmp_path, capsys):
+        # the fit holds, but the errors of labels near 2e307 square past
+        # float64: the metrics fail before the model is written
+        rng = np.random.Generator(np.random.PCG64(0))
+        features = rng.uniform(1.0, 2.0, (18, 2))
+        magnitudes = np.linspace(1.1e307, 2.8e307, 18)
+        rows = ["a[m],b[s],label[1]"]
+        for i, ((a, b), magnitude) in enumerate(zip(features.tolist(),
+                                                     magnitudes.tolist())):
+            rows.append(f"{a!r},{b!r},{magnitude * (-1) ** i!r}")
+        data = tmp_path / "big.csv"
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("fit", "--raw", "--data", str(data),
+                   "--out", str(tmp_path / "m.json")) == NonFiniteResult.exit_code
+        assert capsys.readouterr().err.splitlines() == [
+            "pifmap: error: the error of finite values overflows"
+        ]
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestRank:
     def test_rank_json_and_curve(self, bernoulli_csv, bernoulli_spec, tmp_path):

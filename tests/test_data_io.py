@@ -154,7 +154,7 @@ def _table(n, columns=3, seed=7):
 
 def _oracle_text(dataset):
     """The CSV text written one cell at a time with ``repr(float(v))``."""
-    header = [f"x_{j}[m]" for j in range(dataset.n_features)] + ["label[s]"]
+    header = [f"x_{j}[m]" for j in range(dataset.X.shape[1])] + ["label[s]"]
     lines = [",".join(header)]
     for i in range(dataset.n_rows):
         cells = [repr(float(v)) for v in dataset.X[i]]

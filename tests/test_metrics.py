@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pifmap.errors import EmptyInput, LengthMismatch, NonBinaryLabel, NonFiniteInput
+from pifmap.errors import (
+    EmptyInput,
+    LengthMismatch,
+    NonBinaryLabel,
+    NonFiniteInput,
+    NonFiniteResult,
+)
 from pifmap.metrics import (
     ConfusionMatrix,
     confusion,
@@ -54,11 +60,13 @@ class TestRegressionMetrics:
             assert metric(huge, huge) == 0.0
 
     @pytest.mark.parametrize("metric", [mae, mse])
-    def test_an_overflowing_error_is_returned_not_rejected(self, metric):
-        # the error sum is not finite, but every input is: np.mean's inf
+    def test_an_overflowing_error_raises_without_a_warning(self, metric):
+        # the error sum is not finite, but every input is
         a = np.array([1e308, -1e308, 1.0])
-        with np.errstate(over="ignore"):
-            assert metric(a, -a) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult, match="overflows"):
+                metric(a, -a)
 
     @pytest.mark.parametrize("metric", [mae, mse])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -96,7 +104,7 @@ class TestConfusion:
 
     def test_rows_layout(self):
         cm = ConfusionMatrix(tp=3, fp=2, fn=1, tn=4)
-        assert cm.as_rows == ((3, 2), (1, 4))
+        assert scores_to_dict(cm)["confusion"] == [[3, 2], [1, 4]]
         assert cm.total == 10
 
     def test_float_binary_labels_accepted(self):
