@@ -9,20 +9,23 @@ Generator provenance travels in a JSON sidecar, not in the CSV.
 Both directions move a block of ``_BLOCK_ROWS`` rows at a time, with no
 Python code run per cell.  :func:`write_csv` turns each block into a list
 of rows (``tolist``) and writes that block's text, so it never holds the
-whole file's text.  :func:`read_csv` checks each line's comma count, then
-parses a block's cells with ``float`` in one ``np.fromiter`` pass into a
-preallocated ``(n, k + 1)`` row-major array; beyond the file's text, its
-lines and that array it holds one block's cell strings, fewer bytes than
-a list of the whole table's rows.  A block that fails (a bad cell, a
-wrong cell count, or a PEP 515 underscore, which ``float`` would accept)
-is scanned again line by line only to name the file line and column of
-its first bad cell.  ``X`` and ``y`` are views of the row-major array and
-stay so: code that sums a column of ``X`` (the ``sf`` arm, ``fit --raw``)
-adds in the order this layout gives.
+whole file's text.  :func:`read_csv` reads the file in one pass, one block
+of lines at a time: it checks each line's comma count and parses the
+block's cells with ``float`` in one ``np.fromiter`` pass, and the parsed
+blocks are concatenated once, into one ``(n, k + 1)`` row-major array.  A
+block that fails (a bad cell, a wrong cell count, or a PEP 515
+underscore, which ``float`` would accept) is scanned again line by line
+only to name the file line and column of its first bad cell.  A byte that
+is not UTF-8 is read as an escaped character, so it fails as a bad cell
+or header cell and its file line is named like any other.  ``X`` and
+``y`` are views of the row-major array and stay so: code that sums a
+column of ``X`` (the ``sf`` arm, ``fit --raw``) adds in the order this
+layout gives.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -189,11 +192,15 @@ def _is_number(cell: str) -> bool:
     return "_" not in cell
 
 
-def _parse_header(path, line: str | None) -> tuple[FeatureSchema, Dimension]:
-    """The schema and label dimension of a CSV header line (``None``: no line)."""
-    if line is None:
+def _header(path, fh) -> tuple[int, FeatureSchema, Dimension]:
+    """Read ``fh`` up to its first non-blank line; return that line's file
+    line number and the schema and label dimension it declares."""
+    for lineno, line in enumerate(fh, start=1):
+        if line.strip():
+            break
+    else:
         raise EmptyInput(f"{path}: empty CSV")
-    cells = line.split(",")
+    cells = line.removesuffix("\n").split(",")
     if len(cells) < 2:
         raise SchemaMismatch(f"{path}: need at least one feature and a label column")
     parsed = [_parse_header_cell(c, i) for i, c in enumerate(cells)]
@@ -202,24 +209,24 @@ def _parse_header(path, line: str | None) -> tuple[FeatureSchema, Dimension]:
         raise SchemaMismatch(
             f"{path}: last column must be 'label', got {label_name!r}"
         )
-    return FeatureSchema(tuple(Feature(n, d) for n, d in parsed[:-1])), label_dim
+    schema = FeatureSchema(tuple(Feature(n, d) for n, d in parsed[:-1]))
+    return lineno, schema, label_dim
 
 
 def read_schema(path) -> FeatureSchema:
     """The feature schema of a CSV file, read from its header line alone."""
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        header = next((line.removesuffix("\n") for line in fh if line.strip()), None)
-    return _parse_header(path, header)[0]
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        return _header(path, fh)[1]
 
 
 def _block_values(block: list[str], width: int) -> np.ndarray | None:
-    """The cells of ``block``'s lines as floats, or ``None`` if a line is malformed."""
-    if any(line.count(",") != width - 1 for line in block):
+    """The cells of ``block``'s lines as floats, or ``None`` if a line is
+    malformed or a cell holds a PEP 515 underscore, which ``float`` accepts."""
+    text = ",".join(block)
+    if "_" in text or any(line.count(",") != width - 1 for line in block):
         return None
     try:
-        values = np.fromiter(
-            map(float, ",".join(block).split(",")), float, len(block) * width
-        )
+        values = np.fromiter(map(float, text.split(",")), float, len(block) * width)
     except ValueError:
         return None
     return values.reshape(len(block), width)
@@ -231,7 +238,7 @@ def _first_bad_line(path, names, lines: list[str], start: int) -> SchemaMismatch
     for lineno, line in enumerate(lines, start=start + 1):
         if not line.strip():
             continue
-        values = line.split(",")
+        values = line.removesuffix("\n").split(",")
         if len(values) != len(names):
             return SchemaMismatch(
                 f"{path}:{lineno}: expected {len(names)} cells, got {len(values)}"
@@ -246,32 +253,22 @@ def _first_bad_line(path, names, lines: list[str], start: int) -> SchemaMismatch
 
 
 def read_csv(path) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    top = next((i for i, line in enumerate(lines) if line.strip()), None)
-    schema, label_dim = _parse_header(path, None if top is None else lines[top])
-    names = (*schema.names, "label")
-    # Every line before the header is blank, so the rows are the lines that
-    # are neither blank nor the header.
-    n = len(lines) - lines.count("") - sum(map(str.isspace, lines)) - 1
-    # ``float`` accepts PEP 515 digit groups ("1_0"); the body after the
-    # header must hold none, so the block with the first one fails.
-    body = sum(map(len, lines[: top + 1])) + top + 1
-    underscore = text.find("_", body)
-    bad = -1 if underscore < 0 else text.count("\n", 0, underscore)
-    data = np.empty((n, len(names)))
-    row = 0
-    for start in range(top + 1, len(lines), _BLOCK_ROWS):
-        chunk = lines[start:start + _BLOCK_ROWS]
-        block = list(filter(str.strip, chunk))
-        if (
-            start <= bad < start + _BLOCK_ROWS
-            or (values := _block_values(block, len(names))) is None
-        ):
-            raise _first_bad_line(path, names, chunk, start)
-        data[row:row + len(block)] = values
-        row += len(block)
+    """The dataset a CSV file holds, read in one pass of bounded blocks.
+
+    The ``tracemalloc`` peak on 200,000 bernoulli rows is under 2.1x the
+    output: the parsed blocks, their concatenation and one block of lines.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        lineno, schema, label_dim = _header(path, fh)
+        names = (*schema.names, "label")
+        blocks = [np.empty((0, len(names)))]  # no rows: Dataset's EmptyInput
+        while chunk := list(itertools.islice(fh, _BLOCK_ROWS)):
+            values = _block_values(list(filter(str.strip, chunk)), len(names))
+            if values is None:
+                raise _first_bad_line(path, names, chunk, lineno)
+            blocks.append(values)
+            lineno += len(chunk)
+    data = np.concatenate(blocks)
     return Dataset(
         schema=schema,
         X=data[:, :-1],

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from pifmap import cli
 from pifmap.catalogs import load_catalog
 from pifmap.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from pifmap.data import read_csv, write_csv
+from pifmap.data import _BLOCK_ROWS, read_csv, write_csv
 from pifmap.errors import (
     BudgetExceeded,
     InvalidRange,
@@ -764,6 +764,24 @@ class TestMalformedDocuments:
             f"pifmap: error: malformed dataset {bernoulli_csv}: {bernoulli_csv}:4: "
             "column 'rho' holds '1_0', which is not a number"
         ]
+
+    @pytest.mark.parametrize("row", [2 * _BLOCK_ROWS + 5, -1],
+                             ids=["data-line-in-a-later-block", "header-cell"])
+    def test_a_byte_that_is_not_utf8_exits_3(self, row, tmp_path, capsys):
+        path = tmp_path / "bern.csv"
+        assert run("synth", "bernoulli", "--n", str(3 * _BLOCK_ROWS),
+                   "--out", str(path)) == EXIT_OK
+        lines = path.read_bytes().split(b"\n")
+        lines[1 + row] = lines[1 + row].replace(b",", b"\xff,", 1)
+        path.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert run("fit", "--data", str(path), "--raw",
+                   "--out", str(tmp_path / "m.json")) == EXIT_IO
+        cell = lines[1 + row].split(b",")[0].decode("utf-8", "surrogateescape")
+        detail = (f"malformed header cell {cell!r} at column 0" if row < 0 else
+                  f"{path}:{row + 2}: column 'p' holds {cell!r}, which is not a number")
+        error = f"pifmap: error: malformed dataset {path}: {detail}"
+        assert capsys.readouterr().err.splitlines() == [error]
 
 
 def _enumerate_to_missing_dir(tmp_path, data, spec):

@@ -1,6 +1,5 @@
 """Dataset container validation, exact CSV round-trips and manifest paths."""
 
-import sys
 import tracemalloc
 
 import numpy as np
@@ -327,21 +326,6 @@ class TestCsvMemory:
         # are well under one.
         assert path.stat().st_size > 5_000_000
         assert peak < 1_500_000
-
-    def test_read_holds_one_block_beyond_text_lines_and_output(self, tmp_path):
-        dataset = _table(20_000, columns=8)
-        path = tmp_path / "big.csv"
-        write_csv(dataset, path)
-        with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-        lines = text.split("\n")
-        held = (sys.getsizeof(text) + sys.getsizeof(lines)
-                + sum(map(sys.getsizeof, lines)) + dataset.X.nbytes + dataset.y.nbytes)
-        del text, lines
-        peak = _traced_peak(lambda: read_csv(path))
-        # One block's cell strings; a list of every row as floats, as a
-        # row-at-a-time reader builds, would be about 6 MB here.
-        assert peak - held < 1_500_000
 
 
 class TestManifest:
