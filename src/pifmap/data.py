@@ -34,7 +34,13 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .dimension import Dimension, format_unit, parse_unit
-from .errors import EmptyInput, LengthMismatch, NonFiniteInput, SchemaMismatch
+from .errors import (
+    EmptyInput,
+    LengthMismatch,
+    NonFiniteInput,
+    SchemaMismatch,
+    UnitSyntaxError,
+)
 
 __all__ = [
     "Feature",
@@ -174,13 +180,16 @@ def write_csv(dataset: Dataset, path) -> None:
             fh.write("\n".join([",".join(map(repr, row)) for row in block]) + "\n")
 
 
-def _parse_header_cell(cell: str, position: int) -> tuple[str, Dimension]:
+def _parse_header_cell(cell: str, position: int,
+                       where: str) -> tuple[str, Dimension]:
+    malformed = f"{where}: malformed header cell {cell!r} at column {position}"
     match = _HEADER_RE.match(cell.strip())
     if match is None:
-        raise SchemaMismatch(
-            f"malformed header cell {cell!r} at column {position}"
-        )
-    return match.group("name"), parse_unit(match.group("unit"))
+        raise SchemaMismatch(malformed)
+    try:
+        return match.group("name"), parse_unit(match.group("unit"))
+    except UnitSyntaxError as exc:
+        raise SchemaMismatch(f"{malformed}: {exc}") from exc
 
 
 def _is_number(cell: str) -> bool:
@@ -194,20 +203,22 @@ def _is_number(cell: str) -> bool:
 
 def _header(path, fh) -> tuple[int, FeatureSchema, Dimension]:
     """Read ``fh`` up to its first non-blank line; return that line's file
-    line number and the schema and label dimension it declares."""
+    line number and the schema and label dimension it declares.  An error
+    in the header names its file line, as a data row's does."""
     for lineno, line in enumerate(fh, start=1):
         if line.strip():
             break
     else:
         raise EmptyInput(f"{path}: empty CSV")
+    where = f"{path}:{lineno}"
     cells = line.removesuffix("\n").split(",")
     if len(cells) < 2:
-        raise SchemaMismatch(f"{path}: need at least one feature and a label column")
-    parsed = [_parse_header_cell(c, i) for i, c in enumerate(cells)]
+        raise SchemaMismatch(f"{where}: need at least one feature and a label column")
+    parsed = [_parse_header_cell(c, i, where) for i, c in enumerate(cells)]
     label_name, label_dim = parsed[-1]
     if label_name != "label":
         raise SchemaMismatch(
-            f"{path}: last column must be 'label', got {label_name!r}"
+            f"{where}: last column must be 'label', got {label_name!r}"
         )
     schema = FeatureSchema(tuple(Feature(n, d) for n, d in parsed[:-1]))
     return lineno, schema, label_dim

@@ -46,7 +46,9 @@ standardizes a stack of designs (an experiment's seeds) on their first
 rows, scaling a column-major design in its centered copy and writing a
 row-major one's ``Z`` column-major with no centered copy, each with the
 bits of ``X.mean(axis=0)`` and ``X.std(axis=0)`` for the layout passed;
-:func:`standardize_fit` is its one-design case.
+:func:`standardize_fit` is its one-design case.  A caller that hands over
+one column-major design it never reads again (the command line's ``fit
+--spec`` and ``rank``) has it standardized in place, with the same bits.
 
 :func:`select_lambda` forms the training Gram ``G = Z'Z``, the right-hand
 side and ``mean(y)`` once per grid and eigendecomposes ``G`` once
@@ -226,20 +228,34 @@ def _centered(X: np.ndarray, means: np.ndarray) -> np.ndarray:
 
 
 def _standardized(
-    X: np.ndarray, k: int
+    X: np.ndarray, k: int, *, overwrite: bool = False
 ) -> tuple[np.ndarray, np.ndarray, list[StandardizationParams]]:
     """:func:`standardize_fit` of each design of a stack ``(designs, n, p)``
     on its first ``k >= 2`` rows, and :func:`standardize_apply` of the
     fitted parameters to its other rows, bit for bit.
 
     Returns the training stack ``(designs, k, p)`` and the evaluation stack
-    ``(designs, n - k, p)``, new arrays whose items are Fortran-ordered, and
-    each design's parameters.  A stack of several designs with a constant
+    ``(designs, n - k, p)``, whose items are Fortran-ordered, and each
+    design's parameters.  A stack of several designs with a constant
     column raises :class:`~pifmap.errors.ColumnMismatch` and warns nothing,
     since its designs would keep different columns.  The evaluation rows
     are not checked: a non-finite one standardizes to a non-finite row.
+
+    The two stacks are new arrays, except with ``overwrite`` on one
+    column-major design, which a caller that never reads ``X`` again hands
+    over so that no second ``n x p`` design is held: ``X`` is then centered
+    and scaled in place, its kept columns moved to the front if a constant
+    one is dropped, and the stacks are its leading ``k`` and trailing
+    ``n - k`` rows of those columns, views whose items have leading
+    dimension ``n``.  A non-finite training entry still raises before
+    ``X`` is written; a later error leaves it partly standardized.  Every
+    value is the same bit as a copy's, since each step works entry by entry
+    and the squares are summed from the same buffer.  A row-major design is
+    never overwritten: its ``Z`` is written column-major, as the Gram and
+    the predictions round according to that layout.
     """
     designs, n, p = X.shape
+    in_place = overwrite and designs == 1 and X[0].flags.f_contiguous
     # overflow is reported as NonFiniteResult below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         means = np.add.reduce(X[:, :k], axis=1) / k
@@ -247,7 +263,11 @@ def _standardized(
             # a non-finite entry, or finite ones whose sum overflows
             _check_finite(X[:, :k], "X")
         centered = None
-        if p > 1 and abs(X.strides[2]) < abs(X.strides[1]):
+        if in_place:
+            # the training rows become Z_train where they are
+            np.subtract(X[:, :k], means[:, None], out=X[:, :k])
+            sums = _column_sums_of_squares(X[0, :k])[None]
+        elif p > 1 and abs(X.strides[2]) < abs(X.strides[1]):
             # row-major: centered into Z once the kept columns are known
             sums = _row_major_sums_of_squares(X[:, :k], means)
         else:
@@ -276,15 +296,28 @@ def _standardized(
             stacklevel=3,
         )
         means, scales = means[:, kept], scales[:, kept]
-        X, centered = X[:, :, kept], None
+        if in_place:
+            # in order, each to a slot at or before its own: none is
+            # overwritten before it moves
+            for to, column in enumerate(kept):
+                if to != column:
+                    X[:, :, to] = X[:, :, column]
+            X = X[:, :, :len(kept)]
+        else:
+            X, centered = X[:, :, kept], None
+    params = [StandardizationParams(means=m, scales=s, kept=tuple(kept),
+                                    dropped=tuple(dropped))
+              for m, s in zip(means, scales)]
+    if in_place:
+        # outside the errstate above, so an overflow here warns as a copy's does
+        np.subtract(X[:, k:], means[:, None], out=X[:, k:])
+        np.divide(X, scales[:, None], out=X)
+        return X[:, :k], X[:, k:], params
     if centered is None:
         centered = _centered(X[:, :k], means)
     Z_train = np.divide(centered, scales[:, :, None], out=centered)
     Z_eval = _centered(X[:, k:], means)
     np.divide(Z_eval, scales[:, :, None], out=Z_eval)
-    params = [StandardizationParams(means=m, scales=s, kept=tuple(kept),
-                                    dropped=tuple(dropped))
-              for m, s in zip(means, scales)]
     return Z_train.transpose(0, 2, 1), Z_eval.transpose(0, 2, 1), params
 
 

@@ -22,12 +22,23 @@ from pifmap.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from pifmap.data import _BLOCK_ROWS, read_csv, write_csv
 from pifmap.errors import (
     BudgetExceeded,
+    DroppedColumnWarning,
     InvalidRange,
+    NonFiniteInput,
     NonFiniteResult,
     PifmapError,
     SingularSystem,
 )
-from pifmap.featuremap import spec_from_dict, spec_to_dict
+from pifmap.featuremap import evaluate_map, spec_from_dict, spec_to_dict
+from pifmap.regression import (
+    DEFAULT_LAMBDA_GRID,
+    ridge_fit,
+    ridge_predict,
+    select_lambda,
+    standardize_apply,
+    standardize_fit,
+)
+from pifmap.synthdata import gen_bernoulli
 
 
 def run(*argv):
@@ -503,6 +514,99 @@ class TestRank:
                    "--spec", str(bernoulli_spec), "--epsilon", "0") == EXIT_USAGE
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _bernoulli_design(constant_column):
+    """The bernoulli map on 400 rows, Fortran-ordered as ``evaluate_map``
+    returns it; with rho and h held, monomial 2 (rho g h) is constant."""
+    data = gen_bernoulli(400, 3)
+    if constant_column:
+        data.X[:, [data.schema.index("rho"), data.schema.index("h")]] = [1.2, 2.5]
+    spec = load_catalog("bernoulli")
+    return evaluate_map(spec, data), data.y, spec.monomial_names
+
+
+def _public_split_fit(X, y, names, split, lam, grid):
+    """``cli._split_fit``'s steps through the public functions."""
+    k = cli._split_rows(len(X), split)
+    Z_train, params = standardize_fit(X[:k])
+    Z_test = standardize_apply(X[k:], params)
+    if grid is not None:
+        lam = select_lambda(Z_train, y[:k], grid)
+    model = ridge_fit(Z_train, y[:k], lam, feature_names=[names[j] for j in params.kept],
+                      standardization=params)
+    return k, model, Z_train, Z_test
+
+
+class TestSplitFit:
+    """``fit`` and ``rank``'s split step equals the public functions bit for
+    bit, standardizing a column-major design in place and a row-major one
+    into new arrays."""
+
+    @staticmethod
+    def _assert_same_fit(split_fit, public):
+        (k, model, Z_train, Z_test), (k_, model_, Z_train_, Z_test_) = split_fit, public
+        assert k == k_
+        for a, b in [(Z_train, Z_train_), (Z_test, Z_test_),
+                     (model.standardization.means, model_.standardization.means),
+                     (model.standardization.scales, model_.standardization.scales),
+                     (model.weights, model_.weights),
+                     (ridge_predict(model, Z_train), ridge_predict(model_, Z_train_)),
+                     (ridge_predict(model, Z_test), ridge_predict(model_, Z_test_))]:
+            assert a.shape == b.shape
+            assert np.array_equal(_bits(a), _bits(b))
+        assert model.standardization.kept == model_.standardization.kept
+        assert model.standardization.dropped == model_.standardization.dropped
+        assert _bits(model.lam) == _bits(model_.lam)
+        assert _bits(model.intercept) == _bits(model_.intercept)
+        assert model.feature_names == model_.feature_names
+
+    @pytest.mark.parametrize("constant_column, grid", [
+        (False, None), (False, DEFAULT_LAMBDA_GRID), (True, DEFAULT_LAMBDA_GRID),
+    ], ids=["spec", "spec-select", "spec-dropped-column-select"])
+    def test_column_major_design_is_standardized_in_place(self, constant_column, grid):
+        Phi, y, names = _bernoulli_design(constant_column)
+        assert Phi.flags.f_contiguous
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            public = _public_split_fit(Phi.copy(order="F"), y, names, 0.7, 1e-3, grid)
+            result = cli._split_fit(Phi, y, names, 0.7, 1e-3, grid)
+        dropped = [w for w in caught if w.category is DroppedColumnWarning]
+        assert len(dropped) == (2 if constant_column else 0)
+        self._assert_same_fit(result, public)
+        k, model, Z_train, Z_test = result
+        p = len(model.weights)
+        assert p == Phi.shape[1] - constant_column
+        # the leading and trailing rows of the kept columns' block of Phi
+        assert Z_train.base is not None and np.shares_memory(Z_train, Phi)
+        assert np.array_equal(_bits(Phi[:k, :p]), _bits(Z_train))
+        assert np.array_equal(_bits(Phi[k:, :p]), _bits(Z_test))
+        assert Z_train.strides == Z_test.strides == (8, 8 * len(Phi))
+
+    def test_row_major_design_is_left_as_it_is(self, bernoulli_csv):
+        dataset = read_csv(bernoulli_csv)
+        X = np.asarray(dataset.X, dtype=float)
+        assert not X.flags.f_contiguous
+        before = X.copy()
+        names = list(dataset.schema.names)
+        public = _public_split_fit(X, dataset.y, names, 0.7, 1e-3, DEFAULT_LAMBDA_GRID)
+        result = cli._split_fit(X, dataset.y, names, 0.7, 1e-3, DEFAULT_LAMBDA_GRID)
+        self._assert_same_fit(result, public)
+        assert np.array_equal(_bits(X), _bits(before))
+        for Z in result[2:]:
+            assert Z.flags.f_contiguous and not np.shares_memory(Z, X)
+
+    def test_non_finite_training_entry_raises_before_any_write(self):
+        Phi, y, names = _bernoulli_design(False)
+        Phi[5, 3] = np.nan
+        before = Phi.copy(order="F")
+        with pytest.raises(NonFiniteInput):
+            cli._split_fit(Phi, y, names, 0.7, 1e-3, DEFAULT_LAMBDA_GRID)
+        assert np.array_equal(_bits(Phi), _bits(before))
+
+
 class TestEval:
     def test_regression_eval(self, bernoulli_csv, bernoulli_spec, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -747,7 +851,7 @@ class TestMalformedDocuments:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines() == [
-            f"pifmap: error: malformed dataset {bernoulli_csv}: {bernoulli_csv}:4: "
+            f"pifmap: error: malformed dataset {bernoulli_csv}:4: "
             "column 'rho' holds 'abc', which is not a number"
         ]
 
@@ -761,7 +865,7 @@ class TestMalformedDocuments:
         assert run("fit", "--data", str(bernoulli_csv), "--raw",
                    "--out", str(tmp_path / "m.json")) == EXIT_IO
         assert capsys.readouterr().err.splitlines() == [
-            f"pifmap: error: malformed dataset {bernoulli_csv}: {bernoulli_csv}:4: "
+            f"pifmap: error: malformed dataset {bernoulli_csv}:4: "
             "column 'rho' holds '1_0', which is not a number"
         ]
 
@@ -778,9 +882,9 @@ class TestMalformedDocuments:
         assert run("fit", "--data", str(path), "--raw",
                    "--out", str(tmp_path / "m.json")) == EXIT_IO
         cell = lines[1 + row].split(b",")[0].decode("utf-8", "surrogateescape")
-        detail = (f"malformed header cell {cell!r} at column 0" if row < 0 else
+        detail = (f"{path}:1: malformed header cell {cell!r} at column 0" if row < 0 else
                   f"{path}:{row + 2}: column 'p' holds {cell!r}, which is not a number")
-        error = f"pifmap: error: malformed dataset {path}: {detail}"
+        error = f"pifmap: error: malformed dataset {detail}"
         assert capsys.readouterr().err.splitlines() == [error]
 
 

@@ -15,6 +15,7 @@ from pifmap.data import (
     FeatureSchema,
     manifest_path_for,
     read_csv,
+    read_schema,
     schema_of,
     write_csv,
 )
@@ -134,6 +135,26 @@ class TestCsvRoundTrip:
         path.write_text("v m/s,label[Pa]\n1.0,2.0\n", encoding="utf-8")
         with pytest.raises(SchemaMismatch):
             read_csv(path)
+
+    def test_header_error_names_its_file_line(self, tmp_path):
+        # blank lines may come before the header; they are counted
+        path = tmp_path / "bad.csv"
+        path.write_text("\n\nv[m/s],rho kg,label[Pa]\n1.0,2.0,3.0\n", encoding="utf-8")
+        message = f"{path}:3: malformed header cell 'rho kg' at column 1"
+        for read in (read_csv, read_schema):
+            with pytest.raises(SchemaMismatch) as caught:
+                read(path)
+            assert str(caught.value) == message
+
+    def test_header_unit_error_names_its_cell_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("v[m/qq],label[Pa]\n1.0,2.0\n", encoding="utf-8")
+        with pytest.raises(SchemaMismatch) as caught:
+            read_csv(path)
+        assert str(caught.value) == (
+            f"{path}:1: malformed header cell 'v[m/qq]' at column 0: "
+            "unknown unit symbol 'qq' at position 2 in 'm/qq'"
+        )
 
     def test_header_without_rows_is_empty_input(self, tmp_path):
         path = tmp_path / "empty.csv"

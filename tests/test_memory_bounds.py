@@ -2,12 +2,13 @@
 
 Every row runs one layer on 200,000 rows and checks its peak against the
 bound the function's docstring states, so a bound cannot move in one
-place only.  The stacked rank's bound is over the prefix buffers and
-labels it holds, not over its output; a three-seed experiment's is over
-the peak of the same experiment on one seed, a default chunk's over the
-stacks of its standardized designs, and the column grouping's over one
-column of its design.  ``evaluate_map``'s bound on a table that fails
-is checked in ``test_featuremap``.
+place only.  The CLI's split fit's bound is over the evaluated design it
+is handed, which it standardizes in place.  The stacked rank's bound is
+over the prefix buffers and labels it holds, not over its output; a
+three-seed experiment's is over the peak of the same experiment on one
+seed, a default chunk's over the stacks of its standardized designs, and
+the column grouping's over one column of its design.  ``evaluate_map``'s
+bound on a table that fails is checked in ``test_featuremap``.
 """
 
 import tracemalloc
@@ -15,12 +16,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pifmap import experiments
+from pifmap import cli, experiments
 from pifmap.catalogs import load_catalog
 from pifmap.data import read_csv, write_csv
 from pifmap.featuremap import evaluate_map
 from pifmap.ranking import _identical_column_groups, _ranked_refits
-from pifmap.regression import _ridge_fits, standardize_apply, standardize_fit
+from pifmap.regression import (
+    DEFAULT_LAMBDA_GRID,
+    _ridge_fits,
+    standardize_apply,
+    standardize_fit,
+)
 from pifmap.synthdata import NoiseConfig, add_noise, gen_bernoulli, gen_binary, gen_pulsar
 
 _ROWS = 200_000
@@ -58,6 +64,17 @@ def _row_major_standardize():
     rng = np.random.Generator(np.random.PCG64(7))
     X = np.ascontiguousarray(rng.standard_normal((_ROWS, 9)) * np.arange(1.0, 10.0))
     return lambda: standardize_fit(X), lambda result: result[0].nbytes
+
+
+def _split_fit():
+    # fit --select's step on an evaluated pulsar map, at a 0.7 split
+    spec = load_catalog("pulsar", allow_inconsistent=True)
+    data = gen_pulsar(_ROWS, 5)
+    Phi = evaluate_map(spec, data)
+    design = Phi.nbytes
+    return (lambda: cli._split_fit(Phi, data.y, spec.monomial_names, 0.7, 1e-3,
+                                   DEFAULT_LAMBDA_GRID),
+            lambda result: design)
 
 
 def _three_seed_experiment():
@@ -125,14 +142,15 @@ def _column_groups():
     (add_noise, _noise, 1.01),
     (standardize_fit, _column_major_standardize, 1.15),
     (standardize_fit, _row_major_standardize, 1.05),
+    (cli._split_fit, _split_fit, 0.11),
     (_ranked_refits, _stacked_rank, 1.15),
     (experiments.run_experiment, _three_seed_experiment, 1.02),
     (experiments.run_experiment, _default_chunk, 2.4),
     (_identical_column_groups, _column_groups, 1.1),
 ], ids=["gen_pulsar", "gen_bernoulli", "gen_binary", "read_csv", "evaluate_map",
         "add_noise", "standardize_fit-column-major", "standardize_fit-row-major",
-        "stacked-rank", "run_experiment-chunked", "run_experiment-default-chunk",
-        "identical_column_groups"])
+        "split_fit", "stacked-rank", "run_experiment-chunked",
+        "run_experiment-default-chunk", "identical_column_groups"])
 def test_peak_over_output_is_within_the_documented_bound(function, prepare, bound,
                                                         tmp_path, monkeypatch):
     assert f"under {bound}x" in " ".join(function.__doc__.split())
