@@ -1,9 +1,11 @@
 """Feature maps of monomials: dimensions, enumeration, evaluation, round-trips."""
 
+import ast
 import itertools
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -977,6 +979,69 @@ class TestEnumerationBudget:
         keys = found.tolist()
         assert len(keys) == 52_632
         assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def _benchmark_enumerations():
+    """The inputs of the benchmark's ``ENUMERATIONS``, read from the syntax
+    tree of ``perfbench/workloads.py`` without running it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    values = {
+        node.targets[0].id: node.value for node in tree.body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+    }
+    schemas = ast.literal_eval(values["SCHEMAS"])
+    cases = []
+    for call in values["ENUMERATIONS"].elts:
+        label, schema, target, constants, bound, active, count, _ = map(
+            ast.literal_eval, call.args)
+        cases.append(pytest.param(
+            schemas[schema], target, [c for c in constants.split(",") if c],
+            bound, active, count, id=label))
+    return cases
+
+
+class TestKeyedJoin:
+    """The search keys each half's rows with one int64 per row; where the
+    radix times the right half's rows passes int64 it falls back to the
+    per-unit products and ``_dimension_keys``."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        dimension_keys = featuremap._dimension_keys
+        monkeypatch.setattr(featuremap, "_dimension_keys",
+                            lambda rows: calls.append(len(rows)) or dimension_keys(rows))
+        return calls
+
+    def test_a_radix_past_int64_falls_back_and_matches_the_scan(self, fallbacks):
+        # each unit reaches 2 * 2**40 + 2 * 2**40, so the radix is about 2**86
+        big = 2**40
+        dims = [Dimension.of(m=big), Dimension.of(kg=big),
+                Dimension.of(m=big, kg=-big), Dimension.of(s=1)]
+        target = Dimension.of(m=2 * big, kg=-big)
+        features, _ = _items(dims, len(dims))
+        found = enumerate_monomials(features, (), target, 2, 3)
+        assert fallbacks
+        assert len(found) > 0
+        assert list(map(tuple, found.tolist())) == _scan(dims, 4, 2, 2, 3, target)
+
+    @pytest.mark.parametrize("schema, target, constants, bound, active, count",
+                             _benchmark_enumerations())
+    def test_the_fallback_returns_the_same_matrix(self, schema, target, constants,
+                                                  bound, active, count,
+                                                  fallbacks, monkeypatch):
+        args = (schema_of(schema), [STANDARD_CONSTANTS[c] for c in constants],
+                parse_unit(target), bound, active)
+        keyed = enumerate_monomials(*args)
+        assert fallbacks == []
+        monkeypatch.setattr(featuremap, "_radix_weights", lambda *args: None)
+        fallback = enumerate_monomials(*args)
+        assert fallbacks
+        assert keyed.dtype == fallback.dtype == np.int64
+        assert keyed.shape == (count, len(schema) + len(constants))
+        assert np.array_equal(keyed, fallback)
 
 
 class TestDestandardize:

@@ -1,8 +1,10 @@
-"""Each tall-table layer's ``tracemalloc`` peak over its output.
+"""Each tall-table layer's ``tracemalloc`` peak over its output, and the search's.
 
-Every row runs one layer on 200,000 rows and checks its peak against the
-bound the function's docstring states, so a bound cannot move in one
-place only.  The CLI's split fit's bound is over the evaluated design it
+Every row runs one layer on 200,000 rows, or the monomial search on one
+schema, and checks its peak against the bound the function's docstring
+states, so a bound cannot move in one place only.  The search's bound is
+over the count its budget caps (half-grid rows plus join candidates)
+times the row width times 8 bytes.  The CLI's split fit's bound is over the evaluated design it
 is handed, which it standardizes in place.  The stacked rank's bound is
 over the prefix buffers and labels it holds, not over its output; a
 three-seed experiment's is over the peak of the same experiment on one
@@ -19,7 +21,8 @@ import pytest
 from pifmap import cli, experiments
 from pifmap.catalogs import load_catalog
 from pifmap.data import read_csv, write_csv
-from pifmap.featuremap import evaluate_map
+from pifmap.errors import BudgetExceeded
+from pifmap.featuremap import enumerate_monomials, evaluate_map
 from pifmap.ranking import _identical_column_groups, _ranked_refits
 from pifmap.regression import (
     DEFAULT_LAMBDA_GRID,
@@ -133,6 +136,22 @@ def _column_groups():
     return lambda: _identical_column_groups(Z), lambda labels: _ROWS * 8
 
 
+def _pulsar_search():
+    # pulsar's eight features with mu0 and c at bounds 4/4; the budget
+    # accepts exactly this count of half-grid rows plus join candidates
+    spec = load_catalog("pulsar", allow_inconsistent=True)
+    counted = 113_762
+
+    def search(budget=1_000_000):
+        return enumerate_monomials(spec.features, spec.constants,
+                                   spec.target_dimension, 4, 4, budget=budget)
+
+    search(counted)
+    with pytest.raises(BudgetExceeded):
+        search(counted - 1)
+    return search, lambda rows: counted * rows.shape[1] * 8
+
+
 @pytest.mark.parametrize("function, prepare, bound", [
     (gen_pulsar, _generate(gen_pulsar), 1.07),
     (gen_bernoulli, _generate(gen_bernoulli), 1.07),
@@ -147,10 +166,12 @@ def _column_groups():
     (experiments.run_experiment, _three_seed_experiment, 1.02),
     (experiments.run_experiment, _default_chunk, 2.4),
     (_identical_column_groups, _column_groups, 1.1),
+    (enumerate_monomials, _pulsar_search, 0.8),
 ], ids=["gen_pulsar", "gen_bernoulli", "gen_binary", "read_csv", "evaluate_map",
         "add_noise", "standardize_fit-column-major", "standardize_fit-row-major",
         "split_fit", "stacked-rank", "run_experiment-chunked",
-        "run_experiment-default-chunk", "identical_column_groups"])
+        "run_experiment-default-chunk", "identical_column_groups",
+        "enumerate_monomials"])
 def test_peak_over_output_is_within_the_documented_bound(function, prepare, bound,
                                                         tmp_path, monkeypatch):
     assert f"under {bound}x" in " ".join(function.__doc__.split())
