@@ -4,7 +4,9 @@
     python3 scripts/golden_diff.py OLD_DIR NEW_DIR
 
 Walks both trees and prints one line per differing JSON float or numeric
-CSV cell, as ``file:path: old -> new (relative change)``.  A JSON path is
+CSV cell, as ``file:path: old -> new (relative change)``.  A JSON string
+that is a float's ``repr`` (as the tall pins hold their curve) counts as
+that float.  A JSON path is
 the keys and list indices from the document's root joined by ``/``; a CSV
 path is ``line/column``, the file's line number and the header's column
 name.  Any other difference is printed as ``file:path: description`` and
@@ -39,8 +41,21 @@ def _same_float(old: float, new: float) -> bool:
     return old.hex() == new.hex() or (math.isnan(old) and math.isnan(new))
 
 
+def _repr_float(value) -> float | None:
+    """The float whose ``repr`` is the string ``value``, else None."""
+    if not isinstance(value, str):
+        return None
+    try:
+        number = float(value)
+    except ValueError:
+        return None
+    return number if repr(number) == value else None
+
+
 def _json_diff(name: str, path: tuple, old, new, floats: list, others: list) -> None:
     where = f"{name}:{'/'.join(path)}"
+    if _repr_float(old) is not None and _repr_float(new) is not None:
+        old, new = _repr_float(old), _repr_float(new)
     if type(old) is float and type(new) is float:
         if not _same_float(old, new):
             floats.append(_float_line(where, old, new))

@@ -51,6 +51,22 @@ def test_float_differences_are_listed_with_their_relative_change(tmp_path, capsy
     ]
 
 
+def test_a_string_holding_a_float_repr_is_compared_as_that_float(tmp_path, capsys):
+    old = dict(OLD_JSON, curve=[[1, "1.9388893070638717e+31", "0.5"]])
+    new = dict(OLD_JSON, curve=[[1, "1.938889307063876e+31", "0.5"]])
+    trees = [_tree(tmp_path / side, document=document)
+             for side, document in (("old", old), ("new", new))]
+    assert _golden_diff().main([str(tree) for tree in trees]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "sub/model.json:curve/0/1: 1.9388893070638717e+31 -> "
+        "1.938889307063876e+31 (2.2e-15)",
+    ]
+    # "0.50" is no float's repr, so it changes as a string
+    new["curve"][0][2] = "0.50"
+    assert _golden_diff().main([str(trees[0]), str(_tree(tmp_path / "other",
+                                                          document=new))]) == 1
+
+
 @pytest.mark.parametrize("change", [
     {"document": dict(OLD_JSON, lambda_=0.5)},  # a key set
     {"document": dict(OLD_JSON, name="b")},  # a string
