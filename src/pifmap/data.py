@@ -220,6 +220,13 @@ def _header(path, fh) -> tuple[int, FeatureSchema, Dimension]:
         raise SchemaMismatch(
             f"{where}: last column must be 'label', got {label_name!r}"
         )
+    seen = set()
+    for position, (name, _) in enumerate(parsed[:-1]):
+        if name in seen:
+            raise SchemaMismatch(
+                f"{where}: duplicate feature name {name!r} at column {position}"
+            )
+        seen.add(name)
     schema = FeatureSchema(tuple(Feature(n, d) for n, d in parsed[:-1]))
     return lineno, schema, label_dim
 

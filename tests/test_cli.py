@@ -887,6 +887,24 @@ class TestMalformedDocuments:
         error = f"pifmap: error: malformed dataset {detail}"
         assert capsys.readouterr().err.splitlines() == [error]
 
+    @pytest.mark.parametrize("command", ["fit", "enumerate"])
+    def test_a_repeated_header_name_exits_3_naming_its_line(self, command, tmp_path,
+                                                           capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("\n\nv[m],v[m],label[Pa]\n1.0,2.0,3.0\n", encoding="utf-8")
+        arguments, kind = {
+            "fit": (("fit", "--data", str(path), "--raw",
+                     "--out", str(tmp_path / "m.json")), "dataset"),
+            "enumerate": (("enumerate", "--schema", str(path), "--target", "m^2"),
+                          "schema"),
+        }[command]
+        capsys.readouterr()
+        assert run(*arguments) == EXIT_IO
+        assert capsys.readouterr().err.splitlines() == [
+            f"pifmap: error: malformed {kind} {path}:3: "
+            "duplicate feature name 'v' at column 1"
+        ]
+
 
 def _enumerate_to_missing_dir(tmp_path, data, spec):
     return ("enumerate", "--schema", str(data), "--target", "Pa",

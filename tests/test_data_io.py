@@ -146,6 +146,16 @@ class TestCsvRoundTrip:
                 read(path)
             assert str(caught.value) == message
 
+    def test_repeated_header_name_names_its_line_and_column(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("\n\nv[m],w[s],v[m],label[Pa]\n1.0,2.0,3.0,4.0\n",
+                        encoding="utf-8")
+        message = f"{path}:3: duplicate feature name 'v' at column 2"
+        for read in (read_csv, read_schema):
+            with pytest.raises(SchemaMismatch) as caught:
+                read(path)
+            assert str(caught.value) == message
+
     def test_header_unit_error_names_its_cell_and_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("v[m/qq],label[Pa]\n1.0,2.0\n", encoding="utf-8")
