@@ -462,22 +462,17 @@ def render_monomial(spec: FeatureMapSpec, index: int) -> str:
 # Enumeration
 
 
-def _feature_rows(n_features: int, bound: int, max_active: int) -> int:
-    # exponent rows of n_features features with at most max_active nonzero
-    return sum(
-        math.comb(n_features, k) * (2 * bound) ** k
-        for k in range(min(n_features, max_active) + 1)
-    )
-
-
 def _half_grid_rows(
     n_features: int, n_constants: int, bound: int, constant_bound: int,
     max_active: int,
 ) -> int:
-    # Feature rows times every constant row; the closed form of what
-    # _half_grid allocates.
-    return (_feature_rows(n_features, bound, max_active)
-            * (2 * constant_bound + 1) ** n_constants)
+    # Feature rows with at most max_active nonzero entries, times every
+    # constant row; the closed form of what _half_grid allocates.
+    feature_rows = sum(
+        math.comb(n_features, k) * (2 * bound) ** k
+        for k in range(min(n_features, max_active) + 1)
+    )
+    return feature_rows * (2 * constant_bound + 1) ** n_constants
 
 
 def _check_budget(needed: int, budget: int) -> None:
@@ -723,7 +718,7 @@ def enumerate_monomials(
         have_keys = have_keys[right_order]
     first_match = np.searchsorted(have_keys, need_keys, "left")
     matches = np.searchsorted(have_keys, need_keys, "right") - first_match
-    del need_keys, have_keys  # the candidates' arrays may be larger
+    del need_keys, have_keys  # freed before the candidates' arrays are built
     needed += int(matches.sum())
     _check_budget(needed, budget)
     left_index = np.repeat(np.arange(len(left)), matches)

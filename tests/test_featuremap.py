@@ -1016,7 +1016,7 @@ class TestKeyedJoin:
         return calls
 
     def test_a_radix_past_int64_falls_back_and_matches_the_scan(self, fallbacks):
-        # each unit reaches 2 * 2**40 + 2 * 2**40, so the radix is about 2**86
+        # m and kg each reach 2 * 2**40 + 2 * 2**40, so the radix passes 2**86
         big = 2**40
         dims = [Dimension.of(m=big), Dimension.of(kg=big),
                 Dimension.of(m=big, kg=-big), Dimension.of(s=1)]

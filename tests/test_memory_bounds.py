@@ -4,13 +4,14 @@ Every row runs one layer on 200,000 rows, or the monomial search on one
 schema, and checks its peak against the bound the function's docstring
 states, so a bound cannot move in one place only.  The search's bound is
 over the count its budget caps (half-grid rows plus join candidates)
-times the row width times 8 bytes.  The CLI's split fit's bound is over the evaluated design it
-is handed, which it standardizes in place.  The stacked rank's bound is
-over the prefix buffers and labels it holds, not over its output; a
-three-seed experiment's is over the peak of the same experiment on one
-seed, a default chunk's over the stacks of its standardized designs, and
-the column grouping's over one column of its design.  ``evaluate_map``'s
-bound on a table that fails is checked in ``test_featuremap``.
+times the row width times 8 bytes.  The CLI's split fit's bound is over
+the evaluated design it is handed, which it standardizes in place.  The
+stacked rank's bound is over the prefix buffers and labels it holds, not
+over its output; a three-seed experiment's is over the peak of the same
+experiment on one seed, a default chunk's over the stacks of its
+standardized designs, and the column grouping's over one column of its
+design.  ``evaluate_map``'s bound on a table that fails is checked in
+``test_featuremap``.
 """
 
 import tracemalloc
