@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pifmap.dimension import (
@@ -72,6 +72,64 @@ def test_catalog_unit_strings_parse(text):
 def test_syntax_errors(text):
     with pytest.raises(UnitSyntaxError):
         parse_unit(text)
+
+
+# Each malformed string's exact error: class, message and position.
+ERROR_CASES = [
+    ("", UnitSyntaxError, "empty unit expression", 0),
+    ("   ", UnitSyntaxError, "empty unit expression", 3),
+    ("kg*", UnitSyntaxError, "expected unit symbol", 3),
+    ("m\N{MIDDLE DOT}", UnitSyntaxError, "expected unit symbol", 2),
+    ("kg/", UnitSyntaxError, "expected unit symbol", 3),
+    ("*kg", UnitSyntaxError, "unexpected character '*'", 0),
+    ("kg**2", UnitSyntaxError, "unexpected character '*'", 3),
+    ("m/\N{MIDDLE DOT}s", UnitSyntaxError, "unexpected character '\N{MIDDLE DOT}'", 2),
+    ("m^", UnitSyntaxError, "expected integer", 2),
+    ("rad^", UnitSyntaxError, "expected integer", 4),
+    ("m^ -", UnitSyntaxError, "expected integer", 3),
+    ("m^--1", UnitSyntaxError, "expected integer", 2),
+    ("m^+2", UnitSyntaxError, "expected integer", 2),
+    ("kg^(x/2)", UnitSyntaxError, "expected integer", 4),
+    ("m^(1/0)", UnitSyntaxError, "exponent denominator must be positive", 6),
+    ("m^(1/-2)", UnitSyntaxError, "exponent denominator must be positive", 7),
+    ("m^ (1/ 0)", UnitSyntaxError, "exponent denominator must be positive", 8),
+    ("kg^(1 2)", UnitSyntaxError, "expected '/'", 6),
+    ("kg^(1/2", UnitSyntaxError, "expected ')'", 7),
+    ("kg^(1/2/3)", UnitSyntaxError, "expected ')'", 7),
+    ("m^(1/2)^2", UnitSyntaxError, "unexpected character '^'", 7),
+    ("(kg", UnitSyntaxError, "expected ')'", 3),
+    ("kg*(m^2", UnitSyntaxError, "expected ')'", 7),
+    ("kg)", UnitSyntaxError, "unexpected character ')'", 2),
+    ("(kg))", UnitSyntaxError, "unexpected character ')'", 4),
+    ("()", UnitSyntaxError, "unexpected character ')'", 1),
+    ("kg m", UnitSyntaxError, "unexpected character 'm'", 3),
+    ("2*m", UnitSyntaxError, "unexpected character '2'", 0),
+    ("11", UnitSyntaxError, "unexpected character '1'", 1),
+    ("m2", UnitSyntaxError, "unexpected character '2'", 1),
+    ("kg^2.5", UnitSyntaxError, "unexpected character '.'", 4),
+    ("m_s", UnitSyntaxError, "unexpected character '_'", 1),
+    # '\N{SUPERSCRIPT TWO}' and '\N{VULGAR FRACTION ONE HALF}' are not
+    # letters (str.isalpha), so they end a symbol
+    ("m\N{SUPERSCRIPT TWO}", UnitSyntaxError,
+     "unexpected character '\N{SUPERSCRIPT TWO}'", 1),
+    ("kg*s\N{VULGAR FRACTION ONE HALF}", UnitSyntaxError,
+     "unexpected character '\N{VULGAR FRACTION ONE HALF}'", 4),
+    ("\N{MICRO SIGN}", UnknownUnitSymbol, "unknown unit symbol '\N{MICRO SIGN}'", 0),
+    ("m\N{MICRO SIGN}^2*q", UnknownUnitSymbol,
+     "unknown unit symbol 'm\N{MICRO SIGN}'", 0),
+    ("kg*furlong", UnknownUnitSymbol, "unknown unit symbol 'furlong'", 3),
+    ("kg\N{MIDDLE DOT}Kg", UnknownUnitSymbol, "unknown unit symbol 'Kg'", 3),
+]
+
+
+@pytest.mark.parametrize("text, error, message, position", ERROR_CASES)
+def test_error_message_and_position(text, error, message, position):
+    with pytest.raises(UnitSyntaxError) as excinfo:
+        parse_unit(text)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == f"{message} at position {position} in {text!r}"
+    assert excinfo.value.position == position
+    assert excinfo.value.text == text
 
 
 def test_unknown_symbol_position():
@@ -163,3 +221,85 @@ def test_pow_is_iterated_mul(d, k):
     for _ in range(abs(k)):
         expected = expected * step
     assert d ** k == expected
+
+
+def test_integral_fraction_and_int_exponents_are_one_dimension():
+    as_fraction = Dimension((Fraction(2), 0, 0, 0, 0, 0, 0))
+    as_int = Dimension((2, 0, 0, 0, 0, 0, 0))
+    assert as_fraction == as_int
+    assert hash(as_fraction) == hash(as_int)
+    assert {as_fraction: "kg^2"}[as_int] == "kg^2"
+    assert Dimension((Fraction(4, 2),) + (0,) * 6) == parse_unit("kg^2")
+
+
+# --------------------------------------------------------------------------
+# Differential test: unit strings drawn with their meaning, and parse_unit
+# compared with that meaning.  The meaning is worked out here with Fraction
+# exponents in a dict per base unit, from a symbol table written out anew,
+# and shares no code with the parser or with Dimension.
+
+_SI = ("kg", "m", "s", "A", "K", "mol", "cd")
+_MEANINGS = {
+    "kg": {"kg": 1}, "m": {"m": 1}, "s": {"s": 1}, "A": {"A": 1},
+    "K": {"K": 1}, "mol": {"mol": 1}, "cd": {"cd": 1},
+    "Pa": {"kg": 1, "m": -1, "s": -2}, "W": {"kg": 1, "m": 2, "s": -3},
+    "J": {"kg": 1, "m": 2, "s": -2}, "N": {"kg": 1, "m": 1, "s": -2},
+    "T": {"kg": 1, "s": -2, "A": -1}, "Hz": {"s": -1}, "rad": {},
+}
+_spaces = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+def _scaled(meaning, power):
+    return {unit: Fraction(e) * power for unit, e in meaning.items()}
+
+
+def _summed(left, right, sign):
+    return {unit: left.get(unit, Fraction(0)) + sign * right.get(unit, Fraction(0))
+            for unit in _SI}
+
+
+@st.composite
+def _powers(draw):
+    """The text after a '^' and the power it means."""
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=-12, max_value=12))
+        return f"{draw(_spaces)}{k}", Fraction(k)
+    p = draw(st.integers(min_value=-12, max_value=12))
+    q = draw(st.integers(min_value=1, max_value=12))
+    w = [draw(_spaces) for _ in range(5)]
+    return f"{w[0]}({w[1]}{p}{w[2]}/{w[3]}{q}{w[4]})", Fraction(p, q)
+
+
+@st.composite
+def _terms(draw, depth):
+    kind = draw(st.sampled_from(["symbol", "symbol", "one", "group"][: 4 if depth else 3]))
+    if kind == "one":
+        return "1", {}
+    if kind == "group":
+        text, meaning = draw(_expressions(depth - 1))
+        return f"({draw(_spaces)}{text}{draw(_spaces)})", meaning
+    symbol = draw(st.sampled_from(sorted(_MEANINGS)))
+    if draw(st.booleans()):
+        power_text, power = draw(_powers())
+        return f"{symbol}{draw(_spaces)}^{power_text}", _scaled(_MEANINGS[symbol], power)
+    return symbol, dict(_MEANINGS[symbol])
+
+
+@st.composite
+def _expressions(draw, depth=2):
+    """A unit expression of up to four terms, ``/`` chains included."""
+    text, meaning = draw(_terms(depth))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        operator = draw(st.sampled_from(["*", "\N{MIDDLE DOT}", "/"]))
+        term_text, term_meaning = draw(_terms(depth))
+        text += f"{draw(_spaces)}{operator}{draw(_spaces)}{term_text}"
+        meaning = _summed(meaning, term_meaning, -1 if operator == "/" else 1)
+    return text, meaning
+
+
+@settings(max_examples=300)
+@given(_expressions(), _spaces, _spaces)
+def test_parse_unit_matches_a_fraction_evaluator(drawn, before, after):
+    text, meaning = drawn
+    exponents = parse_unit(before + text + after).exponents
+    assert exponents == tuple(meaning.get(unit, Fraction(0)) for unit in _SI)
