@@ -7,9 +7,9 @@ entries are visible at a glance.  Exits 1 if any catalog carries an
 inconsistency its ``metadata["known_inconsistent"]`` does not list.  (A
 permissive load keeps every mismatch it finds, so the spec's own
 ``inconsistent_indices`` lists a new entry and a known one alike.)  Each
-dimension is ``monomial_dimension(spec, index)``, a Fraction sum over the
-spec's exponent row that is independent of the integer lattice product
-the spec's constructor runs.
+dimension is ``monomial_dimension(spec, index)``, an exact sum of unit
+exponents over the spec's exponent row, independent of the integer
+lattice product the spec's constructor runs.
 """
 
 import argparse

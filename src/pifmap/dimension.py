@@ -1,9 +1,12 @@
 """Exact dimensional algebra over the seven SI base units.
 
 A :class:`Dimension` is a vector of rational exponents over
-``(kg, m, s, A, K, mol, cd)``.  Exponents are `fractions.Fraction` values,
-kept in lowest terms with positive denominators, so equality and hashing
-are exact.  Dimensions form an abelian group under multiplication.
+``(kg, m, s, A, K, mol, cd)``.  A whole exponent, which nearly every one
+is, is stored as an ``int`` and any other as a `fractions.Fraction` in
+lowest terms with a positive denominator.  Equality and hashing are exact,
+since ``2 == Fraction(2)`` and both hash the same.  Dimensions form an
+abelian group under multiplication, which combines the stored exponents in
+integer arithmetic wherever they are whole.
 
 The module also provides a parser and canonical formatter for unit
 expressions:
@@ -13,15 +16,19 @@ expressions:
     power  := '^' (int | '(' int '/' int ')')
 
 ``/`` is left-associative, so ``kg/m/s == kg/(m*s)``.  Whitespace is
-ignored everywhere.  Recognized symbols are the seven base units plus the
-derived aliases Pa, W, J, N, T, Hz and rad (rad is dimensionless); the
-table is fixed.
+ignored everywhere.  A symbol is a run of letters (``str.isalpha``) and an
+integer an optional ``-`` and decimal digits.  Recognized symbols are the
+seven base units plus the derived aliases Pa, W, J, N, T, Hz and rad (rad
+is dimensionless); the table is fixed.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Mapping, Union
 
 from .errors import UnitSyntaxError, UnknownUnitSymbol
@@ -40,22 +47,39 @@ BASE_UNITS: tuple[str, ...] = ("kg", "m", "s", "A", "K", "mol", "cd")
 Rational = Union[int, Fraction]
 
 
-def _as_fraction(value: Rational) -> Fraction:
+def _exponent(value: Rational) -> Rational:
+    """``value`` as an int if it is whole, else as a lowest-terms Fraction."""
+    if type(value) is int:
+        return value
     # Floats are rejected: 0.1 would smuggle in a binary approximation and
     # break exact equality.
     if isinstance(value, float):
         raise TypeError("dimension exponents must be int or Fraction, not float")
-    return Fraction(value)
+    q = Fraction(value)
+    return int(q.numerator) if q.denominator == 1 else q
+
+
+def _combined(exponents: tuple[Rational, ...]) -> "Dimension":
+    """A dimension of exponents combined from stored ones, not validated again.
+
+    Ints combine to ints; a Fraction result that is whole becomes its int.
+    """
+    if Fraction in map(type, exponents):
+        exponents = tuple(e if type(e) is int or e.denominator != 1 else e.numerator
+                          for e in exponents)
+    dimension = object.__new__(Dimension)
+    object.__setattr__(dimension, "exponents", exponents)
+    return dimension
 
 
 @dataclass(frozen=True)
 class Dimension:
-    """Rational exponent vector over the SI base units."""
+    """Rational exponent vector over the SI base units: ints where whole."""
 
-    exponents: tuple[Fraction, ...]
+    exponents: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
-        exps = tuple(_as_fraction(e) for e in self.exponents)
+        exps = tuple(map(_exponent, self.exponents))
         if len(exps) != len(BASE_UNITS):
             raise ValueError(
                 f"expected {len(BASE_UNITS)} exponents, got {len(exps)}"
@@ -68,31 +92,26 @@ class Dimension:
         unknown = sorted(set(units) - set(BASE_UNITS))
         if unknown:
             raise ValueError(f"unknown base units: {unknown}")
-        return cls(tuple(_as_fraction(units.get(u, 0)) for u in BASE_UNITS))
+        return cls(tuple(units.get(u, 0) for u in BASE_UNITS))
 
     def __mul__(self, other: "Dimension") -> "Dimension":
         if not isinstance(other, Dimension):
             return NotImplemented
-        return Dimension(
-            tuple(a + b for a, b in zip(self.exponents, other.exponents))
-        )
+        return _combined(tuple(map(add, self.exponents, other.exponents)))
 
     def __truediv__(self, other: "Dimension") -> "Dimension":
         if not isinstance(other, Dimension):
             return NotImplemented
-        return Dimension(
-            tuple(a - b for a, b in zip(self.exponents, other.exponents))
-        )
+        return _combined(tuple(map(sub, self.exponents, other.exponents)))
 
     def __pow__(self, exponent: Rational) -> "Dimension":
-        q = _as_fraction(exponent)
-        return Dimension(tuple(e * q for e in self.exponents))
+        return _combined(tuple(map(mul, self.exponents, repeat(_exponent(exponent)))))
 
     def __str__(self) -> str:
         return format_unit(self)
 
 
-DIMENSIONLESS = Dimension((Fraction(0),) * len(BASE_UNITS))
+DIMENSIONLESS = Dimension((0,) * len(BASE_UNITS))
 
 
 def _base(**units: Rational) -> Dimension:
@@ -118,9 +137,21 @@ UNIT_SYMBOLS: Mapping[str, Dimension] = {
 }
 
 _MULTIPLY_CHARS = frozenset({"*", "\N{MIDDLE DOT}"})
+_SPACES = re.compile(r"\s*")
+# \w less digits and "_": every letter (str.isalpha), and the few numeric
+# characters that are not decimal digits, such as "\N{SUPERSCRIPT TWO}",
+# which end a symbol (_Parser.symbol)
+_WORD = re.compile(r"[^\W\d_]+")
+_INTEGER = re.compile(r"-?\d+")
 
 
 class _Parser:
+    """Recursive descent over ``text``; ``pos`` is the next character read.
+
+    Each step matches one compiled pattern at ``pos``: a run of spaces, a
+    symbol or an integer.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -130,15 +161,13 @@ class _Parser:
             message, self.pos if position is None else position, self.text
         )
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+    def peek(self) -> str:
+        """The next character that is not a space, or "" at the end."""
+        ch = self.text[self.pos : self.pos + 1]
+        if ch.isspace():
+            self.pos = _SPACES.match(self.text, self.pos).end()
+            ch = self.text[self.pos : self.pos + 1]
+        return ch
 
     def expect(self, char: str) -> None:
         if self.peek() != char:
@@ -146,10 +175,10 @@ class _Parser:
         self.pos += 1
 
     def parse(self) -> Dimension:
-        if self.peek() is None:
+        if not self.peek():
             self.fail("empty unit expression")
         dim = self.parse_expr()
-        if self.peek() is not None:
+        if self.peek():
             self.fail(f"unexpected character {self.text[self.pos]!r}")
         return dim
 
@@ -168,7 +197,7 @@ class _Parser:
 
     def parse_term(self) -> Dimension:
         ch = self.peek()
-        if ch is None:
+        if not ch:
             self.fail("expected unit symbol")
         if ch == "(":
             self.pos += 1
@@ -180,9 +209,7 @@ class _Parser:
             return DIMENSIONLESS
         if ch.isalpha():
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isalpha():
-                self.pos += 1
-            symbol = self.text[start : self.pos]
+            symbol = self.symbol()
             try:
                 dim = UNIT_SYMBOLS[symbol]
             except KeyError:
@@ -193,9 +220,16 @@ class _Parser:
             return dim
         self.fail(f"unexpected character {ch!r}")
 
-    def parse_exponent(self) -> Fraction:
-        ch = self.peek()
-        if ch == "(":
+    def symbol(self) -> str:
+        """The run of letters at ``pos``, which is a letter."""
+        symbol = _WORD.match(self.text, self.pos)[0]
+        if not symbol.isalpha():
+            symbol = symbol[: next(i for i, c in enumerate(symbol) if not c.isalpha())]
+        self.pos += len(symbol)
+        return symbol
+
+    def parse_exponent(self) -> Rational:
+        if self.peek() == "(":
             self.pos += 1
             numerator = self.parse_int()
             self.expect("/")
@@ -204,19 +238,15 @@ class _Parser:
                 self.fail("exponent denominator must be positive")
             self.expect(")")
             return Fraction(numerator, denominator)
-        return Fraction(self.parse_int())
+        return self.parse_int()
 
     def parse_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        digits_start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits_start:
-            self.fail("expected integer", start)
-        return int(self.text[start : self.pos])
+        self.peek()
+        match = _INTEGER.match(self.text, self.pos)
+        if match is None:
+            self.fail("expected integer")
+        self.pos = match.end()
+        return int(match[0])
 
 
 def parse_unit(text: str) -> Dimension:
@@ -226,11 +256,11 @@ def parse_unit(text: str) -> Dimension:
     return _Parser(text).parse()
 
 
-def _exponent_suffix(e: Fraction) -> str:
+def _exponent_suffix(e: Rational) -> str:
     if e == 1:
         return ""
-    if e.denominator == 1:
-        return f"^{e.numerator}"
+    if type(e) is int:
+        return f"^{e}"
     return f"^({e.numerator}/{e.denominator})"
 
 

@@ -14,11 +14,11 @@ with ``allow_inconsistent=True`` keeps the monomials that miss it and
 carries human-readable ``diagnostics`` for them instead of silently passing.
 The constructor is the one way to build a spec (:func:`spec_from_dict`
 reads a document into the same call), and :func:`monomial_dimension` reads
-one row's dimension back as an exact Fraction sum.
+one row's dimension back as an exact sum of unit exponents.
 
 Validation and enumeration work on one exact integer table: unit exponents
-scaled by the lcm of their denominators, one row ``D[i]`` per column or
-constant.  A spec's monomials are validated with one product ``E @ D == t``
+(ints, unless a unit carries a fractional power) scaled by the lcm of
+their denominators, one row ``D[i]`` per column or constant.  A spec's monomials are validated with one product ``E @ D == t``
 over its exponent matrix ``E``; row ``i`` of ``E @ D`` over the lcm is
 monomial ``i``'s dimension.  :func:`enumerate_monomials` returns the
 exponent matrix of every monomial of a given dimension within exponent
@@ -172,8 +172,9 @@ def monomial_dimension(spec: FeatureMapSpec, index: int) -> Dimension:
 
     Columns wrapped in a non-identity transform contribute a dimensionless
     factor regardless of their own dimension.  The sum runs over each
-    item's Fraction exponents and shares no code with the integer lattice
-    that the constructor checks.
+    item's exact exponents in :class:`~pifmap.dimension.Dimension`'s own
+    algebra and shares no code with the integer lattice that the
+    constructor checks.
     """
     index = range(len(spec))[index]
     dimensions = (*spec.column_dimensions, *(c.dimension for c in spec.constants))
@@ -204,15 +205,15 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 def _integer_dimension_table(
     dimensions: Sequence[Dimension], target: Dimension
 ) -> tuple[list[list[int]], list[int], int]:
-    denominators = [e.denominator for d in dimensions for e in d.exponents]
-    denominators += [e.denominator for e in target.exponents]
-    scale = math.lcm(*denominators) if denominators else 1
-    # e * scale is an integer; integer arithmetic gives it without a Fraction
-    table = [
-        [e.numerator * (scale // e.denominator) for e in d.exponents]
-        for d in dimensions
-    ]
-    target_row = [e.numerator * (scale // e.denominator) for e in target.exponents]
+    rows = [d.exponents for d in dimensions]
+    rows.append(target.exponents)
+    # A whole exponent is stored as an int, so only a Fraction needs scaling
+    scale = 1
+    if Fraction in map(type, itertools.chain.from_iterable(rows)):
+        scale = math.lcm(*(e.denominator for row in rows for e in row))
+        # e * scale is an integer; integer arithmetic gives it without a Fraction
+        rows = [[e.numerator * (scale // e.denominator) for e in row] for row in rows]
+    *table, target_row = map(list, rows)
     return table, target_row, scale
 
 

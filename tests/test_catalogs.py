@@ -75,7 +75,7 @@ class TestLoading:
 
     def test_strict_load_checks_each_monomial_once(self, monkeypatch):
         # one integer product checks every monomial; a consistent spec
-        # never needs the per-monomial Fraction sum
+        # never needs the per-monomial exponent sum
         lattice_checks, dimension_calls = self._count_checks(monkeypatch)
         spec = load_catalog("bernoulli")
         assert len(lattice_checks) == 1
@@ -85,7 +85,7 @@ class TestLoading:
     def test_permissive_load_sums_only_the_mismatched_monomials(self, monkeypatch):
         # the one lattice product also gives each mismatched row's
         # dimension, so neither diagnostics nor the strict load's error
-        # needs the per-monomial Fraction sum
+        # needs the per-monomial exponent sum
         lattice_checks, dimension_calls = self._count_checks(monkeypatch)
         spec = load_catalog("pulsar", allow_inconsistent=True)
         assert spec.inconsistent_indices == (2, 6)

@@ -232,6 +232,34 @@ def test_integral_fraction_and_int_exponents_are_one_dimension():
     assert Dimension((Fraction(4, 2),) + (0,) * 6) == parse_unit("kg^2")
 
 
+def test_whole_exponents_are_stored_as_ints():
+    assert all(type(e) is int for e in parse_unit("kg*m^-1/(s^2*T)").exponents)
+    assert all(type(e) is int for e in DIMENSIONLESS.exponents)
+    half = parse_unit("m^(1/2)")
+    assert half.exponents[1] == Fraction(1, 2)
+    assert type(half.exponents[1]) is Fraction
+    for whole in (half * half, half ** 2, (half ** Fraction(4, 3)) ** Fraction(3, 2),
+                  Dimension((Fraction(4, 2), True) + (0,) * 5),
+                  Dimension.of(m=Fraction(-3, 1))):
+        assert all(type(e) is int for e in whole.exponents), whole.exponents
+    assert parse_unit("m^(2/4)").exponents[1] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("text, message, position", [
+    # a digit that is not a decimal digit ends an integer
+    ("m^\N{SUPERSCRIPT TWO}", "expected integer", 2),
+    ("m^2\N{SUPERSCRIPT TWO}", "unexpected character '\N{SUPERSCRIPT TWO}'", 3),
+])
+def test_a_superscript_digit_is_a_syntax_error(text, message, position):
+    with pytest.raises(UnitSyntaxError) as excinfo:
+        parse_unit(text)
+    assert str(excinfo.value) == f"{message} at position {position} in {text!r}"
+
+
+def test_decimal_digits_of_any_script_make_an_integer():
+    assert parse_unit("m^\N{ARABIC-INDIC DIGIT THREE}") == parse_unit("m^3")
+
+
 # --------------------------------------------------------------------------
 # Differential test: unit strings drawn with their meaning, and parse_unit
 # compared with that meaning.  The meaning is worked out here with Fraction

@@ -694,7 +694,7 @@ class TestEnumerate:
 
 # --------------------------------------------------------------------------
 # Oracles for the integer lattice: a brute-force scan for the search and
-# the per-monomial Fraction sum (monomial_dimension) for validation.
+# the per-monomial exponent sum (monomial_dimension) for validation.
 
 _BASES = ("kg", "m", "s")
 _EXPONENTS = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2),
