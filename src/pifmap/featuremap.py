@@ -200,6 +200,8 @@ def monomial_dimension(spec: FeatureMapSpec, index: int) -> Dimension:
 # _dimension_keys where the radix overflows).
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# rows of the enumerated matrix gathered or order-checked at a time
+_OUTPUT_BLOCK_ROWS = 8192
 
 
 def _integer_dimension_table(
@@ -597,12 +599,14 @@ def _radix_weights(
 
 
 def _strictly_increasing(rows: np.ndarray) -> bool:
-    # each row's first difference from its predecessor must be positive
-    if len(rows) < 2:
-        return True
-    step = np.diff(rows, axis=0)
-    first = (step != 0).argmax(axis=1)
-    return bool(np.all(step[np.arange(len(step)), first] > 0))
+    # each row's first difference from its predecessor must be positive;
+    # taken over blocks of rows, so no copy of the whole matrix is made
+    for start in range(0, len(rows) - 1, _OUTPUT_BLOCK_ROWS):
+        step = np.diff(rows[start : start + _OUTPUT_BLOCK_ROWS + 1], axis=0)
+        first = (step != 0).argmax(axis=1)
+        if not np.all(step[np.arange(len(step)), first] > 0):
+            return False
+    return True
 
 
 def enumerate_monomials(
@@ -642,7 +646,11 @@ def enumerate_monomials(
     output, and no per-unit product: on pulsar's eight features with ``mu0``
     and ``c`` at bounds 4/4 (113,762 half-grid rows plus join candidates,
     10 exponents a row), the ``tracemalloc`` peak is under 0.8x that count
-    times the row width times 8 bytes.
+    times the row width times 8 bytes.  The kept rows of both halves are
+    gathered straight into the output, and its order is checked, a block
+    of rows at a time, so no second copy of the output is held: on flare's
+    nine features at bounds 4/9 (63,272 rows), the peak is under 2.1x the
+    output.
     """
     features = tuple(schema.features if isinstance(schema, FeatureSchema) else schema)
     constants = tuple(constants)
@@ -726,9 +734,18 @@ def enumerate_monomials(
     right_index = right_order[np.repeat(first_match, matches) + _group_offsets(matches)]
     active = left_active[left_index] + right_active[right_index]
     keep = (active >= 1) & (active <= max_active_features)
-    rows = np.concatenate(
-        [left[left_index[keep]], right[right_index[keep]]], axis=1
-    )
+    left_index, right_index = left_index[keep], right_index[keep]
+    del first_match, matches, right_order, active, keep
+    # The kept rows are gathered into the output a block at a time: numpy
+    # writes a take into a column slice through a buffer of its size (and
+    # any take in mode "raise"; the indices are in range, so "clip" clips
+    # nothing).
+    rows = np.empty((len(left_index), len(dims)), dtype=np.int64)
+    for start in range(0, len(rows), _OUTPUT_BLOCK_ROWS):
+        block = slice(start, start + _OUTPUT_BLOCK_ROWS)
+        np.take(left, left_index[block], axis=0, out=rows[block, :n_left], mode="clip")
+        np.take(right, right_index[block], axis=0, out=rows[block, n_left:], mode="clip")
+    del left, right, left_index, right_index  # freed before the order check
     # Left-major order over sorted halves, with each key's right rows in
     # their own order, is lexicographic order of the whole row.
     if not _strictly_increasing(rows):
