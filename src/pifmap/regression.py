@@ -25,14 +25,16 @@ own design and labels bit for bit.
 
 Inputs are checked once each, by one helper per kind: ``_check_matrix``
 (2-d, every entry finite) for every design a public function takes,
-``_check_finite`` for a stack of designs the private stacked calls take,
-``_check_labels`` (one finite label per row of each item) for the labels
-and ``_check_lambda`` (finite, non-negative) for each ridge strength.  A
-non-finite entry raises :class:`~pifmap.errors.NonFiniteInput`, and
-finite entries pass however large their sum.  :func:`standardize_fit`
-sums every column anyway, and a column with a non-finite entry has a
-non-finite sum, so it runs ``_check_matrix``'s entry test only when a sum
-is not finite.
+``_check_finite`` for the training rows ``_standardized`` takes and the
+evaluation stacks ``_ridge_predictions`` takes, ``_check_labels`` (one
+finite label per row of each item) for the labels and ``_check_lambda``
+(finite, non-negative) for each ridge strength.  A non-finite entry
+raises :class:`~pifmap.errors.NonFiniteInput`, and finite entries pass
+however large their sum.  :func:`standardize_fit` sums every column
+anyway, and a column with a non-finite entry has a non-finite sum, so it
+runs ``_check_matrix``'s entry test only when a sum is not finite.  The
+training designs ``_standardized`` returns are finite by construction,
+so the private ``_ridge_fits`` and ``_select_lambda`` fit them unchecked.
 
 Most fits in a run are small (hundreds of rows, a few columns), so their
 time is the fixed cost of each numpy call, not arithmetic.  The code takes
@@ -248,7 +250,15 @@ def _standardized(
     one is dropped, and the stacks are its leading ``k`` and trailing
     ``n - k`` rows of those columns, views whose items have leading
     dimension ``n``.  A non-finite training entry still raises before
-    ``X`` is written; a later error leaves it partly standardized.  Every
+    ``X`` is written; a later error leaves it partly standardized.
+
+    Every entry of a training stack returned is finite, so its fits need
+    no check of their own: finite means and scales bound every centered
+    entry.  A non-finite training entry makes its column's mean non-finite
+    and raises, and a centered entry ``c`` adds ``c**2`` to its column's
+    sum of squares ``k * scale**2``, so ``|c| <= sqrt(k) * scale`` and the
+    standardized entry ``c / scale`` (``scale > 0`` for a kept column)
+    lies within ``sqrt(k)`` of 0.  Every
     value is the same bit as a copy's, since each step works entry by entry
     and the squares are summed from the same buffer.  A row-major design is
     never overwritten: its ``Z`` is written column-major, as the Gram and
@@ -556,9 +566,9 @@ def _ridge_fits(
     ``Z`` and ``lam`` are checked once for the whole stack and each
     design's Gram is formed once; each model equals a ``ridge_fit`` of its
     own design and labels bit for bit.  Returns one model per item, in
-    order.
+    order.  ``Z`` is not checked: a caller passes a design it checked, or
+    stacks that :func:`_standardized` made (see there why they are finite).
     """
-    Z = _check_finite(Z, "Z")
     designs, n, p = Z.shape
     intercepts, centered = _centered_labels(y, n)
     _check_lambda(lam)
@@ -609,7 +619,7 @@ def ridge_fit(
     :class:`~pifmap.errors.SingularSystem`.
     """
     return _ridge_fits(
-        _as_matrix(Z, "Z")[None], _as_stack(y), lam,
+        _check_matrix(Z, "Z")[None], _as_stack(y), lam,
         feature_names=None if feature_names is None else [feature_names],
         standardizations=None if standardization is None else [standardization],
     )[0]
@@ -673,7 +683,13 @@ def select_lambda(
     Gram's rounding, where both solves carry rounding amplified by
     ``1/lambda`` and near-equal validation errors can swap.
     """
-    Z = _check_matrix(Z, "Z")
+    return _select_lambda(_check_matrix(Z, "Z"), y, grid)
+
+
+def _select_lambda(Z: np.ndarray, y: np.ndarray, grid: Sequence[float]) -> float:
+    """:func:`select_lambda` of a 2-d float design that is not checked again:
+    one the caller checked, or a training design :func:`_standardized` made.
+    """
     if not grid:
         raise ValueError("lambda grid is empty")
     grid = [float(lam) for lam in grid]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pifmap import cli
+from pifmap import cli, regression
 from pifmap.catalogs import load_catalog
 from pifmap.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from pifmap.data import _BLOCK_ROWS, read_csv, write_csv
@@ -597,6 +597,19 @@ class TestSplitFit:
         assert np.array_equal(_bits(X), _bits(before))
         for Z in result[2:]:
             assert Z.flags.f_contiguous and not np.shares_memory(Z, X)
+
+    @pytest.mark.parametrize("layout", ["column-major", "row-major"])
+    def test_the_fit_checks_no_standardized_design_again(self, layout, monkeypatch):
+        # _standardized's training designs are finite by construction
+        Phi, y, names = _bernoulli_design(False)
+        if layout == "row-major":
+            Phi = np.ascontiguousarray(Phi)
+        checked = []
+        check = regression._check_finite
+        monkeypatch.setattr(regression, "_check_finite",
+                            lambda X, name: checked.append(X.shape) or check(X, name))
+        cli._split_fit(Phi, y, names, 0.7, 1e-3, DEFAULT_LAMBDA_GRID)
+        assert checked == []
 
     def test_non_finite_training_entry_raises_before_any_write(self):
         Phi, y, names = _bernoulli_design(False)

@@ -328,6 +328,21 @@ class TestRunExperiment:
             counts.append(len(calls))
         assert counts[1] == counts[2] > 0
 
+    @pytest.mark.parametrize("name", ["bernoulli", "binary"])
+    def test_standardized_training_stacks_are_fitted_unchecked(self, name, monkeypatch):
+        # each arm's training stack is finite by construction
+        # (regression._standardized), so no fit checks it again; the
+        # predictions still check each evaluation stack
+        checked = []
+        check = regression._check_finite
+        monkeypatch.setattr(regression, "_check_finite",
+                            lambda X, what: checked.append(X.shape) or check(X, what))
+        settings = TrialSettings(n=200)
+        run_experiment(name, seeds=(1, 2), settings=settings)
+        k = split_point(settings.n, settings.split)
+        stacks = [shape for shape in checked if len(shape) == 3]
+        assert stacks and all(shape[:2] == (2, settings.n - k) for shape in stacks)
+
     def test_report_json_serializable(self, bernoulli_report, binary_report):
         json.dumps(bernoulli_report)
         json.dumps(binary_report)

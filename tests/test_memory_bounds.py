@@ -176,7 +176,7 @@ def _flare_search():
     (add_noise, _noise, 1.01),
     (standardize_fit, _column_major_standardize, 1.15),
     (standardize_fit, _row_major_standardize, 1.05),
-    (cli._split_fit, _split_fit, 0.11),
+    (cli._split_fit, _split_fit, 0.102),
     (_ranked_refits, _stacked_rank, 1.15),
     (experiments.run_experiment, _three_seed_experiment, 1.02),
     (experiments.run_experiment, _default_chunk, 2.4),

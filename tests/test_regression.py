@@ -497,6 +497,15 @@ class TestSelectLambda:
         with pytest.raises(InsufficientData):
             select_lambda(Z, y, (1e-3,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [2, 9])  # a training row, a validation row
+    def test_every_non_finite_entry_rejected(self, bad, row):
+        Z, y = _random_problem(23, n=10)
+        Z = Z.copy()
+        Z[row, 1] = bad
+        with pytest.raises(NonFiniteInput, match="Z contains non-finite"):
+            select_lambda(Z, y, (1e-3, 1e-1))
+
     @staticmethod
     def _refit_per_value(Z, y, grid):
         """Oracle: one independent ridge_fit per grid value, last 30% held out."""
