@@ -18,9 +18,10 @@ one row's dimension back as an exact sum of unit exponents.
 
 Validation and enumeration work on one exact integer table: unit exponents
 (ints, unless a unit carries a fractional power) scaled by the lcm of
-their denominators, one row ``D[i]`` per column or constant.  A spec's monomials are validated with one product ``E @ D == t``
-over its exponent matrix ``E``; row ``i`` of ``E @ D`` over the lcm is
-monomial ``i``'s dimension.  :func:`enumerate_monomials` returns the
+their denominators, one row ``D[i]`` per column or constant.  A spec's
+monomials are validated with one product ``E @ D == t`` over its exponent
+matrix ``E``; row ``i`` of ``E @ D`` over the lcm is monomial ``i``'s
+dimension.  :func:`enumerate_monomials` returns the
 exponent matrix of every monomial of a given dimension within exponent
 bounds, found by a meet-in-the-middle search (Horowitz & Sahni, 1974): it
 lists the exponent rows of each half of the items and joins them on
