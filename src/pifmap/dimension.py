@@ -156,10 +156,8 @@ class _Parser:
         self.text = text
         self.pos = 0
 
-    def fail(self, message: str, position: int | None = None) -> None:
-        raise UnitSyntaxError(
-            message, self.pos if position is None else position, self.text
-        )
+    def fail(self, message: str) -> None:
+        raise UnitSyntaxError(message, self.pos, self.text)
 
     def peek(self) -> str:
         """The next character that is not a space, or "" at the end."""
