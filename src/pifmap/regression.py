@@ -250,7 +250,11 @@ def _standardized(
     one is dropped, and the stacks are its leading ``k`` and trailing
     ``n - k`` rows of those columns, views whose items have leading
     dimension ``n``.  A non-finite training entry still raises before
-    ``X`` is written; a later error leaves it partly standardized.
+    ``X`` is written; a later error leaves it partly standardized.  Every
+    value is the same bit as a copy's, since each step works entry by entry
+    and the squares are summed from the same buffer.  A row-major design is
+    never overwritten: its ``Z`` is written column-major, as the Gram and
+    the predictions round according to that layout.
 
     Every entry of a training stack returned is finite, so its fits need
     no check of their own: finite means and scales bound every centered
@@ -258,11 +262,7 @@ def _standardized(
     and raises, and a centered entry ``c`` adds ``c**2`` to its column's
     sum of squares ``k * scale**2``, so ``|c| <= sqrt(k) * scale`` and the
     standardized entry ``c / scale`` (``scale > 0`` for a kept column)
-    lies within ``sqrt(k)`` of 0.  Every
-    value is the same bit as a copy's, since each step works entry by entry
-    and the squares are summed from the same buffer.  A row-major design is
-    never overwritten: its ``Z`` is written column-major, as the Gram and
-    the predictions round according to that layout.
+    lies within ``sqrt(k)`` of 0.
     """
     designs, n, p = X.shape
     in_place = overwrite and designs == 1 and X[0].flags.f_contiguous
@@ -563,8 +563,8 @@ def _ridge_fits(
     ``Z`` is ``(designs, n, p)`` and ``y`` ``(items, n)``; consecutive
     items share a design, ``items // designs`` each, and
     ``feature_names`` and ``standardizations`` hold one entry per design.
-    ``Z`` and ``lam`` are checked once for the whole stack and each
-    design's Gram is formed once; each model equals a ``ridge_fit`` of its
+    ``lam`` is checked once for the whole stack and each design's Gram is
+    formed once; each model equals a ``ridge_fit`` of its
     own design and labels bit for bit.  Returns one model per item, in
     order.  ``Z`` is not checked: a caller passes a design it checked, or
     stacks that :func:`_standardized` made (see there why they are finite).
