@@ -339,6 +339,81 @@ class TestCsvBlocks:
             read_csv(path)
 
 
+# The characters a property test's data cells are made of: the makings of
+# numbers (with the letters of inf and nan), ASCII whitespace with the
+# separators \x1c-\x1f, the digit-group underscore, non-ASCII digits and
+# spaces, and a byte that is not UTF-8 (written out as the byte 0xff).
+_CELL_ALPHABET = ("0123456789+-.eEinfaINFA"
+                  " \t\r\x0b\x0c\x1c\x1d\x1e\x1f_１٣\xa0\u2003\udcff")
+_PADDING = st.text(" \t\r\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u2003", max_size=2)
+_CELLS = st.one_of(
+    st.text(_CELL_ALPHABET, max_size=6),
+    st.builds(lambda before, x, after: before + repr(x) + after,
+              _PADDING, st.floats(), _PADDING),
+)
+_LONG_MANTISSA = "0." + "1234567890" * 40 + "e-3"
+
+
+def _rule_reads(cell):
+    """The value of ``cell`` by the data module's rule for a data cell, or
+    ``None``: an ASCII cell with no ``_``, ``\\r`` or ``\\x1c``-``\\x1f``
+    that ``float`` reads."""
+    if not cell.isascii() or any(c in cell for c in "_\r\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+class TestCellRule:
+    """The block reader and the bad-line scan accept the same cells."""
+
+    @settings(max_examples=400,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(2, 3).flatmap(lambda width: st.lists(
+        st.lists(_CELLS, min_size=width, max_size=width), min_size=1, max_size=4)))
+    @example([["1.5", "１２"]])
+    @example([["٣", "1.0"]])
+    @example([["1.0", "2.0"], ["1\x1c", "2.0"]])
+    @example([["\x1f1", "2.0"]])
+    @example([["\xa01", "1\u2003"]])
+    @example([["1_0", "2.0"]])
+    @example([["\x0b1\x0c", "2\r"], ["3\r", "4"]])
+    @example([["1.0", "2\r\r"]])
+    @example([["1.0", "2.0\udcff"]])
+    @example([["2.2250738585072011e-308", _LONG_MANTISSA, "-" + _LONG_MANTISSA]])
+    @example([["1e400", "x"]])
+    @example([["nan", "2.0"]])
+    def test_a_cell_is_read_exactly_when_it_passes_the_rule(self, tmp_path, rows):
+        width = len(rows[0])
+        names = [f"x_{j}" for j in range(width - 1)] + ["label"]
+        text = ",".join(f"{name}[m]" for name in names) + "\n"
+        text += "".join(",".join(row) + "\n" for row in rows)
+        path = tmp_path / "cells.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        # a \r that ends a line's last cell is the line's ending
+        values = [[_rule_reads(cell) for cell in [*row[:-1], row[-1].removesuffix("\r")]]
+                  for row in rows]
+        bad = [(i, j) for i, row in enumerate(values)
+               for j, value in enumerate(row) if value is None]
+        if bad:
+            i, j = bad[0]
+            with pytest.raises(SchemaMismatch) as err:
+                read_csv(path)
+            assert str(err.value) == (
+                f"{path}:{i + 2}: column {names[j]!r} holds {rows[i][j]!r}, "
+                "which is not a number"
+            )
+        elif not np.isfinite(values).all():
+            with pytest.raises(NonFiniteInput):
+                read_csv(path)
+        else:
+            back = read_csv(path)
+            assert np.array_equal(_bits(np.column_stack((back.X, back.y))),
+                                  _bits(np.array(values)))
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
