@@ -882,6 +882,23 @@ class TestMalformedDocuments:
             "column 'rho' holds '1_0', which is not a number"
         ]
 
+    @pytest.mark.parametrize("cell", ["１２", "1\x1c"])
+    def test_a_cell_float_or_the_reader_alone_accepts_exits_3(self, cell, bernoulli_csv,
+                                                             tmp_path, capsys):
+        # float reads the full-width digits as 12.0; the C reader strips \x1c
+        lines = bernoulli_csv.read_text(encoding="utf-8").split("\n")
+        cells = lines[3].split(",")
+        cells[1] = cell
+        lines[3] = ",".join(cells)
+        bernoulli_csv.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert run("fit", "--data", str(bernoulli_csv), "--raw",
+                   "--out", str(tmp_path / "m.json")) == EXIT_IO
+        assert capsys.readouterr().err.splitlines() == [
+            f"pifmap: error: malformed dataset {bernoulli_csv}:4: "
+            f"column 'rho' holds {cell!r}, which is not a number"
+        ]
+
     @pytest.mark.parametrize("row", [2 * _BLOCK_ROWS + 5, -1],
                              ids=["data-line-in-a-later-block", "header-cell"])
     def test_a_byte_that_is_not_utf8_exits_3(self, row, tmp_path, capsys):
