@@ -67,15 +67,17 @@ def _tick_label(value: float) -> str:
 def render_boxplot(title: str, ylabel: str, groups) -> str:
     """Render labeled IQR boxes side by side; returns the SVG text.
 
-    ``groups`` is a sequence of ``(label, values)`` pairs.  The y axis
-    switches to log10 when every quartile is positive and the quartile
-    range spans more than a factor of 50, which keeps arms of very
-    different magnitude visible on one figure.
+    ``groups`` is a sequence of ``(label, values)`` pairs.  A group with no
+    values (a score undefined in every trial) is drawn without a box, its
+    label marked ``(undefined)``.  The y axis switches to log10 when every
+    quartile is positive and the quartile range spans more than a factor of
+    50, which keeps arms of very different magnitude visible on one figure.
     """
-    groups = [(str(label), box_stats(values)) for label, values in groups]
+    groups = [(str(label), box_stats(values) if len(values) else None)
+              for label, values in groups]
     if not groups:
         raise EmptyInput("box plot needs at least one group")
-    quartiles = [q for _, stats in groups for q in stats]
+    quartiles = [q for _, stats in groups if stats for q in stats] or [0.0]
     lo, hi = min(quartiles), max(quartiles)
     use_log = lo > 0.0 and hi / lo > _LOG_SWITCH_RATIO
     if use_log:
@@ -132,20 +134,23 @@ def render_boxplot(title: str, ylabel: str, groups) -> str:
         )
 
     slot = plot_w / len(groups)
-    for i, (label, (q1, med, q3)) in enumerate(groups):
+    for i, (label, stats) in enumerate(groups):
         cx = _MARGIN_LEFT + slot * (i + 0.5)
-        x0 = cx - _BOX_WIDTH / 2
-        y_q1, y_med, y_q3 = y_pos(q1), y_pos(med), y_pos(q3)
-        parts.append(
-            f'<rect x="{_fmt(x0)}" y="{_fmt(y_q3)}" width="{_fmt(_BOX_WIDTH)}" '
-            f'height="{_fmt(max(y_q1 - y_q3, 0.5))}" fill="#9ecae1" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(y_med)}" '
-            f'x2="{_fmt(x0 + _BOX_WIDTH)}" y2="{_fmt(y_med)}" '
-            'stroke="black" stroke-width="2"/>'
-        )
+        if stats is None:
+            label += " (undefined)"
+        else:
+            x0 = cx - _BOX_WIDTH / 2
+            y_q1, y_med, y_q3 = map(y_pos, stats)
+            parts.append(
+                f'<rect x="{_fmt(x0)}" y="{_fmt(y_q3)}" width="{_fmt(_BOX_WIDTH)}" '
+                f'height="{_fmt(max(y_q1 - y_q3, 0.5))}" fill="#9ecae1" '
+                'stroke="black" stroke-width="1"/>'
+            )
+            parts.append(
+                f'<line x1="{_fmt(x0)}" y1="{_fmt(y_med)}" '
+                f'x2="{_fmt(x0 + _BOX_WIDTH)}" y2="{_fmt(y_med)}" '
+                'stroke="black" stroke-width="2"/>'
+            )
         parts.append(
             f'<text x="{_fmt(cx)}" y="{_fmt(_HEIGHT - _MARGIN_BOTTOM + 18)}" '
             'text-anchor="middle" font-family="sans-serif" font-size="11">'

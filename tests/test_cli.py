@@ -1501,6 +1501,25 @@ class TestReproduce:
         assert "binary_hss.svg" in plots
         assert all(name.endswith(".svg") for name in plots)
 
+    def test_an_arm_with_no_defined_score_is_plotted_without_a_box(self, tmp_path,
+                                                                  capsys):
+        # one test row: every trial's tss is undefined in both arms
+        out = tmp_path / "reports"
+        assert run("reproduce", "binary", "--seeds", "1:5", "--n", "4",
+                   "--out", str(out)) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        base = out / "binary"
+        report = json.loads((base / "report.json").read_text(encoding="utf-8"))
+        assert {trial["arms"][arm]["scores"]["tss"]
+                for trial in report["trials"] for arm in trial["arms"]} == {None}
+        plots = {path.name: path.read_text(encoding="utf-8")
+                 for path in (base / "plots").iterdir()}
+        assert sorted(plots) == [f"binary_{field}.svg" for field in
+                                 ("accuracy", "hss", "sensitivity", "specificity", "tss")]
+        tss = plots["binary_tss.svg"]
+        assert "<line" in tss and tss.count("<rect") == 1  # the background only
+        assert ">sf (undefined)</text>" in tss and ">spif (undefined)</text>" in tss
+
     def test_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "reports"
         argv = ("reproduce", "bernoulli", "--seeds", "2:3", "--n", "60",

@@ -118,8 +118,14 @@ class TestRenderBoxplot:
     def test_empty_groups_rejected(self):
         with pytest.raises(EmptyInput):
             render_boxplot("t", "y", [])
-        with pytest.raises(EmptyInput):
-            render_boxplot("t", "y", [("a", [])])
+
+    def test_a_group_with_no_values_is_drawn_undefined(self):
+        svg = render_boxplot("t", "tss", [("a", []), ("b", [1.0, 3.0])])
+        xml.dom.minidom.parseString(svg)
+        assert svg.count("<rect") == 2  # the background and b's box
+        assert ">a (undefined)</text>" in svg and ">b</text>" in svg
+        alone = render_boxplot("t", "tss", [("a", [])])
+        assert alone.count("<rect") == 1 and ">a (undefined)</text>" in alone
 
     def test_coordinates_fixed_precision(self):
         # every numeric attribute uses two decimals: no float repr noise
