@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the benchmark on two revisions in alternating pairs and compare them.
 
-    python3 scripts/bench_pairs.py OLD_REV NEW_REV --workload W --seeds A-B [--seconds 25]
+    python3 scripts/bench_pairs.py OLD_REV NEW_REV --workload W --seeds A-B \
+        [--seconds 25]
 
 Exports both revisions with ``git archive`` into two sibling folders,
 ``old`` and ``new``, whose names are equally long, so the two trees' file
@@ -67,8 +68,8 @@ def _export(rev: str, dest: Path) -> str:
     commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify",
                              f"{rev}^{{commit}}"], check=True, capture_output=True,
                             text=True).stdout.strip()
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit],
-                             check=True, capture_output=True).stdout
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], check=True,
+                             capture_output=True).stdout
     dest.mkdir()
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     return commit
@@ -76,8 +77,8 @@ def _export(rev: str, dest: Path) -> str:
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"bench_pairs: {tree.name} seed {seed} failed:\n{done.stderr}")
@@ -119,7 +120,8 @@ def main(argv=None) -> int:
         summaries[name] = {**values, **summary}
         print(f"{name} ({unit}, {better} is better)")
         for run, old, new in zip(runs, values["old"], values["new"]):
-            print(f"  seed {run['seed']} ({run['first']} first): old {old:.6g}  new {new:.6g}")
+            print(f"  seed {run['seed']} ({run['first']} first): "
+                  f"old {old:.6g}  new {new:.6g}")
         for side in ("old", "new"):
             q1, median, q3 = summary[f"{side}_quartiles"]
             print(f"  {side} median {median:.6g} [{q1:.6g}, {q3:.6g}]")

@@ -1514,8 +1514,8 @@ class TestReproduce:
                 for trial in report["trials"] for arm in trial["arms"]} == {None}
         plots = {path.name: path.read_text(encoding="utf-8")
                  for path in (base / "plots").iterdir()}
-        assert sorted(plots) == [f"binary_{field}.svg" for field in
-                                 ("accuracy", "hss", "sensitivity", "specificity", "tss")]
+        fields = ("accuracy", "hss", "sensitivity", "specificity", "tss")
+        assert sorted(plots) == [f"binary_{field}.svg" for field in fields]
         tss = plots["binary_tss.svg"]
         assert "<line" in tss and tss.count("<rect") == 1  # the background only
         assert ">sf (undefined)</text>" in tss and ">spif (undefined)</text>" in tss

@@ -393,7 +393,7 @@ class TestCellRule:
         path = tmp_path / "cells.csv"
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         # a \r that ends a line's last cell is the line's ending
-        values = [[_rule_reads(cell) for cell in [*row[:-1], row[-1].removesuffix("\r")]]
+        values = [[*map(_rule_reads, row[:-1]), _rule_reads(row[-1].removesuffix("\r"))]
                   for row in rows]
         bad = [(i, j) for i, row in enumerate(values)
                for j, value in enumerate(row) if value is None]

@@ -1,8 +1,8 @@
 """Each tall-table layer's ``tracemalloc`` peak over its output, and the search's.
 
-Every row runs one layer on 200,000 rows, or the monomial search on one
-schema, and ``read_csv`` also on the 5,000 rows of the benchmark's wide
-table, and checks its peak against the bound the function's docstring
+Every row runs one layer on 200,000 rows (``read_csv`` also on the 5,000
+rows of the benchmark's wide table), or the monomial search on one
+schema, and checks its peak against the bound the function's docstring
 states, so a bound cannot move in one place only.  The search's bound is
 over the count its budget caps (half-grid rows plus join candidates)
 times the row width times 8 bytes, or over its output where the output
@@ -188,11 +188,10 @@ def _flare_search():
     (enumerate_monomials, _pulsar_search, 0.8),
     (enumerate_monomials, _flare_search, 2.1),
 ], ids=["gen_pulsar", "gen_bernoulli", "gen_binary", "read_csv", "read_csv-5000",
-        "evaluate_map",
-        "add_noise", "standardize_fit-column-major", "standardize_fit-row-major",
-        "split_fit", "stacked-rank", "run_experiment-chunked",
-        "run_experiment-default-chunk", "identical_column_groups",
-        "enumerate_monomials", "enumerate_monomials-output"])
+        "evaluate_map", "add_noise", "standardize_fit-column-major",
+        "standardize_fit-row-major", "split_fit", "stacked-rank",
+        "run_experiment-chunked", "run_experiment-default-chunk",
+        "identical_column_groups", "enumerate_monomials", "enumerate_monomials-output"])
 def test_peak_over_output_is_within_the_documented_bound(function, prepare, bound,
                                                         tmp_path, monkeypatch):
     assert f"under {bound}x" in " ".join(function.__doc__.split())
