@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -697,6 +698,75 @@ class TestEval:
         bad.write_text("{not json", encoding="utf-8")
         assert run("eval", "--model", str(bad),
                    "--data", str(bernoulli_csv)) == EXIT_IO
+
+
+def _enumerate_run(tmp_path, data, spec):
+    return ("enumerate", "--schema", str(data), "--target", "Pa",
+            "--out", str(tmp_path / "enumerated.json")), EXIT_OK
+
+
+def _fit_spec_run(tmp_path, data, spec):
+    return ("fit", "--data", str(data), "--spec", str(spec),
+            "--out", str(tmp_path / "model.json")), EXIT_OK
+
+
+def _eval_model_run(tmp_path, data, spec):
+    model = tmp_path / "model.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("fit", "--data", str(data), "--spec", str(spec),
+                   "--out", str(model)) == EXIT_OK
+    return ("eval", "--model", str(model), "--data", str(data)), EXIT_OK
+
+
+def _malformed_spec_run(tmp_path, data, spec):
+    bad = tmp_path / "bad_spec.json"
+    bad.write_text('{"name": "x", "features": [["rho", "kg/m^3"]]}', encoding="utf-8")
+    return ("fit", "--data", str(data), "--spec", str(bad),
+            "--out", str(tmp_path / "model.json")), EXIT_IO
+
+
+class TestCollectorState:
+    """The CLI pauses the cyclic garbage collector while it holds a spec
+    document and leaves it as the caller left it."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        try:
+            yield request.param
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("command", [_enumerate_run, _fit_spec_run, _eval_model_run,
+                                         _malformed_spec_run])
+    def test_main_leaves_the_state_the_caller_set(self, command, collector,
+                                                  bernoulli_csv, bernoulli_spec,
+                                                  tmp_path, capsys):
+        argv, code = command(tmp_path, bernoulli_csv, bernoulli_spec)
+        (gc.enable if collector else gc.disable)()
+        assert run(*argv) == code
+        assert gc.isenabled() is collector
+
+    def test_specs_are_read_and_written_with_the_collector_paused(
+            self, bernoulli_csv, bernoulli_spec, tmp_path, monkeypatch, capsys):
+        states = []
+
+        def spy(function):
+            def call(*args, **kwargs):
+                states.append((function.__name__, gc.isenabled()))
+                return function(*args, **kwargs)
+            return call
+
+        for name in ("spec_from_dict", "spec_to_dict", "model_from_dict"):
+            monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+        gc.enable()
+        for command in (_enumerate_run, _eval_model_run):
+            argv, code = command(tmp_path, bernoulli_csv, bernoulli_spec)
+            assert run(*argv) == code
+        assert gc.isenabled()
+        assert sorted(set(states)) == [("model_from_dict", False),
+                                       ("spec_from_dict", False),
+                                       ("spec_to_dict", False)]
 
 
 def _drop_monomials(doc):
