@@ -2,7 +2,7 @@
 """Run the benchmark on two revisions in alternating pairs and compare them.
 
     python3 scripts/bench_pairs.py OLD_REV NEW_REV --workload W --seeds A-B \
-        [--seconds 25]
+        [--seconds 25] [--out BENCH_<pr>_<workload>.json]
 
 Exports both revisions with ``git archive`` into two sibling folders,
 ``old`` and ``new``, whose names are equally long, so the two trees' file
@@ -13,19 +13,28 @@ end-to-end metric the old tree's ``BENCHMARK.json`` declares, it prints
 each pair's values, each side's median and quartiles, the pairs each side
 won (ties count for neither), and whether the gap between the medians
 exceeds the old side's interquartile range.  The last line is one JSON
-object with every value.  The exported trees are deleted at the end;
-nothing in the repository is changed.  Standard library only.
+object with every value; ``--out PATH`` also writes it, indented, with the
+host's environment under ``"environment"``: the Python and numpy versions,
+``os.cpu_count()``, ``platform.platform()`` and the BLAS thread variables
+as this script found them (null where unset; the harness itself runs its
+children on one BLAS thread).  The exported trees are deleted at the end;
+nothing in the repository is changed but the ``--out`` file.  Standard
+library only.
 """
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
 import tempfile
+from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def summarize(old: list[float], new: list[float], better: str) -> dict:
@@ -50,6 +59,17 @@ def summarize(old: list[float], new: list[float], better: str) -> dict:
         "old_iqr": iqr,
         "gap_exceeds_old_iqr": abs(gap) > iqr,
         "new_median_better": sign * gap < 0,
+    }
+
+
+def environment() -> dict:
+    """The host facts a stored comparison is read against."""
+    return {
+        "python": platform.python_version(),
+        "numpy": metadata.version("numpy"),
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
     }
 
 
@@ -92,6 +112,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=_seeds, required=True, help="A-B, inclusive")
     parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--out", type=Path, default=None,
+                        help="also write the result and the environment as JSON")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
@@ -132,8 +154,12 @@ def main(argv=None) -> int:
               f"{'better' if summary['new_median_better'] else 'not better'}; "
               f"old IQR {summary['old_iqr']:.6g}; the gap exceeds it: "
               f"{'yes' if summary['gap_exceeds_old_iqr'] else 'no'}")
-    print(json.dumps({"workload": args.workload, "seconds": args.seconds,
-                      "commits": commits, "runs": runs, "summaries": summaries}))
+    result = {"workload": args.workload, "seconds": args.seconds,
+              "commits": commits, "runs": runs, "summaries": summaries}
+    print(json.dumps(result))
+    if args.out is not None:
+        document = {**result, "environment": environment()}
+        args.out.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
