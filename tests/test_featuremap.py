@@ -1027,6 +1027,20 @@ class TestKeyedJoin:
         assert len(found) > 0
         assert list(map(tuple, found.tolist())) == _scan(dims, 4, 2, 2, 3, target)
 
+    def test_a_schema_over_all_seven_units_falls_back_within_the_default_budget(
+            self, fallbacks):
+        # the radix is 2.74e14; times the right half's 17**4 = 83,521 rows
+        # it is 2.29e19, past int64, with 167,042 half-grid rows in all
+        schema = schema_of([
+            ["a", "kg^2*m/(s^3*A*K)"], ["b", "mol*cd/(m^2*A^2)"],
+            ["c", "kg*s^4*A^2/(m^3*K^2)"], ["d", "K^3*mol/(cd*s)"],
+            ["e", "m^3*cd^2/(kg*A)"], ["f", "s^2*A*mol^2/kg"],
+            ["g", "kg*m*K*cd"], ["h", "1/(mol*A*s)"],
+        ])
+        found = enumerate_monomials(schema, (), parse_unit("kg*m*K*cd"), 8, 4)
+        assert fallbacks == [2 * 17**4]
+        assert found.tolist() == [[0, 0, 0, 0, 0, 0, 1, 0]]
+
     @pytest.mark.parametrize("schema, target, constants, bound, active, count",
                              _benchmark_enumerations())
     def test_the_fallback_returns_the_same_matrix(self, schema, target, constants,
