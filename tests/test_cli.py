@@ -731,7 +731,9 @@ class TestCollectorState:
 
     @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
     def collector(self, request):
+        """Sets the collector on or off for the test, and back afterwards."""
         was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
         try:
             yield request.param
         finally:
@@ -743,12 +745,13 @@ class TestCollectorState:
                                                   bernoulli_csv, bernoulli_spec,
                                                   tmp_path, capsys):
         argv, code = command(tmp_path, bernoulli_csv, bernoulli_spec)
-        (gc.enable if collector else gc.disable)()
         assert run(*argv) == code
         assert gc.isenabled() is collector
 
+    @pytest.mark.parametrize("collector", [True], ids=["enabled"], indirect=True)
     def test_specs_are_read_and_written_with_the_collector_paused(
-            self, bernoulli_csv, bernoulli_spec, tmp_path, monkeypatch, capsys):
+            self, collector, bernoulli_csv, bernoulli_spec, tmp_path, monkeypatch,
+            capsys):
         states = []
 
         def spy(function):
@@ -759,11 +762,9 @@ class TestCollectorState:
 
         for name in ("spec_from_dict", "spec_to_dict", "model_from_dict"):
             monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
-        gc.enable()
         for command in (_enumerate_run, _eval_model_run):
             argv, code = command(tmp_path, bernoulli_csv, bernoulli_spec)
             assert run(*argv) == code
-        assert gc.isenabled()
         assert sorted(set(states)) == [("model_from_dict", False),
                                        ("spec_from_dict", False),
                                        ("spec_to_dict", False)]
