@@ -23,7 +23,6 @@ replaces the default grid used by ``fit --select``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import gc
 import json
@@ -169,27 +168,6 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Run the body with Python's cyclic garbage collector off, then restore
-    the state it found, on an exception too; nested uses leave it off.
-
-    A spec-bearing document (a parsed spec, model or schema, or the one a
-    command writes) holds a dict and two lists per monomial, and
-    collections that run while it lives promote and rescan them until a
-    full collection.  The documents are trees, so reference counting frees
-    them as soon as they are dropped: each use builds, reads and drops its
-    document inside the body, so none is left for the collector afterwards.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _parse_input(kind: str, path: str, parse):
     """Return ``parse(path)``; any failure names the file once and exits 3.
 
@@ -198,12 +176,10 @@ def _parse_input(kind: str, path: str, parse):
     column) fails inside the parser with one of the errors caught below.  A
     spec file whose monomials miss its target is a usage error and stays one.
     A CSV reader's error that already names the file, with its line
-    (``bern.csv:4: ...``), is not prefixed with it again.  The parse runs
-    with the collector paused (see ``_collector_paused``).
+    (``bern.csv:4: ...``), is not prefixed with it again.
     """
     try:
-        with _collector_paused():
-            return parse(path)
+        return parse(path)
     except (OSError, json.JSONDecodeError) as exc:
         raise _InputFileError(f"cannot read {path}: {exc}") from exc
     except (PifmapError, LookupError, TypeError, AttributeError, ValueError,
@@ -404,16 +380,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         warnings.warn(
             f"no combination of {list(schema.names)} reaches [{target}] within the bounds"
         )
-    with _collector_paused():
-        spec = FeatureMapSpec(
-            name=args.name,
-            features=tuple(schema.features),
-            constants=tuple(constants),
-            exponents=exponents,
-            target_dimension=target,
-            metadata={"source": "enumeration", "budget": args.budget},
-        )
-        text = _dump_json(spec_to_dict(spec))
+    spec = FeatureMapSpec(
+        name=args.name,
+        features=tuple(schema.features),
+        constants=tuple(constants),
+        exponents=exponents,
+        target_dimension=target,
+        metadata={"source": "enumeration", "budget": args.budget},
+    )
+    text = _dump_json(spec_to_dict(spec))
     if args.out:
         _write_text(args.out, text)
     else:
@@ -487,15 +462,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if grid is not None:
         metrics["lambda_grid"] = list(grid)
     text = _dump_json(metrics)
-    with _collector_paused():
-        document = model_to_dict(model)
-        document["design"] = {
-            "kind": "raw" if spec is None else "spec",
-            "spec": None if spec is None else spec_to_dict(spec),
-        }
-        model_text = _dump_json(document)
-        del document  # dropped before the collector runs again
-    _write_text(args.out, model_text)
+    document = model_to_dict(model)
+    document["design"] = {
+        "kind": "raw" if spec is None else "spec",
+        "spec": None if spec is None else spec_to_dict(spec),
+    }
+    _write_text(args.out, _dump_json(document))
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -691,9 +663,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # What a command builds (a spec document holds a dict and two lists per
+    # monomial, a CSV block a list per row) has no cycles: reference
+    # counting frees it as soon as it is dropped, and the cyclic collector,
+    # which would only promote and rescan it, is paused for the whole
+    # command and left as it was found.
+    collecting = gc.isenabled()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # an "error" filter would end in a traceback
         try:
+            gc.disable()
             args = _parser().parse_args(argv)
             # looked up per call, not bound into the cached parser
             return globals()[f"_cmd_{args.command}"](args)
@@ -711,6 +690,8 @@ def main(argv=None) -> int:
             _fail(f"out of memory: {exc}" if str(exc) else "out of memory")
             return EXIT_USAGE
         finally:
+            if collecting:
+                gc.enable()
             for message in dict.fromkeys(str(w.message) for w in caught):
                 print(f"pifmap: warning: {message}", file=sys.stderr)
 

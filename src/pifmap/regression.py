@@ -45,12 +45,13 @@ sum and one division (``np.mean``'s own steps) and a vector norm is
 A fit's design stays column-major from
 :func:`~pifmap.featuremap.evaluate_map` to the Gram: ``_standardized``
 standardizes a stack of designs (an experiment's seeds) on their first
-rows, scaling a column-major design in its centered copy and writing a
-row-major one's ``Z`` column-major with no centered copy, each with the
-bits of ``X.mean(axis=0)`` and ``X.std(axis=0)`` for the layout passed;
-:func:`standardize_fit` is its one-design case.  A caller that hands over
-one column-major design it never reads again (the command line's ``fit
---spec`` and ``rank``) has it standardized in place, with the same bits.
+rows in one flow for every layout, centering each row once into
+column-major stacks and scaling it there, with the bits of
+``X.mean(axis=0)`` and ``X.std(axis=0)`` for the layout passed;
+:func:`standardize_fit` is its one-design case.  The stacks are new
+arrays, or, for a caller that hands over one column-major design it never
+reads again (the command line's ``fit --spec`` and ``rank``), that
+design's own rows, with the same bits.
 
 :func:`select_lambda` forms the training Gram ``G = Z'Z``, the right-hand
 side and ``mean(y)`` once per grid and eigendecomposes ``G`` once
@@ -219,16 +220,6 @@ def _row_major_sums_of_squares(X: np.ndarray, means: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _centered(X: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """``X - means[:, None]`` for a stack ``(designs, rows, p)``, stored as
-    ``(designs, p, rows)``: transposed back, each item is Fortran-ordered,
-    as the gather ``X[:, kept]`` returns a design, because the Gram, Z'y
-    and the predictions round according to that layout."""
-    out = np.empty((X.shape[0], X.shape[2], X.shape[1]))
-    np.subtract(X, means[:, None], out=out.transpose(0, 2, 1))
-    return out
-
-
 def _standardized(
     X: np.ndarray, k: int, *, overwrite: bool = False
 ) -> tuple[np.ndarray, np.ndarray, list[StandardizationParams]]:
@@ -243,17 +234,21 @@ def _standardized(
     since its designs would keep different columns.  The evaluation rows
     are not checked: a non-finite one standardizes to a non-finite row.
 
-    The two stacks are new arrays, except with ``overwrite`` on one
-    column-major design, which a caller that never reads ``X`` again hands
-    over so that no second ``n x p`` design is held: ``X`` is then centered
-    and scaled in place, its kept columns moved to the front if a constant
-    one is dropped, and the stacks are its leading ``k`` and trailing
-    ``n - k`` rows of those columns, views whose items have leading
-    dimension ``n``.  A non-finite training entry still raises before
-    ``X`` is written; a later error leaves it partly standardized.  Every
-    value is the same bit as a copy's, since each step works entry by entry
-    and the squares are summed from the same buffer.  A row-major design is
-    never overwritten: its ``Z`` is written column-major, as the Gram and
+    Every layout takes one flow.  The two output stacks are picked first:
+    two new column-major arrays, or, with ``overwrite`` on one column-major
+    design that a caller never reads again, ``X``'s own leading ``k`` and
+    trailing ``n - k`` rows, so that no second ``n x p`` design is held.
+    A row-major ``X``'s squares are summed in row order before anything is
+    written.  The training rows are then centered into their stack, whose
+    columns give a non-row-major ``X``'s sums.  A dropped column's kept
+    ones move forward in the training stack, and in ``X`` when it is
+    overwritten; the evaluation rows are then centered from there, or
+    from ``X``'s kept columns, and both stacks are scaled.  A non-finite
+    training entry still raises before ``X`` is written; a later error
+    leaves it partly standardized.  Every value is the same bit whichever
+    the stacks, since each step works entry by entry and the squares are
+    summed from the same buffer.  A row-major design is never
+    overwritten: its ``Z`` is written column-major, as the Gram, Z'y and
     the predictions round according to that layout.
 
     Every entry of a training stack returned is finite, so its fits need
@@ -266,25 +261,24 @@ def _standardized(
     """
     designs, n, p = X.shape
     in_place = overwrite and designs == 1 and X[0].flags.f_contiguous
+    row_major = p > 1 and abs(X.strides[2]) < abs(X.strides[1])
+    if in_place:
+        Z_train, Z_eval = X[:, :k], X[:, k:]
+    else:
+        Z_train, Z_eval = (np.empty((designs, p, rows)).transpose(0, 2, 1)
+                           for rows in (k, n - k))
     # overflow is reported as NonFiniteResult below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         means = np.add.reduce(X[:, :k], axis=1) / k
         if not np.isfinite(means).all():
             # a non-finite entry, or finite ones whose sum overflows
             _check_finite(X[:, :k], "X")
-        centered = None
-        if in_place:
-            # the training rows become Z_train where they are
-            np.subtract(X[:, :k], means[:, None], out=X[:, :k])
-            sums = _column_sums_of_squares(X[0, :k])[None]
-        elif p > 1 and abs(X.strides[2]) < abs(X.strides[1]):
-            # row-major: centered into Z once the kept columns are known
+        if row_major:
             sums = _row_major_sums_of_squares(X[:, :k], means)
-        else:
-            # column-major: the centered columns become Z in place
-            centered = _centered(X[:, :k], means)
-            sums = _column_sums_of_squares(centered.reshape(-1, k).T)
-            sums = sums.reshape(designs, p)
+        np.subtract(X[:, :k], means[:, None], out=Z_train)
+        if not row_major:
+            columns = Z_train.transpose(0, 2, 1).reshape(-1, k).T
+            sums = _column_sums_of_squares(columns).reshape(designs, p)
         # population (1/n) convention
         scales = np.sqrt(sums / k)
     if not np.isfinite(scales).all():
@@ -295,6 +289,7 @@ def _standardized(
         )
     constant = scales <= _ZERO_SCALE_RTOL * np.abs(means)
     kept, dropped = range(p), ()
+    rest = X[:, k:]
     if constant.any():
         if designs > 1:
             raise ColumnMismatch("the designs of a stack drop constant columns")
@@ -306,29 +301,24 @@ def _standardized(
             stacklevel=3,
         )
         means, scales = means[:, kept], scales[:, kept]
-        if in_place:
-            # in order, each to a slot at or before its own: none is
-            # overwritten before it moves
-            for to, column in enumerate(kept):
-                if to != column:
-                    X[:, :, to] = X[:, :, column]
-            X = X[:, :, :len(kept)]
-        else:
-            X, centered = X[:, :, kept], None
+        # in order, each to a slot at or before its own: none is
+        # overwritten before it moves; X's evaluation rows move with its
+        # training rows
+        moved = X if in_place else Z_train
+        for to, column in enumerate(kept):
+            if to != column:
+                moved[:, :, to] = moved[:, :, column]
+        Z_train, Z_eval = Z_train[:, :, :len(kept)], Z_eval[:, :, :len(kept)]
+        rest = Z_eval if in_place else X[:, k:, kept]
     params = [StandardizationParams(means=m, scales=s, kept=tuple(kept),
                                     dropped=tuple(dropped))
               for m, s in zip(means, scales)]
-    if in_place:
-        # outside the errstate above, so an overflow here warns as a copy's does
-        np.subtract(X[:, k:], means[:, None], out=X[:, k:])
-        np.divide(X, scales[:, None], out=X)
-        return X[:, :k], X[:, k:], params
-    if centered is None:
-        centered = _centered(X[:, :k], means)
-    Z_train = np.divide(centered, scales[:, :, None], out=centered)
-    Z_eval = _centered(X[:, k:], means)
-    np.divide(Z_eval, scales[:, :, None], out=Z_eval)
-    return Z_train.transpose(0, 2, 1), Z_eval.transpose(0, 2, 1), params
+    # outside the errstate above, so an overflow here warns, as
+    # standardize_apply's does
+    np.subtract(rest, means[:, None], out=Z_eval)
+    np.divide(Z_train, scales[:, None], out=Z_train)
+    np.divide(Z_eval, scales[:, None], out=Z_eval)
+    return Z_train, Z_eval, params
 
 
 def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
@@ -343,19 +333,19 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, StandardizationParams]:
     values are too large for its variance to be finite raises
     :class:`~pifmap.errors.NonFiniteResult`.
 
-    A column-major design is centered once, into a Fortran-ordered ``Z``,
-    and scaled in place, with no transposing copy.  A row-major one is
-    centered a block of rows at a time to sum its squares, then centered
-    again straight into a new Fortran-ordered ``Z``.  ``Z`` never shares
-    memory with ``X``.  The means are taken by the steps of ``np.mean``
-    (sum over rows, divide by ``n``) and the scales from the centered
-    matrix by those of ``np.std`` (square, sum over rows, divide by ``n``,
-    square root), so they equal ``X.mean(axis=0)`` and ``X.std(axis=0)``
-    bit for bit for the array as passed.  Beyond ``Z``, a design with no dropped column needs one
-    buffer of squares, at most 256 KiB or one column (two rows if
-    row-major): at 200,000 rows and 9 columns, the ``tracemalloc`` peak
-    of a column-major design is under 1.15x ``Z`` and of a row-major one
-    under 1.05x ``Z``.  A dropped column costs a copy of the kept ones.
+    Every design is centered once, into a new Fortran-ordered ``Z``, and
+    scaled there, with no transposing copy; a row-major one is first
+    centered a block of rows at a time to sum its squares in row order.
+    ``Z`` never shares memory with ``X``.  The means are taken by the steps
+    of ``np.mean`` (sum over rows, divide by ``n``) and the scales from the
+    centered matrix by those of ``np.std`` (square, sum over rows, divide by
+    ``n``, square root), so they equal ``X.mean(axis=0)`` and
+    ``X.std(axis=0)`` bit for bit for the array as passed.  Beyond ``Z``, a
+    design with no dropped column needs one buffer of squares, at most 256
+    KiB or one column (two rows if row-major): at 200,000 rows and 9
+    columns, the ``tracemalloc`` peak of a column-major design is under
+    1.15x ``Z`` and of a row-major one under 1.05x ``Z``.  A dropped column
+    costs no copy: the kept columns move forward in ``Z``'s buffer.
     """
     X = _as_matrix(X)
     n = X.shape[0]

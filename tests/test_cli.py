@@ -725,9 +725,40 @@ def _malformed_spec_run(tmp_path, data, spec):
             "--out", str(tmp_path / "model.json")), EXIT_IO
 
 
+def _synth_run(tmp_path, data, spec):
+    return ("synth", "bernoulli", "--n", "200", "--seed", "3",
+            "--out", str(tmp_path / "synth.csv")), EXIT_OK
+
+
+def _fit_select_run(tmp_path, data, spec):
+    return ("fit", "--data", str(data), "--spec", str(spec), "--select",
+            "--out", str(tmp_path / "model.json")), EXIT_OK
+
+
+def _fit_raw_run(tmp_path, data, spec):
+    return ("fit", "--data", str(data), "--raw",
+            "--out", str(tmp_path / "model.json")), EXIT_OK
+
+
+def _rank_curve_run(tmp_path, data, spec):
+    return ("rank", "--data", str(data), "--spec", str(spec),
+            "--out", str(tmp_path / "rank.json"),
+            "--curve", str(tmp_path / "curve.csv")), EXIT_OK
+
+
+def _reproduce_run(tmp_path, data, spec):
+    return ("reproduce", "all", "--seeds", "1:2", "--n", "60",
+            "--out", str(tmp_path / "reports")), EXIT_OK
+
+
+def _budget_run(tmp_path, data, spec):
+    return ("enumerate", "--schema", str(data), "--target", "Pa", "--constants", "g",
+            "--budget", "3"), BudgetExceeded.exit_code
+
+
 class TestCollectorState:
-    """The CLI pauses the cyclic garbage collector while it holds a spec
-    document and leaves it as the caller left it."""
+    """The CLI pauses the cyclic garbage collector for the whole command and
+    leaves it as the caller left it."""
 
     @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
     def collector(self, request):
@@ -768,6 +799,21 @@ class TestCollectorState:
         assert sorted(set(states)) == [("model_from_dict", False),
                                        ("spec_from_dict", False),
                                        ("spec_to_dict", False)]
+
+    @pytest.mark.parametrize("collector", [False], ids=["disabled"], indirect=True)
+    @pytest.mark.parametrize("command", [
+        _synth_run, _enumerate_run, _fit_select_run, _fit_raw_run, _rank_curve_run,
+        _eval_model_run, _reproduce_run, _malformed_spec_run, _budget_run])
+    def test_no_command_leaves_cyclic_garbage(self, command, collector, bernoulli_csv,
+                                              bernoulli_spec, tmp_path, capsys):
+        # The pause holds memory only if reference counting frees all that a
+        # command drops.  A process's first run may keep one-time set-up, so
+        # the second is the one counted.
+        argv, code = command(tmp_path, bernoulli_csv, bernoulli_spec)
+        assert run(*argv) == code
+        gc.collect()
+        assert run(*argv) == code
+        assert gc.collect() == 0
 
 
 def _drop_monomials(doc):

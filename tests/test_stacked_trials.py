@@ -314,23 +314,36 @@ def test_report_bytes_equal_one_level_calls_with_a_dropped_column(monkeypatch):
 
 
 @pytest.mark.parametrize("layout", ["row-major", "column-major"])
-@pytest.mark.parametrize("n, k", [(301, 211), (20_000, 14_000)],
-                         ids=["odd-rows", "many-blocks"])
-def test_a_stacked_standardization_equals_each_design_alone(layout, n, k):
+@pytest.mark.parametrize("count, n, k, constant_column", [
+    (3, 301, 211, None), (3, 20_000, 14_000, None), (1, 301, 211, 2),
+], ids=["odd-rows", "many-blocks", "one-design-dropped-column"])
+def test_a_stacked_standardization_equals_each_design_alone(layout, count, n, k,
+                                                             constant_column):
     # three designs' rows concatenated as a chunk's are: a row-major table,
     # whose items sum row by row, or a column-major map, whose items sum
-    # each column pairwise; an offset mean makes the order show
+    # each column pairwise; an offset mean makes the order show.  A stack
+    # with a constant column drops it only as one design, which is never
+    # overwritten here, so its evaluation rows are gathered from X
     rng = np.random.Generator(np.random.PCG64(11))
-    designs = rng.standard_normal((3, n, 5)) * np.logspace(-3, 3, 5) + 1e3
+    designs = rng.standard_normal((count, n, 5)) * np.logspace(-3, 3, 5) + 1e3
+    if constant_column is not None:
+        designs[:, :, constant_column] = 3.25
     rows = np.concatenate(list(designs))
     if layout == "row-major":
-        X, alone = rows.reshape(3, n, 5), [np.ascontiguousarray(d) for d in designs]
+        X, alone = rows.reshape(count, n, 5), [np.ascontiguousarray(d) for d in designs]
     else:
-        X = np.asfortranarray(rows).T.reshape(5, 3, n).transpose(1, 2, 0)
+        X = np.asfortranarray(rows).T.reshape(5, count, n).transpose(1, 2, 0)
         alone = [np.asfortranarray(d) for d in designs]
-    Z_train, Z_eval, params = _standardized(X, k)
-    for item, design in enumerate(alone):
-        Z, expected = standardize_fit(design[:k])
+    before = X.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DroppedColumnWarning)
+        Z_train, Z_eval, params = _standardized(X, k)
+        fitted = [standardize_fit(design[:k]) for design in alone]
+    assert X.tobytes() == before.tobytes()
+    for item, (design, (Z, expected)) in enumerate(zip(alone, fitted)):
+        assert params[item].kept == expected.kept
+        assert params[item].dropped == expected.dropped
+        assert len(expected.dropped) == (constant_column is not None)
         assert params[item].means.tobytes() == expected.means.tobytes()
         assert params[item].scales.tobytes() == expected.scales.tobytes()
         assert Z_train[item].flags.f_contiguous and Z_eval[item].flags.f_contiguous
